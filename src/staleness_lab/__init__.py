@@ -4,7 +4,7 @@ Modules
 -------
 charpoly   characteristic polynomials, delay models, optimizer specs
 roots      deterministic simultaneous root iteration
-stability  analytic and bisected step-size thresholds, curve fits
+stability  closed-form and certified crossing thresholds, curve fits
 dynamics   delay-recurrence simulators, escape times, power iteration
 pssim      parameter-server event-loop emulator
 cli        staleness-lab command line

@@ -43,23 +43,15 @@ from .dynamics import (
 )
 from .pssim import RoundRobin, ps_empirical_threshold, run_ps
 from .roots import all_roots, is_stable
-from .stability import analytic_threshold_plain, numeric_threshold, taylor_inverse_threshold, threshold_curve
+from .stability import (
+    _fit_line,
+    analytic_threshold_plain,
+    numeric_threshold,
+    taylor_inverse_threshold,
+    threshold_curve,
+)
 
 TWO_OVER_PI = 2.0 / math.pi
-
-
-def _ols(xs, ys):
-    """Least squares y = slope*x + b; returns (slope, intercept, r_squared)."""
-    n = len(xs)
-    mx, my = math.fsum(xs) / n, math.fsum(ys) / n
-    sxx = math.fsum((x - mx) ** 2 for x in xs)
-    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    b = my - slope * mx
-    ss_res = math.fsum((y - (slope * x + b)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = math.fsum((y - my) ** 2 for y in ys)
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else float("nan")
-    return slope, b, r2
 
 
 def _plain_thresholds(ctx: dict) -> dict[int, float]:
@@ -107,7 +99,7 @@ def _c_taylor(ctx, out_dir):
 def _c_inverse_linear(ctx, out_dir):
     etas = _plain_thresholds(ctx)
     taus = list(range(4, 65))
-    slope, _, r2 = _ols(taus, [1.0 / etas[t] for t in taus])
+    slope, _, r2 = _fit_line(taus, [1.0 / etas[t] for t in taus])
     rel = abs(slope - TWO_OVER_PI) / TWO_OVER_PI
     ok = rel <= 0.02 and r2 >= 0.999
     return ok, f"slope={slope:.6f} (rel err {rel:.2e} vs 2/pi), R^2={r2:.8f}"

@@ -16,6 +16,10 @@ random-delay form averages over a probability mass function on delays with
 maximum support ``K``.  Small ``tau`` makes exponents collide (for example the
 ``m z^(tau-1)`` term lands on the constant when ``tau = 1``), so builders
 accumulate coefficients by exponent instead of writing to fixed slots.
+
+Every one of these is linear in ``k = eta*a``: ``P(z) = A(z) + k B(z)``.
+``char_poly_terms`` gives that split as sparse terms, the one description
+of each polynomial that the builders and the threshold search share.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ PLAIN = "plain"
 MOMENTUM = "momentum"
 SHIFTED_MOMENTUM = "shifted"
 VARIANTS = (PLAIN, MOMENTUM, SHIFTED_MOMENTUM)
+
+# One term of a split polynomial: (exponent, coefficient in A, coefficient in B).
+Term = tuple[int, float, float]
 
 
 @dataclass(frozen=True)
@@ -158,17 +165,21 @@ class OptimizerSpec:
     m: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
         if not (self.eta > 0.0 and math.isfinite(self.eta)):
             raise ValueError("eta must be positive and finite")
-        if not 0.0 <= self.m < 1.0:
-            raise ValueError("m must lie in [0, 1)")
-        if self.variant == PLAIN and self.m != 0.0:
-            raise ValueError("plain variant has no momentum; m must be 0")
+        _check_variant(self.variant, self.m)
 
     def with_eta(self, eta: float) -> "OptimizerSpec":
         return OptimizerSpec(self.variant, eta, self.m)
+
+
+def _check_variant(variant: str, m: float) -> None:
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
+    if not 0.0 <= m < 1.0:
+        raise ValueError("m must lie in [0, 1)")
+    if variant == PLAIN and m != 0.0:
+        raise ValueError("plain variant has no momentum; m must be 0")
 
 
 def _check_scalars(eta: float, a: float, tau: int) -> None:
@@ -182,11 +193,49 @@ def _check_scalars(eta: float, a: float, tau: int) -> None:
         raise ValueError(f"tau must be in [0, {MAX_TAU}]")
 
 
-def _poly_from_terms(terms) -> Polynomial:
+def _constant_terms(variant: str, m: float, tau: int) -> tuple[Term, ...]:
+    if variant == PLAIN:
+        return ((tau + 1, 1.0, 0.0), (tau, -1.0, 0.0), (0, 0.0, 1.0))
+    if variant == MOMENTUM:
+        if tau == 0:
+            # z^-1 would appear; multiplying through by z moves the gradient
+            # term onto z, where it merges with the momentum term
+            return ((2, 1.0, 0.0), (1, -(1.0 + m), 0.0), (1, 0.0, 1.0 - m), (0, m, 0.0))
+        return ((tau + 1, 1.0, 0.0), (tau, -(1.0 + m), 0.0), (tau - 1, m, 0.0), (0, 0.0, 1.0 - m))
+    return ((tau + 2, 1.0, 0.0), (tau + 1, -1.0, 0.0), (1, -m, 1.0 - m), (0, m, 0.0))
+
+
+def _stochastic_terms(delay: DelayModel) -> tuple[Term, ...]:
+    big_k = delay.max_delay
+    return ((big_k + 1, 1.0, 0.0), (big_k, -1.0, 0.0)) + tuple(
+        (big_k - k, 0.0, p) for k, p in zip(delay.delays, delay.probs)
+    )
+
+
+def char_poly_terms(variant: str, m: float, delay: DelayModel) -> tuple[Term, ...]:
+    """Sparse terms of the characteristic polynomial split by the step size.
+
+    Every polynomial here is linear in ``k = eta*a``: ``P(z) = A(z) + k B(z)``.
+    Each term ``(exp, fixed, per_k)`` contributes ``fixed`` to ``A`` and
+    ``per_k`` to ``B`` at ``z^exp``.  Terms may share an exponent (small
+    delays make them collide); every consumer adds them up in this order.
+    Random delays are only analyzed for the plain variant.
+    """
+    _check_variant(variant, m)
+    if delay.is_constant:
+        if delay.tau > MAX_TAU:
+            raise ValueError(f"tau must be in [0, {MAX_TAU}]")
+        return _constant_terms(variant, m, delay.tau)
+    if variant != PLAIN:
+        raise ValueError("random delay analysis is only supported for plain")
+    return _stochastic_terms(delay)
+
+
+def _poly_from_terms(terms: tuple[Term, ...], eta: float, a: float) -> Polynomial:
     # Accumulate by exponent: small tau makes several terms share a slot.
     acc: dict[int, float] = {}
-    for exp, coef in terms:
-        acc[exp] = acc.get(exp, 0.0) + coef
+    for exp, fixed, per_k in terms:
+        acc[exp] = acc.get(exp, 0.0) + (fixed + eta * per_k * a)
     coeffs = [0.0] * (max(acc) + 1)
     for exp, coef in acc.items():
         coeffs[exp] = coef
@@ -200,7 +249,7 @@ def char_poly_plain(eta: float, a: float, tau: int) -> Polynomial:
     and the result degenerates to the familiar ``z - (1 - eta*a)``.
     """
     _check_scalars(eta, a, tau)
-    return _poly_from_terms([(tau + 1, 1.0), (tau, -1.0), (0, eta * a)])
+    return _poly_from_terms(_constant_terms(PLAIN, 0.0, tau), eta, a)
 
 
 def char_poly_momentum(eta: float, a: float, tau: int, m: float) -> Polynomial:
@@ -212,14 +261,8 @@ def char_poly_momentum(eta: float, a: float, tau: int, m: float) -> Polynomial:
     (the gradient term shifts onto ``z`` and merges there).
     """
     _check_scalars(eta, a, tau)
-    if not 0.0 <= m < 1.0:
-        raise ValueError("m must lie in [0, 1)")
-    grad = eta * (1.0 - m) * a
-    if tau == 0:
-        terms = [(2, 1.0), (1, -(1.0 + m)), (1, grad), (0, m)]
-    else:
-        terms = [(tau + 1, 1.0), (tau, -(1.0 + m)), (tau - 1, m), (0, grad)]
-    return _poly_from_terms(terms)
+    _check_variant(MOMENTUM, m)
+    return _poly_from_terms(_constant_terms(MOMENTUM, m, tau), eta, a)
 
 
 def char_poly_shifted(eta: float, a: float, tau: int, m: float) -> Polynomial:
@@ -231,11 +274,8 @@ def char_poly_shifted(eta: float, a: float, tau: int, m: float) -> Polynomial:
     variant, lets larger ``m`` tolerate larger step sizes.
     """
     _check_scalars(eta, a, tau)
-    if not 0.0 <= m < 1.0:
-        raise ValueError("m must lie in [0, 1)")
-    grad = eta * (1.0 - m) * a
-    terms = [(tau + 2, 1.0), (tau + 1, -1.0), (1, grad - m), (0, m)]
-    return _poly_from_terms(terms)
+    _check_variant(SHIFTED_MOMENTUM, m)
+    return _poly_from_terms(_constant_terms(SHIFTED_MOMENTUM, m, tau), eta, a)
 
 
 def char_poly_stochastic(eta: float, a: float, delay: DelayModel) -> Polynomial:
@@ -248,10 +288,7 @@ def char_poly_stochastic(eta: float, a: float, delay: DelayModel) -> Polynomial:
         raise ValueError("eta must be positive and finite")
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError("a must be positive and finite")
-    big_k = delay.max_delay
-    terms = [(big_k + 1, 1.0), (big_k, -1.0)]
-    terms += [(big_k - k, eta * a * p) for k, p in zip(delay.delays, delay.probs)]
-    return _poly_from_terms(terms)
+    return _poly_from_terms(_stochastic_terms(delay), eta, a)
 
 
 def char_poly(optimizer: OptimizerSpec, a: float, delay: DelayModel) -> Polynomial:

@@ -84,12 +84,24 @@ def _load_config(path: str | None, command: str) -> dict | None:
 
 
 def _merge(defaults: dict, config: dict | None, args: argparse.Namespace) -> dict:
-    """flags > config file > defaults; unknown config keys are an error."""
+    """flags > config file > defaults.
+
+    Unknown config keys are an error, and so is a config value that no flag
+    could have given: anything but a number or a string, or a null where the
+    default is not null.
+    """
     merged = dict(defaults)
     if config:
         unknown = sorted(set(config) - set(defaults))
         if unknown:
             raise CliUsage(f"unknown config key(s): {', '.join(unknown)}")
+        for key, val in config.items():
+            if val is None:
+                if defaults[key] is not None:
+                    raise CliUsage(f"config key {key!r} must not be null")
+            elif isinstance(val, bool) or not isinstance(val, (int, float, str)):
+                raise CliUsage(f"config key {key!r} must be a number or a string, "
+                               f"not {json.dumps(val)}")
         merged.update(config)
     for key in defaults:
         val = getattr(args, key, None)

@@ -17,10 +17,11 @@ class NoConvergence(RuntimeError):
 
 
 class NoThreshold(RuntimeError):
-    """No stability boundary was found below the search cap.
+    """No stability boundary was found.
 
-    Raised when the bracketing phase pushes ``eta * a`` past the cap while
-    the system still looks stable (or was never stable to begin with).
+    Raised when no root of the characteristic polynomial ever reaches the
+    unit circle, or when a simulator search pushes ``eta * a`` past its cap
+    while runs still look stable (or were never stable to begin with).
     """
 
 

@@ -125,7 +125,6 @@ def all_roots(
     p: Polynomial,
     tol: float = 1e-13,
     max_iter: int = 500,
-    start: tuple[complex, ...] | None = None,
 ) -> RootSet:
     """Find every root of ``p``.
 
@@ -138,10 +137,6 @@ def all_roots(
     max_iter : int
         Iteration cap; exceeding it raises NoConvergence carrying the best
         iterate so far.
-    start : optional
-        Warm-start estimates (used by threshold bisection, where consecutive
-        probes have nearly identical roots).  Ignored unless the length
-        matches the number of nonzero roots being solved for.
 
     Returns
     -------
@@ -157,24 +152,8 @@ def all_roots(
 
     c = np.asarray(work, float) / work[-1]
     radius = _start_radius(c, deg)
-    if start is not None and len(start) == deg:
-        z = np.asarray(start, complex).copy()
-        # Effectively-real iterates of a real polynomial stay pinned to the
-        # axis (the imaginary part only doubles per sweep), so a warm start
-        # there could never reach roots that turned complex.  Lift them.
-        real_mask = np.abs(z.imag) < 1e-9 * np.maximum(1.0, np.abs(z.real))
-        if real_mask.any():
-            z[real_mask] = z.real[real_mask] + 1j * 1e-8 * np.maximum(
-                1.0, np.abs(z.real[real_mask])
-            )
-        # The mirror trap: a conjugate-symmetric start stays conjugate
-        # forever, so a complex pair could never separate into two distinct
-        # real roots.  A tiny rotationally-asymmetric nudge breaks the tie.
-        nudge = START_PHASE + GOLDEN_ANGLE * np.arange(deg)
-        z = z + 1e-7 * np.maximum(1.0, np.abs(z)) * np.exp(1j * nudge)
-    else:
-        angles = START_PHASE + GOLDEN_ANGLE * np.arange(deg)
-        z = radius * np.exp(1j * angles)
+    angles = START_PHASE + GOLDEN_ANGLE * np.arange(deg)
+    z = radius * np.exp(1j * angles)
 
     exps = np.flatnonzero(c)
     sparse = len(exps) <= SPARSE_TERM_CUTOFF and deg > 12

@@ -4,9 +4,17 @@ For the plain variant with constant delay the boundary is known in closed
 form: the recurrence is stable exactly when ``eta * a < 2 sin(pi / (4 tau +
 2))``.  Its reciprocal is nearly linear in the delay, ``1 / (eta* a) ~=
 (2 tau + 1) / pi``, which is what makes the practical rescaling rule in
-``scale_lr`` work.  For everything else (momentum variants, random delays)
-the boundary is found numerically by bisecting the step size against the
-largest root magnitude of the characteristic polynomial.
+``scale_lr`` work.
+
+Every characteristic polynomial here is linear in ``k = eta*a``:
+``P(z) = A(z) + k B(z)``.  A root sits on the unit circle at ``z = e^(i
+theta)`` exactly when ``k = -A/B`` there, so the boundary is the smallest
+positive value of ``-A/B`` over the angles where it is real (Neimark's
+D-decomposition).  The closed form is this crossing for the plain variant,
+at ``theta = pi / (2 tau + 1)``.  For everything else (momentum variants,
+random delays) :func:`numeric_threshold` finds the crossing numerically and
+certifies the resulting step-size bracket with the argument principle; it
+never solves for roots.
 """
 
 from __future__ import annotations
@@ -14,12 +22,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .charpoly import DelayModel, OptimizerSpec, char_poly
+import numpy as np
+
+from .charpoly import DelayModel, char_poly_terms
 from .errors import NoConvergence, NoThreshold
-from .roots import all_roots
 
 ETA_A_CAP = 16.0
 BRACKET_START = 1e-6
+
+# The certificate counts roots on circles just off the unit circle, so a
+# bracket end whose root sits exactly on it still counts on the right side.
+CERT_MARGIN = 1e-12
+MAX_PHASE_STEP = math.pi / 4
+MAX_REFINE = 32
+NEAR_ZERO_STEPS = 20
+# Above this many terms a polynomial is evaluated by Horner's rule.
+DENSE_TERMS = 8
 
 METHOD_ANALYTIC = "analytic"
 METHOD_BISECTION = "bisection"
@@ -32,8 +50,9 @@ class ThresholdResult:
 
     ``bracket`` is the final (stable, unstable) eta pair; ``eta_star`` is its
     midpoint and ``hi - lo <= tolerance * eta_star`` holds on return.
-    ``max_root_residual`` is the root-solver residual of the dominant root at
-    ``eta_star`` (NaN when the boundary came from simulation, not roots).
+    ``max_root_residual`` is the scaled residual ``|P(e^(i theta*))| / sum
+    |c_k|`` of the crossing root at ``crossing_angle`` theta*; both are NaN
+    when the boundary came from simulation, not the polynomial.
     """
 
     eta_star: float
@@ -45,6 +64,7 @@ class ThresholdResult:
     a: float
     delay: DelayModel
     max_root_residual: float
+    crossing_angle: float = math.nan
 
 
 def analytic_threshold_plain(a: float, tau: int) -> float:
@@ -103,26 +123,24 @@ def dampened_lr(eta_eff: float, m: float) -> float:
     return eta_eff * (1.0 - m)
 
 
-def _nonzero_roots(roots) -> tuple[complex, ...]:
-    return tuple(r for r in roots if r != 0)
-
-
 def _bisect_eta(
-    stable, a: float, rel_tol: float, start_eta_a: float = BRACKET_START
+    stable, a: float, rel_tol: float, start_eta_a: float = BRACKET_START,
+    cap: float = ETA_A_CAP,
 ) -> tuple[float, float]:
     """Bracket and bisect a stability boundary along eta.
 
     ``stable(eta)`` must flip from True to False exactly once as eta grows.
     Doubles from ``start_eta_a / a`` until instability, then bisects until
     the bracket is narrower than ``rel_tol`` times its midpoint.  Returns the
-    final (stable, unstable) pair.  Shared by the root-magnitude search here
-    and the trajectory-verdict searches built on simulators (which need a
-    larger start: classifying a nearly-motionless run takes forever).
+    final (stable, unstable) pair.  Shared by the crossing search here and
+    the trajectory-verdict searches built on simulators (which need a larger
+    start, since classifying a nearly-motionless run takes forever, and the
+    ``eta*a`` cap, since a simulator cannot tell a run is stable forever).
     """
     eta = start_eta_a / a
     eta_lo = None
     while True:
-        if eta * a > ETA_A_CAP:
+        if eta * a > cap:
             raise NoThreshold(
                 f"still stable at eta*a = {eta * a:.3g}; no boundary below the cap"
             )
@@ -146,6 +164,151 @@ def _bisect_eta(
     return eta_lo, eta_hi
 
 
+def _grid_size(degree: int) -> int:
+    return 8 * (degree + 1) + 64
+
+
+class _CirclePoly:
+    """``sum_e c_e z^e`` evaluated on circles ``z = radius * e^(i theta)``.
+
+    Terms are summed by exponent in the order given.  A few terms are
+    evaluated one power at a time, many (a delay pmf) by Horner's rule.
+    """
+
+    def __init__(self, terms):
+        acc: dict[int, float] = {}
+        for e, c in terms:
+            acc[e] = acc.get(e, 0.0) + c
+        acc = {e: c for e, c in acc.items() if c != 0.0}
+        self.exps = np.array(list(acc), dtype=np.int64)
+        self.coefs = np.array(list(acc.values()), dtype=float)
+        self.dense = None
+        if len(acc) > DENSE_TERMS:
+            self.dense = np.zeros(int(self.exps.max()) + 1)
+            self.dense[self.exps] = self.coefs
+
+    def __call__(self, theta: np.ndarray, radius: float = 1.0) -> np.ndarray:
+        if self.dense is not None:
+            z = radius * np.exp(1j * theta)
+            out = np.full(theta.shape, complex(self.dense[-1]))
+            for c in self.dense[-2::-1]:
+                out = out * z + c
+            return out
+        out = np.zeros(theta.shape, complex)
+        for e, c in zip(self.exps, self.coefs):
+            out += (c * radius**e) * np.exp(1j * e * theta)
+        return out
+
+
+class _Split:
+    """``P(z) = A(z) + k B(z)`` for one variant and delay model, ``k = eta*a``."""
+
+    def __init__(self, variant: str, m: float, delay: DelayModel):
+        self.terms = char_poly_terms(variant, m, delay)
+        self.degree = max(e for e, _, _ in self.terms)
+        self.a = _CirclePoly((e, fixed) for e, fixed, _ in self.terms)
+        self.b = _CirclePoly((e, per_k) for e, _, per_k in self.terms)
+
+    def at(self, k: float) -> _CirclePoly:
+        return _CirclePoly((e, fixed + k * per_k) for e, fixed, per_k in self.terms)
+
+
+def _phase_resolved(f, theta: np.ndarray):
+    """Sample complex ``f`` on the ascending angles ``theta``, cutting every
+    step that turns its phase by more than ``pi / 4`` into eighths until none
+    does, so no near-zero of ``f`` (a root close to the circle) can slip
+    between two samples.  Returns all samples in order and whether every
+    step got below the bound (none can where ``f`` vanishes on the circle).
+    """
+    vals = f(theta)
+    thetas, values = [theta], [vals]
+    lo, hi, f_lo, f_hi = theta[:-1], theta[1:], vals[:-1], vals[1:]
+    resolved = False
+    for _ in range(MAX_REFINE):
+        wide = np.abs(np.angle(f_hi * np.conj(f_lo))) > MAX_PHASE_STEP
+        if not wide.any():
+            resolved = True
+            break
+        lo, hi, f_lo, f_hi = lo[wide], hi[wide], f_lo[wide], f_hi[wide]
+        inner = lo[:, None] + (hi - lo)[:, None] * (np.arange(1, 8) / 8.0)
+        edges = np.concatenate([lo[:, None], inner, hi[:, None]], axis=1)
+        if not (np.diff(edges, axis=1) > 0.0).all():
+            break  # float resolution exhausted
+        f_inner = f(inner.ravel()).reshape(inner.shape)
+        thetas.append(inner.ravel())
+        values.append(f_inner.ravel())
+        f_edges = np.concatenate([f_lo[:, None], f_inner, f_hi[:, None]], axis=1)
+        lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+        f_lo, f_hi = f_edges[:, :-1].ravel(), f_edges[:, 1:].ravel()
+    theta = np.concatenate(thetas)
+    order = np.argsort(theta)
+    return theta[order], np.concatenate(values)[order], resolved
+
+
+def boundary_crossing(variant: str, m: float, delay: DelayModel) -> tuple[float, float]:
+    """Where a root of ``A + k B`` first reaches the unit circle as ``k`` grows.
+
+    A root sits at ``z = e^(i theta)`` exactly when ``k = -A/B`` there, so
+    the crossings are the angles where ``w = -A conj(B)`` is real and
+    positive.  ``Im w`` is scanned on a grid of ``8 (deg + 1) + 64`` angles
+    in ``(0, pi]``, refined wherever the phase of ``A`` turns fast; every
+    sign change is bisected to machine precision, and ``theta = pi`` (where
+    ``A`` and ``B`` are real) is always a candidate.  Returns the smallest
+    positive ``k`` and its angle.  Whether that really is the stability
+    boundary is left to the winding-number certificate in
+    :func:`numeric_threshold`.
+    """
+    split = _Split(variant, m, delay)
+
+    def w_of(theta):
+        return -split.a(theta) * np.conj(split.b(theta))
+
+    n = _grid_size(split.degree)
+    # A vanishes at theta = 0 (the root z = 1 of k = 0), and slow modes (m
+    # near 1) cross inside the first grid cell, so the grid also steps
+    # towards 0 geometrically.  The refinement follows A alone: a zero of B
+    # on the circle cannot be resolved, and no root crosses there (P = A at
+    # such a point for every k).
+    grid = np.pi * np.concatenate([0.5 ** np.arange(NEAR_ZERO_STEPS, 0, -1),
+                                   np.arange(1, n + 1)]) / n
+    grid, a_val, _ = _phase_resolved(split.a, grid)
+    pos = (-a_val * np.conj(split.b(grid))).imag > 0.0
+    # a boolean test, not a product of signs: a zero that falls exactly on
+    # a grid point must still open a bracket
+    idx = np.flatnonzero(pos[:-1] != pos[1:])
+    lo, hi, lo_pos = grid[idx], grid[idx + 1], pos[idx]
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not ((mid > lo) & (mid < hi)).any():
+            break
+        same = (w_of(mid).imag > 0.0) == lo_pos
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    theta = np.append(lo, np.pi)
+    w, b_val = w_of(theta), split.b(theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = w.real / (b_val.real**2 + b_val.imag**2)
+    ok = np.flatnonzero(np.isfinite(k) & (k > 0.0))
+    if not ok.size:
+        raise NoThreshold("stable at every step size: no root ever reaches the unit circle")
+    best = ok[np.argmin(k[ok])]
+    return float(k[best]), float(theta[best])
+
+
+def _winding_number(split: _Split, k: float, radius: float) -> int:
+    """Roots of ``A + k B`` inside ``|z| = radius``, by the argument principle.
+
+    Real coefficients make the lower half circle mirror the upper one, so the
+    phase is unwrapped over ``theta`` in ``[0, pi]`` and doubled.
+    """
+    p = split.at(k)
+    _, vals, resolved = _phase_resolved(
+        lambda theta: p(theta, radius), np.linspace(0.0, np.pi, _grid_size(split.degree))
+    )
+    if not resolved:
+        raise NoConvergence(f"winding number at eta*a = {k!r} did not resolve")
+    return round(float(np.sum(np.angle(vals[1:] * np.conj(vals[:-1])))) / np.pi)
+
+
 def numeric_threshold(
     variant: str,
     a: float,
@@ -153,42 +316,47 @@ def numeric_threshold(
     m: float = 0.0,
     rel_tol: float = 1e-8,
 ) -> ThresholdResult:
-    """Bisect the step size against the dominant characteristic root.
+    """Locate the step-size boundary from the unit-circle crossing.
 
-    Brackets by doubling eta from ``1e-6 / a`` until the largest root
-    magnitude exceeds 1, then bisects until the bracket is narrower than
-    ``rel_tol`` times its midpoint.  Random delays are supported for the
-    plain variant only.
+    :func:`boundary_crossing` gives the crossing value ``k* = eta* a``.  The
+    returned bracket is the one bisection reaches with the predicate ``eta*a
+    <= k*``: doubling eta from ``1e-6 / a`` until it passes ``k*``, then
+    halving until the bracket is narrower than ``rel_tol`` times its
+    midpoint.  Before returning, the argument principle certifies it: every
+    root lies inside ``|z| = 1 + 1e-12`` at the stable end, and at least one
+    lies outside ``|z| = 1 - 1e-12`` at the unstable end.  (The margins let
+    a bracket end sit exactly on the boundary.)  Random delays are supported
+    for the plain variant only.
 
     Raises
     ------
     NoThreshold
-        If ``eta * a`` passes 16 with the system still stable (no boundary
-        in the searchable range).
+        If no root of the polynomial ever reaches the unit circle.
     NoConvergence
-        Propagated from the root solver.
+        If the certificate fails: the crossing is not the boundary.
     """
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not (a > 0 and math.isfinite(a)):
+        raise ValueError("a must be positive and finite")
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
     if isinstance(delay, int):
         delay = DelayModel.constant(delay)
 
-    warm: tuple[complex, ...] | None = None
-
-    def dominant(eta: float) -> float:
-        nonlocal warm
-        poly = char_poly(OptimizerSpec(variant, eta, m), a, delay)
-        rs = all_roots(poly, start=warm)
-        warm = _nonzero_roots(rs.roots)
-        return rs.max_magnitude
-
-    eta_lo, eta_hi = _bisect_eta(lambda eta: dominant(eta) <= 1.0, a, rel_tol)
-    eta_star = 0.5 * (eta_lo + eta_hi)
-    star_roots = all_roots(char_poly(OptimizerSpec(variant, eta_star, m), a, delay), start=warm)
+    split = _Split(variant, m, delay)
+    k_star, theta_star = boundary_crossing(variant, m, delay)
+    eta_lo, eta_hi = _bisect_eta(lambda eta: eta * a <= k_star, a, rel_tol, cap=math.inf)
+    inside_lo = _winding_number(split, eta_lo * a, 1.0 + CERT_MARGIN)
+    inside_hi = _winding_number(split, eta_hi * a, 1.0 - CERT_MARGIN)
+    if inside_lo != split.degree or inside_hi >= split.degree:
+        raise NoConvergence(
+            f"crossing at eta*a = {k_star!r} failed its certificate: "
+            f"{inside_lo} of {split.degree} roots inside at the stable end, "
+            f"{inside_hi} at the unstable end"
+        )
+    p = split.at(k_star)
+    residual = abs(p(np.array([theta_star]))[0]) / math.fsum(abs(p.coefs))
     return ThresholdResult(
-        eta_star=eta_star,
+        eta_star=0.5 * (eta_lo + eta_hi),
         method=METHOD_BISECTION,
         bracket=(eta_lo, eta_hi),
         tolerance=rel_tol,
@@ -196,7 +364,8 @@ def numeric_threshold(
         m=m,
         a=a,
         delay=delay,
-        max_root_residual=star_roots.residuals[0],
+        max_root_residual=float(residual),
+        crossing_angle=theta_star,
     )
 
 

@@ -44,12 +44,19 @@ class TestThreshold:
         assert rc == 0
         assert out_svg.read_text().startswith("<svg")
 
-    def test_failed_row_exits_one_with_diagnostic(self, capsys):
+    def test_failed_row_exits_one_with_diagnostic(self, capsys, no_threshold_at_tau_zero):
         rc, out, err = run_cli(capsys, "threshold", "--a", "1.0", "--variant",
                                "shifted", "--m", "0.9", "--tau", "0,4")
         assert rc == 1
         assert "x=0" in err and "failed" in err
         assert "x=4" in out  # the good row still reported
+
+    def test_largest_accepted_delay_finishes(self, capsys):
+        rc, out, _ = run_cli(capsys, "threshold", "--a", "1", "--tau", "10000")
+        assert rc == 0
+        want = analytic_threshold_plain(1.0, 10_000)
+        got = float(out.split("eta_star=")[1].split()[0])
+        assert abs(got - want) <= 1e-8 * want
 
     def test_requires_exactly_one_delay_spec(self, capsys):
         rc, _, err = run_cli(capsys, "threshold", "--a", "1.0")
@@ -140,6 +147,14 @@ class TestSimulate:
         rc, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert rc == 2
         assert "bogus" in err
+
+    @pytest.mark.parametrize("bad", [{"m": None}, {"a": [1]}])
+    def test_config_value_of_wrong_type_is_usage_error(self, capsys, tmp_path, bad):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"a": 1.0, "tau": "4", **bad}))
+        rc, _, err = run_cli(capsys, "threshold", "--config", str(cfg))
+        assert rc == 2
+        assert "usage error" in err and next(iter(bad)) in err
 
     def test_manifest_for_other_command_rejected(self, capsys, tmp_path):
         d1 = tmp_path / "a"

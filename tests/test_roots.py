@@ -135,33 +135,6 @@ class TestStability:
         assert max_root_magnitude(p) == all_roots(p).max_magnitude
 
 
-class TestWarmStart:
-    def test_warm_start_matches_cold(self):
-        p = char_poly(OptimizerSpec("plain", 0.18, 0.0), 1.0, DelayModel.constant(8))
-        cold = all_roots(p)
-        q = char_poly(OptimizerSpec("plain", 0.181, 0.0), 1.0, DelayModel.constant(8))
-        warm = all_roots(q, start=cold.roots)
-        again = all_roots(q)
-        for w, c in zip(warm.roots, again.roots):
-            assert abs(w - c) <= 1e-9
-
-    def test_warm_start_splits_conjugate_pair_into_reals(self):
-        # near eta*a = 2(1+m)/(1-m) a momentum conjugate pair walks onto the
-        # real axis; a symmetric warm start must still separate them
-        m = 0.6
-        dm = DelayModel.constant(0)
-        prev = None
-        for eta_a in (7.6, 7.9, 7.99, 8.02):
-            p = char_poly(OptimizerSpec("momentum", eta_a, m), 1.0, dm)
-            rs = all_roots(p, start=prev)
-            prev = rs.roots
-            assert max(rs.residuals) <= RESIDUAL_TOL
-        # past the split the two roots are real and distinct
-        final = sorted(z.real for z in prev)
-        assert all(abs(z.imag) < 1e-6 for z in prev)
-        assert final[1] - final[0] > 1e-3
-
-
 class TestFailureMode:
     def test_iteration_cap_raises_with_best(self):
         p = Polynomial(tuple(float(x) for x in np.random.default_rng(1).uniform(-1, 1, 30)) + (1.0,))

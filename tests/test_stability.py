@@ -2,10 +2,11 @@ import math
 
 import pytest
 
-from oracles import grid_threshold
+from oracles import companion_max_magnitude, grid_threshold
 
-from staleness_lab.charpoly import DelayModel, pmf_uniform
-from staleness_lab.errors import NoThreshold
+from staleness_lab import stability
+from staleness_lab.charpoly import DelayModel, OptimizerSpec, char_poly, pmf_discrete_gaussian, pmf_uniform
+from staleness_lab.errors import NoConvergence
 from staleness_lab.stability import (
     METHOD_BISECTION,
     ThresholdCurve,
@@ -116,9 +117,6 @@ class TestNumericThreshold:
 
     def test_agrees_with_coarse_grid_oracle(self):
         # independent coarse sweep over companion-matrix magnitudes
-        from oracles import companion_max_magnitude
-        from staleness_lab.charpoly import OptimizerSpec, char_poly
-
         for variant, m in (("plain", 0.0), ("momentum", 0.6), ("shifted", 0.6)):
             dm = DelayModel.constant(4)
 
@@ -148,13 +146,56 @@ class TestNumericThreshold:
         assert mixed > worst
 
     def test_no_threshold_above_cap(self):
-        # shifted at tau=0 has its boundary at eta*a = 2(1+m)/(1-m) = 38
-        with pytest.raises(NoThreshold):
-            numeric_threshold("shifted", 1.0, DelayModel.constant(0), m=0.9)
+        # at tau=0 both momentum variants cross at eta*a = 2(1+m)/(1-m), far
+        # above the eta*a cap the simulator searches keep (38 at m = 0.9)
+        for variant in ("momentum", "shifted"):
+            for m in (0.8, 0.9, 0.99):
+                r = numeric_threshold(variant, 1.0, DelayModel.constant(0), m=m)
+                want = 2.0 * (1.0 + m) / (1.0 - m)
+                lo, hi = r.bracket
+                assert lo <= want <= hi
+                assert abs(r.eta_star - want) <= r.tolerance * want
 
     def test_rejects_momentum_with_random_delay(self):
         with pytest.raises(ValueError):
             numeric_threshold("momentum", 1.0, pmf_uniform(1, 4), m=0.5)
+
+
+class TestBoundaryCrossing:
+    def test_plain_crossing_angle_and_closed_form(self):
+        for tau in list(range(301)) + [10_000]:
+            r = numeric_threshold("plain", 1.0, DelayModel.constant(tau))
+            theta = math.pi / (2 * tau + 1)
+            assert r.crossing_angle == pytest.approx(theta, rel=1e-11)
+            want = analytic_threshold_plain(1.0, tau)
+            assert abs(r.eta_star - want) <= r.tolerance * want
+            assert r.max_root_residual <= 1e-12
+
+    def test_certificate_rejects_a_wrong_crossing(self, monkeypatch):
+        crossing = stability.boundary_crossing
+
+        def too_far(variant, m, delay):
+            k, theta = crossing(variant, m, delay)
+            return 1.5 * k, theta
+
+        monkeypatch.setattr(stability, "boundary_crossing", too_far)
+        with pytest.raises(NoConvergence, match="certificate"):
+            numeric_threshold("plain", 1.0, DelayModel.constant(8))
+
+    @pytest.mark.parametrize("variant,m,delay", [
+        ("plain", 0.0, pmf_uniform(1, 64)),
+        ("plain", 0.0, pmf_discrete_gaussian(32)),
+        ("momentum", 0.99, DelayModel.constant(0)),
+        ("momentum", 0.99, DelayModel.constant(16)),
+        ("shifted", 0.99, DelayModel.constant(16)),
+    ])
+    def test_bracket_straddles_companion_radius(self, variant, m, delay):
+        def rho(eta):
+            return companion_max_magnitude(char_poly(OptimizerSpec(variant, eta, m), 1.0, delay).coeffs)
+
+        lo, hi = numeric_threshold(variant, 1.0, delay, m=m).bracket
+        assert rho(lo) <= 1.0 + 1e-9 and rho(hi) >= 1.0 - 1e-9
+        assert rho(lo * (1 - 1e-4)) < 1.0 < rho(hi * (1 + 1e-4))
 
 
 class TestThresholdCurve:
@@ -170,7 +211,7 @@ class TestThresholdCurve:
         curve = threshold_curve("plain", 1.0, [pmf_uniform(1, 3), pmf_uniform(1, 9)])
         assert [r.x for r in curve.rows] == [2.0, 5.0]
 
-    def test_failed_row_is_recorded_not_raised(self):
+    def test_failed_row_is_recorded_not_raised(self, no_threshold_at_tau_zero):
         curve = threshold_curve("shifted", 1.0, [0, 4, 8], m=0.9)
         assert curve.rows[0].result is None
         assert "cap" in curve.rows[0].error or "stable" in curve.rows[0].error
@@ -190,7 +231,7 @@ class TestThresholdCurve:
         curve.write_csv(path)
         assert path.read_text() == text
 
-    def test_csv_failed_row_cell_layout(self):
+    def test_csv_failed_row_cell_layout(self, no_threshold_at_tau_zero):
         curve = threshold_curve("shifted", 1.0, [0, 4], m=0.9)
         line = curve.to_csv().strip().split("\n")[1]
         assert line.startswith("0.0,")
