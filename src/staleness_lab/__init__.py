@@ -3,7 +3,7 @@
 Modules
 -------
 charpoly   characteristic polynomials, delay models, optimizer specs
-roots      deterministic simultaneous root iteration
+roots      deterministic simultaneous root iteration, batched by shape
 stability  closed-form and certified crossing thresholds, curve fits
 dynamics   delay-recurrence simulators, escape times, power iteration
 pssim      parameter-server event-loop emulator
@@ -41,7 +41,7 @@ from .dynamics import (
 )
 from .errors import NoConvergence, NoThreshold, UndecidedAtProbe
 from .pssim import PSRun, RoundRobin, SampledDelay, delay_histogram, ps_empirical_threshold, run_ps
-from .roots import RootSet, all_roots, is_stable, max_root_magnitude
+from .roots import RootSet, all_roots, all_roots_many, is_stable, max_root_magnitude
 from .stability import (
     CurveRow,
     ThresholdCurve,
@@ -82,6 +82,7 @@ __all__ = [
     "ThresholdResult",
     "UndecidedAtProbe",
     "all_roots",
+    "all_roots_many",
     "analytic_threshold_plain",
     "char_poly",
     "char_poly_momentum",

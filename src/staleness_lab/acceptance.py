@@ -42,7 +42,7 @@ from .dynamics import (
     simulate_expectation,
 )
 from .pssim import RoundRobin, ps_empirical_threshold, run_ps
-from .roots import all_roots, is_stable
+from .roots import all_roots_many
 from .stability import (
     _fit_line,
     analytic_threshold_plain,
@@ -137,21 +137,21 @@ def _c_grid(ctx, out_dir):
                                    for m in (0.3, 0.6, 0.9)]
     taus = (1, 2, 4, 8, 16, 32, 64)
     fracs = (0.3, 0.5, 0.6, 0.8, 0.9, 0.95, 1.05, 1.2, 1.5, 2.0, 3.0)
-    points = disagreements = 0
+    polys, verdicts = [], []
     for variant, m in families:
         for tau in taus:
             dm = DelayModel.constant(tau)
             eta_star = numeric_threshold(variant, 1.0, dm, m=m, rel_tol=1e-6).eta_star
             for frac in fracs:
                 eta = frac * eta_star
-                poly = char_poly(OptimizerSpec(variant, eta, m), 1.0, dm)
+                polys.append(char_poly(OptimizerSpec(variant, eta, m), 1.0, dm))
                 cfg = SimConfig(OptimizerSpec(variant, eta, m), dm, max_steps=1_000_000)
-                verdict = simulate_expectation(QuadraticProblem([[1.0]]), cfg)
-                points += 1
-                want = CONVERGED if is_stable(poly) else DIVERGED
-                if verdict.status != want:
-                    disagreements += 1
-    return disagreements == 0, f"{points} grid points, {disagreements} disagreements"
+                verdicts.append(simulate_expectation(QuadraticProblem([[1.0]]), cfg).status)
+    disagreements = 0
+    for rs, status in zip(all_roots_many(polys), verdicts):
+        want = CONVERGED if rs.max_magnitude < 1.0 else DIVERGED
+        disagreements += status != want
+    return disagreements == 0, f"{len(polys)} grid points, {disagreements} disagreements"
 
 
 def _c_modes(ctx, out_dir):
@@ -259,14 +259,15 @@ def _c_power(ctx, out_dir):
     return worst <= 1e-6, f"50 SPD matrices (d<=64), worst rel err {worst:.2e} vs eigh"
 
 
-def _random_polys(rng):
-    """1200 seeded polynomials: dense, characteristic, sparse, wild-scaled."""
-    polys = []
+def _random_families(rng):
+    """Seeded polynomial families: 600 dense, 300 characteristic, 200 sparse, 100 wild-scaled."""
+    dense = []
     for _ in range(600):
         deg = int(rng.integers(2, 41))
         c = rng.uniform(-2.0, 2.0, deg + 1)
         c[-1] = float(rng.uniform(0.5, 2.0)) * (1 if rng.random() < 0.5 else -1)
-        polys.append(tuple(float(x) for x in c))
+        dense.append(tuple(float(x) for x in c))
+    characteristic = []
     for _ in range(300):
         variant = ("plain", "momentum", "shifted")[int(rng.integers(0, 3))]
         m = 0.0 if variant == "plain" else float(rng.uniform(0.1, 0.95))
@@ -274,7 +275,8 @@ def _random_polys(rng):
         frac = float(rng.uniform(0.2, 3.0))
         eta = frac * 2.0 * math.sin(math.pi / (4 * tau + 2))
         poly = char_poly(OptimizerSpec(variant, eta, m), 1.0, DelayModel.constant(tau))
-        polys.append(tuple(poly.coeffs))
+        characteristic.append(tuple(poly.coeffs))
+    sparse = []
     for _ in range(200):
         deg = int(rng.integers(41, 81))
         c = np.zeros(deg + 1)
@@ -282,23 +284,25 @@ def _random_polys(rng):
         idx = rng.choice(deg, size=n_terms - 1, replace=False)
         c[idx] = rng.uniform(-2.0, 2.0, n_terms - 1)
         c[-1] = float(rng.uniform(0.5, 2.0))
-        polys.append(tuple(float(x) for x in c))
+        sparse.append(tuple(float(x) for x in c))
+    wild = []
     for _ in range(100):
         deg = int(rng.integers(2, 25))
         c = rng.uniform(-2.0, 2.0, deg + 1) * 10.0 ** rng.uniform(-5.0, 5.0, deg + 1)
         if abs(c[-1]) < 1e-6:
             c[-1] = 1.0
-        polys.append(tuple(float(x) for x in c))
-    return polys
+        wild.append(tuple(float(x) for x in c))
+    return [dense, characteristic, sparse, wild]
 
 
 def _c_root_finder(ctx, out_dir):
-    rng = np.random.default_rng(11)
     failures = 0
     checked = 0
     worst_resid = worst_conj = worst_prod = worst_mag = 0.0
-    for coeffs in _random_polys(rng):
-        rs = all_roots(Polynomial(coeffs))
+    # One batch per family keeps the RootSets held at once, and peak memory, small.
+    solved = ((c, rs) for family in _random_families(np.random.default_rng(11))
+              for c, rs in zip(family, all_roots_many([Polynomial(c) for c in family])))
+    for coeffs, rs in solved:
         checked += 1
         bad = False
 
@@ -308,10 +312,8 @@ def _c_root_finder(ctx, out_dir):
             bad = True
 
         roots = np.asarray(rs.roots)
-        conj_err = max(
-            float(np.min(np.abs(np.conj(z) - roots))) / max(1.0, abs(z))
-            for z in roots
-        )
+        gaps = np.abs(np.conj(roots)[:, None] - roots[None, :]).min(axis=1)
+        conj_err = float(np.max(gaps / np.maximum(1.0, np.abs(roots))))
         worst_conj = max(worst_conj, conj_err)
         if conj_err > 1e-6:
             bad = True

@@ -35,7 +35,7 @@ from .dynamics import (
 )
 from .errors import NoConvergence, NoThreshold, UndecidedAtProbe
 from .pssim import RoundRobin, SampledDelay, delay_histogram, run_ps
-from .roots import all_roots, is_stable
+from .roots import all_roots
 from .stability import threshold_curve
 from .svgchart import render_line_chart
 
@@ -276,7 +276,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
     delay = _single_delay(cfg)
     poly = char_poly(OptimizerSpec(variant, eta, float(cfg["m"])), a, delay)
     rs = all_roots(poly)
-    stable = is_stable(poly)
+    stable = rs.max_magnitude < 1.0
     if args.json:
         print(json.dumps({
             "degree": poly.degree,

@@ -7,6 +7,17 @@ whole root set converges together.  Estimates start on a circle of radius
 with a fixed phase, which keeps runs deterministic and keeps starting points
 off the real axis where conjugate pairs could trap them.
 
+``all_roots_many`` solves a list of polynomials in batches: polynomials of the
+same shape (degree after stripping zero roots, plus the exponent set when the
+sparse evaluation applies) share each sweep as rows of a ``(k, deg)`` array,
+and a row leaves its batch as soon as it converges.  Batching is invisible in
+the results: every elementwise step does the same float operations on a row
+as on a lone polynomial, and every row sum runs along a contiguous axis of
+its own row, so each ``RootSet`` (roots, residuals and iteration count) is
+bit-identical to solving that polynomial alone.  The pairwise repulsion is
+built in blocks of at most ``PAIR_BLOCK`` complex elements, so memory stays
+bounded at any degree.  ``all_roots`` is the one-polynomial batch.
+
 A companion-matrix eigensolve would do the same job; it is deliberately kept
 out of the library and used only as an independent cross-check in the tests.
 """
@@ -15,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -32,6 +44,10 @@ RESIDUAL_FLOOR = 5e-14
 # Below this many nonzero terms, evaluate through explicit powers instead of
 # a full Horner sweep; the delay polynomials have 3-4 terms at degree 100+.
 SPARSE_TERM_CUTOFF = 8
+
+# Most complex elements in one block of pairwise differences (16 MB); a
+# dense deg x deg block would take 1.6 GB at degree 10001.
+PAIR_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -64,33 +80,61 @@ def _split_zero_roots(coeffs: tuple[float, ...]) -> tuple[int, tuple[float, ...]
     return k, coeffs[k:]
 
 
-def _eval_dense(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p = np.zeros_like(z)
-    dp = np.zeros_like(z)
-    for coef in c[::-1]:
-        dp = dp * z + p
-        p = p * z + coef
-    return p, dp
+def _horner(cols: np.ndarray, z: np.ndarray, p: np.ndarray, dp: np.ndarray | None = None):
+    """Evaluate row ``r``'s polynomial at ``z[r]`` into ``p`` (and ``dp``), in place.
+
+    ``cols[j]`` is coefficient ``j`` of every row as a ``(k, 1)`` column.
+    """
+    p.fill(0.0)
+    if dp is not None:
+        dp.fill(0.0)
+    for coef in cols[::-1]:
+        if dp is not None:
+            np.multiply(dp, z, out=dp)
+            np.add(dp, p, out=dp)
+        np.multiply(p, z, out=p)
+        np.add(p, coef, out=p)
 
 
-def _eval_sparse(exps: np.ndarray, coefs: np.ndarray, z: np.ndarray):
+def _eval_sparse(exps: tuple[int, ...], terms: np.ndarray, z: np.ndarray):
+    """Value and derivative through explicit powers; ``terms[t]`` pairs ``exps[t]``."""
     p = np.zeros_like(z)
     dp = np.zeros_like(z)
-    for e, coef in zip(exps, coefs):
+    for e, coef in zip(exps, terms):
         if e == 0:
             p = p + coef
         else:
-            ze1 = z ** int(e - 1)
+            ze1 = z ** (e - 1)
             p = p + coef * ze1 * z
             dp = dp + (coef * e) * ze1
     return p, dp
 
 
-def _scaled_residuals(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p, _ = _eval_dense(c, z)
-        scale, _ = _eval_dense(np.abs(c), np.abs(z).astype(complex))
-        return np.abs(p) / np.maximum(np.abs(scale), np.finfo(float).tiny)
+def _scaled_residuals(cols: np.ndarray, z: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
+    """``|P(z)| / sum_k |c_k||z|^k`` per point; ``p`` is ``P(z)`` when known."""
+    if p is None:
+        p = np.empty_like(z)
+        _horner(cols, z, p)
+    scale = np.empty_like(z)
+    _horner(np.abs(cols), np.abs(z).astype(complex), scale)
+    return np.abs(p) / np.maximum(np.abs(scale), np.finfo(float).tiny)
+
+
+def _repulsion(z: np.ndarray) -> np.ndarray:
+    """``sum_{j != i} 1 / (z[r, i] - z[r, j])`` for every row ``r``, block by block."""
+    k, n = z.shape
+    out = np.empty_like(z)
+    rows = min(n, max(1, PAIR_BLOCK // n))
+    polys = max(1, PAIR_BLOCK // (n * n))
+    for a in range(0, k, polys):
+        zr = z[a:a + polys]
+        for i in range(0, n, rows):
+            diff = zr[:, i:i + rows, None] - zr[:, None, :]
+            d = np.arange(diff.shape[1])
+            diff[:, d, d + i] = np.inf
+            np.divide(1.0, diff, out=diff)
+            out[a:a + polys, i:i + rows] = diff.sum(axis=2)
+    return out
 
 
 def _start_radius(c: np.ndarray, deg: int) -> float:
@@ -121,6 +165,123 @@ def _assemble(z: np.ndarray, res: np.ndarray, n_zero: int, iterations: int) -> R
     )
 
 
+def _aberth(deg, exps, members, tol, max_iter, outcomes) -> None:
+    """Solve same-shape polynomials together; ``members`` are ``(slot, n_zero, c)``.
+
+    ``c`` is monic with a nonzero constant term.  Each result, a RootSet or
+    the NoConvergence to raise, goes to ``outcomes[slot]``.
+    """
+    sparse = exps is not None
+    live = list(members)
+    radii = [_start_radius(c, deg) for _, _, c in live]
+    angles = START_PHASE + GOLDEN_ANGLE * np.arange(deg)
+    z = np.stack([radius * np.exp(1j * angles) for radius in radii])
+    radii = np.asarray(radii)
+    cols = np.stack([c for _, _, c in live], axis=1)[:, :, None]
+    p = np.empty_like(z)
+    dp = np.empty_like(z)
+
+    def settle(rows, res, iterations, converged):
+        nonlocal z, p, dp, cols, radii, live
+        for r, row_res in zip(rows, res):
+            slot, n_zero, _ = live[r]
+            result = _assemble(z[r], row_res, n_zero, iterations)
+            worst = float(np.max(row_res))
+            if not converged:
+                result = NoConvergence(
+                    f"root iteration did not meet tol={tol} within {max_iter} sweeps",
+                    best=result,
+                    iterations=iterations,
+                )
+            elif worst > RESIDUAL_TOL:
+                result = NoConvergence(
+                    f"root updates stalled with residual {worst:.3e} > {RESIDUAL_TOL}",
+                    best=result,
+                    iterations=iterations,
+                )
+            outcomes[slot] = result
+        keep = np.ones(len(live), bool)
+        keep[rows] = False
+        z, p, dp = z[keep], p[keep], dp[keep]
+        cols, radii = cols[:, keep], radii[keep]
+        live = [m for m, k in zip(live, keep) if k]
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if not sparse:
+            _horner(cols, z, p, dp)
+        for it in range(1, max_iter + 1):
+            if sparse:
+                p, dp = _eval_sparse(exps, cols[list(exps)], z)
+            newton = p / dp
+            w = newton / (1.0 - newton * _repulsion(z))
+            bad = ~np.isfinite(w)
+            restart = bad.any(axis=1)
+            w[bad] = 0.0
+            z = z - w
+            for r in np.flatnonzero(restart):
+                # Collided, critical or overflowed points: restart each at a
+                # fresh deterministic spot inside the inclusion circle.
+                idx = np.flatnonzero(bad[r])
+                z[r, idx] = (
+                    radii[r]
+                    * (0.9 ** (it % 25))
+                    * np.exp(1j * (START_PHASE + GOLDEN_ANGLE * (it + idx)))
+                )
+            if not sparse:
+                # The next sweep's values, and P(z) for the residuals below.
+                _horner(cols, z, p, dp)
+            upd = np.max(np.abs(w) / np.maximum(1.0, np.abs(z)), axis=1)
+            small = ~restart & (upd < tol)
+            # Ill-conditioned clusters jitter forever at the conditioning
+            # noise floor; once backward error is at machine level there is
+            # nothing left to converge.  Checked on a stride to stay cheap.
+            check = ~restart & (small | (upd < 1e-4) | (it % 10 == 0))
+            if check.any():
+                rows = np.flatnonzero(check)
+                res = _scaled_residuals(cols[:, rows], z[rows], None if sparse else p[rows])
+                done = small[rows] | (np.max(res, axis=1) < RESIDUAL_FLOOR)
+                if done.any():
+                    settle(rows[done], res[done], it, True)
+                    if not live:
+                        return
+        res = _scaled_residuals(cols, z, None if sparse else p)
+    settle(np.arange(len(live)), res, max_iter, False)
+
+
+def all_roots_many(
+    polys: Sequence[Polynomial],
+    tol: float = 1e-13,
+    max_iter: int = 500,
+) -> list[RootSet]:
+    """Find every root of each polynomial in ``polys``, batching same-shape ones.
+
+    Returns ``[all_roots(p, tol, max_iter) for p in polys]``, bit for bit, and
+    raises what that loop would raise first: the ValueError or NoConvergence
+    of the first failing polynomial in input order.
+    """
+    outcomes: list = [None] * len(polys)
+    groups: dict = {}
+    for slot, p in enumerate(polys):
+        if p.degree < 1:
+            outcomes[slot] = ValueError("need degree >= 1 to have roots")
+            continue
+        n_zero, work = _split_zero_roots(p.coeffs)
+        deg = len(work) - 1
+        if deg == 0:
+            outcomes[slot] = _assemble(np.empty(0, complex), np.empty(0), n_zero, 0)
+            continue
+        c = np.asarray(work, float) / work[-1]
+        exps = tuple(int(e) for e in np.flatnonzero(c))
+        sparse = len(exps) <= SPARSE_TERM_CUTOFF and deg > 12
+        groups.setdefault((deg, exps if sparse else None), []).append((slot, n_zero, c))
+    for (deg, exps), members in groups.items():
+        _aberth(deg, exps, members, tol, max_iter, outcomes)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
+
+
 def all_roots(
     p: Polynomial,
     tol: float = 1e-13,
@@ -143,79 +304,7 @@ def all_roots(
     RootSet
         Exactly ``p.degree`` roots, every scaled residual <= 1e-9.
     """
-    if p.degree < 1:
-        raise ValueError("need degree >= 1 to have roots")
-    n_zero, work = _split_zero_roots(p.coeffs)
-    deg = len(work) - 1
-    if deg == 0:
-        return _assemble(np.empty(0, complex), np.empty(0), n_zero, 0)
-
-    c = np.asarray(work, float) / work[-1]
-    radius = _start_radius(c, deg)
-    angles = START_PHASE + GOLDEN_ANGLE * np.arange(deg)
-    z = radius * np.exp(1j * angles)
-
-    exps = np.flatnonzero(c)
-    sparse = len(exps) <= SPARSE_TERM_CUTOFF and deg > 12
-    coefs = c[exps]
-
-    iterations = max_iter
-    converged = False
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for it in range(1, max_iter + 1):
-            if sparse:
-                pv, dpv = _eval_sparse(exps, coefs, z)
-            else:
-                pv, dpv = _eval_dense(c, z)
-            newton = pv / dpv
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            repulse = (1.0 / diff).sum(axis=1)
-            w = newton / (1.0 - newton * repulse)
-            bad = ~np.isfinite(w)
-            if bad.any():
-                # Collided, critical or overflowed points: restart each at a
-                # fresh deterministic spot inside the inclusion circle.
-                idx = np.flatnonzero(bad)
-                w[idx] = 0.0
-                z = z - w
-                z[idx] = (
-                    radius
-                    * (0.9 ** (it % 25))
-                    * np.exp(1j * (START_PHASE + GOLDEN_ANGLE * (it + idx)))
-                )
-                continue
-            z = z - w
-            upd = float(np.max(np.abs(w) / np.maximum(1.0, np.abs(z))))
-            if upd < tol:
-                iterations = it
-                converged = True
-                break
-            # Ill-conditioned clusters jitter forever at the conditioning
-            # noise floor; once backward error is at machine level there is
-            # nothing left to converge.  Checked on a stride to stay cheap.
-            if (upd < 1e-4 or it % 10 == 0) and float(
-                np.max(_scaled_residuals(c, z))
-            ) < RESIDUAL_FLOOR:
-                iterations = it
-                converged = True
-                break
-
-    res = _scaled_residuals(c, z)
-    result = _assemble(z, res, n_zero, iterations)
-    if not converged:
-        raise NoConvergence(
-            f"root iteration did not meet tol={tol} within {max_iter} sweeps",
-            best=result,
-            iterations=iterations,
-        )
-    if float(np.max(res)) > RESIDUAL_TOL:
-        raise NoConvergence(
-            f"root updates stalled with residual {float(np.max(res)):.3e} > {RESIDUAL_TOL}",
-            best=result,
-            iterations=iterations,
-        )
-    return result
+    return all_roots_many([p], tol, max_iter)[0]
 
 
 def max_root_magnitude(p: Polynomial, **kwargs) -> float:

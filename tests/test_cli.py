@@ -91,6 +91,21 @@ class TestRoots:
         rc, _, err = run_cli(capsys, "roots", "--a", "1.0", "--tau", "2")
         assert rc == 2
 
+    def test_solves_the_polynomial_once(self, capsys, monkeypatch):
+        from staleness_lab import roots
+
+        batches = []
+        real = roots.all_roots_many
+
+        def counting(polys, *args, **kwargs):
+            batches.append(len(polys))
+            return real(polys, *args, **kwargs)
+
+        monkeypatch.setattr(roots, "all_roots_many", counting)
+        rc, out, _ = run_cli(capsys, "roots", "--a", "0.3", "--eta", "1.0", "--tau", "2")
+        assert rc == 0 and "stable: yes" in out
+        assert batches == [1]
+
 
 class TestSimulate:
     def test_zero_eta_reports_constant_run(self, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,9 +6,17 @@ import pytest
 
 from oracles import companion_max_magnitude, companion_roots
 
+from staleness_lab import roots
+from staleness_lab.acceptance import _random_families
 from staleness_lab.charpoly import DelayModel, OptimizerSpec, Polynomial, char_poly
 from staleness_lab.errors import NoConvergence
-from staleness_lab.roots import RESIDUAL_TOL, all_roots, is_stable, max_root_magnitude
+from staleness_lab.roots import (
+    RESIDUAL_TOL,
+    all_roots,
+    all_roots_many,
+    is_stable,
+    max_root_magnitude,
+)
 
 
 class TestKnownRoots:
@@ -142,3 +151,82 @@ class TestFailureMode:
             all_roots(p, max_iter=1)
         assert ei.value.iterations == 1
         assert ei.value.best is not None
+
+
+def _dense(seed, deg):
+    return Polynomial(tuple(float(x) for x in np.random.default_rng(seed).uniform(-1, 1, deg)) + (1.0,))
+
+
+def _mixed():
+    """Every shape the batcher separates, with repeats so that batches form."""
+    sparse20 = char_poly(OptimizerSpec("plain", 0.05, 0.0), 1.0, DelayModel.constant(19))
+    wild = np.random.default_rng(8).uniform(-2, 2, 9) * 10.0 ** np.random.default_rng(9).uniform(-5, 5, 9)
+    return [
+        Polynomial((0.0, 0.0, -6.0, 1.0)),  # zero roots
+        _dense(1, 20),
+        Polynomial((0.0, 0.0, 0.0, 2.0)),  # 2 z^3
+        sparse20,
+        Polynomial((-3.0, 1.5)),
+        _dense(2, 20),
+        Polynomial(tuple(float(x) for x in wild)),
+        char_poly(OptimizerSpec("plain", 0.07, 0.0), 1.0, DelayModel.constant(19)),
+        Polynomial((0.0, 0.5, 1.0)),
+        _dense(3, 20),
+        Polynomial((0.0,) + _dense(4, 20).coeffs),  # a zero root on a degree-20 shape
+        _dense(5, 80),
+    ]
+
+
+def _digest(rootsets):
+    h = hashlib.sha256()
+    for rs in rootsets:
+        h.update(np.asarray(rs.roots, dtype=complex).tobytes())
+        h.update(np.asarray(rs.residuals, dtype=float).tobytes())
+        h.update(rs.iterations.to_bytes(4, "little"))
+    return h.hexdigest()
+
+
+class TestBatched:
+    def test_batch_matches_one_at_a_time(self):
+        ps = _mixed()
+        assert all_roots_many(ps) == [all_roots(p) for p in ps]
+
+    def test_empty_list(self):
+        assert all_roots_many([]) == []
+
+    def test_first_failure_in_input_order_raises(self):
+        first, second = _dense(1, 30), _dense(6, 25)
+        with pytest.raises(NoConvergence) as alone:
+            all_roots(first, max_iter=1)
+        with pytest.raises(NoConvergence) as ei:
+            all_roots_many([Polynomial((0.0, 0.0, 2.0)), first, second], max_iter=1)
+        assert ei.value.iterations == 1
+        assert ei.value.best == alone.value.best
+        assert str(ei.value) == str(alone.value)
+        assert len(ei.value.best.roots) == 30
+
+    def test_invalid_degree_raises_in_input_order(self):
+        bad_iter = _dense(1, 30)
+        with pytest.raises(NoConvergence):
+            all_roots_many([bad_iter, Polynomial((3.0,))], max_iter=1)
+        with pytest.raises(ValueError):
+            all_roots_many([Polynomial((3.0,)), bad_iter], max_iter=1)
+
+    def test_frozen_digest(self):
+        # (roots, residuals, iterations) of 30 polynomials from each family of
+        # the root-finder criterion, frozen from the one-polynomial solver
+        # this batched kernel replaced
+        families = _random_families(np.random.default_rng(11))
+        ps = [Polynomial(c) for family in families for c in family[:30]]
+        assert len(ps) == 120
+        assert _digest(all_roots_many(ps)) == (
+            "eb1548b02cdde5471c8a30d97fbaf5d3c9fb6fa13e6d706be06b21a80e1bfbef"
+        )
+
+    def test_pair_blocks_do_not_change_results(self, monkeypatch):
+        big = _dense(7, 80)
+        ps = _mixed()
+        want_big, want = all_roots(big), all_roots_many(ps)
+        monkeypatch.setattr(roots, "PAIR_BLOCK", 5)
+        assert all_roots(big) == want_big
+        assert all_roots_many(ps) == want
