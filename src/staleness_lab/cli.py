@@ -119,9 +119,12 @@ def _parse_tau_values(text: str) -> list[int]:
             if hi_i < lo_i:
                 raise CliUsage(f"empty tau range {text!r}")
             return list(range(lo_i, hi_i + 1))
-        return [int(p) for p in text.split(",") if p.strip() != ""]
+        taus = [int(p) for p in text.split(",") if p.strip() != ""]
     except ValueError:
         raise CliUsage(f"cannot parse tau list {text!r}") from None
+    if not taus:
+        raise CliUsage(f"tau list {text!r} names no delay")
+    return taus
 
 
 def _parse_pmf(text: str) -> DelayModel:
@@ -678,7 +681,8 @@ def main(argv=None) -> int:
     except (NoThreshold, NoConvergence, UndecidedAtProbe) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except CliFailure as exc:
+    except (CliFailure, OSError) as exc:
+        # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

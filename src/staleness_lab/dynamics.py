@@ -21,7 +21,7 @@ import numpy as np
 
 from .charpoly import DelayModel, OptimizerSpec
 from .errors import NoConvergence, UndecidedAtProbe
-from .stability import METHOD_SIMULATION, ThresholdResult, _bisect_eta
+from .stability import METHOD_SIMULATION, ThresholdResult, _bisect_eta, _check_rel_tol
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
@@ -594,6 +594,7 @@ def empirical_threshold(
     undecided probe gets its step budget doubled once; if it stays
     undecided the search raises ``UndecidedAtProbe`` rather than guess.
     """
+    _check_rel_tol(rel_tol)
     if isinstance(delay, int):
         delay = DelayModel.constant(delay)
     a = problem.sharpness()

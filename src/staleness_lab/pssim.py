@@ -34,7 +34,7 @@ from .dynamics import (
     SimConfig,
 )
 from .errors import UndecidedAtProbe
-from .stability import METHOD_SIMULATION, ThresholdResult, _bisect_eta
+from .stability import METHOD_SIMULATION, ThresholdResult, _bisect_eta, _check_rel_tol
 
 
 @dataclass(frozen=True)
@@ -377,6 +377,7 @@ def ps_empirical_threshold(
     doubles its step budget once, then raises ``UndecidedAtProbe``.
     Expectation-mode gradients keep the predicate deterministic.
     """
+    _check_rel_tol(rel_tol)
     a = problem.sharpness()
 
     def stable(eta: float) -> bool:

@@ -123,6 +123,14 @@ def dampened_lr(eta_eff: float, m: float) -> float:
     return eta_eff * (1.0 - m)
 
 
+def _check_rel_tol(rel_tol: float) -> None:
+    """Require ``0 < rel_tol < inf``: a NaN or infinite tolerance would end a
+    bisection at its doubling bracket, and one <= 0 would run it to float
+    resolution."""
+    if not 0.0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
+
+
 def _bisect_eta(
     stable, a: float, rel_tol: float, start_eta_a: float = BRACKET_START,
     cap: float = ETA_A_CAP,
@@ -169,34 +177,46 @@ def _grid_size(degree: int) -> int:
 
 
 class _CirclePoly:
-    """``sum_e c_e z^e`` evaluated on circles ``z = radius * e^(i theta)``.
+    """``sum_e c_e z^e`` evaluated on the circle ``z = radius * e^(i theta)``.
 
-    Terms are summed by exponent in the order given.  A few terms are
-    evaluated one power at a time, many (a delay pmf) by Horner's rule.
+    The per-term constants are computed once per polynomial and radius: a
+    few terms become ``i e`` and ``c_e radius^e`` columns, so a call takes
+    one exponential table over (terms x angles) and adds its rows up by
+    exponent in the order given, starting from zero.  Many terms (a delay
+    pmf) are evaluated by Horner's rule instead.
     """
 
-    def __init__(self, terms):
+    def __init__(self, terms, radius: float = 1.0):
         acc: dict[int, float] = {}
         for e, c in terms:
             acc[e] = acc.get(e, 0.0) + c
         acc = {e: c for e, c in acc.items() if c != 0.0}
         self.exps = np.array(list(acc), dtype=np.int64)
         self.coefs = np.array(list(acc.values()), dtype=float)
+        self.radius = radius
         self.dense = None
         if len(acc) > DENSE_TERMS:
             self.dense = np.zeros(int(self.exps.max()) + 1)
             self.dense[self.exps] = self.coefs
+            return
+        self.jexps = 1j * self.exps[:, None]
+        scaled = [c * radius**e for e, c in zip(self.exps, self.coefs)]
+        self.scaled = np.array(scaled, dtype=float)[:, None]
 
-    def __call__(self, theta: np.ndarray, radius: float = 1.0) -> np.ndarray:
+    def __call__(self, theta: np.ndarray) -> np.ndarray:
         if self.dense is not None:
-            z = radius * np.exp(1j * theta)
+            z = self.radius * np.exp(1j * theta)
             out = np.full(theta.shape, complex(self.dense[-1]))
+            # the product goes to its own buffer: numpy rounds a one-element
+            # complex product computed in place differently
+            zout = np.empty_like(out)
             for c in self.dense[-2::-1]:
-                out = out * z + c
+                np.multiply(out, z, out=zout)
+                np.add(zout, c, out=out)
             return out
         out = np.zeros(theta.shape, complex)
-        for e, c in zip(self.exps, self.coefs):
-            out += (c * radius**e) * np.exp(1j * e * theta)
+        for row in self.scaled * np.exp(self.jexps * theta):
+            out += row
         return out
 
 
@@ -209,8 +229,8 @@ class _Split:
         self.a = _CirclePoly((e, fixed) for e, fixed, _ in self.terms)
         self.b = _CirclePoly((e, per_k) for e, _, per_k in self.terms)
 
-    def at(self, k: float) -> _CirclePoly:
-        return _CirclePoly((e, fixed + k * per_k) for e, fixed, per_k in self.terms)
+    def at(self, k: float, radius: float = 1.0) -> _CirclePoly:
+        return _CirclePoly(((e, fixed + k * per_k) for e, fixed, per_k in self.terms), radius)
 
 
 def _phase_resolved(f, theta: np.ndarray):
@@ -300,9 +320,8 @@ def _winding_number(split: _Split, k: float, radius: float) -> int:
     Real coefficients make the lower half circle mirror the upper one, so the
     phase is unwrapped over ``theta`` in ``[0, pi]`` and doubled.
     """
-    p = split.at(k)
     _, vals, resolved = _phase_resolved(
-        lambda theta: p(theta, radius), np.linspace(0.0, np.pi, _grid_size(split.degree))
+        split.at(k, radius), np.linspace(0.0, np.pi, _grid_size(split.degree))
     )
     if not resolved:
         raise NoConvergence(f"winding number at eta*a = {k!r} did not resolve")
@@ -337,8 +356,7 @@ def numeric_threshold(
     """
     if not (a > 0 and math.isfinite(a)):
         raise ValueError("a must be positive and finite")
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
+    _check_rel_tol(rel_tol)
     if isinstance(delay, int):
         delay = DelayModel.constant(delay)
 

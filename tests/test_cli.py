@@ -70,6 +70,22 @@ class TestThreshold:
         assert rc == 2
         assert "--a" in err
 
+    def test_empty_tau_list_is_usage_error(self, capsys):
+        rc, out, err = run_cli(capsys, "threshold", "--a", "1", "--tau", ",")
+        assert rc == 2
+        assert out == "" and err.startswith("usage error:")
+
+    def test_non_finite_rel_tol_is_usage_error(self, capsys):
+        rc, out, err = run_cli(capsys, "threshold", "--a", "1", "--tau", "3", "--rel-tol", "nan")
+        assert rc == 2
+        assert out == "" and "rel_tol" in err
+
+    def test_unwritable_out_path_is_a_one_line_error(self, capsys, tmp_path):
+        rc, _, err = run_cli(capsys, "threshold", "--a", "1", "--tau", "0..2",
+                             "--out", str(tmp_path / "missing" / "x.csv"))
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestRoots:
     def test_text_output(self, capsys):
@@ -136,6 +152,14 @@ class TestSimulate:
         assert "out" not in verdict["config"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == ["trace.csv", "verdict.json"]
+
+    def test_out_below_a_file_is_a_one_line_error(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc, _, err = run_cli(capsys, "simulate", "--a", "1.0", "--eta", "0.1",
+                             "--tau", "2", "--out", str(blocker / "x"))
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_manifest_replay_is_byte_identical(self, capsys, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import constant_delay_trajectory, dominant_power_eig
 
+from staleness_lab import dynamics
 from staleness_lab.charpoly import DelayModel, OptimizerSpec, pmf_uniform
 from staleness_lab.dynamics import (
     CONVERGED,
@@ -222,6 +223,12 @@ class TestEmpiricalThreshold:
             empirical_threshold(QuadraticProblem([[1.0]]), "plain", 16,
                                 rel_tol=1e-7, probe_steps=2000)
         assert ei.value.max_steps == 4000  # the probe was doubled once
+
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_rel_tol_before_any_probe(self, monkeypatch, rel_tol):
+        monkeypatch.setattr(dynamics, "simulate_expectation", None)
+        with pytest.raises(ValueError, match="rel_tol"):
+            empirical_threshold(QuadraticProblem([[1.0]]), "plain", 3, rel_tol=rel_tol)
 
 
 class TestEscapeCurve:

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from staleness_lab import pssim
 from staleness_lab.charpoly import DelayModel, OptimizerSpec, pmf_uniform
 from staleness_lab.dynamics import (
     CONVERGED,
@@ -154,6 +157,12 @@ class TestPsThreshold:
         assert abs(r.eta_star - want) / want <= 0.02
         assert r.method == METHOD_SIMULATION
         assert r.delay.tau == 4
+
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_rel_tol_before_any_probe(self, monkeypatch, rel_tol):
+        monkeypatch.setattr(pssim, "run_ps", None)
+        with pytest.raises(ValueError, match="rel_tol"):
+            ps_empirical_threshold(_scalar(), RoundRobin(4), "plain", rel_tol=rel_tol)
 
     def test_sampled_matches_pmf_root_threshold(self):
         pmf = pmf_uniform(1, 9)

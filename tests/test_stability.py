@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -159,6 +160,30 @@ class TestNumericThreshold:
     def test_rejects_momentum_with_random_delay(self):
         with pytest.raises(ValueError):
             numeric_threshold("momentum", 1.0, pmf_uniform(1, 4), m=0.5)
+
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_rel_tol_before_the_crossing_scan(self, monkeypatch, rel_tol):
+        monkeypatch.setattr(stability, "boundary_crossing", None)
+        with pytest.raises(ValueError, match="rel_tol"):
+            numeric_threshold("plain", 1.0, DelayModel.constant(3), rel_tol=rel_tol)
+
+    def test_frozen_digest_over_a_corpus(self):
+        # every search's bracket, crossing and residual, bit for bit, over
+        # plain, momentum and shifted at tau 0..64, uniform pmfs 1..1 to
+        # 1..64 and discrete Gaussians 1..30
+        cases = []
+        for tau in range(65):
+            cases.append(("plain", 0.0, DelayModel.constant(tau)))
+            cases += [(v, m, DelayModel.constant(tau))
+                      for v in ("momentum", "shifted") for m in (0.5, 0.9)]
+        cases += [("plain", 0.0, pmf_uniform(1, hi)) for hi in range(1, 65)]
+        cases += [("plain", 0.0, pmf_discrete_gaussian(mu)) for mu in range(1, 31)]
+        h = hashlib.sha256()
+        for variant, m, delay in cases:
+            r = numeric_threshold(variant, 1.0, delay, m=m)
+            h.update(repr((r.eta_star, r.bracket, r.crossing_angle, r.max_root_residual)).encode())
+        assert len(cases) == 419
+        assert h.hexdigest() == "e8043e244fd8949ae4e5e9561c8c7fdf7ae3fb8278016337246bd401f81d3356"
 
 
 class TestBoundaryCrossing:

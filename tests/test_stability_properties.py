@@ -1,0 +1,42 @@
+"""Property tests: how a threshold search answers to scaling and to the delay."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from staleness_lab.charpoly import DelayModel
+from staleness_lab.stability import numeric_threshold
+
+variant_and_m = st.one_of(
+    st.tuples(st.just("plain"), st.just(0.0)),
+    st.tuples(st.sampled_from(("momentum", "shifted")), st.floats(0.0, 0.99)),
+)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(variant_and_m, st.integers(0, 200), st.integers(-8, 8))
+def test_bracket_scales_exactly_with_the_curvature(vm, tau, j):
+    variant, m = vm
+    a = 2.0**j
+    unit = numeric_threshold(variant, 1.0, DelayModel.constant(tau), m=m)
+    scaled = numeric_threshold(variant, a, DelayModel.constant(tau), m=m)
+    assert scaled.bracket == (unit.bracket[0] / a, unit.bracket[1] / a)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(0, 300))
+def test_point_mass_pmf_matches_the_constant_delay(tau):
+    point_mass = DelayModel((tau,), (1.0,)) if tau == 0 else DelayModel.pmf({tau: 1.0})
+    assert numeric_threshold("plain", 1.0, point_mass).bracket == \
+        numeric_threshold("plain", 1.0, DelayModel.constant(tau)).bracket
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(0, 200), st.integers(1, 100))
+def test_plain_threshold_falls_as_the_delay_grows(tau, step):
+    shorter = numeric_threshold("plain", 1.0, DelayModel.constant(tau))
+    longer = numeric_threshold("plain", 1.0, DelayModel.constant(tau + step))
+    assert longer.eta_star < shorter.eta_star
