@@ -170,8 +170,7 @@ def _c_modes(ctx, out_dir):
         g = rng.standard_normal((d, d))
         q, _ = np.linalg.qr(g)
         hess = q @ np.diag(lams) @ q.T
-        # shifted m=0.6 keeps the tau=0 boundary (eta*a = 2(1+m)/(1-m) = 8)
-        # inside the threshold search cap
+        # at tau=0 the shifted m=0.6 boundary is eta*a = 2(1+m)/(1-m) = 8
         variant, m = [("plain", 0.0), ("momentum", 0.5), ("shifted", 0.6)][trial % 3]
         tau = int(rng.choice((0, 1, 2, 4, 8, 16)))
         dm = DelayModel.constant(tau)

@@ -27,9 +27,11 @@ from . import __version__
 from .charpoly import DelayModel, OptimizerSpec, char_poly, pmf_discrete_gaussian, pmf_uniform
 from .dynamics import (
     DIVERGED,
+    MAX_STEPS_FLOOR,
     UNDECIDED,
     QuadraticProblem,
     SimConfig,
+    SimVerdict,
     escape_time_curve,
     simulate_expectation,
 )
@@ -213,6 +215,39 @@ def _write_manifest(path: Path, command: str, cfg: dict, seeds: dict,
     })
 
 
+def _report(verdict: SimVerdict, command: str, cfg: dict, seeds: dict,
+            files: dict[str, str], t0: float) -> int:
+    """Write a run's artifacts under ``--out``, if given, then print its verdict.
+
+    Writing first keeps a run whose artifacts cannot be written from also
+    reporting a result.
+    """
+    if cfg["out"]:
+        out = Path(cfg["out"])
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            _write_text(out / name, text)
+        _write_json(out / "verdict.json", {
+            "status": verdict.status,
+            "escape_step": verdict.escape_step,
+            "amplification": _jsonable(verdict.amplification),
+            "steps": verdict.steps,
+            "clipped_delays": verdict.clipped_delays,
+            "config": _experiment_config(cfg),
+        })
+        _write_manifest(out / "manifest.json", command, cfg, seeds, [*files, "verdict.json"], t0)
+    amp = verdict.amplification
+    if verdict.status == DIVERGED:
+        print(f"diverged at step {verdict.escape_step} (amplification {amp:.6g})")
+    elif verdict.status == UNDECIDED:
+        print(f"undecided after {verdict.steps} steps (amplification {amp:.6g})")
+    else:
+        print(f"converged after {verdict.steps} steps (amplification {amp:.6g})")
+    if verdict.clipped_delays:
+        print(f"clipped {verdict.clipped_delays} sampled delay(s) at the start of the run")
+    return 0
+
+
 # ---------------------------------------------------------------- threshold
 
 def cmd_threshold(args: argparse.Namespace) -> int:
@@ -316,11 +351,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         # Zero step size moves nothing: report the degenerate run directly
         # instead of forcing it through types that (rightly) demand eta > 0.
         steps = int(cfg["steps"]) if cfg["steps"] is not None else max(
-            100 * (delay.max_delay + 1), 100_000
+            100 * (delay.max_delay + 1), MAX_STEPS_FLOOR
         )
-        status, escape, amp, nsteps = UNDECIDED, None, 1.0, steps
-        trace = ((0, 1.0), (steps, 1.0))
-        clip = 0
+        verdict = SimVerdict(UNDECIDED, None, 1.0, steps, trace=((0, 1.0), (steps, 1.0)))
     else:
         sim_cfg = SimConfig(
             optimizer=OptimizerSpec(variant, eta, float(cfg["m"])),
@@ -334,32 +367,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             record_trace=bool(cfg["out"]),
         )
         verdict = simulate_expectation(problem, sim_cfg)
-        status, escape, amp = verdict.status, verdict.escape_step, verdict.amplification
-        nsteps, trace, clip = verdict.steps, verdict.trace, verdict.clipped_delays
 
-    if status == DIVERGED:
-        print(f"diverged at step {escape} (amplification {amp:.6g})")
-    elif status == UNDECIDED:
-        print(f"undecided after {nsteps} steps (amplification {amp:.6g})")
-    else:
-        print(f"converged after {nsteps} steps (amplification {amp:.6g})")
-
+    files = {}
     if cfg["out"]:
-        out = Path(cfg["out"])
-        out.mkdir(parents=True, exist_ok=True)
-        lines = ["step,norm"] + [f"{s},{n!r}" for s, n in (trace or ())]
-        _write_text(out / "trace.csv", "\n".join(lines) + "\n")
-        _write_json(out / "verdict.json", {
-            "status": status,
-            "escape_step": escape,
-            "amplification": _jsonable(amp),
-            "steps": nsteps,
-            "clipped_delays": clip,
-            "config": _experiment_config(cfg),
-        })
-        _write_manifest(out / "manifest.json", "simulate", cfg,
-                        {"seed": int(cfg["seed"])}, ["trace.csv", "verdict.json"], t0)
-    return 0
+        lines = ["step,norm"] + [f"{s},{n!r}" for s, n in verdict.trace]
+        files["trace.csv"] = "\n".join(lines) + "\n"
+    return _report(verdict, "simulate", cfg, {"seed": int(cfg["seed"])}, files, t0)
 
 
 # ------------------------------------------------------------- escape-curve
@@ -437,35 +450,13 @@ def cmd_ps(args: argparse.Namespace) -> int:
         int(cfg["steps"]), seed=seed, mode="expectation",
         blowup_factor=float(cfg["blowup"]), decay_factor=float(cfg["decay"]),
     )
-    v = run.verdict
-    if v.status == DIVERGED:
-        print(f"diverged at step {v.escape_step} (amplification {v.amplification:.6g})")
-    elif v.status == UNDECIDED:
-        print(f"undecided after {run.steps} steps (amplification {v.amplification:.6g})")
-    else:
-        print(f"converged after {run.steps} steps (amplification {v.amplification:.6g})")
-    if run.clipped_delays:
-        print(f"clipped {run.clipped_delays} sampled delay(s) at the start of the run")
-
+    files = {}
     if cfg["out"]:
-        out = Path(cfg["out"])
-        out.mkdir(parents=True, exist_ok=True)
         lines = ["step,norm"] + [f"{s},{n!r}" for s, n in enumerate(run.norms)]
-        _write_text(out / "trajectory.csv", "\n".join(lines) + "\n")
-        hist = delay_histogram(run)
-        hlines = ["delay,frequency"] + [f"{k},{f!r}" for k, f in hist]
-        _write_text(out / "delays.csv", "\n".join(hlines) + "\n")
-        _write_json(out / "verdict.json", {
-            "status": v.status,
-            "escape_step": v.escape_step,
-            "amplification": _jsonable(v.amplification),
-            "steps": run.steps,
-            "clipped_delays": run.clipped_delays,
-            "config": _experiment_config(cfg),
-        })
-        _write_manifest(out / "manifest.json", "ps", cfg, {"seed": seed},
-                        ["trajectory.csv", "delays.csv", "verdict.json"], t0)
-    return 0
+        files["trajectory.csv"] = "\n".join(lines) + "\n"
+        hlines = ["delay,frequency"] + [f"{k},{f!r}" for k, f in delay_histogram(run)]
+        files["delays.csv"] = "\n".join(hlines) + "\n"
+    return _report(run.verdict, "ps", cfg, {"seed": seed}, files, t0)
 
 
 # --------------------------------------------------------------------- plot

@@ -15,7 +15,8 @@ bit-identical outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -34,6 +35,9 @@ MAX_STEPS_FLOOR = 100_000
 # worst probe the doubling-then-halving schedule can produce at tau <= 64
 # with room to spare, and the search doubles it once more before giving up.
 PROBE_STEPS = 1_000_000
+# Simulations step in blocks that double up to this many steps.  The steps
+# a block runs past its verdict are thrown away, so the cap bounds that waste.
+BLOCK_CAP = 4096
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -242,233 +246,216 @@ def _freeze_states(states: list | None) -> np.ndarray | None:
     return arr
 
 
+def _norms(block: list) -> np.ndarray:
+    """Distances from the minimum of a block of states.
+
+    One-element arrays use ``|y[0]|``, the 1-D expression, so sampled and
+    expectation runs cross the verdict lines on the same steps.
+    """
+    first = block[0]
+    if isinstance(first, float):
+        return np.abs(block)
+    if first.shape == (1,):
+        return np.abs([y[0] for y in block])
+    return np.sqrt([y @ y for y in block])
+
+
+def _track(advance, y0, n0, window, max_steps, blowup_factor, decay_factor,
+           every=0, keep_states=False, draws=None):
+    """Run a simulation to its verdict, one block of steps at a time.
+
+    ``advance(n)`` runs the next ``n`` steps and returns their states.
+    Blocks start at ``window`` steps and double up to ``BLOCK_CAP``.  The
+    verdict rule is the one ``simulate_expectation`` states, with ``n0`` the
+    initial distance; the steps a block ran past its verdict are dropped
+    from everything returned.  ``keep_states`` keeps every state in the
+    verdict, and ``draws`` are the sampled delays of a run that clips those
+    longer than the elapsed steps.  Returns the verdict and the distances at steps 0, ``every``,
+    ``2 * every``, ... and at the last step (``None`` when ``every`` is 0).
+    """
+    hi = blowup_factor * n0
+    lo = decay_factor * n0
+    states = [y0] if keep_states else None
+    norms = [n0] if every else None
+    status, escape = UNDECIDED, None
+    carry = 0  # steps below lo at the end of the last block
+    t = 0
+    size = min(window, BLOCK_CAP)
+    # past a divergence a block steps on until its states overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        while status == UNDECIDED and t < max_steps:
+            n = min(size, max_steps - t)
+            block = advance(n)
+            mags = _norms(block)
+            i = np.arange(n)
+            last_not_below = np.maximum.accumulate(np.where(mags < lo, -1, i))
+            run = np.where(last_not_below < 0, carry + 1 + i, i - last_not_below)
+            ends = np.flatnonzero(~(mags <= hi) | (run >= window))  # non-finite diverges
+            if ends.size:
+                n = int(ends[0]) + 1
+                if mags[n - 1] < lo:
+                    status = CONVERGED
+                else:
+                    status, escape = DIVERGED, t + n
+            carry = int(run[n - 1])
+            if states is not None:
+                states.extend(block[:n])
+            if norms is not None:
+                norms.extend(mags[(-1 - t) % every:n:every].tolist())
+            mag = float(mags[n - 1])
+            t += n
+            size = min(2 * size, BLOCK_CAP)
+    if norms is not None and t % every:
+        norms.append(mag)
+    verdict = SimVerdict(
+        status=status,
+        escape_step=escape,
+        amplification=mag / n0 if math.isfinite(mag) else math.inf,
+        steps=t,
+        states=_freeze_states(states),
+        clipped_delays=0 if draws is None else int(np.count_nonzero(draws[:t] > np.arange(t))),
+    )
+    return verdict, norms
+
+
+def _simulate(config: SimConfig, advance, y0, n0, draws=None) -> SimVerdict:
+    """Track ``advance`` with ``config``'s verdict lines, step budget and recording."""
+    every = config.record_every if config.record_trace else 0
+    verdict, norms = _track(
+        advance, y0, n0, config.delay.max_delay + 2, config.resolved_max_steps(),
+        config.blowup_factor, config.decay_factor, every, config.record_states, draws,
+    )
+    if norms is None:
+        return verdict
+    steps = list(range(0, verdict.steps + 1, every))
+    if steps[-1] != verdict.steps:
+        steps.append(verdict.steps)
+    return replace(verdict, trace=tuple(zip(steps, norms)))
+
+
 def simulate_expectation(problem: QuadraticProblem, config: SimConfig) -> SimVerdict:
     """Run the deterministic (expected) delayed dynamics.
 
-    Iterates the exact linear recurrence of the configured variant with a
-    ring buffer of the last ``tau_max + 2`` states, pre-history filled with
-    the initial point.  Random delays use the probability-weighted stale
-    state and are limited to the plain variant.  Verdict rules: diverged on
-    the first step whose distance from the minimum exceeds ``blowup_factor``
-    times the initial distance (non-finite states count), converged after
+    Iterates the exact linear recurrence of the configured variant, with the
+    pre-history filled with the initial point.  Random delays use the
+    probability-weighted stale state and are limited to the plain variant.
+    Verdict rules: diverged on the first step whose distance from the
+    minimum is not at most ``blowup_factor`` times the initial distance
+    (non-finite states count), converged on the step that completes
     ``tau_max + 2`` consecutive steps below ``decay_factor`` times it,
-    otherwise undecided at ``max_steps``.
+    otherwise undecided at ``max_steps``.  Runs are evaluated in blocks of
+    steps; nothing past the verdict step is reported.
     """
     y0 = _initial_vector(problem, config)
+    opt, delay = config.optimizer, config.delay
     if problem.d == 1:
-        return _expectation_scalar(float(problem.hessian[0, 0]), float(y0[0]), config)
-    return _expectation_vector(problem.hessian, y0, config)
-
-
-def _expectation_scalar(h: float, y0: float, config: SimConfig) -> SimVerdict:
-    """1-D fast path: plain floats, no array overhead.
-
-    Threshold searches hammer this loop with million-step probes, so the
-    three variant loops are written out flat with the verdict stanza inlined.
-    """
-    opt = config.optimizer
-    delay = config.delay
-    eta, m = opt.eta, opt.m
-    max_steps = config.resolved_max_steps()
-    L = delay.max_delay + 2
-    window = L
-    buf = [y0] * L
-    n0 = abs(y0)
-    hi = config.blowup_factor * n0
-    lo = config.decay_factor * n0
-    every = config.record_every
-    trace = [(0, n0)] if config.record_trace else None
-    states = [y0] if config.record_states else None
-
-    status = UNDECIDED
-    escape = None
-    run = 0
-    y = y0
-    mag = n0
-    t = 0
-
+        y = float(y0[0])
+        advance = _scalar_steps(float(problem.hessian[0, 0]), y, opt, delay)
+        return _simulate(config, advance, y, abs(y))
+    keep = delay.max_delay + 1
     if delay.is_constant:
-        tau = delay.tau
-        if opt.variant == "plain":
+        advance = _vector_steps(y0, opt, keep, repeat(problem.hessian), repeat(delay.tau))
+    else:
+        pairs = [(-1 - k, p) for k, p in zip(delay.delays, delay.probs)]
+        advance = _vector_steps(y0, opt, keep, repeat(problem.hessian), repeat(0), pairs)
+    return _simulate(config, advance, y0, float(np.linalg.norm(y0)))
+
+
+def _scalar_steps(h: float, y0: float, opt: OptimizerSpec, delay: DelayModel):
+    """Block step function of the 1-D expectation dynamics, on plain floats.
+
+    ``hist`` holds the last ``max_delay + 1`` states, oldest first, so a
+    constant-delay block reads its stale states in order from the front
+    while it appends the new ones.  Threshold searches hammer these loops
+    with million-step probes, so each variant's loop is written out flat.
+    """
+    eta, m = opt.eta, opt.m
+    ce = eta * (1.0 - m)
+    variant = opt.variant
+    keep = delay.max_delay + 1
+    hist = [y0] * keep
+    vel = [0.0] * keep  # shifted: the velocity is read with the delay too
+    pairs = None if delay.is_constant else [(-1 - k, p) for k, p in zip(delay.delays, delay.probs)]
+    v = 0.0
+
+    def advance(n):
+        nonlocal v
+        y = hist[-1]
+        if pairs is not None:
+            for _ in range(n):
+                acc = 0.0
+                for i, p in pairs:
+                    acc += p * hist[i]
+                y = y - eta * (h * acc)
+                hist.append(y)
+        elif variant == "plain":
             # Gradient written as eta * (h * stale) rather than with a fused
             # constant so the sampled-gradient path can reproduce it bit for
             # bit when its components coincide.
-            for t in range(1, max_steps + 1):
-                y = y - eta * (h * buf[(t - 1 - tau) % L])
-                buf[t % L] = y
-                mag = abs(y)
-                if states is not None:
-                    states.append(y)
-                if trace is not None and t % every == 0:
-                    trace.append((t, mag))
-                if not mag <= hi:  # non-finite lands here too
-                    status, escape = DIVERGED, t
-                    break
-                if mag < lo:
-                    run += 1
-                    if run >= window:
-                        status = CONVERGED
-                        break
-                else:
-                    run = 0
-        elif opt.variant == "momentum":
-            ce = eta * (1.0 - m)
-            v = 0.0
-            for t in range(1, max_steps + 1):
-                v = m * v - ce * (h * buf[(t - 1 - tau) % L])
+            for s in islice(hist, n):
+                y = y - eta * (h * s)
+                hist.append(y)
+        elif variant == "momentum":
+            for s in islice(hist, n):
+                v = m * v - ce * (h * s)
                 y = y + v
-                buf[t % L] = y
-                mag = abs(y)
-                if states is not None:
-                    states.append(y)
-                if trace is not None and t % every == 0:
-                    trace.append((t, mag))
-                if not mag <= hi:
-                    status, escape = DIVERGED, t
-                    break
-                if mag < lo:
-                    run += 1
-                    if run >= window:
-                        status = CONVERGED
-                        break
-                else:
-                    run = 0
-        else:  # shifted: the velocity itself is read with the delay
-            ce = eta * (1.0 - m)
-            vbuf = [0.0] * L
-            for t in range(1, max_steps + 1):
-                j = (t - 1 - tau) % L
-                v = m * vbuf[j] - ce * (h * buf[j])
-                vbuf[t % L] = v
+                hist.append(y)
+        else:
+            for s, u in zip(islice(hist, n), islice(vel, n)):
+                v = m * u - ce * (h * s)
+                vel.append(v)
                 y = y + v
-                buf[t % L] = y
-                mag = abs(y)
-                if states is not None:
-                    states.append(y)
-                if trace is not None and t % every == 0:
-                    trace.append((t, mag))
-                if not mag <= hi:
-                    status, escape = DIVERGED, t
-                    break
-                if mag < lo:
-                    run += 1
-                    if run >= window:
-                        status = CONVERGED
-                        break
-                else:
-                    run = 0
-    else:
-        pairs = list(zip(delay.delays, delay.probs))
-        for t in range(1, max_steps + 1):
-            acc = 0.0
-            for k, p in pairs:
-                acc += p * buf[(t - 1 - k) % L]
-            y = y - eta * (h * acc)
-            buf[t % L] = y
-            mag = abs(y)
-            if states is not None:
-                states.append(y)
-            if trace is not None and t % every == 0:
-                trace.append((t, mag))
-            if not mag <= hi:
-                status, escape = DIVERGED, t
-                break
-            if mag < lo:
-                run += 1
-                if run >= window:
-                    status = CONVERGED
-                    break
-            else:
-                run = 0
+                hist.append(y)
+        new = hist[keep:]
+        del hist[:-keep], vel[:-keep]
+        return new
 
-    if trace is not None and trace[-1][0] != t:
-        trace.append((t, mag))
-    amp = mag / n0 if math.isfinite(mag) else math.inf
-    return SimVerdict(
-        status=status,
-        escape_step=escape,
-        amplification=amp,
-        steps=t,
-        trace=tuple(trace) if trace is not None else None,
-        states=_freeze_states(states),
-    )
+    return advance
 
 
-def _expectation_vector(H: np.ndarray, y0: np.ndarray, config: SimConfig) -> SimVerdict:
-    opt = config.optimizer
-    delay = config.delay
+def _vector_steps(y0: np.ndarray, opt: OptimizerSpec, keep: int, mats, delays, pairs=None):
+    """Block step function on arrays, for the expectation and sampled dynamics.
+
+    Step ``t`` takes the next matrix from ``mats`` and applies it to the
+    state the next value of ``delays`` steps back, or, given ``pairs`` of
+    (negative history index, probability), to the probability-weighted
+    stale state.  ``hist`` holds the last ``keep`` states.
+    """
     eta, m = opt.eta, opt.m
-    max_steps = config.resolved_max_steps()
-    L = delay.max_delay + 2
-    window = L
-    buf = [y0] * L
-    n0 = float(np.linalg.norm(y0))
-    hi = config.blowup_factor * n0
-    lo = config.decay_factor * n0
-    every = config.record_every
-    trace = [(0, n0)] if config.record_trace else None
-    states = [y0] if config.record_states else None
-
-    status = UNDECIDED
-    escape = None
-    run = 0
-    y = y0
-    mag = n0
-    t = 0
-    variant = opt.variant
     ce = eta * (1.0 - m)
-    v = np.zeros_like(y0)
-    vbuf = [np.zeros_like(y0)] * L if variant == "shifted" else None
-    pairs = None if delay.is_constant else list(zip(delay.delays, delay.probs))
-    tau = delay.tau if delay.is_constant else 0
+    variant = opt.variant
+    hist = [y0] * keep
+    vel = [np.zeros_like(y0)] * keep
+    v = vel[0]
+    feed = zip(mats, delays)
 
-    for t in range(1, max_steps + 1):
-        if pairs is None:
-            j = (t - 1 - tau) % L
-            g = H @ buf[j]
+    def advance(n):
+        nonlocal v
+        y = hist[-1]
+        for mat, k in islice(feed, n):
+            if pairs is None:
+                stale = hist[-1 - k]
+            else:
+                stale = None
+                for i, p in pairs:
+                    term = p * hist[i]
+                    stale = term if stale is None else stale + term
+            g = mat @ stale
             if variant == "plain":
                 y = y - eta * g
             elif variant == "momentum":
                 v = m * v - ce * g
                 y = y + v
             else:
-                v = m * vbuf[j] - ce * g
-                vbuf[t % L] = v
+                v = m * vel[-1 - k] - ce * g
+                vel.append(v)
                 y = y + v
-        else:
-            acc = None
-            for k, p in pairs:
-                term = p * buf[(t - 1 - k) % L]
-                acc = term if acc is None else acc + term
-            y = y - eta * (H @ acc)
-        buf[t % L] = y
-        mag = float(np.sqrt(y @ y))
-        if states is not None:
-            states.append(y)
-        if trace is not None and t % every == 0:
-            trace.append((t, mag))
-        if not mag <= hi:
-            status, escape = DIVERGED, t
-            break
-        if mag < lo:
-            run += 1
-            if run >= window:
-                status = CONVERGED
-                break
-        else:
-            run = 0
+            hist.append(y)
+        new = hist[keep:]
+        del hist[:-keep], vel[:-keep]
+        return new
 
-    if trace is not None and trace[-1][0] != t:
-        trace.append((t, mag))
-    amp = mag / n0 if math.isfinite(mag) else math.inf
-    return SimVerdict(
-        status=status,
-        escape_step=escape,
-        amplification=amp,
-        steps=t,
-        trace=tuple(trace) if trace is not None else None,
-        states=_freeze_states(states),
-    )
+    return advance
 
 
 def simulate_sgd(problem: QuadraticProblem, config: SimConfig, seed: int = 0) -> SimVerdict:
@@ -478,101 +465,67 @@ def simulate_sgd(problem: QuadraticProblem, config: SimConfig, seed: int = 0) ->
     stale state.  The delay is the configured constant, or drawn per step
     from the pmf; a drawn delay longer than the elapsed steps is clipped to
     the initial point and counted in ``clipped_delays``.  ``seed`` drives
-    the gradient and delay draws (``config.seed`` only the random init).
-    With all components equal the trajectory reproduces
-    ``simulate_expectation`` exactly, arithmetic included.
+    the gradient and delay draws (``config.seed`` only the random init),
+    all drawn up front for ``max_steps`` steps.  With all components equal
+    the trajectory reproduces ``simulate_expectation`` exactly, arithmetic
+    included.
     """
     if problem.components is None:
         raise ValueError("simulate_sgd needs a problem with components")
     C = problem.components
-    N = C.shape[0]
-    opt = config.optimizer
     delay = config.delay
-    eta, m = opt.eta, opt.m
-    variant = opt.variant
     max_steps = config.resolved_max_steps()
 
     rng = np.random.default_rng(seed)
-    picks = rng.integers(0, N, size=max_steps)
+    picks = rng.integers(0, C.shape[0], size=max_steps)
     if delay.is_constant:
-        draws = None
-        tau = delay.tau
+        delays, draws = repeat(delay.tau), None
     else:
         draws = rng.choice(np.array(delay.delays), size=max_steps, p=np.array(delay.probs))
-        tau = 0
+        delays = iter(np.minimum(draws, np.arange(max_steps)).tolist())
 
     y0 = _initial_vector(problem, config)
-    scalar = problem.d == 1
-    L = delay.max_delay + 2
-    window = L
-    buf = [y0] * L
-    n0 = float(np.linalg.norm(y0))
-    hi = config.blowup_factor * n0
-    lo = config.decay_factor * n0
-    every = config.record_every
-    trace = [(0, n0)] if config.record_trace else None
-    states = [y0] if config.record_states else None
+    mats = map(C.__getitem__, picks)
+    advance = _vector_steps(y0, config.optimizer, delay.max_delay + 1, mats, delays)
+    return _simulate(config, advance, y0, float(np.linalg.norm(y0)), draws)
 
-    status = UNDECIDED
-    escape = None
-    run = 0
-    y = y0
-    mag = n0
-    t = 0
-    clip = 0
-    ce = eta * (1.0 - m)
-    v = np.zeros_like(y0)
-    vbuf = [np.zeros_like(y0)] * L if variant == "shifted" else None
 
-    for t in range(1, max_steps + 1):
-        if draws is None:
-            k = tau
-        else:
-            k = int(draws[t - 1])
-            if k > t - 1:
-                k = t - 1
-                clip += 1
-        j = (t - 1 - k) % L
-        g = C[int(picks[t - 1])] @ buf[j]
-        if variant == "plain":
-            y = y - eta * g
-        elif variant == "momentum":
-            v = m * v - ce * g
-            y = y + v
-        else:
-            v = m * vbuf[j] - ce * g
-            vbuf[t % L] = v
-            y = y + v
-        buf[t % L] = y
-        # same norm expression as the matching expectation path, so verdict
-        # boundaries are crossed on identical steps in the zero-noise case
-        mag = abs(float(y[0])) if scalar else float(np.sqrt(y @ y))
-        if states is not None:
-            states.append(y)
-        if trace is not None and t % every == 0:
-            trace.append((t, mag))
-        if not mag <= hi:
-            status, escape = DIVERGED, t
-            break
-        if mag < lo:
-            run += 1
-            if run >= window:
-                status = CONVERGED
-                break
-        else:
-            run = 0
+def _simulated_threshold(run, a, variant, m, delay, rel_tol, probe_steps,
+                         decay_factor) -> ThresholdResult:
+    """Bisect eta on ``run(eta, steps)``, the status of a trajectory.
 
-    if trace is not None and trace[-1][0] != t:
-        trace.append((t, mag))
-    amp = mag / n0 if math.isfinite(mag) else math.inf
-    return SimVerdict(
-        status=status,
-        escape_step=escape,
-        amplification=amp,
-        steps=t,
-        trace=tuple(trace) if trace is not None else None,
-        states=_freeze_states(states),
-        clipped_delays=clip,
+    Converged counts as stable.  An undecided probe gets its step budget
+    doubled once; if it stays undecided the search raises
+    ``UndecidedAtProbe`` rather than guess.
+    """
+    _check_rel_tol(rel_tol)
+
+    def stable(eta: float) -> bool:
+        for steps in (probe_steps, 2 * probe_steps):
+            status = run(eta, steps)
+            if status != UNDECIDED:
+                return status == CONVERGED
+        raise UndecidedAtProbe(
+            f"probe at eta = {eta!r} still undecided after {steps} steps",
+            eta=eta,
+            max_steps=steps,
+        )
+
+    # A probe can only be classified if its slowest mode moves within the
+    # budget; near eta = 0 the decay rate is about eta * a per step, so the
+    # doubling phase starts where classification costs a tenth of the budget.
+    start_eta_a = 10.0 * math.log(1.0 / decay_factor) / probe_steps
+    eta_lo, eta_hi = _bisect_eta(stable, a, rel_tol, start_eta_a=start_eta_a)
+    return ThresholdResult(
+        eta_star=0.5 * (eta_lo + eta_hi),
+        method=METHOD_SIMULATION,
+        bracket=(eta_lo, eta_hi),
+        tolerance=rel_tol,
+        variant=variant,
+        m=m,
+        a=a,
+        delay=delay,
+        max_root_residual=math.nan,
     )
 
 
@@ -594,48 +547,22 @@ def empirical_threshold(
     undecided probe gets its step budget doubled once; if it stays
     undecided the search raises ``UndecidedAtProbe`` rather than guess.
     """
-    _check_rel_tol(rel_tol)
     if isinstance(delay, int):
         delay = DelayModel.constant(delay)
-    a = problem.sharpness()
 
-    def stable(eta: float) -> bool:
-        steps = probe_steps
-        for _ in range(2):
-            cfg = SimConfig(
-                optimizer=OptimizerSpec(variant, eta, m),
-                delay=delay,
-                max_steps=steps,
-                blowup_factor=blowup_factor,
-                decay_factor=decay_factor,
-                init="top_eigvec",
-            )
-            verdict = simulate_expectation(problem, cfg)
-            if verdict.status != UNDECIDED:
-                return verdict.status == CONVERGED
-            steps *= 2
-        raise UndecidedAtProbe(
-            f"probe at eta = {eta!r} still undecided after {steps // 2} steps",
-            eta=eta,
-            max_steps=steps // 2,
+    def run(eta, steps):
+        cfg = SimConfig(
+            optimizer=OptimizerSpec(variant, eta, m),
+            delay=delay,
+            max_steps=steps,
+            blowup_factor=blowup_factor,
+            decay_factor=decay_factor,
+            init="top_eigvec",
         )
+        return simulate_expectation(problem, cfg).status
 
-    # A probe can only be classified if its slowest mode moves within the
-    # budget; near eta = 0 the decay rate is about eta * a per step, so the
-    # doubling phase starts where classification costs a tenth of the budget.
-    start_eta_a = 10.0 * math.log(1.0 / decay_factor) / probe_steps
-    eta_lo, eta_hi = _bisect_eta(stable, a, rel_tol, start_eta_a=start_eta_a)
-    return ThresholdResult(
-        eta_star=0.5 * (eta_lo + eta_hi),
-        method=METHOD_SIMULATION,
-        bracket=(eta_lo, eta_hi),
-        tolerance=rel_tol,
-        variant=variant,
-        m=m,
-        a=a,
-        delay=delay,
-        max_root_residual=math.nan,
-    )
+    return _simulated_threshold(run, problem.sharpness(), variant, m, delay,
+                                rel_tol, probe_steps, decay_factor)
 
 
 @dataclass(frozen=True)

@@ -12,29 +12,31 @@ simulator bit for bit, not merely to tolerance.
 Velocity placement follows the structural split between the two momentum
 flavors: the standard variant keeps one central buffer at the server, the
 shifted variant gives every worker its own.
+
+The event loop advances a block of steps at a time, and the simulators'
+verdict tracker judges each block by the rule ``simulate_expectation``
+states.  A block may step past the verdict; nothing past the verdict step
+is reported, neither norms, states, applied delays nor clipped draws.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .charpoly import DelayModel, OptimizerSpec
 from .dynamics import (
-    CONVERGED,
-    DIVERGED,
     PROBE_STEPS,
-    UNDECIDED,
     QuadraticProblem,
+    SimConfig,
     SimVerdict,
     _initial_vector,
-    _freeze_states,
-    SimConfig,
+    _simulated_threshold,
+    _track,
 )
-from .errors import UndecidedAtProbe
-from .stability import METHOD_SIMULATION, ThresholdResult, _bisect_eta, _check_rel_tol
+from .stability import ThresholdResult
 
 
 @dataclass(frozen=True)
@@ -95,19 +97,6 @@ class PSRun:
         return self.verdict.clipped_delays
 
 
-def _ps_verdict(status, escape, mag, n0, t, states, clip) -> SimVerdict:
-    amp = mag / n0 if math.isfinite(mag) else math.inf
-    return SimVerdict(
-        status=status,
-        escape_step=escape,
-        amplification=amp,
-        steps=t,
-        trace=None,
-        states=_freeze_states(states),
-        clipped_delays=clip,
-    )
-
-
 def run_ps(
     problem: QuadraticProblem,
     scheduler: RoundRobin | SampledDelay,
@@ -127,10 +116,10 @@ def run_ps(
     ``"sgd"`` a uniformly drawn component per step (components required;
     ``seed`` drives the draws).  The shifted variant needs per-worker
     velocity buffers and therefore a worker scheduler: combining it with
-    ``SampledDelay`` raises.  Verdict rules are those of the simulators:
-    diverged past ``blowup_factor`` times the initial distance, converged
-    after ``tau_max + 2`` consecutive steps below ``decay_factor`` times it,
-    else undecided.
+    ``SampledDelay`` raises.  Verdict rules are those of
+    ``simulate_expectation``, with a window of ``max_delay + 2`` steps.
+    Runs are evaluated in blocks of steps; nothing past the verdict step is
+    reported, and all draws are made up front for ``steps`` steps.
     """
     if mode not in ("expectation", "sgd"):
         raise ValueError("mode must be 'expectation' or 'sgd'")
@@ -156,14 +145,31 @@ def run_ps(
     )
     y0 = _initial_vector(problem, cfg_probe)
 
+    n_slots, slots, draws = _schedule(scheduler, steps)
     if mode == "expectation" and problem.d == 1:
-        return _run_ps_scalar(
-            problem, scheduler, optimizer, steps, float(y0[0]),
-            blowup_factor, decay_factor, record_states,
-        )
-    return _run_ps_vector(
-        problem, scheduler, optimizer, steps, y0, seed, mode,
-        blowup_factor, decay_factor, record_states,
+        # plain floats: the threshold searches run here
+        y0 = float(y0[0])
+        n0, h, mats = abs(y0), float(problem.hessian[0, 0]), None
+    else:
+        n0, h = float(np.linalg.norm(y0)), None
+        if mode == "sgd":
+            C = problem.components
+            picks = np.random.default_rng(seed).integers(0, C.shape[0], size=steps)
+            mats = map(C.__getitem__, picks)
+        else:
+            mats = repeat(problem.hessian)
+    verdict, norms = _track(
+        _event_loop(optimizer, y0, n_slots, slots, h, mats), y0, n0, scheduler.max_delay + 2,
+        steps, blowup_factor, decay_factor, every=1, keep_states=record_states, draws=draws,
+    )
+    t = verdict.steps
+    applied = np.minimum(scheduler.max_delay if draws is None else draws[:t], np.arange(t))
+    return PSRun(
+        scheduler=scheduler,
+        steps=t,
+        applied_delays=tuple(applied.tolist()),
+        norms=tuple(norms),
+        verdict=verdict,
     )
 
 
@@ -173,192 +179,72 @@ def _sample_delays(scheduler: SampledDelay, steps: int) -> np.ndarray:
     return rng.choice(np.array(pmf.delays), size=steps, p=np.array(pmf.probs))
 
 
-def _run_ps_scalar(problem, scheduler, opt, steps, y0, blowup, decay, record_states):
-    """1-D expectation-mode loop on plain floats (threshold searches live here)."""
-    h = float(problem.hessian[0, 0])
+def _schedule(scheduler, steps):
+    """Snapshot slots, the slots a block of steps reads and writes, and any draws.
+
+    ``slots(t, n)`` gives, for steps ``t + 1 .. t + n``, the snapshot each
+    step reads and the one it overwrites.  Round robin keeps one snapshot
+    per worker: at step ``t`` worker ``(t - 1) % W`` applies the gradient
+    taken at its snapshot, then re-snapshots.  Sampled delays keep a ring of
+    the last ``max_delay + 2`` central states and read the one ``k`` steps
+    back, clipped to the start.
+    """
+    if isinstance(scheduler, RoundRobin):
+        W = scheduler.n_workers
+
+        def slots(t, n):
+            workers = (np.arange(t, t + n) % W).tolist()
+            return workers, workers
+
+        return W, slots, None
+    draws = _sample_delays(scheduler, steps)
+    L = scheduler.max_delay + 2
+
+    def slots(t, n):
+        elapsed = np.arange(t, t + n)
+        back = np.minimum(draws[t:t + n], elapsed)
+        return ((elapsed - back) % L).tolist(), ((elapsed + 1) % L).tolist()
+
+    return L, slots, draws
+
+
+def _event_loop(opt: OptimizerSpec, y0, n_slots: int, slots, h, mats):
+    """Block step function of the server's event loop.
+
+    Each step reads a snapshot, applies the gradient taken there and writes
+    the new central state to a snapshot, as ``slots`` directs.  1-D
+    expectation runs pass the curvature ``h`` and step on plain floats;
+    otherwise ``mats`` yields each step's matrix.  Standard momentum keeps
+    one central velocity, the shifted variant one per worker.
+    """
     eta, m = opt.eta, opt.m
     variant = opt.variant
     ce = eta * (1.0 - m)
-    n0 = abs(y0)
-    hi = blowup * n0
-    lo = decay * n0
-    window = scheduler.max_delay + 2
+    zero = 0.0 if mats is None else np.zeros_like(y0)
+    snaps = [y0] * n_slots
+    svel = [zero] * n_slots
+    v, y, t = zero, y0, 0
 
-    applied: list[int] = []
-    norms = [n0]
-    states = [y0] if record_states else None
-    status = UNDECIDED
-    escape = None
-    run = 0
-    clip = 0
-    y = y0
-    mag = n0
-    t = 0
-
-    if isinstance(scheduler, RoundRobin):
-        W = scheduler.n_workers
-        snaps = [y0] * W            # dispatch-time snapshot per worker
-        v = 0.0                     # central velocity (standard momentum)
-        svel = [0.0] * W            # per-worker velocities (shifted)
-        for t in range(1, steps + 1):
-            w = (t - 1) % W
-            g = h * snaps[w]
+    def advance(n):
+        nonlocal v, y, t
+        new = []
+        for r, w in zip(*slots(t, n)):
+            g = h * snaps[r] if mats is None else next(mats) @ snaps[r]
             if variant == "plain":
                 y = y - eta * g
             elif variant == "momentum":
                 v = m * v - ce * g
                 y = y + v
             else:
-                vw = m * svel[w] - ce * g
-                svel[w] = vw
+                vw = m * svel[r] - ce * g
+                svel[r] = vw
                 y = y + vw
-            snaps[w] = y            # re-snapshot right after own update
-            applied.append(min(W - 1, t - 1))
-            mag = abs(y)
-            norms.append(mag)
-            if states is not None:
-                states.append(y)
-            if not mag <= hi:
-                status, escape = DIVERGED, t
-                break
-            if mag < lo:
-                run += 1
-                if run >= window:
-                    status = CONVERGED
-                    break
-            else:
-                run = 0
-    else:
-        draws = _sample_delays(scheduler, steps)
-        L = scheduler.max_delay + 2
-        buf = [y0] * L
-        v = 0.0
-        for t in range(1, steps + 1):
-            k = int(draws[t - 1])
-            if k > t - 1:
-                k = t - 1
-                clip += 1
-            g = h * buf[(t - 1 - k) % L]
-            if variant == "plain":
-                y = y - eta * g
-            else:  # momentum with the central buffer
-                v = m * v - ce * g
-                y = y + v
-            buf[t % L] = y
-            applied.append(k)
-            mag = abs(y)
-            norms.append(mag)
-            if states is not None:
-                states.append(y)
-            if not mag <= hi:
-                status, escape = DIVERGED, t
-                break
-            if mag < lo:
-                run += 1
-                if run >= window:
-                    status = CONVERGED
-                    break
-            else:
-                run = 0
-
-    verdict = _ps_verdict(status, escape, mag, n0, t, states, clip)
-    return PSRun(
-        scheduler=scheduler,
-        steps=t,
-        applied_delays=tuple(applied),
-        norms=tuple(norms),
-        verdict=verdict,
-    )
-
-
-def _run_ps_vector(problem, scheduler, opt, steps, y0, seed, mode, blowup, decay, record_states):
-    H = problem.hessian
-    eta, m = opt.eta, opt.m
-    variant = opt.variant
-    ce = eta * (1.0 - m)
-    n0 = float(np.linalg.norm(y0))
-    hi = blowup * n0
-    lo = decay * n0
-    window = scheduler.max_delay + 2
-    scalar = problem.d == 1
-
-    if mode == "sgd":
-        C = problem.components
-        picks = np.random.default_rng(seed).integers(0, C.shape[0], size=steps)
-    else:
-        C = picks = None
-
-    applied: list[int] = []
-    norms = [n0]
-    states = [y0] if record_states else None
-    status = UNDECIDED
-    escape = None
-    run = 0
-    clip = 0
-    y = y0
-    mag = n0
-    t = 0
-
-    round_robin = isinstance(scheduler, RoundRobin)
-    if round_robin:
-        W = scheduler.n_workers
-        snaps = [y0] * W
-        svel = [np.zeros_like(y0)] * W
-    else:
-        draws = _sample_delays(scheduler, steps)
-        L = scheduler.max_delay + 2
-        buf = [y0] * L
-    v = np.zeros_like(y0)
-
-    for t in range(1, steps + 1):
-        if round_robin:
-            w = (t - 1) % W
-            y_del = snaps[w]
-            k = min(W - 1, t - 1)
-        else:
-            k = int(draws[t - 1])
-            if k > t - 1:
-                k = t - 1
-                clip += 1
-            y_del = buf[(t - 1 - k) % L]
-        g = (C[int(picks[t - 1])] if C is not None else H) @ y_del
-        if variant == "plain":
-            y = y - eta * g
-        elif variant == "momentum":
-            v = m * v - ce * g
-            y = y + v
-        else:
-            vw = m * svel[w] - ce * g
-            svel[w] = vw
-            y = y + vw
-        if round_robin:
             snaps[w] = y
-        else:
-            buf[t % L] = y
-        applied.append(k)
-        mag = abs(float(y[0])) if scalar else float(np.sqrt(y @ y))
-        norms.append(mag)
-        if states is not None:
-            states.append(y)
-        if not mag <= hi:
-            status, escape = DIVERGED, t
-            break
-        if mag < lo:
-            run += 1
-            if run >= window:
-                status = CONVERGED
-                break
-        else:
-            run = 0
+            new.append(y)
+        t += n
+        return new
 
-    verdict = _ps_verdict(status, escape, mag, n0, t, states, clip)
-    return PSRun(
-        scheduler=scheduler,
-        steps=t,
-        applied_delays=tuple(applied),
-        norms=tuple(norms),
-        verdict=verdict,
-    )
+    return advance
 
 
 def ps_empirical_threshold(
@@ -377,47 +263,24 @@ def ps_empirical_threshold(
     doubles its step budget once, then raises ``UndecidedAtProbe``.
     Expectation-mode gradients keep the predicate deterministic.
     """
-    _check_rel_tol(rel_tol)
-    a = problem.sharpness()
 
-    def stable(eta: float) -> bool:
-        steps = probe_steps
-        for _ in range(2):
-            run = run_ps(
-                problem,
-                scheduler,
-                OptimizerSpec(variant, eta, m),
-                steps,
-                mode="expectation",
-                blowup_factor=blowup_factor,
-                decay_factor=decay_factor,
-            )
-            if run.verdict.status != UNDECIDED:
-                return run.verdict.status == CONVERGED
-            steps *= 2
-        raise UndecidedAtProbe(
-            f"probe at eta = {eta!r} still undecided after {steps // 2} steps",
-            eta=eta,
-            max_steps=steps // 2,
-        )
+    def run(eta, steps):
+        return run_ps(
+            problem,
+            scheduler,
+            OptimizerSpec(variant, eta, m),
+            steps,
+            mode="expectation",
+            blowup_factor=blowup_factor,
+            decay_factor=decay_factor,
+        ).verdict.status
 
-    start_eta_a = 10.0 * math.log(1.0 / decay_factor) / probe_steps
-    eta_lo, eta_hi = _bisect_eta(stable, a, rel_tol, start_eta_a=start_eta_a)
     if isinstance(scheduler, RoundRobin):
         delay = DelayModel.constant(scheduler.n_workers - 1)
     else:
         delay = scheduler.pmf
-    return ThresholdResult(
-        eta_star=0.5 * (eta_lo + eta_hi),
-        method=METHOD_SIMULATION,
-        bracket=(eta_lo, eta_hi),
-        tolerance=rel_tol,
-        variant=variant,
-        m=m,
-        a=a,
-        delay=delay,
-        max_root_residual=math.nan,
-    )
+    return _simulated_threshold(run, problem.sharpness(), variant, m, delay,
+                                rel_tol, probe_steps, decay_factor)
 
 
 def delay_histogram(run: PSRun) -> tuple[tuple[int, float], ...]:

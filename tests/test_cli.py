@@ -156,10 +156,11 @@ class TestSimulate:
     def test_out_below_a_file_is_a_one_line_error(self, capsys, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")
-        rc, _, err = run_cli(capsys, "simulate", "--a", "1.0", "--eta", "0.1",
-                             "--tau", "2", "--out", str(blocker / "x"))
+        rc, out, err = run_cli(capsys, "simulate", "--a", "1.0", "--eta", "0.1",
+                               "--tau", "2", "--out", str(blocker / "x"))
         assert rc == 1
         assert err.startswith("error:") and err.count("\n") == 1
+        assert out == ""
 
     def test_manifest_replay_is_byte_identical(self, capsys, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -279,6 +280,15 @@ class TestPs:
         rc, _, err = run_cli(capsys, "ps", "--pmf", "uniform:1,3", "--a", "1.0",
                              "--eta", "0.05", "--variant", "shifted", "--m", "0.5")
         assert rc == 2
+
+    def test_out_below_a_file_is_a_one_line_error(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc, out, err = run_cli(capsys, "ps", "--workers", "3", "--a", "1.0", "--eta", "0.1",
+                               "--steps", "300", "--out", str(blocker / "x"))
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert out == ""
 
     def test_replay_reproduces_sampled_run(self, capsys, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"

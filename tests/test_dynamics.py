@@ -158,6 +158,15 @@ class TestVerdicts:
         assert v.amplification > 1e299
         assert v.escape_step == v.steps
 
+    def test_huge_blowup_line_on_a_vector_run_warns_nothing(self):
+        # the norm overflows at the verdict step, and the block steps on past
+        # it; pytest turns any RuntimeWarning into an error
+        cfg = SimConfig(OptimizerSpec("momentum", 3.0, 0.5), 2, max_steps=5000,
+                        blowup_factor=1e300)
+        v = simulate_expectation(QuadraticProblem.diagonal([1.0, 0.5]), cfg)
+        assert v.status == DIVERGED
+        assert (v.escape_step, v.steps, v.amplification) == (962, 962, math.inf)
+
     def test_trace_thinning(self):
         cfg = SimConfig(OptimizerSpec("plain", 0.1), 2, max_steps=100,
                         record_trace=True, record_every=10)
