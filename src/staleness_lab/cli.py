@@ -27,11 +27,11 @@ from . import __version__
 from .charpoly import DelayModel, OptimizerSpec, char_poly, pmf_discrete_gaussian, pmf_uniform
 from .dynamics import (
     DIVERGED,
-    MAX_STEPS_FLOOR,
     UNDECIDED,
     QuadraticProblem,
     SimConfig,
     SimVerdict,
+    default_max_steps,
     escape_time_curve,
     simulate_expectation,
 )
@@ -350,9 +350,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if eta == 0.0:
         # Zero step size moves nothing: report the degenerate run directly
         # instead of forcing it through types that (rightly) demand eta > 0.
-        steps = int(cfg["steps"]) if cfg["steps"] is not None else max(
-            100 * (delay.max_delay + 1), MAX_STEPS_FLOOR
-        )
+        steps = int(cfg["steps"]) if cfg["steps"] is not None else default_max_steps(delay.max_delay)
         verdict = SimVerdict(UNDECIDED, None, 1.0, steps, trace=((0, 1.0), (steps, 1.0)))
     else:
         sim_cfg = SimConfig(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import islice, repeat
+from itertools import islice
 
 import numpy as np
 
@@ -159,7 +159,7 @@ class QuadraticProblem:
 class SimConfig:
     """Knobs for one simulation run.
 
-    ``max_steps=None`` resolves to ``max(100 * (tau_max + 1), 100_000)``.
+    ``max_steps=None`` resolves to ``default_max_steps(tau_max)``.
     ``init`` picks the starting offset: the top eigenvector of the hessian
     (excites the mode that loses stability first) or a seeded random unit
     vector.  Trace and state recording are off by default; ``record_every``
@@ -196,7 +196,12 @@ class SimConfig:
     def resolved_max_steps(self) -> int:
         if self.max_steps is not None:
             return self.max_steps
-        return max(100 * (self.delay.max_delay + 1), MAX_STEPS_FLOOR)
+        return default_max_steps(self.delay.max_delay)
+
+
+def default_max_steps(max_delay: int) -> int:
+    """Step budget of a run that names none: ``max(100 * (max_delay + 1), 100_000)``."""
+    return max(100 * (max_delay + 1), MAX_STEPS_FLOOR)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,28 +241,20 @@ def _initial_vector(problem: QuadraticProblem, config: SimConfig) -> np.ndarray:
     return v / float(np.linalg.norm(v))
 
 
-def _freeze_states(states: list | None) -> np.ndarray | None:
-    if states is None:
-        return None
-    arr = np.asarray(states, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    arr.setflags(write=False)
-    return arr
-
-
-def _norms(block: list) -> np.ndarray:
+def _norms(block) -> np.ndarray:
     """Distances from the minimum of a block of states.
 
-    One-element arrays use ``|y[0]|``, the 1-D expression, so sampled and
+    The block is stacked, and each distance is ``Y[:, None, :] @ Y[:, :, None]``,
+    which makes the same dot-product call as ``y @ y`` on one state.
+    One-element states use ``|y[0]|``, the 1-D expression, so sampled and
     expectation runs cross the verdict lines on the same steps.
     """
-    first = block[0]
-    if isinstance(first, float):
-        return np.abs(block)
-    if first.shape == (1,):
-        return np.abs([y[0] for y in block])
-    return np.sqrt([y @ y for y in block])
+    Y = np.asarray(block)
+    if Y.ndim == 1:
+        return np.abs(Y)
+    if Y.shape[1] == 1:
+        return np.abs(Y[:, 0])
+    return np.sqrt((Y[:, None, :] @ Y[:, :, None]).reshape(-1))
 
 
 def _track(advance, y0, n0, window, max_steps, blowup_factor, decay_factor,
@@ -269,13 +266,15 @@ def _track(advance, y0, n0, window, max_steps, blowup_factor, decay_factor,
     verdict rule is the one ``simulate_expectation`` states, with ``n0`` the
     initial distance; the steps a block ran past its verdict are dropped
     from everything returned.  ``keep_states`` keeps every state in the
-    verdict, and ``draws`` are the sampled delays of a run that clips those
-    longer than the elapsed steps.  Returns the verdict and the distances at steps 0, ``every``,
-    ``2 * every``, ... and at the last step (``None`` when ``every`` is 0).
+    verdict.  ``draws`` lists the arrays of sampled delays, in step order, of
+    a run that clips those longer than the elapsed steps; the list may grow
+    while the run goes.  Returns the verdict and the distances at steps 0,
+    ``every``, ``2 * every``, ... and at the last step (``None`` when
+    ``every`` is 0).
     """
     hi = blowup_factor * n0
     lo = decay_factor * n0
-    states = [y0] if keep_states else None
+    states = [np.reshape(y0, (1, -1))] if keep_states else None
     norms = [n0] if every else None
     status, escape = UNDECIDED, None
     carry = 0  # steps below lo at the end of the last block
@@ -299,7 +298,7 @@ def _track(advance, y0, n0, window, max_steps, blowup_factor, decay_factor,
                     status, escape = DIVERGED, t + n
             carry = int(run[n - 1])
             if states is not None:
-                states.extend(block[:n])
+                states.append(np.reshape(block[:n], (n, -1)))
             if norms is not None:
                 norms.extend(mags[(-1 - t) % every:n:every].tolist())
             mag = float(mags[n - 1])
@@ -307,13 +306,19 @@ def _track(advance, y0, n0, window, max_steps, blowup_factor, decay_factor,
             size = min(2 * size, BLOCK_CAP)
     if norms is not None and t % every:
         norms.append(mag)
+    if states is not None:
+        states = np.concatenate(states)
+        states.setflags(write=False)
+    clipped = 0
+    if draws is not None:
+        clipped = int(np.count_nonzero(np.concatenate(draws)[:t] > np.arange(t)))
     verdict = SimVerdict(
         status=status,
         escape_step=escape,
         amplification=mag / n0 if math.isfinite(mag) else math.inf,
         steps=t,
-        states=_freeze_states(states),
-        clipped_delays=0 if draws is None else int(np.count_nonzero(draws[:t] > np.arange(t))),
+        states=states,
+        clipped_delays=clipped,
     )
     return verdict, norms
 
@@ -344,7 +349,10 @@ def simulate_expectation(problem: QuadraticProblem, config: SimConfig) -> SimVer
     (non-finite states count), converged on the step that completes
     ``tau_max + 2`` consecutive steps below ``decay_factor`` times it,
     otherwise undecided at ``max_steps``.  Runs are evaluated in blocks of
-    steps; nothing past the verdict step is reported.
+    steps; nothing past the verdict step is reported.  1-D runs step on
+    plain floats; at d > 1 a run steps in blocks of ``min_delay + 1``
+    steps, whose gradients are one stacked matvec, bit-identical to
+    stepping with ``H @ s``.
     """
     y0 = _initial_vector(problem, config)
     opt, delay = config.optimizer, config.delay
@@ -352,12 +360,8 @@ def simulate_expectation(problem: QuadraticProblem, config: SimConfig) -> SimVer
         y = float(y0[0])
         advance = _scalar_steps(float(problem.hessian[0, 0]), y, opt, delay)
         return _simulate(config, advance, y, abs(y))
-    keep = delay.max_delay + 1
-    if delay.is_constant:
-        advance = _vector_steps(y0, opt, keep, repeat(problem.hessian), repeat(delay.tau))
-    else:
-        pairs = [(-1 - k, p) for k, p in zip(delay.delays, delay.probs)]
-        advance = _vector_steps(y0, opt, keep, repeat(problem.hessian), repeat(0), pairs)
+    H = problem.hessian
+    advance = _block_steps(y0, opt, delay, lambda t, e: H)
     return _simulate(config, advance, y0, float(np.linalg.norm(y0)))
 
 
@@ -413,47 +417,69 @@ def _scalar_steps(h: float, y0: float, opt: OptimizerSpec, delay: DelayModel):
     return advance
 
 
-def _vector_steps(y0: np.ndarray, opt: OptimizerSpec, keep: int, mats, delays, pairs=None):
+def _block_steps(y0: np.ndarray, opt: OptimizerSpec, delay: DelayModel, mats, lags=None):
     """Block step function on arrays, for the expectation and sampled dynamics.
 
-    Step ``t`` takes the next matrix from ``mats`` and applies it to the
-    state the next value of ``delays`` steps back, or, given ``pairs`` of
-    (negative history index, probability), to the probability-weighted
-    stale state.  ``hist`` holds the last ``keep`` states.
+    Steps go in blocks of ``min_delay + 1``, so every state a block reads
+    exists before it starts, and its gradients are one stacked matvec,
+    ``np.matmul(M, S[:, :, None])``.  ``mats(t, e)`` gives ``M`` for steps
+    ``t + 1 .. e``: the hessian, or the components drawn for those steps.
+    A step's stale state is the one ``delay.tau`` steps back, the
+    probability-weighted state over the pmf, or, given per-step ``lags``,
+    the one ``lags[t]`` steps back.  Plain and shifted then take their
+    states from one ``np.subtract.accumulate`` or ``np.add.accumulate``;
+    momentum keeps its per-step velocity recurrence.  Each element is the
+    rounded result of the per-step update, so the run is bit-identical to
+    stepping with ``H @ s``.
     """
     eta, m = opt.eta, opt.m
     ce = eta * (1.0 - m)
     variant = opt.variant
-    hist = [y0] * keep
-    vel = [np.zeros_like(y0)] * keep
-    v = vel[0]
-    feed = zip(mats, delays)
+    keep = delay.max_delay + 1
+    span = delay.delays[0] + 1
+    pairs = None if delay.is_constant or lags is not None else list(zip(delay.delays, delay.probs))
+    hist = np.tile(y0, (keep, 1))  # the last keep states, oldest first
+    vel = np.zeros_like(hist)  # shifted: the velocity is read with the delay too
+    v = vel[-1]
+    t = 0
 
     def advance(n):
-        nonlocal v
-        y = hist[-1]
-        for mat, k in islice(feed, n):
-            if pairs is None:
-                stale = hist[-1 - k]
+        nonlocal hist, vel, v, t
+        # row keep + j holds the state after step t + j + 1, which reads
+        # row keep - 1 + j - lag
+        Y = np.concatenate((hist, np.empty((n, hist.shape[1]))))
+        V = np.concatenate((vel, np.empty_like(Y[keep:]))) if variant == "shifted" else None
+        for s in range(0, n, span):
+            e = min(s + span, n)
+            if pairs is not None:
+                S = None
+                for k, p in pairs:
+                    term = p * Y[keep - 1 - k + s:keep - 1 - k + e]
+                    S = term if S is None else S + term
             else:
-                stale = None
-                for i, p in pairs:
-                    term = p * hist[i]
-                    stale = term if stale is None else stale + term
-            g = mat @ stale
+                if lags is None:
+                    rows = slice(keep - 1 - delay.tau + s, keep - 1 - delay.tau + e)
+                else:
+                    rows = np.arange(keep - 1 + s, keep - 1 + e) - lags[t + s:t + e]
+                S = Y[rows]
+            G = np.matmul(mats(t + s, t + e), S[:, :, None])[:, :, 0]
+            new = Y[keep - 1 + s:keep + e]  # the state before the block, then its states
             if variant == "plain":
-                y = y - eta * g
-            elif variant == "momentum":
-                v = m * v - ce * g
-                y = y + v
+                np.multiply(eta, G, out=new[1:])
+                np.subtract.accumulate(new, axis=0, out=new)
+                continue
+            if variant == "momentum":
+                for j, cg in enumerate(ce * G, 1):
+                    v = m * v - cg
+                    new[j] = v
             else:
-                v = m * vel[-1 - k] - ce * g
-                vel.append(v)
-                y = y + v
-            hist.append(y)
-        new = hist[keep:]
-        del hist[:-keep], vel[:-keep]
-        return new
+                new[1:] = V[keep + s:keep + e] = m * V[rows] - ce * G
+            np.add.accumulate(new, axis=0, out=new)
+        hist = Y[n:]
+        if V is not None:
+            vel = V[n:]
+        t += n
+        return Y[keep:]
 
     return advance
 
@@ -465,10 +491,12 @@ def simulate_sgd(problem: QuadraticProblem, config: SimConfig, seed: int = 0) ->
     stale state.  The delay is the configured constant, or drawn per step
     from the pmf; a drawn delay longer than the elapsed steps is clipped to
     the initial point and counted in ``clipped_delays``.  ``seed`` drives
-    the gradient and delay draws (``config.seed`` only the random init),
-    all drawn up front for ``max_steps`` steps.  With all components equal
-    the trajectory reproduces ``simulate_expectation`` exactly, arithmetic
-    included.
+    the gradient and delay draws (``config.seed`` only the random init).
+    Both come from one generator and are drawn up front for ``max_steps``
+    steps.  The run steps in blocks of ``min_delay + 1`` steps, each block's
+    gradients one stacked matvec over its drawn components, at any
+    dimension.  With all components equal the trajectory reproduces
+    ``simulate_expectation`` exactly, arithmetic included.
     """
     if problem.components is None:
         raise ValueError("simulate_sgd needs a problem with components")
@@ -479,14 +507,13 @@ def simulate_sgd(problem: QuadraticProblem, config: SimConfig, seed: int = 0) ->
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, C.shape[0], size=max_steps)
     if delay.is_constant:
-        delays, draws = repeat(delay.tau), None
+        lags, draws = None, None
     else:
         draws = rng.choice(np.array(delay.delays), size=max_steps, p=np.array(delay.probs))
-        delays = iter(np.minimum(draws, np.arange(max_steps)).tolist())
+        lags, draws = np.minimum(draws, np.arange(max_steps)), [draws]
 
     y0 = _initial_vector(problem, config)
-    mats = map(C.__getitem__, picks)
-    advance = _vector_steps(y0, config.optimizer, delay.max_delay + 1, mats, delays)
+    advance = _block_steps(y0, config.optimizer, delay, lambda t, e: C[picks[t:e]], lags)
     return _simulate(config, advance, y0, float(np.linalg.norm(y0)), draws)
 
 

@@ -119,7 +119,10 @@ def run_ps(
     ``SampledDelay`` raises.  Verdict rules are those of
     ``simulate_expectation``, with a window of ``max_delay + 2`` steps.
     Runs are evaluated in blocks of steps; nothing past the verdict step is
-    reported, and all draws are made up front for ``steps`` steps.
+    reported.  The event loop takes one step at a time at any dimension.  A
+    ``SampledDelay`` draws its delays one block at a time, the same draws as
+    one draw for all ``steps``, so a run that ends early draws only what it
+    stepped; sgd-mode component picks are drawn up front for ``steps`` steps.
     """
     if mode not in ("expectation", "sgd"):
         raise ValueError("mode must be 'expectation' or 'sgd'")
@@ -145,7 +148,7 @@ def run_ps(
     )
     y0 = _initial_vector(problem, cfg_probe)
 
-    n_slots, slots, draws = _schedule(scheduler, steps)
+    n_slots, slots, draws = _schedule(scheduler)
     if mode == "expectation" and problem.d == 1:
         # plain floats: the threshold searches run here
         y0 = float(y0[0])
@@ -163,7 +166,8 @@ def run_ps(
         steps, blowup_factor, decay_factor, every=1, keep_states=record_states, draws=draws,
     )
     t = verdict.steps
-    applied = np.minimum(scheduler.max_delay if draws is None else draws[:t], np.arange(t))
+    drawn = scheduler.max_delay if draws is None else np.concatenate(draws)[:t]
+    applied = np.minimum(drawn, np.arange(t))
     return PSRun(
         scheduler=scheduler,
         steps=t,
@@ -173,13 +177,7 @@ def run_ps(
     )
 
 
-def _sample_delays(scheduler: SampledDelay, steps: int) -> np.ndarray:
-    rng = np.random.default_rng(scheduler.seed)
-    pmf = scheduler.pmf
-    return rng.choice(np.array(pmf.delays), size=steps, p=np.array(pmf.probs))
-
-
-def _schedule(scheduler, steps):
+def _schedule(scheduler):
     """Snapshot slots, the slots a block of steps reads and writes, and any draws.
 
     ``slots(t, n)`` gives, for steps ``t + 1 .. t + n``, the snapshot each
@@ -187,7 +185,9 @@ def _schedule(scheduler, steps):
     per worker: at step ``t`` worker ``(t - 1) % W`` applies the gradient
     taken at its snapshot, then re-snapshots.  Sampled delays keep a ring of
     the last ``max_delay + 2`` central states and read the one ``k`` steps
-    back, clipped to the start.
+    back, clipped to the start.  Their delays are drawn one block at a time
+    and appended to ``draws``; one generator continues across the blocks,
+    so the draws are those of a single draw for the whole run.
     """
     if isinstance(scheduler, RoundRobin):
         W = scheduler.n_workers
@@ -197,12 +197,15 @@ def _schedule(scheduler, steps):
             return workers, workers
 
         return W, slots, None
-    draws = _sample_delays(scheduler, steps)
+    rng = np.random.default_rng(scheduler.seed)
+    support, probs = np.array(scheduler.pmf.delays), np.array(scheduler.pmf.probs)
+    draws = []
     L = scheduler.max_delay + 2
 
     def slots(t, n):
+        draws.append(rng.choice(support, size=n, p=probs))
         elapsed = np.arange(t, t + n)
-        back = np.minimum(draws[t:t + n], elapsed)
+        back = np.minimum(draws[-1], elapsed)
         return ((elapsed - back) % L).tolist(), ((elapsed + 1) % L).tolist()
 
     return L, slots, draws
@@ -289,12 +292,12 @@ def delay_histogram(run: PSRun) -> tuple[tuple[int, float], ...]:
     Round-robin runs drop the first ``W - 1`` entries: that is the warm-up
     ramp 0, 1, ..., W-2 before the cycle reaches its steady delay, and it
     would otherwise smear the point mass the scheduler is meant to realize.
+    A run that ends inside the warm-up has no steady-state delays, and its
+    histogram is empty.
     """
     delays = run.applied_delays
     if isinstance(run.scheduler, RoundRobin):
         delays = delays[run.scheduler.n_workers - 1:]
-    if not delays:
-        raise ValueError("run too short for a histogram")
     counts: dict[int, int] = {}
     for k in delays:
         counts[k] = counts.get(k, 0) + 1

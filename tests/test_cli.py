@@ -269,6 +269,17 @@ class TestPs:
         # run may stop early on convergence; rows cover steps 0..run.steps
         assert len(traj) == verdict["steps"] + 2
 
+    def test_run_diverging_in_the_warm_up_is_reported(self, capsys, tmp_path):
+        out = tmp_path / "ps"
+        rc, stdout, err = run_cli(capsys, "ps", "--workers", "5", "--a", "1", "--eta", "1e6",
+                                  "--out", str(out))
+        assert rc == 0 and err == ""
+        assert stdout.startswith("diverged at step 2 ")
+        # no steady-state delay was applied before the verdict
+        assert (out / "delays.csv").read_text() == "delay,frequency\n"
+        assert (out / "trajectory.csv").read_text().count("\n") == 4
+        assert json.loads((out / "verdict.json").read_text())["status"] == "diverged"
+
     def test_workers_xor_pmf(self, capsys):
         rc, _, _ = run_cli(capsys, "ps", "--a", "1.0", "--eta", "0.1")
         assert rc == 2

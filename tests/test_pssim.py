@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,11 @@ class TestHistogram:
         tv += 0.5 * sum(f for k, f in hist.items() if k not in (1, 2, 3, 4))
         assert tv <= 0.02
 
+    def test_run_ending_in_the_warm_up_has_an_empty_histogram(self):
+        run = run_ps(_scalar(), RoundRobin(5), OptimizerSpec("plain", 1e6), 100)
+        assert run.verdict.escape_step == 2
+        assert delay_histogram(run) == ()
+
     def test_histogram_frequencies_sum_to_one(self):
         sched = SampledDelay(pmf_uniform(1, 9), seed=5)
         run = run_ps(_scalar(), sched, OptimizerSpec("plain", 1e-3), 5000)
@@ -120,6 +126,22 @@ class TestSampledDelayMechanics:
         b = run_ps(_scalar(), SampledDelay(pmf_uniform(1, 6), seed=2),
                    OptimizerSpec("plain", 0.01), 2000)
         assert a.applied_delays != b.applied_delays
+
+    def test_draws_only_the_blocks_the_run_steps(self):
+        # converges at step 557; drawn up front, two million delays would
+        # take 16 MB for the draws and as much for the uniforms behind them
+        sched = SampledDelay(pmf_uniform(1, 16))
+        tracemalloc.start()
+        try:
+            run = run_ps(_scalar(), sched, OptimizerSpec("plain", 0.02), 2_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run.verdict.status == CONVERGED and run.steps == 557
+        assert peak < 2_000_000
+        short = run_ps(_scalar(), sched, OptimizerSpec("plain", 0.02), 600)
+        assert short.applied_delays == run.applied_delays
+        assert short.norms == run.norms
 
     def test_early_draws_clipped_and_counted(self):
         sched = SampledDelay(pmf_uniform(5, 8), seed=0)
