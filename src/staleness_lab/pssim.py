@@ -32,6 +32,7 @@ from .dynamics import (
     QuadraticProblem,
     SimConfig,
     SimVerdict,
+    _float_block,
     _initial_vector,
     _simulated_threshold,
     _track,
@@ -119,10 +120,35 @@ def run_ps(
     ``SampledDelay`` raises.  Verdict rules are those of
     ``simulate_expectation``, with a window of ``max_delay + 2`` steps.
     Runs are evaluated in blocks of steps; nothing past the verdict step is
-    reported.  The event loop takes one step at a time at any dimension.  A
-    ``SampledDelay`` draws its delays one block at a time, the same draws as
-    one draw for all ``steps``, so a run that ends early draws only what it
-    stepped; sgd-mode component picks are drawn up front for ``steps`` steps.
+    reported.  The event loop takes one step at a time at any dimension; 1-D
+    expectation runs take it on plain floats.  A ``SampledDelay``'s delays
+    and sgd-mode component picks are drawn one block at a time, each from
+    one generator that continues across the blocks: the same draws as one
+    draw for all ``steps``, so a run that ends early draws only what it
+    stepped.
+    """
+    verdict, norms, draws = _track_ps(
+        problem, scheduler, optimizer, steps, seed, mode, blowup_factor, decay_factor,
+        init, init_seed, record_states, every=1,
+    )
+    t = verdict.steps
+    drawn = scheduler.max_delay if draws is None else np.concatenate(draws)[:t]
+    applied = np.minimum(drawn, np.arange(t))
+    return PSRun(
+        scheduler=scheduler,
+        steps=t,
+        applied_delays=tuple(applied.tolist()),
+        norms=tuple(norms),
+        verdict=verdict,
+    )
+
+
+def _track_ps(problem, scheduler, optimizer, steps, seed, mode, blowup_factor, decay_factor,
+              init="top_eigvec", init_seed=0, record_states=False, every=0):
+    """Check a ``run_ps`` request and track its event loop to the verdict.
+
+    Returns the verdict, the distances every ``every`` steps (``None`` when
+    ``every`` is 0, as for threshold probes) and the sampled delays drawn.
     """
     if mode not in ("expectation", "sgd"):
         raise ValueError("mode must be 'expectation' or 'sgd'")
@@ -152,29 +178,25 @@ def run_ps(
     if mode == "expectation" and problem.d == 1:
         # plain floats: the threshold searches run here
         y0 = float(y0[0])
-        n0, h, mats = abs(y0), float(problem.hessian[0, 0]), None
+        n0 = abs(y0)
+        advance = _float_loop(optimizer, y0, n_slots, slots, float(problem.hessian[0, 0]))
     else:
-        n0, h = float(np.linalg.norm(y0)), None
+        n0 = float(np.linalg.norm(y0))
         if mode == "sgd":
             C = problem.components
-            picks = np.random.default_rng(seed).integers(0, C.shape[0], size=steps)
-            mats = map(C.__getitem__, picks)
+            rng = np.random.default_rng(seed)
+
+            def mats(n):
+                return map(C.__getitem__, rng.integers(0, C.shape[0], size=n))
         else:
-            mats = repeat(problem.hessian)
+            def mats(n):
+                return repeat(problem.hessian, n)
+        advance = _event_loop(optimizer, y0, n_slots, slots, mats)
     verdict, norms = _track(
-        _event_loop(optimizer, y0, n_slots, slots, h, mats), y0, n0, scheduler.max_delay + 2,
-        steps, blowup_factor, decay_factor, every=1, keep_states=record_states, draws=draws,
+        advance, y0, n0, scheduler.max_delay + 2, steps, blowup_factor, decay_factor,
+        every=every, keep_states=record_states, draws=draws,
     )
-    t = verdict.steps
-    drawn = scheduler.max_delay if draws is None else np.concatenate(draws)[:t]
-    applied = np.minimum(drawn, np.arange(t))
-    return PSRun(
-        scheduler=scheduler,
-        steps=t,
-        applied_delays=tuple(applied.tolist()),
-        norms=tuple(norms),
-        verdict=verdict,
-    )
+    return verdict, norms, draws
 
 
 def _schedule(scheduler):
@@ -211,19 +233,18 @@ def _schedule(scheduler):
     return L, slots, draws
 
 
-def _event_loop(opt: OptimizerSpec, y0, n_slots: int, slots, h, mats):
-    """Block step function of the server's event loop.
+def _event_loop(opt: OptimizerSpec, y0, n_slots: int, slots, mats):
+    """Block step function of the server's event loop, on state vectors.
 
     Each step reads a snapshot, applies the gradient taken there and writes
-    the new central state to a snapshot, as ``slots`` directs.  1-D
-    expectation runs pass the curvature ``h`` and step on plain floats;
-    otherwise ``mats`` yields each step's matrix.  Standard momentum keeps
+    the new central state to a snapshot, as ``slots`` directs; ``mats(n)``
+    yields the matrices of the next ``n`` steps.  Standard momentum keeps
     one central velocity, the shifted variant one per worker.
     """
     eta, m = opt.eta, opt.m
     variant = opt.variant
     ce = eta * (1.0 - m)
-    zero = 0.0 if mats is None else np.zeros_like(y0)
+    zero = np.zeros_like(y0)
     snaps = [y0] * n_slots
     svel = [zero] * n_slots
     v, y, t = zero, y0, 0
@@ -231,8 +252,8 @@ def _event_loop(opt: OptimizerSpec, y0, n_slots: int, slots, h, mats):
     def advance(n):
         nonlocal v, y, t
         new = []
-        for r, w in zip(*slots(t, n)):
-            g = h * snaps[r] if mats is None else next(mats) @ snaps[r]
+        for r, w, M in zip(*slots(t, n), mats(n)):
+            g = M @ snaps[r]
             if variant == "plain":
                 y = y - eta * g
             elif variant == "momentum":
@@ -246,6 +267,50 @@ def _event_loop(opt: OptimizerSpec, y0, n_slots: int, slots, h, mats):
             new.append(y)
         t += n
         return new
+
+    return advance
+
+
+def _float_loop(opt: OptimizerSpec, y0: float, n_slots: int, slots, h: float):
+    """Block step function of a 1-D expectation run's event loop, on plain floats.
+
+    The steps of ``_event_loop`` with the curvature ``h`` for the matrix,
+    written out flat for each variant over local variables; the update
+    expressions are the same.  Threshold searches run millions of these
+    steps.  A block's states go to the tracker as one float64 array.
+    """
+    eta, m = opt.eta, opt.m
+    variant = opt.variant
+    ce = eta * (1.0 - m)
+    snaps = [y0] * n_slots
+    svel = [0.0] * n_slots
+    last_y, last_v, t = y0, 0.0, 0
+
+    def advance(n):
+        nonlocal last_y, last_v, t
+        y, v = last_y, last_v
+        new = []
+        steps = zip(*slots(t, n))
+        if variant == "plain":
+            for r, w in steps:
+                y = y - eta * (h * snaps[r])
+                snaps[w] = y
+                new.append(y)
+        elif variant == "momentum":
+            for r, w in steps:
+                v = m * v - ce * (h * snaps[r])
+                y = y + v
+                snaps[w] = y
+                new.append(y)
+        else:
+            for r, w in steps:
+                vw = m * svel[r] - ce * (h * snaps[r])
+                svel[r] = vw
+                y = y + vw
+                snaps[w] = y
+                new.append(y)
+        last_y, last_v, t = y, v, t + n
+        return _float_block(new)
 
     return advance
 
@@ -264,19 +329,16 @@ def ps_empirical_threshold(
 
     Same probe protocol as the simulator-based search: an undecided probe
     doubles its step budget once, then raises ``UndecidedAtProbe``.
-    Expectation-mode gradients keep the predicate deterministic.
+    Expectation-mode gradients keep the predicate deterministic.  A probe
+    is a ``run_ps`` run that records no norms or applied delays, since
+    only its verdict is read.
     """
 
     def run(eta, steps):
-        return run_ps(
-            problem,
-            scheduler,
-            OptimizerSpec(variant, eta, m),
-            steps,
-            mode="expectation",
-            blowup_factor=blowup_factor,
-            decay_factor=decay_factor,
-        ).verdict.status
+        verdict, _, _ = _track_ps(problem, scheduler, OptimizerSpec(variant, eta, m), steps,
+                                  seed=0, mode="expectation", blowup_factor=blowup_factor,
+                                  decay_factor=decay_factor)
+        return verdict.status
 
     if isinstance(scheduler, RoundRobin):
         delay = DelayModel.constant(scheduler.n_workers - 1)

@@ -149,8 +149,13 @@ def _bisect_eta(
     eta_lo = None
     while True:
         if eta * a > cap:
+            if eta_lo is None:
+                raise NoThreshold(
+                    f"the first probe, eta*a = {eta * a:.3g}, is past the cap eta*a = {cap:.3g}"
+                )
             raise NoThreshold(
-                f"still stable at eta*a = {eta * a:.3g}; no boundary below the cap"
+                f"still stable at eta*a = {eta_lo * a:.3g}, and the next probe would pass "
+                f"the cap eta*a = {cap:.3g}; no boundary below the cap"
             )
         if stable(eta):
             eta_lo = eta

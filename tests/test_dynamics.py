@@ -21,7 +21,7 @@ from staleness_lab.dynamics import (
     simulate_expectation,
     simulate_sgd,
 )
-from staleness_lab.errors import NoConvergence, UndecidedAtProbe
+from staleness_lab.errors import NoConvergence, NoThreshold, UndecidedAtProbe
 from staleness_lab.stability import METHOD_SIMULATION, analytic_threshold_plain
 
 
@@ -232,6 +232,17 @@ class TestEmpiricalThreshold:
             empirical_threshold(QuadraticProblem([[1.0]]), "plain", 16,
                                 rel_tol=1e-7, probe_steps=2000)
         assert ei.value.max_steps == 4000  # the probe was doubled once
+
+    def test_cap_error_names_the_last_stable_probe(self):
+        # momentum 0.9 at delay 0 turns unstable at eta*a = 38; the last
+        # probe below the cap is 9.05, the next would be 18.1
+        with pytest.raises(NoThreshold, match=r"still stable at eta\*a = 9\.05, .*"
+                           r"the cap eta\*a = 16\b"):
+            empirical_threshold(QuadraticProblem([[1.0]]), "momentum", 0, m=0.9)
+
+    def test_cap_error_when_the_first_probe_is_past_it(self):
+        with pytest.raises(NoThreshold, match=r"first probe, eta\*a = 138, is past the cap"):
+            empirical_threshold(QuadraticProblem([[1.0]]), "plain", 0, probe_steps=1)
 
     @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1.0])
     def test_rejects_bad_rel_tol_before_any_probe(self, monkeypatch, rel_tol):

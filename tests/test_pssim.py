@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from staleness_lab import pssim
+from staleness_lab import dynamics, pssim
 from staleness_lab.charpoly import DelayModel, OptimizerSpec, pmf_uniform
 from staleness_lab.dynamics import (
     CONVERGED,
@@ -12,6 +12,7 @@ from staleness_lab.dynamics import (
     SimConfig,
     simulate_expectation,
 )
+from staleness_lab.errors import NoThreshold
 from staleness_lab.pssim import (
     RoundRobin,
     SampledDelay,
@@ -161,6 +162,36 @@ class TestSampledDelayMechanics:
         assert run.verdict.status == CONVERGED
 
 
+class TestSgdPicks:
+    def _components(self):
+        return QuadraticProblem(np.diag([1.0, 0.4]),
+                                components=[np.diag([1.6, 0.4]), np.diag([0.4, 0.4])])
+
+    def test_draws_only_the_blocks_the_run_steps(self):
+        # converges at step 53; drawn up front, three million picks would
+        # take 24 MB
+        opt = OptimizerSpec("plain", 0.5)
+        short = run_ps(self._components(), RoundRobin(2), opt, 10_000, seed=1, mode="sgd")
+        tracemalloc.start()
+        try:
+            run = run_ps(self._components(), RoundRobin(2), opt, 3_000_000, seed=1, mode="sgd")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run.verdict.status == CONVERGED and run.steps == 53
+        assert peak < 2_000_000
+        assert short.norms == run.norms
+
+    def test_picks_drawn_in_pieces_equal_one_draw(self):
+        # what the per-block picks rely on: one generator continuing across
+        # draws gives the values of a single draw
+        whole = np.random.default_rng(5).integers(0, 3, size=1000)
+        rng = np.random.default_rng(5)
+        cuts = [0, 1, 2, 5, 17, 64, 300, 301, 1000]
+        pieces = [rng.integers(0, 3, size=b - a) for a, b in zip(cuts, cuts[1:])]
+        np.testing.assert_array_equal(np.concatenate(pieces), whole)
+
+
 class TestValidation:
     def test_round_robin_needs_enough_steps(self):
         with pytest.raises(ValueError):
@@ -183,6 +214,7 @@ class TestPsThreshold:
     @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1.0])
     def test_rejects_bad_rel_tol_before_any_probe(self, monkeypatch, rel_tol):
         monkeypatch.setattr(pssim, "run_ps", None)
+        monkeypatch.setattr(pssim, "_track_ps", None)
         with pytest.raises(ValueError, match="rel_tol"):
             ps_empirical_threshold(_scalar(), RoundRobin(4), "plain", rel_tol=rel_tol)
 
@@ -194,3 +226,33 @@ class TestPsThreshold:
         # a single sampled-delay path wanders around the expectation path,
         # so agreement is loose but should stay within a few percent
         assert abs(r.eta_star - want) / want <= 0.10
+
+    @pytest.mark.parametrize("scheduler,variant,m", [
+        (RoundRobin(2), "plain", 0.0),
+        (RoundRobin(5), "plain", 0.0),
+        (RoundRobin(5), "shifted", 0.5),
+        (SampledDelay(pmf_uniform(1, 6), seed=3), "plain", 0.0),
+    ])
+    def test_status_only_probes_match_recorded_runs(self, scheduler, variant, m):
+        # the search's probes record nothing; the same bisection driven
+        # through run_ps with everything recorded must bracket the same
+        problem = _scalar()
+        probes = []
+
+        def run(eta, steps):
+            full = run_ps(problem, scheduler, OptimizerSpec(variant, eta, m), steps,
+                          record_states=True)
+            probes.append(eta)
+            return full.verdict.status
+
+        delay = getattr(scheduler, "pmf", DelayModel.constant(scheduler.max_delay))
+        want = dynamics._simulated_threshold(run, 1.0, variant, m, delay, 0.02, 20_000, 1e-6)
+        got = ps_empirical_threshold(problem, scheduler, variant, m, probe_steps=20_000)
+        assert got.bracket == want.bracket
+        assert len(probes) > 10
+
+    def test_cap_error_names_the_last_stable_probe(self):
+        # momentum 0.9 at delay 0 turns unstable at eta*a = 38, past the cap
+        with pytest.raises(NoThreshold, match=r"still stable at eta\*a = 9\.05, .*"
+                           r"the cap eta\*a = 16\b"):
+            ps_empirical_threshold(_scalar(), RoundRobin(1), "momentum", m=0.9)
