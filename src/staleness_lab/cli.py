@@ -8,9 +8,11 @@ emulation), ``plot`` (CSV to SVG), ``verify`` (self-check suite).
 Exit codes: 0 success, 1 numeric or verification failure, 2 usage error.
 Configuration precedence is flags over ``--config`` JSON over defaults; the
 environment variable ``STALENESS_LAB_SEED`` replaces the default seed only.
-Data-producing commands write a manifest listing the resolved configuration
-and every output file; feeding a manifest back through ``--config``
-reproduces the outputs byte for byte.
+Each flag is declared once, in ``FLAGS``, and a config value goes through
+its flag's type and choices: it is accepted exactly when the same text would
+be accepted as the flag.  Data-producing commands write a manifest listing
+the resolved configuration and every output file; feeding a manifest back
+through ``--config`` reproduces the outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .charpoly import DelayModel, OptimizerSpec, char_poly, pmf_discrete_gaussian, pmf_uniform
@@ -31,7 +35,6 @@ from .dynamics import (
     QuadraticProblem,
     SimConfig,
     SimVerdict,
-    default_max_steps,
     escape_time_curve,
     simulate_expectation,
 )
@@ -43,6 +46,30 @@ from .svgchart import render_line_chart
 
 SEED_ENV = "STALENESS_LAB_SEED"
 VARIANTS = ("plain", "momentum", "shifted")
+
+# Every flag of the config-driven commands, with its argparse keywords.  The
+# config key is the flag's name with underscores for dashes.
+FLAGS = {
+    "workers": dict(type=int, help="round-robin worker count"),
+    "variant": dict(choices=VARIANTS, help="update rule"),
+    "m": dict(type=float, help="momentum coefficient"),
+    "tau": dict(help="constant delay N; threshold also takes N,M,... or LO..HI"),
+    "pmf": dict(help="delay pmf, uniform:LO,HI or gauss:MU"),
+    "a": dict(type=float, help="curvature (sharpness)"),
+    "spectrum": dict(help="comma-separated eigenvalues"),
+    "eta": dict(type=float, help="step size"),
+    "etas": dict(help="comma-separated step sizes (ascending)"),
+    "eta_range": dict(help="LO:HI:COUNT"),
+    "rel_tol": dict(type=float, help="bracket width relative to its midpoint"),
+    "steps": dict(type=int, help="step budget"),
+    "blowup": dict(type=float, help="divergence threshold on the distance ratio"),
+    "decay": dict(type=float, help="convergence threshold on the distance ratio"),
+    "init": dict(choices=("top_eigvec", "random_unit"), help="starting offset"),
+    "seed": dict(type=int, help=f"random seed (default: ${SEED_ENV}, else 0)"),
+    "record_every": dict(type=int, help="keep every Nth trace row"),
+    "out": dict(help="output: CSV path (threshold, escape-curve) or directory (simulate, ps)"),
+    "svg": dict(help="also render the curve to this SVG"),
+}
 
 
 class CliUsage(Exception):
@@ -63,12 +90,16 @@ def _env_seed() -> int:
         raise CliUsage(f"{SEED_ENV} must be an integer, got {raw!r}") from None
 
 
-def _load_config(path: str | None, command: str) -> dict | None:
+def _load_config(path: str | None, command: str) -> dict:
+    """The JSON object in ``path``, or the configuration of the manifest there.
+
+    Numbers keep their JSON text, so each reaches its flag's type as typed.
+    """
     if path is None:
-        return None
+        return {}
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=str, parse_float=str, parse_constant=str)
     except OSError as exc:
         raise CliUsage(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -85,35 +116,49 @@ def _load_config(path: str | None, command: str) -> dict | None:
     return data
 
 
-def _merge(defaults: dict, config: dict | None, args: argparse.Namespace) -> dict:
-    """flags > config file > defaults.
+def _config_value(key: str, text: str):
+    """Convert a config value as its flag would convert the same text."""
+    flag = FLAGS[key]
+    convert = flag.get("type", str)
+    try:
+        val = convert(text)
+    except ValueError:
+        raise CliUsage(f"config key {key!r}: invalid {convert.__name__} value: {text!r}") from None
+    if "choices" in flag and val not in flag["choices"]:
+        raise CliUsage(f"config key {key!r}: invalid choice: {text!r} "
+                       f"(choose from {', '.join(flag['choices'])})")
+    return val
+
+
+def _configure(command: str, args: argparse.Namespace) -> dict:
+    """flags > config file > defaults, every value typed by its flag.
 
     Unknown config keys are an error, and so is a config value that no flag
     could have given: anything but a number or a string, or a null where the
     default is not null.
     """
-    merged = dict(defaults)
-    if config:
-        unknown = sorted(set(config) - set(defaults))
-        if unknown:
-            raise CliUsage(f"unknown config key(s): {', '.join(unknown)}")
-        for key, val in config.items():
-            if val is None:
-                if defaults[key] is not None:
-                    raise CliUsage(f"config key {key!r} must not be null")
-            elif isinstance(val, bool) or not isinstance(val, (int, float, str)):
-                raise CliUsage(f"config key {key!r} must be a number or a string, "
-                               f"not {json.dumps(val)}")
-        merged.update(config)
-    for key in defaults:
-        val = getattr(args, key, None)
+    cfg = {key: val() if callable(val) else val for key, val in COMMANDS[command].defaults.items()}
+    config = _load_config(args.config, command)
+    unknown = sorted(set(config) - set(cfg))
+    if unknown:
+        raise CliUsage(f"unknown config key(s): {', '.join(unknown)}")
+    for key, val in config.items():
+        if isinstance(val, str):
+            cfg[key] = _config_value(key, val)
+        elif val is not None:
+            kind = {bool: "true or false", list: "an array", dict: "an object"}[type(val)]
+            raise CliUsage(f"config key {key!r} must be a number or a string, not {kind}")
+        elif cfg[key] is not None:
+            raise CliUsage(f"config key {key!r} must not be null")
+    for key in cfg:
+        val = getattr(args, key)
         if val is not None:
-            merged[key] = val
-    return merged
+            cfg[key] = val
+    return cfg
 
 
 def _parse_tau_values(text: str) -> list[int]:
-    text = str(text).strip()
+    text = text.strip()
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
@@ -130,7 +175,7 @@ def _parse_tau_values(text: str) -> list[int]:
 
 
 def _parse_pmf(text: str) -> DelayModel:
-    kind, _, rest = str(text).partition(":")
+    kind, _, rest = text.partition(":")
     try:
         if kind == "uniform":
             lo, hi = rest.split(",")
@@ -143,38 +188,41 @@ def _parse_pmf(text: str) -> DelayModel:
 
 
 def _require(cfg: dict, key: str, flag: str):
-    if cfg.get(key) is None:
+    if cfg[key] is None:
         raise CliUsage(f"{flag} is required")
     return cfg[key]
 
 
-def _check_variant(cfg: dict) -> str:
-    if cfg["variant"] not in VARIANTS:
-        raise CliUsage(f"variant must be one of {', '.join(VARIANTS)}")
-    return cfg["variant"]
+def _delays(cfg: dict) -> list[DelayModel]:
+    if (cfg["tau"] is None) == (cfg["pmf"] is None):
+        raise CliUsage("provide exactly one of --tau / --pmf")
+    if cfg["pmf"] is not None:
+        return [_parse_pmf(cfg["pmf"])]
+    return [DelayModel.constant(tau) for tau in _parse_tau_values(cfg["tau"])]
 
 
 def _single_delay(cfg: dict) -> DelayModel:
-    if (cfg.get("tau") is None) == (cfg.get("pmf") is None):
-        raise CliUsage("provide exactly one of --tau / --pmf")
-    if cfg.get("tau") is not None:
-        taus = _parse_tau_values(cfg["tau"])
-        if len(taus) != 1:
-            raise CliUsage("this command takes a single --tau value")
-        return DelayModel.constant(taus[0])
-    return _parse_pmf(cfg["pmf"])
+    delays = _delays(cfg)
+    if len(delays) != 1:
+        raise CliUsage("this command takes a single --tau value")
+    return delays[0]
+
+
+def _curvature(cfg: dict) -> float:
+    a = _require(cfg, "a", "--a")
+    if a <= 0:
+        raise CliUsage("--a must be positive")
+    return a
 
 
 def _build_problem(cfg: dict) -> QuadraticProblem:
-    a, spectrum = cfg.get("a"), cfg.get("spectrum")
-    if (a is None) == (spectrum is None):
+    if (cfg["a"] is None) == (cfg["spectrum"] is None):
         raise CliUsage("provide exactly one of --a / --spectrum")
-    if a is not None:
-        if float(a) <= 0:
-            raise CliUsage("--a must be positive")
-        return QuadraticProblem([[float(a)]])
+    if cfg["a"] is not None:
+        return QuadraticProblem([[_curvature(cfg)]])
+    spectrum = cfg["spectrum"]
     try:
-        vals = [float(p) for p in str(spectrum).split(",") if p.strip() != ""]
+        vals = [float(p) for p in spectrum.split(",") if p.strip() != ""]
     except ValueError:
         raise CliUsage(f"cannot parse spectrum {spectrum!r}") from None
     if not vals:
@@ -250,25 +298,13 @@ def _report(verdict: SimVerdict, command: str, cfg: dict, seeds: dict,
 
 # ---------------------------------------------------------------- threshold
 
-def cmd_threshold(args: argparse.Namespace) -> int:
-    defaults = {
-        "variant": "plain", "m": 0.0, "a": None, "tau": None, "pmf": None,
-        "rel_tol": 1e-8, "out": None, "svg": None,
-    }
-    cfg = _merge(defaults, _load_config(args.config, "threshold"), args)
-    variant = _check_variant(cfg)
-    a = float(_require(cfg, "a", "--a"))
-    if a <= 0:
-        raise CliUsage("--a must be positive")
-    if (cfg["tau"] is None) == (cfg["pmf"] is None):
-        raise CliUsage("provide exactly one of --tau / --pmf")
-    delays = (
-        _parse_tau_values(cfg["tau"]) if cfg["tau"] is not None
-        else [_parse_pmf(cfg["pmf"])]
-    )
+def cmd_threshold(cfg: dict, args: argparse.Namespace) -> int:
+    variant = cfg["variant"]
+    a = _curvature(cfg)
+    delays = _delays(cfg)
 
     t0 = time.time()
-    curve = threshold_curve(variant, a, delays, m=float(cfg["m"]), rel_tol=float(cfg["rel_tol"]))
+    curve = threshold_curve(variant, a, delays, m=cfg["m"], rel_tol=cfg["rel_tol"])
     failed = [r for r in curve.rows if r.result is None]
     for r in failed:
         print(f"row x={r.x:g} failed: {r.error}", file=sys.stderr)
@@ -303,16 +339,13 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------------- roots
 
-def cmd_roots(args: argparse.Namespace) -> int:
-    defaults = {"variant": "plain", "m": 0.0, "a": None, "eta": None, "tau": None, "pmf": None}
-    cfg = _merge(defaults, _load_config(args.config, "roots"), args)
-    variant = _check_variant(cfg)
-    a = float(_require(cfg, "a", "--a"))
-    eta = float(_require(cfg, "eta", "--eta"))
+def cmd_roots(cfg: dict, args: argparse.Namespace) -> int:
+    a = _require(cfg, "a", "--a")
+    eta = _require(cfg, "eta", "--eta")
     if eta <= 0:
         raise CliUsage("--eta must be positive (the polynomial degenerates at 0)")
     delay = _single_delay(cfg)
-    poly = char_poly(OptimizerSpec(variant, eta, float(cfg["m"])), a, delay)
+    poly = char_poly(OptimizerSpec(cfg["variant"], eta, cfg["m"]), a, delay)
     rs = all_roots(poly)
     stable = rs.max_magnitude < 1.0
     if args.json:
@@ -332,69 +365,56 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------- simulate
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    defaults = {
-        "a": None, "spectrum": None, "variant": "plain", "m": 0.0, "eta": None,
-        "tau": None, "pmf": None, "steps": None, "blowup": 1e6, "decay": 1e-6,
-        "init": "top_eigvec", "seed": _env_seed(), "record_every": 1, "out": None,
-    }
-    cfg = _merge(defaults, _load_config(args.config, "simulate"), args)
-    variant = _check_variant(cfg)
+def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
     problem = _build_problem(cfg)
     delay = _single_delay(cfg)
-    eta = float(_require(cfg, "eta", "--eta"))
+    eta = _require(cfg, "eta", "--eta")
     if eta < 0:
         raise CliUsage("--eta must be non-negative")
     t0 = time.time()
 
+    # OptimizerSpec (rightly) demands eta > 0, so a zero step size is checked
+    # with every other setting under a stand-in eta; it moves nothing, and
+    # its run is reported directly.
+    sim_cfg = SimConfig(
+        optimizer=OptimizerSpec(cfg["variant"], eta or 1.0, cfg["m"]),
+        delay=delay,
+        max_steps=cfg["steps"],
+        blowup_factor=cfg["blowup"],
+        decay_factor=cfg["decay"],
+        init=cfg["init"],
+        seed=cfg["seed"],
+        record_every=cfg["record_every"],
+        record_trace=bool(cfg["out"]),
+    )
     if eta == 0.0:
-        # Zero step size moves nothing: report the degenerate run directly
-        # instead of forcing it through types that (rightly) demand eta > 0.
-        steps = int(cfg["steps"]) if cfg["steps"] is not None else default_max_steps(delay.max_delay)
+        steps = sim_cfg.resolved_max_steps()
         verdict = SimVerdict(UNDECIDED, None, 1.0, steps, trace=((0, 1.0), (steps, 1.0)))
     else:
-        sim_cfg = SimConfig(
-            optimizer=OptimizerSpec(variant, eta, float(cfg["m"])),
-            delay=delay,
-            max_steps=int(cfg["steps"]) if cfg["steps"] is not None else None,
-            blowup_factor=float(cfg["blowup"]),
-            decay_factor=float(cfg["decay"]),
-            init=cfg["init"],
-            seed=int(cfg["seed"]),
-            record_every=int(cfg["record_every"]),
-            record_trace=bool(cfg["out"]),
-        )
         verdict = simulate_expectation(problem, sim_cfg)
 
     files = {}
     if cfg["out"]:
         lines = ["step,norm"] + [f"{s},{n!r}" for s, n in verdict.trace]
         files["trace.csv"] = "\n".join(lines) + "\n"
-    return _report(verdict, "simulate", cfg, {"seed": int(cfg["seed"])}, files, t0)
+    return _report(verdict, "simulate", cfg, {"seed": cfg["seed"]}, files, t0)
 
 
 # ------------------------------------------------------------- escape-curve
 
-def cmd_escape_curve(args: argparse.Namespace) -> int:
-    defaults = {
-        "a": None, "spectrum": None, "variant": "plain", "m": 0.0,
-        "tau": None, "pmf": None, "etas": None, "eta_range": None,
-        "steps": None, "blowup": 1e6, "decay": 1e-6, "out": None,
-    }
-    cfg = _merge(defaults, _load_config(args.config, "escape-curve"), args)
-    variant = _check_variant(cfg)
+def cmd_escape_curve(cfg: dict, args: argparse.Namespace) -> int:
     problem = _build_problem(cfg)
     delay = _single_delay(cfg)
     if (cfg["etas"] is None) == (cfg["eta_range"] is None):
         raise CliUsage("provide exactly one of --etas / --eta-range")
     if cfg["etas"] is not None:
         try:
-            etas = [float(p) for p in str(cfg["etas"]).split(",") if p.strip() != ""]
+            etas = [float(p) for p in cfg["etas"].split(",") if p.strip() != ""]
         except ValueError:
             raise CliUsage(f"cannot parse --etas {cfg['etas']!r}") from None
     else:
         try:
-            lo_s, hi_s, n_s = str(cfg["eta_range"]).split(":")
+            lo_s, hi_s, n_s = cfg["eta_range"].split(":")
             lo, hi, n = float(lo_s), float(hi_s), int(n_s)
         except ValueError:
             raise CliUsage("--eta-range must look like LO:HI:COUNT") from None
@@ -404,9 +424,8 @@ def cmd_escape_curve(args: argparse.Namespace) -> int:
 
     t0 = time.time()
     curve = escape_time_curve(
-        problem, variant, delay, etas, m=float(cfg["m"]),
-        max_steps=int(cfg["steps"]) if cfg["steps"] is not None else None,
-        blowup_factor=float(cfg["blowup"]), decay_factor=float(cfg["decay"]),
+        problem, cfg["variant"], delay, etas, m=cfg["m"], max_steps=cfg["steps"],
+        blowup_factor=cfg["blowup"], decay_factor=cfg["decay"],
     )
     for eta, step in curve.rows:
         print(f"eta={eta!r}  escape_step={'-' if step is None else step}")
@@ -420,23 +439,17 @@ def cmd_escape_curve(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------------- ps
 
-def cmd_ps(args: argparse.Namespace) -> int:
-    defaults = {
-        "workers": None, "pmf": None, "a": None, "spectrum": None,
-        "variant": "plain", "m": 0.0, "eta": None, "steps": 10_000,
-        "blowup": 1e6, "decay": 1e-6, "seed": _env_seed(), "out": None,
-    }
-    cfg = _merge(defaults, _load_config(args.config, "ps"), args)
-    variant = _check_variant(cfg)
+def cmd_ps(cfg: dict, args: argparse.Namespace) -> int:
+    variant = cfg["variant"]
     problem = _build_problem(cfg)
-    eta = float(_require(cfg, "eta", "--eta"))
+    eta = _require(cfg, "eta", "--eta")
     if eta <= 0:
         raise CliUsage("--eta must be positive")
     if (cfg["workers"] is None) == (cfg["pmf"] is None):
         raise CliUsage("provide exactly one of --workers / --pmf")
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
     if cfg["workers"] is not None:
-        scheduler = RoundRobin(int(cfg["workers"]))
+        scheduler = RoundRobin(cfg["workers"])
     else:
         scheduler = SampledDelay(_parse_pmf(cfg["pmf"]), seed=seed)
     if variant == "shifted" and isinstance(scheduler, SampledDelay):
@@ -444,9 +457,9 @@ def cmd_ps(args: argparse.Namespace) -> int:
 
     t0 = time.time()
     run = run_ps(
-        problem, scheduler, OptimizerSpec(variant, eta, float(cfg["m"])),
-        int(cfg["steps"]), seed=seed, mode="expectation",
-        blowup_factor=float(cfg["blowup"]), decay_factor=float(cfg["decay"]),
+        problem, scheduler, OptimizerSpec(variant, eta, cfg["m"]),
+        cfg["steps"], seed=seed, mode="expectation",
+        blowup_factor=cfg["blowup"], decay_factor=cfg["decay"],
     )
     files = {}
     if cfg["out"]:
@@ -569,11 +582,41 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------------- main
 
-def _add_common_model_flags(p: argparse.ArgumentParser, tau_help: str) -> None:
-    p.add_argument("--variant", choices=VARIANTS, default=None)
-    p.add_argument("--m", type=float, default=None, help="momentum coefficient")
-    p.add_argument("--tau", default=None, help=tau_help)
-    p.add_argument("--pmf", default=None, help="delay pmf, uniform:LO,HI or gauss:MU")
+class Command(NamedTuple):
+    handler: Callable[[dict, argparse.Namespace], int]
+    help: str
+    # One entry per flag, in --help order; a callable default is resolved
+    # when the command runs.
+    defaults: dict
+    description: str | None = None
+
+
+_MODEL = {"variant": "plain", "m": 0.0, "tau": None, "pmf": None, "a": None}
+
+COMMANDS = {
+    "threshold": Command(cmd_threshold, "stability threshold across delays", {
+        **_MODEL, "rel_tol": 1e-8, "out": None, "svg": None,
+    }),
+    "roots": Command(cmd_roots, "characteristic roots at one operating point", {
+        **_MODEL, "eta": None,
+    }, description="Every root of the characteristic polynomial at one operating point. "
+       "Solve time grows about fivefold per doubling of the delay: about 4 s at "
+       "--tau 1000 and 18-21 s at --tau 2000 on a 2-core machine, so delays near "
+       "the 10000 limit take many minutes. Memory stays bounded."),
+    "simulate": Command(cmd_simulate, "run the delayed dynamics once", {
+        **_MODEL, "spectrum": None, "eta": None, "steps": None, "blowup": 1e6,
+        "decay": 1e-6, "init": "top_eigvec", "seed": _env_seed, "record_every": 1, "out": None,
+    }),
+    "escape-curve": Command(cmd_escape_curve, "escape step per step size", {
+        **_MODEL, "spectrum": None, "etas": None, "eta_range": None, "steps": None,
+        "blowup": 1e6, "decay": 1e-6, "out": None,
+    }),
+    "ps": Command(cmd_ps, "asynchronous parameter-server emulation", {
+        "workers": None, "pmf": None, "variant": "plain", "m": 0.0, "a": None,
+        "spectrum": None, "eta": None, "steps": 10_000, "blowup": 1e6, "decay": 1e-6,
+        "seed": _env_seed, "out": None,
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -584,72 +627,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("threshold", help="stability threshold across delays")
-    _add_common_model_flags(p, "constant delay(s): N, N,M,..., or LO..HI")
-    p.add_argument("--a", type=float, default=None, help="curvature (sharpness)")
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-    p.add_argument("--out", default=None, help="CSV output path")
-    p.add_argument("--svg", default=None, help="also render the curve to this SVG")
-    p.add_argument("--config", default=None, help="JSON config or manifest to replay")
-    p.set_defaults(func=cmd_threshold)
-
-    p = sub.add_parser(
-        "roots", help="characteristic roots at one operating point",
-        description="Every root of the characteristic polynomial at one operating point. "
-        "Solve time grows about fivefold per doubling of the delay: about 4 s at "
-        "--tau 1000 and 18-21 s at --tau 2000 on a 2-core machine, so delays near "
-        "the 10000 limit take many minutes. Memory stays bounded.",
-    )
-    _add_common_model_flags(p, "constant delay")
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_roots)
-
-    p = sub.add_parser("simulate", help="run the delayed dynamics once")
-    _add_common_model_flags(p, "constant delay")
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--spectrum", default=None, help="comma-separated eigenvalues")
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--blowup", type=float, default=None)
-    p.add_argument("--decay", type=float, default=None)
-    p.add_argument("--init", choices=("top_eigvec", "random_unit"), default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--record-every", dest="record_every", type=int, default=None)
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("escape-curve", help="escape step per step size")
-    _add_common_model_flags(p, "constant delay")
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--spectrum", default=None)
-    p.add_argument("--etas", default=None, help="comma-separated step sizes (ascending)")
-    p.add_argument("--eta-range", dest="eta_range", default=None, help="LO:HI:COUNT")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--blowup", type=float, default=None)
-    p.add_argument("--decay", type=float, default=None)
-    p.add_argument("--out", default=None, help="CSV output path")
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_escape_curve)
-
-    p = sub.add_parser("ps", help="asynchronous parameter-server emulation")
-    p.add_argument("--workers", type=int, default=None, help="round-robin worker count")
-    p.add_argument("--pmf", default=None, help="sampled-delay pmf")
-    p.add_argument("--variant", choices=VARIANTS, default=None)
-    p.add_argument("--m", type=float, default=None)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--spectrum", default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--blowup", type=float, default=None)
-    p.add_argument("--decay", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_ps)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, description=command.description)
+        for key in command.defaults:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, **FLAGS[key])
+        if name == "roots":
+            p.add_argument("--json", action="store_true", help="print the roots as JSON")
+        p.add_argument("--config", default=None, help="JSON config or manifest to replay")
 
     p = sub.add_parser("plot", help="render a CSV as a standalone SVG line chart")
     p.add_argument("csv", help="input CSV (first column is x)")
@@ -666,9 +650,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.command in COMMANDS:
+            return COMMANDS[args.command].handler(_configure(args.command, args), args)
         return args.func(args)
     except CliUsage as exc:
         print(f"usage error: {exc}", file=sys.stderr)

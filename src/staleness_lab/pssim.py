@@ -21,6 +21,7 @@ is reported, neither norms, states, applied delays nor clipped draws.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -360,8 +361,6 @@ def delay_histogram(run: PSRun) -> tuple[tuple[int, float], ...]:
     delays = run.applied_delays
     if isinstance(run.scheduler, RoundRobin):
         delays = delays[run.scheduler.n_workers - 1:]
-    counts: dict[int, int] = {}
-    for k in delays:
-        counts[k] = counts.get(k, 0) + 1
+    counts = Counter(delays)
     total = len(delays)
     return tuple((k, counts[k] / total) for k in sorted(counts))

@@ -49,7 +49,13 @@ class ThresholdResult:
     """A located stability boundary in step size.
 
     ``bracket`` is the final (stable, unstable) eta pair; ``eta_star`` is its
-    midpoint and ``hi - lo <= tolerance * eta_star`` holds on return.
+    midpoint and ``hi - lo <= tolerance * eta_star`` holds on return.  The
+    bracket is closed, and ``lo`` may lie on the boundary itself: at tau 0
+    the crossing value is exact and ``lo`` can land on it, with a root at
+    ``z = -1``.  From a polynomial, ``hi`` is certified unstable up to the
+    ``CERT_MARGIN`` (1e-12) radius slack of the winding count and up to the
+    rounding of the float coefficients: all its roots may still lie inside
+    the unit circle, one of them within 1e-12 of it.
     ``max_root_residual`` is the scaled residual ``|P(e^(i theta*))| / sum
     |c_k|`` of the crossing root at ``crossing_angle`` theta*; both are NaN
     when the boundary came from simulation, not the polynomial.

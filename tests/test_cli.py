@@ -131,6 +131,19 @@ class TestSimulate:
         assert "undecided" in out
         assert "amplification 1" in out
 
+    @pytest.mark.parametrize("extra", [
+        ["--steps", "-5"],
+        ["--steps", "0", "--out", "{tmp}/run"],
+        ["--blowup", "0.5", "--record-every", "0"],
+    ])
+    def test_zero_eta_is_validated_like_any_run(self, capsys, tmp_path, extra):
+        extra = [arg.replace("{tmp}", str(tmp_path)) for arg in extra]
+        rc, out, err = run_cli(capsys, "simulate", "--a", "1.0", "--eta", "0",
+                               "--tau", "4", *extra)
+        assert rc == 2
+        assert out == "" and err.startswith("usage error:")
+        assert not (tmp_path / "run").exists()
+
     def test_diverged_is_a_normal_result(self, capsys):
         eta = 1.5 * analytic_threshold_plain(1.0, 4)
         rc, out, _ = run_cli(capsys, "simulate", "--a", "1.0", "--eta", str(eta),
@@ -203,6 +216,89 @@ class TestSimulate:
         rc, _, err = run_cli(capsys, "ps", "--config", str(d1 / "manifest.json"))
         assert rc == 2
         assert "simulate" in err
+
+
+# Valid runs of each config-driven command, flag name (config key) -> flag
+# text; together they use every key.  "{d}" is the run's own directory.
+PARITY_RUNS = [
+    ("threshold", {"a": "1.5", "tau": "1..3", "variant": "momentum", "m": "0.5",
+                   "rel_tol": "1e-6", "out": "{d}/c.csv", "svg": "{d}/c.svg"}),
+    ("threshold", {"a": "1", "pmf": "uniform:1,4", "out": "{d}/c.csv"}),
+    ("roots", {"a": "0.3", "eta": "1.0", "tau": "2", "variant": "shifted", "m": "0.25"}),
+    ("roots", {"a": "1", "eta": "0.2", "pmf": "gauss:3"}),
+    ("simulate", {"spectrum": "1.0,0.5", "eta": "0.2", "tau": "3", "steps": "400",
+                  "blowup": "1e4", "decay": "1e-4", "init": "random_unit", "seed": "11",
+                  "record_every": "3", "out": "{d}/run"}),
+    ("simulate", {"a": "1", "eta": "0.2", "pmf": "uniform:1,4", "variant": "plain",
+                  "m": "0", "out": "{d}/run"}),
+    ("escape-curve", {"a": "1", "tau": "2", "eta_range": "0.3:0.6:3", "steps": "3000",
+                      "blowup": "1e4", "decay": "1e-4", "variant": "momentum", "m": "0.5",
+                      "out": "{d}/e.csv"}),
+    ("escape-curve", {"spectrum": "1,0.3", "pmf": "uniform:1,3", "etas": "0.2,0.4",
+                      "steps": "3000", "out": "{d}/e.csv"}),
+    ("ps", {"workers": "4", "spectrum": "1,0.5", "eta": "0.05", "variant": "shifted",
+            "m": "0.5", "steps": "2000", "blowup": "1e4", "decay": "1e-4", "out": "{d}/run"}),
+    ("ps", {"pmf": "gauss:3", "a": "1", "eta": "0.05", "seed": "6", "steps": "800",
+            "out": "{d}/run"}),
+]
+MANIFESTS = {"threshold": "c.csv.manifest.json", "escape-curve": "e.csv.manifest.json",
+             "simulate": "run/manifest.json", "ps": "run/manifest.json"}
+
+
+class TestConfig:
+    def _run(self, capsys, command, flags, config, d):
+        d.mkdir()
+        argv = [command]
+        for key, text in flags.items():
+            argv += ["--" + key.replace("_", "-"), text.replace("{d}", str(d))]
+        if config:
+            (d / "cfg.json").write_text(json.dumps(
+                {k: v.replace("{d}", str(d)) if isinstance(v, str) else v
+                 for k, v in config.items()}))
+            argv += ["--config", str(d / "cfg.json")]
+        rc, out, err = run_cli(capsys, *argv)
+        manifest = d / MANIFESTS[command] if command in MANIFESTS else None
+        return rc, out.replace(str(d), "D"), manifest and json.loads(manifest.read_text())["config"]
+
+    @pytest.mark.parametrize("command, flags, key", [
+        (command, flags, key) for command, flags in PARITY_RUNS for key in flags
+    ])
+    def test_config_value_equals_flag(self, capsys, tmp_path, command, flags, key):
+        try:  # a number where the text is one, as a hand-written config would have it
+            value = json.loads(flags[key])
+        except ValueError:
+            value = flags[key]
+        by_flag = self._run(capsys, command, flags, {}, tmp_path / "flag")
+        rest = {k: v for k, v in flags.items() if k != key}
+        by_config = self._run(capsys, command, rest, {key: value}, tmp_path / "config")
+        assert by_flag[0] == 0
+        assert by_config == by_flag
+
+    @pytest.mark.parametrize("command, bad", [
+        ("simulate", {"steps": 1.5}),
+        ("ps", {"workers": 2.7}),
+        ("simulate", {"record_every": 2.9}),
+        ("simulate", {"seed": 1.7}),
+        ("simulate", {"init": "bogus"}),
+        ("ps", {"variant": "bogus"}),
+    ])
+    def test_value_no_flag_accepts_is_usage_error(self, capsys, tmp_path, command, bad):
+        cfg = tmp_path / "cfg.json"
+        delay = {"workers": 3} if command == "ps" else {"tau": 2}
+        cfg.write_text(json.dumps({"a": 1, "eta": 0.1, **delay, **bad}))
+        rc, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert rc == 2
+        assert out == "" and err.startswith("usage error:") and repr(next(iter(bad))) in err
+
+    def test_manifest_stores_flag_typed_values(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"a": 1, "tau": 2}))
+        rc, _, _ = run_cli(capsys, "threshold", "--config", str(cfg),
+                           "--out", str(tmp_path / "c.csv"))
+        assert rc == 0
+        manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
+        assert manifest["config"]["a"] == 1.0 and isinstance(manifest["config"]["a"], float)
+        assert manifest["config"]["tau"] == "2"
 
 
 class TestSeedEnv:
