@@ -47,6 +47,18 @@ from .svgchart import render_line_chart
 SEED_ENV = "STALENESS_LAB_SEED"
 VARIANTS = ("plain", "momentum", "shifted")
 
+
+def _seed_value(text: str) -> int:
+    """A random seed: a non-negative integer, as numpy's generators take."""
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid seed {text!r}: must be a non-negative integer")
+
+
 # Every flag of the config-driven commands, with its argparse keywords.  The
 # config key is the flag's name with underscores for dashes.
 FLAGS = {
@@ -65,7 +77,7 @@ FLAGS = {
     "blowup": dict(type=float, help="divergence threshold on the distance ratio"),
     "decay": dict(type=float, help="convergence threshold on the distance ratio"),
     "init": dict(choices=("top_eigvec", "random_unit"), help="starting offset"),
-    "seed": dict(type=int, help=f"random seed (default: ${SEED_ENV}, else 0)"),
+    "seed": dict(type=_seed_value, help=f"random seed (default: ${SEED_ENV}, else 0)"),
     "record_every": dict(type=int, help="keep every Nth trace row"),
     "out": dict(help="output: CSV path (threshold, escape-curve) or directory (simulate, ps)"),
     "svg": dict(help="also render the curve to this SVG"),
@@ -85,9 +97,9 @@ def _env_seed() -> int:
     if raw is None:
         return 0
     try:
-        return int(raw)
-    except ValueError:
-        raise CliUsage(f"{SEED_ENV} must be an integer, got {raw!r}") from None
+        return _seed_value(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise CliUsage(f"{SEED_ENV}: {exc}") from None
 
 
 def _load_config(path: str | None, command: str) -> dict:
@@ -124,6 +136,8 @@ def _config_value(key: str, text: str):
         val = convert(text)
     except ValueError:
         raise CliUsage(f"config key {key!r}: invalid {convert.__name__} value: {text!r}") from None
+    except argparse.ArgumentTypeError as exc:
+        raise CliUsage(f"config key {key!r}: {exc}") from None
     if "choices" in flag and val not in flag["choices"]:
         raise CliUsage(f"config key {key!r}: invalid choice: {text!r} "
                        f"(choose from {', '.join(flag['choices'])})")

@@ -8,15 +8,16 @@ with a fixed phase, which keeps runs deterministic and keeps starting points
 off the real axis where conjugate pairs could trap them.
 
 ``all_roots_many`` solves a list of polynomials in batches: polynomials of the
-same shape (degree after stripping zero roots, plus the exponent set when the
-sparse evaluation applies) share each sweep as rows of a ``(k, deg)`` array,
-and a row leaves its batch as soon as it converges.  Batching is invisible in
-the results: every elementwise step does the same float operations on a row
-as on a lone polynomial, and every row sum runs along a contiguous axis of
-its own row, so each ``RootSet`` (roots, residuals and iteration count) is
-bit-identical to solving that polynomial alone.  The pairwise repulsion is
-built in blocks of at most ``PAIR_BLOCK`` complex elements, so memory stays
-bounded at any degree.  ``all_roots`` is the one-polynomial batch.
+same shape (degree after stripping zero roots, and whether the sparse
+evaluation applies) share each sweep as rows of a ``(k, deg)`` array, and a
+row leaves its batch as soon as it converges.  A sparse row keeps its own
+exponents.  Batching is invisible in the results: every elementwise step
+does the same float operations on a row as on a lone polynomial, and every
+row sum runs along a contiguous axis of its own row, so each ``RootSet``
+(roots, residuals and iteration count) is bit-identical to solving that
+polynomial alone.  The pairwise repulsion is built in blocks of at most
+``PAIR_BLOCK`` complex elements, so memory stays bounded at any degree.
+``all_roots`` is the one-polynomial batch.
 
 A companion-matrix eigensolve would do the same job; it is deliberately kept
 out of the library and used only as an independent cross-check in the tests.
@@ -45,9 +46,9 @@ RESIDUAL_FLOOR = 5e-14
 # a full Horner sweep; the delay polynomials have 3-4 terms at degree 100+.
 SPARSE_TERM_CUTOFF = 8
 
-# Most complex elements in one block of pairwise differences (16 MB); a
+# Most complex elements in one block of pairwise differences (2 MB); a
 # dense deg x deg block would take 1.6 GB at degree 10001.
-PAIR_BLOCK = 1 << 20
+PAIR_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -96,17 +97,25 @@ def _horner(cols: np.ndarray, z: np.ndarray, p: np.ndarray, dp: np.ndarray | Non
         np.add(p, coef, out=p)
 
 
-def _eval_sparse(exps: tuple[int, ...], terms: np.ndarray, z: np.ndarray):
-    """Value and derivative through explicit powers; ``terms[t]`` pairs ``exps[t]``."""
-    p = np.zeros_like(z)
+def _eval_sparse(exps: np.ndarray, has: np.ndarray, terms: np.ndarray, z: np.ndarray):
+    """Value and derivative through explicit powers, each row with its own terms.
+
+    ``exps``, ``has`` and ``terms`` are ``(slots, k, 1)``: the exponent of
+    term slot ``t`` in each row, whether the row has that term, and its
+    coefficient.  Slot 0 is every row's constant term.  A row skips the
+    slots it lacks, so it gets exactly the operations it would get alone.
+    """
+    p = np.zeros_like(z) + terms[0]
     dp = np.zeros_like(z)
-    for e, coef in zip(exps, terms):
-        if e == 0:
-            p = p + coef
-        else:
-            ze1 = z ** (e - 1)
-            p = p + coef * ze1 * z
-            dp = dp + (coef * e) * ze1
+    for e, on, coef in zip(exps[1:], has[1:], terms[1:]):
+        ze1 = np.power(z, e - 1)
+        # a lone row's z ** 2 goes through numpy's square, which rounds
+        # differently from power
+        square = np.flatnonzero(e == 3)
+        if square.size:
+            ze1[square] = np.square(z[square])
+        np.add(p, coef * ze1 * z, out=p, where=on)
+        np.add(dp, (coef * e) * ze1, out=dp, where=on)
     return p, dp
 
 
@@ -134,6 +143,7 @@ def _repulsion(z: np.ndarray) -> np.ndarray:
             diff[:, d, d + i] = np.inf
             np.divide(1.0, diff, out=diff)
             out[a:a + polys, i:i + rows] = diff.sum(axis=2)
+            del diff  # freed before the next block is built
     return out
 
 
@@ -165,13 +175,12 @@ def _assemble(z: np.ndarray, res: np.ndarray, n_zero: int, iterations: int) -> R
     )
 
 
-def _aberth(deg, exps, members, tol, max_iter, outcomes) -> None:
+def _aberth(deg, sparse, members, tol, max_iter, outcomes) -> None:
     """Solve same-shape polynomials together; ``members`` are ``(slot, n_zero, c)``.
 
     ``c`` is monic with a nonzero constant term.  Each result, a RootSet or
     the NoConvergence to raise, goes to ``outcomes[slot]``.
     """
-    sparse = exps is not None
     live = list(members)
     radii = [_start_radius(c, deg) for _, _, c in live]
     angles = START_PHASE + GOLDEN_ANGLE * np.arange(deg)
@@ -180,9 +189,18 @@ def _aberth(deg, exps, members, tol, max_iter, outcomes) -> None:
     cols = np.stack([c for _, _, c in live], axis=1)[:, :, None]
     p = np.empty_like(z)
     dp = np.empty_like(z)
+    if sparse:
+        # each row's nonzero exponents, padded with exponent 1 where it has fewer
+        nonzero = [np.flatnonzero(c) for _, _, c in live]
+        exps = np.ones((max(map(len, nonzero)), len(live), 1), np.int64)
+        has = np.zeros(exps.shape, bool)
+        for r, e in enumerate(nonzero):
+            exps[:len(e), r, 0] = e
+            has[:len(e), r, 0] = True
+        terms = np.take_along_axis(cols, exps, axis=0)
 
     def settle(rows, res, iterations, converged):
-        nonlocal z, p, dp, cols, radii, live
+        nonlocal z, p, dp, cols, radii, live, exps, has, terms
         for r, row_res in zip(rows, res):
             slot, n_zero, _ = live[r]
             result = _assemble(z[r], row_res, n_zero, iterations)
@@ -204,6 +222,8 @@ def _aberth(deg, exps, members, tol, max_iter, outcomes) -> None:
         keep[rows] = False
         z, p, dp = z[keep], p[keep], dp[keep]
         cols, radii = cols[:, keep], radii[keep]
+        if sparse:
+            exps, has, terms = exps[:, keep], has[:, keep], terms[:, keep]
         live = [m for m, k in zip(live, keep) if k]
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -211,7 +231,7 @@ def _aberth(deg, exps, members, tol, max_iter, outcomes) -> None:
             _horner(cols, z, p, dp)
         for it in range(1, max_iter + 1):
             if sparse:
-                p, dp = _eval_sparse(exps, cols[list(exps)], z)
+                p, dp = _eval_sparse(exps, has, terms, z)
             newton = p / dp
             w = newton / (1.0 - newton * _repulsion(z))
             bad = ~np.isfinite(w)
@@ -271,11 +291,10 @@ def all_roots_many(
             outcomes[slot] = _assemble(np.empty(0, complex), np.empty(0), n_zero, 0)
             continue
         c = np.asarray(work, float) / work[-1]
-        exps = tuple(int(e) for e in np.flatnonzero(c))
-        sparse = len(exps) <= SPARSE_TERM_CUTOFF and deg > 12
-        groups.setdefault((deg, exps if sparse else None), []).append((slot, n_zero, c))
-    for (deg, exps), members in groups.items():
-        _aberth(deg, exps, members, tol, max_iter, outcomes)
+        sparse = np.count_nonzero(c) <= SPARSE_TERM_CUTOFF and deg > 12
+        groups.setdefault((deg, sparse), []).append((slot, n_zero, c))
+    for (deg, sparse), members in groups.items():
+        _aberth(deg, sparse, members, tol, max_iter, outcomes)
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome

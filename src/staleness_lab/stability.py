@@ -225,10 +225,15 @@ class _CirclePoly:
                 np.multiply(out, z, out=zout)
                 np.add(zout, c, out=out)
             return out
-        out = np.zeros(theta.shape, complex)
-        for row in self.scaled * np.exp(self.jexps * theta):
-            out += row
-        return out
+        return _add_rows(self.scaled * np.exp(self.jexps * theta))
+
+
+def _add_rows(table: np.ndarray) -> np.ndarray:
+    """The rows of ``table`` added up in order, starting from zero."""
+    out = np.zeros(table.shape[1:], complex)
+    for row in table:
+        out += row
+    return out
 
 
 class _Split:
@@ -239,6 +244,25 @@ class _Split:
         self.degree = max(e for e, _, _ in self.terms)
         self.a = _CirclePoly((e, fixed) for e, fixed, _ in self.terms)
         self.b = _CirclePoly((e, per_k) for e, _, per_k in self.terms)
+        self.sparse = self.a.dense is None and self.b.dense is None
+        if self.sparse:
+            # the rows of A, then those of B: one exponential table serves both
+            self.jexps = np.concatenate([self.a.jexps, self.b.jexps])
+            self.scaled = np.concatenate([self.a.scaled, self.b.scaled])
+
+    def w(self, theta: np.ndarray) -> np.ndarray:
+        """``-A conj(B)`` at the angles ``theta``, real and positive where a
+        root of ``A + k B`` sits on the circle for ``k = Re w / |B|^2``.
+
+        Two sparse polynomials share one exponential table; each adds up its
+        own rows in order, so the values are those of ``self.a`` and
+        ``self.b`` called apart.
+        """
+        if not self.sparse:
+            return -self.a(theta) * np.conj(self.b(theta))
+        table = self.scaled * np.exp(self.jexps * theta)
+        n_a = len(self.a.exps)
+        return -_add_rows(table[:n_a]) * np.conj(_add_rows(table[n_a:]))
 
     def at(self, k: float, radius: float = 1.0) -> _CirclePoly:
         return _CirclePoly(((e, fixed + k * per_k) for e, fixed, per_k in self.terms), radius)
@@ -290,10 +314,6 @@ def boundary_crossing(variant: str, m: float, delay: DelayModel) -> tuple[float,
     :func:`numeric_threshold`.
     """
     split = _Split(variant, m, delay)
-
-    def w_of(theta):
-        return -split.a(theta) * np.conj(split.b(theta))
-
     n = _grid_size(split.degree)
     # A vanishes at theta = 0 (the root z = 1 of k = 0), and slow modes (m
     # near 1) cross inside the first grid cell, so the grid also steps
@@ -312,10 +332,10 @@ def boundary_crossing(variant: str, m: float, delay: DelayModel) -> tuple[float,
         mid = 0.5 * (lo + hi)
         if not ((mid > lo) & (mid < hi)).any():
             break
-        same = (w_of(mid).imag > 0.0) == lo_pos
+        same = (split.w(mid).imag > 0.0) == lo_pos
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
     theta = np.append(lo, np.pi)
-    w, b_val = w_of(theta), split.b(theta)
+    w, b_val = split.w(theta), split.b(theta)
     with np.errstate(divide="ignore", invalid="ignore"):
         k = w.real / (b_val.real**2 + b_val.imag**2)
     ok = np.flatnonzero(np.isfinite(k) & (k > 0.0))
@@ -325,14 +345,41 @@ def boundary_crossing(variant: str, m: float, delay: DelayModel) -> tuple[float,
     return float(k[best]), float(theta[best])
 
 
-def _winding_number(split: _Split, k: float, radius: float) -> int:
+def _certificate_grid(degree: int, theta_hint: float) -> np.ndarray:
+    """Ascending angles in ``[0, pi]`` for the winding count near a crossing.
+
+    The ``n = 8 (deg + 1) + 64`` evenly spaced angles, plus ``theta_hint``
+    and a geometric cluster ``theta_hint +- (pi / n) 8^-j`` around it for
+    ``j = 0..MAX_REFINE``, clipped to ``[0, pi]``.  The finest offsets round
+    onto ``theta_hint`` itself, and repeated angles are dropped.  A bracket
+    end sits within ``rel_tol`` of the crossing, so one root is that close
+    to the circle at theta*; the cluster samples the fast phase turn there
+    up front instead of leaving it to level after level of refinement.
+    """
+    n = _grid_size(degree)
+    steps = (np.pi / n) * np.array([8.0**-j for j in range(MAX_REFINE + 1)])
+    cluster = theta_hint + np.concatenate([-steps, [0.0], steps])
+    grid = np.concatenate([np.linspace(0.0, np.pi, n), np.clip(cluster, 0.0, np.pi)])
+    grid = grid[np.argsort(grid)]
+    keep = np.ones(grid.size, bool)
+    keep[1:] = np.diff(grid) > 0.0
+    return grid[keep]
+
+
+def _winding_number(split: _Split, k: float, radius: float, theta_hint: float) -> int:
     """Roots of ``A + k B`` inside ``|z| = radius``, by the argument principle.
 
     Real coefficients make the lower half circle mirror the upper one, so the
-    phase is unwrapped over ``theta`` in ``[0, pi]`` and doubled.
+    phase is unwrapped over ``theta`` in ``[0, pi]`` and doubled.  It is
+    sampled at ``8 (deg + 1) + 64`` even angles plus a geometric cluster
+    around ``theta_hint`` (:func:`_certificate_grid`), and every step that
+    still turns by more than ``pi / 4`` is cut into eighths
+    (:func:`_phase_resolved`); a count that cannot be resolved raises
+    ``NoConvergence``.  The grid holds every even angle, so the count is as
+    certain with any hint: the crossing angle only saves refinement.
     """
     _, vals, resolved = _phase_resolved(
-        split.at(k, radius), np.linspace(0.0, np.pi, _grid_size(split.degree))
+        split.at(k, radius), _certificate_grid(split.degree, theta_hint)
     )
     if not resolved:
         raise NoConvergence(f"winding number at eta*a = {k!r} did not resolve")
@@ -355,8 +402,12 @@ def numeric_threshold(
     midpoint.  Before returning, the argument principle certifies it: every
     root lies inside ``|z| = 1 + 1e-12`` at the stable end, and at least one
     lies outside ``|z| = 1 - 1e-12`` at the unstable end.  (The margins let
-    a bracket end sit exactly on the boundary.)  Random delays are supported
-    for the plain variant only.
+    a bracket end sit exactly on the boundary.)  Both counts sample the
+    circle on the same grid, ``8 (deg + 1) + 64`` evenly spaced angles in
+    ``[0, pi]`` plus a geometric cluster around the crossing angle theta*,
+    where each bracket end has a root within ``rel_tol`` of the circle; then
+    every step whose phase turns by more than ``pi / 4`` is refined.  Random
+    delays are supported for the plain variant only.
 
     Raises
     ------
@@ -374,8 +425,8 @@ def numeric_threshold(
     split = _Split(variant, m, delay)
     k_star, theta_star = boundary_crossing(variant, m, delay)
     eta_lo, eta_hi = _bisect_eta(lambda eta: eta * a <= k_star, a, rel_tol, cap=math.inf)
-    inside_lo = _winding_number(split, eta_lo * a, 1.0 + CERT_MARGIN)
-    inside_hi = _winding_number(split, eta_hi * a, 1.0 - CERT_MARGIN)
+    inside_lo = _winding_number(split, eta_lo * a, 1.0 + CERT_MARGIN, theta_star)
+    inside_hi = _winding_number(split, eta_hi * a, 1.0 - CERT_MARGIN, theta_star)
     if inside_lo != split.degree or inside_hi >= split.degree:
         raise NoConvergence(
             f"crossing at eta*a = {k_star!r} failed its certificate: "

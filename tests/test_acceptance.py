@@ -6,11 +6,17 @@ a regression shows up as a named failure, not a blob.  Run with -s to see the
 per-criterion detail lines even when everything passes.
 """
 
+import hashlib
+
 import pytest
 
 from staleness_lab.acceptance import CRITERIA, run_criteria
 
 NAMES = [name for name, _, _ in CRITERIA]
+# Left out of the frozen details: power-iteration and root-finder quote
+# errors against numpy's eigh and np.roots, which vary between BLAS and
+# LAPACK builds, and determinism reports command-line runs in subprocesses.
+NOT_FROZEN = ("power-iteration", "root-finder", "determinism")
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +34,15 @@ def test_criterion(acceptance_results, name):
 
 def test_all_twelve_present(acceptance_results):
     assert len(acceptance_results) == 12
+
+
+def test_frozen_details(acceptance_results):
+    # the verify table's numbers that come from staleness_lab alone, bit for bit
+    h = hashlib.sha256()
+    for name in NAMES:
+        if name not in NOT_FROZEN:
+            h.update(f"{name}: {acceptance_results[name][1]}\n".encode())
+    assert h.hexdigest() == "7cf708f6805195c14dc7a5d310b2ee06fa5ae0da70b0027ce27b6d17a00f7162"
 
 
 class TestGateSensitivity:

@@ -325,6 +325,49 @@ class TestSeedEnv:
         assert rc == 2
 
 
+NEGATIVE_SEED_RUNS = [
+    ("simulate", "--a", "1", "--eta", "0.1", "--tau", "2"),
+    ("simulate", "--spectrum", "1,0.5", "--eta", "0.1", "--tau", "2", "--init", "random_unit"),
+    ("simulate", "--spectrum", "1,0.5", "--eta", "0", "--tau", "2", "--init", "random_unit"),
+    ("ps", "--pmf", "uniform:1,3", "--a", "1", "--eta", "0.1"),
+]
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("argv", NEGATIVE_SEED_RUNS)
+    def test_flag(self, capsys, tmp_path, argv):
+        with pytest.raises(SystemExit) as ei:
+            main([*argv, "--seed", "-1", "--out", str(tmp_path / "run")])
+        assert ei.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "argument --seed: invalid seed '-1'" in captured.err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv", NEGATIVE_SEED_RUNS)
+    def test_config_key(self, capsys, tmp_path, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        rc, out, err = run_cli(capsys, *argv, "--config", str(cfg), "--out", str(tmp_path / "run"))
+        assert rc == 2
+        assert out == "" and err == "usage error: config key 'seed': invalid seed '-1': " \
+            "must be a non-negative integer\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv", NEGATIVE_SEED_RUNS)
+    def test_environment_variable(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.setenv("STALENESS_LAB_SEED", "-1")
+        rc, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "run"))
+        assert rc == 2
+        assert out == "" and err.startswith("usage error: STALENESS_LAB_SEED: invalid seed '-1'")
+        assert not (tmp_path / "run").exists()
+
+    def test_zero_is_a_seed(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("STALENESS_LAB_SEED", "0")
+        rc, _, _ = run_cli(capsys, *NEGATIVE_SEED_RUNS[0], "--out", str(tmp_path / "run"))
+        assert rc == 0
+        assert json.loads((tmp_path / "run" / "manifest.json").read_text())["seeds"] == {"seed": 0}
+
+
 class TestEscapeCurveCmd:
     def test_explicit_etas(self, capsys, tmp_path):
         out = tmp_path / "esc.csv"

@@ -223,6 +223,17 @@ class TestBatched:
             "eb1548b02cdde5471c8a30d97fbaf5d3c9fb6fa13e6d706be06b21a80e1bfbef"
         )
 
+    def test_sparse_rows_of_one_degree_share_a_batch(self):
+        # all 500 characteristic and sparse polynomials of the root-finder
+        # criterion, frozen from the solver that batched sparse polynomials
+        # only when their exponent sets matched; rows with an exponent-3 term
+        # (z ** 2 in the derivative) are among them
+        families = _random_families(np.random.default_rng(11))
+        ps = [Polynomial(c) for c in families[1] + families[2]]
+        assert _digest(all_roots_many(ps)) == (
+            "f2d4d2b4503ffc626a63e24fb866425f99ac429da5a5b699079f520e234b941c"
+        )
+
     def test_pair_blocks_do_not_change_results(self, monkeypatch):
         big = _dense(7, 80)
         ps = _mixed()

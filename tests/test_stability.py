@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from oracles import companion_max_magnitude, grid_threshold
@@ -74,6 +75,19 @@ class TestLrHelpers:
 
     def test_effective_lr_grows_with_m(self):
         assert effective_lr(0.1, 0.9) == pytest.approx(1.0)
+
+
+def _search_corpus():
+    """Plain, momentum and shifted at tau 0..64, uniform pmfs 1..1 to 1..64
+    and discrete Gaussians 1..30."""
+    cases = []
+    for tau in range(65):
+        cases.append(("plain", 0.0, DelayModel.constant(tau)))
+        cases += [(v, m, DelayModel.constant(tau))
+                  for v in ("momentum", "shifted") for m in (0.5, 0.9)]
+    cases += [("plain", 0.0, pmf_uniform(1, hi)) for hi in range(1, 65)]
+    cases += [("plain", 0.0, pmf_discrete_gaussian(mu)) for mu in range(1, 31)]
+    return cases
 
 
 class TestNumericThreshold:
@@ -168,16 +182,8 @@ class TestNumericThreshold:
             numeric_threshold("plain", 1.0, DelayModel.constant(3), rel_tol=rel_tol)
 
     def test_frozen_digest_over_a_corpus(self):
-        # every search's bracket, crossing and residual, bit for bit, over
-        # plain, momentum and shifted at tau 0..64, uniform pmfs 1..1 to
-        # 1..64 and discrete Gaussians 1..30
-        cases = []
-        for tau in range(65):
-            cases.append(("plain", 0.0, DelayModel.constant(tau)))
-            cases += [(v, m, DelayModel.constant(tau))
-                      for v in ("momentum", "shifted") for m in (0.5, 0.9)]
-        cases += [("plain", 0.0, pmf_uniform(1, hi)) for hi in range(1, 65)]
-        cases += [("plain", 0.0, pmf_discrete_gaussian(mu)) for mu in range(1, 31)]
+        # every search's bracket, crossing and residual, bit for bit
+        cases = _search_corpus()
         h = hashlib.sha256()
         for variant, m, delay in cases:
             r = numeric_threshold(variant, 1.0, delay, m=m)
@@ -221,6 +227,39 @@ class TestBoundaryCrossing:
         lo, hi = numeric_threshold(variant, 1.0, delay, m=m).bracket
         assert rho(lo) <= 1.0 + 1e-9 and rho(hi) >= 1.0 - 1e-9
         assert rho(lo * (1 - 1e-4)) < 1.0 < rho(hi * (1 + 1e-4))
+
+
+def _even_grid_count(split, k, radius):
+    """The winding count on the bare even grid, refined the same way."""
+    grid = np.linspace(0.0, np.pi, stability._grid_size(split.degree))
+    _, vals, resolved = stability._phase_resolved(split.at(k, radius), grid)
+    assert resolved
+    return round(float(np.sum(np.angle(vals[1:] * np.conj(vals[:-1])))) / np.pi)
+
+
+class TestCertificate:
+    def test_seeded_grid_counts_as_the_even_grid(self):
+        # at both bracket ends of every corpus search, with the crossing
+        # angle as the hint and with a hint a radian away from it
+        for variant, m, delay in _search_corpus():
+            r = numeric_threshold(variant, 1.0, delay, m=m)
+            split = stability._Split(variant, m, delay)
+            theta = r.crossing_angle
+            hints = (theta, (theta + 1.0) % math.pi)
+            for k, radius in ((r.bracket[0], 1.0 + stability.CERT_MARGIN),
+                              (r.bracket[1], 1.0 - stability.CERT_MARGIN)):
+                want = _even_grid_count(split, k, radius)
+                for hint in hints:
+                    assert stability._winding_number(split, k, radius, hint) == want
+
+    def test_grid_keeps_the_even_angles(self):
+        for degree, hint in ((1, math.pi), (5, 0.0), (64, 0.3), (257, 1e-9)):
+            grid = stability._certificate_grid(degree, hint)
+            even = np.linspace(0.0, np.pi, stability._grid_size(degree))
+            assert np.isin(even, grid).all() and hint in grid
+            assert grid[0] == 0.0 and grid[-1] == math.pi and (np.diff(grid) > 0.0).all()
+            near = np.abs(grid - hint)
+            assert np.count_nonzero((near > 0.0) & (near < 1e-12)) >= 2
 
 
 class TestThresholdCurve:
