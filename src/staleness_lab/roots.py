@@ -2,22 +2,25 @@
 
 The solver is an Ehrlich-Aberth simultaneous iteration: every root estimate
 takes a Newton step corrected by the repulsion of the other estimates, so the
-whole root set converges together.  Estimates start on a circle of radius
-``1 + max|c_k / c_n|`` (no root can lie outside it) at golden-angle spacing
-with a fixed phase, which keeps runs deterministic and keeps starting points
-off the real axis where conjugate pairs could trap them.
+whole root set converges together.  Estimates start at Bini's points from the
+Newton polygon of the coefficients (D. A. Bini, Numer. Algorithms 13, 1996):
+each edge of the polygon puts as many estimates as it spans on a circle of
+the radius it predicts, so a delay polynomial, whose roots cluster near
+``|z| = 1``, starts next to its roots and converges in a few dozen sweeps
+even at degree 10001.  The fixed phases keep runs deterministic and keep
+starting points off the real axis where conjugate pairs could trap them.
+Every sweep evaluates the polynomial and its derivative by Horner's rule.
 
 ``all_roots_many`` solves a list of polynomials in batches: polynomials of the
-same shape (degree after stripping zero roots, and whether the sparse
-evaluation applies) share each sweep as rows of a ``(k, deg)`` array, and a
-row leaves its batch as soon as it converges.  A sparse row keeps its own
-exponents.  Batching is invisible in the results: every elementwise step
-does the same float operations on a row as on a lone polynomial, and every
-row sum runs along a contiguous axis of its own row, so each ``RootSet``
-(roots, residuals and iteration count) is bit-identical to solving that
-polynomial alone.  The pairwise repulsion is built in blocks of at most
-``PAIR_BLOCK`` complex elements, so memory stays bounded at any degree.
-``all_roots`` is the one-polynomial batch.
+same degree (after stripping zero roots) share each sweep as rows of a
+``(k, deg)`` array, and a row leaves its batch as soon as it converges.
+Batching is invisible in the results: every elementwise step does the same
+float operations on a row as on a lone polynomial, and every row sum runs
+along a contiguous axis of its own row, so each ``RootSet`` (roots,
+residuals and iteration count) is bit-identical to solving that polynomial
+alone.  The pairwise repulsion is built in blocks of at most ``PAIR_BLOCK``
+complex elements, so memory stays bounded at any degree.  ``all_roots`` is
+the one-polynomial batch.
 
 A companion-matrix eigensolve would do the same job; it is deliberately kept
 out of the library and used only as an independent cross-check in the tests.
@@ -41,10 +44,6 @@ RESIDUAL_TOL = 1e-9
 # Clustered roots can pin update sizes at rounding noise above tol while the
 # backward error is already at machine level; accept once residuals reach it.
 RESIDUAL_FLOOR = 5e-14
-
-# Below this many nonzero terms, evaluate through explicit powers instead of
-# a full Horner sweep; the delay polynomials have 3-4 terms at degree 100+.
-SPARSE_TERM_CUTOFF = 8
 
 # Most complex elements in one block of pairwise differences (2 MB); a
 # dense deg x deg block would take 1.6 GB at degree 10001.
@@ -97,33 +96,8 @@ def _horner(cols: np.ndarray, z: np.ndarray, p: np.ndarray, dp: np.ndarray | Non
         np.add(p, coef, out=p)
 
 
-def _eval_sparse(exps: np.ndarray, has: np.ndarray, terms: np.ndarray, z: np.ndarray):
-    """Value and derivative through explicit powers, each row with its own terms.
-
-    ``exps``, ``has`` and ``terms`` are ``(slots, k, 1)``: the exponent of
-    term slot ``t`` in each row, whether the row has that term, and its
-    coefficient.  Slot 0 is every row's constant term.  A row skips the
-    slots it lacks, so it gets exactly the operations it would get alone.
-    """
-    p = np.zeros_like(z) + terms[0]
-    dp = np.zeros_like(z)
-    for e, on, coef in zip(exps[1:], has[1:], terms[1:]):
-        ze1 = np.power(z, e - 1)
-        # a lone row's z ** 2 goes through numpy's square, which rounds
-        # differently from power
-        square = np.flatnonzero(e == 3)
-        if square.size:
-            ze1[square] = np.square(z[square])
-        np.add(p, coef * ze1 * z, out=p, where=on)
-        np.add(dp, (coef * e) * ze1, out=dp, where=on)
-    return p, dp
-
-
-def _scaled_residuals(cols: np.ndarray, z: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
-    """``|P(z)| / sum_k |c_k||z|^k`` per point; ``p`` is ``P(z)`` when known."""
-    if p is None:
-        p = np.empty_like(z)
-        _horner(cols, z, p)
+def _scaled_residuals(cols: np.ndarray, z: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``|P(z)| / sum_k |c_k||z|^k`` per point, where ``p`` is ``P(z)``."""
     scale = np.empty_like(z)
     _horner(np.abs(cols), np.abs(z).astype(complex), scale)
     return np.abs(p) / np.maximum(np.abs(scale), np.finfo(float).tiny)
@@ -147,20 +121,35 @@ def _repulsion(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _start_radius(c: np.ndarray, deg: int) -> float:
-    """Root-inclusion radius for the starting circle.
+def _start_points(c: np.ndarray, deg: int) -> tuple[np.ndarray, float]:
+    """Bini's starting points from the Newton polygon, and their largest radius.
 
-    The classic bound ``1 + max|c_k|`` (monic input) explodes when
-    coefficients are large, so take the tighter of it and the k-th-root
-    bound ``2 max |c_{n-k}|^(1/k)``, computed in log space; both contain
-    every root.  A final cap keeps ``radius**deg`` evaluable.
+    The Newton polygon is the upper convex hull of ``(k, log|c_k|)`` over the
+    nonzero coefficients.  An edge from ``i`` to ``j`` predicts ``j - i``
+    roots of magnitude about ``|c_i / c_j|^(1/(j-i))``, and that many points
+    start evenly spaced on that circle.  They sit half a step off the edge's
+    phase, which is turned by the golden angle per edge, so that no two edges
+    line their points up.  The radius is clamped to keep ``radius**deg``
+    evaluable.
     """
-    cauchy = 1.0 + float(np.max(np.abs(c[:-1])))
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(c[:-1]))
-    ks = deg - np.arange(deg)
-    kth_root = 2.0 * float(np.exp(np.max(logs / ks)))
-    return min(cauchy, kth_root, math.exp(576.0 / deg))
+    ks = np.flatnonzero(c)
+    logs = np.log(np.abs(c[ks]))
+    hull = [0]
+    for t in range(1, len(ks)):
+        while len(hull) > 1:
+            a, b = hull[-2], hull[-1]
+            # keep b only if it lies strictly above the chord from a to t
+            if (logs[b] - logs[a]) * (ks[t] - ks[a]) > (logs[t] - logs[a]) * (ks[b] - ks[a]):
+                break
+            hull.pop()
+        hull.append(t)
+    z, radii = [], []
+    for edge, (a, b) in enumerate(zip(hull, hull[1:])):
+        n = int(ks[b] - ks[a])
+        radii.append(math.exp(min(max((logs[a] - logs[b]) / n, -576.0 / deg), 576.0 / deg)))
+        angles = START_PHASE + GOLDEN_ANGLE * edge + 2.0 * math.pi * (np.arange(n) + 0.5) / n
+        z.append(radii[-1] * np.exp(1j * angles))
+    return np.concatenate(z), max(radii)
 
 
 def _assemble(z: np.ndarray, res: np.ndarray, n_zero: int, iterations: int) -> RootSet:
@@ -175,32 +164,22 @@ def _assemble(z: np.ndarray, res: np.ndarray, n_zero: int, iterations: int) -> R
     )
 
 
-def _aberth(deg, sparse, members, tol, max_iter, outcomes) -> None:
-    """Solve same-shape polynomials together; ``members`` are ``(slot, n_zero, c)``.
+def _aberth(deg, members, tol, max_iter, outcomes) -> None:
+    """Solve same-degree polynomials together; ``members`` are ``(slot, n_zero, c)``.
 
     ``c`` is monic with a nonzero constant term.  Each result, a RootSet or
     the NoConvergence to raise, goes to ``outcomes[slot]``.
     """
     live = list(members)
-    radii = [_start_radius(c, deg) for _, _, c in live]
-    angles = START_PHASE + GOLDEN_ANGLE * np.arange(deg)
-    z = np.stack([radius * np.exp(1j * angles) for radius in radii])
-    radii = np.asarray(radii)
+    starts = [_start_points(c, deg) for _, _, c in live]
+    z = np.stack([points for points, _ in starts])
+    radii = np.asarray([radius for _, radius in starts])
     cols = np.stack([c for _, _, c in live], axis=1)[:, :, None]
     p = np.empty_like(z)
     dp = np.empty_like(z)
-    if sparse:
-        # each row's nonzero exponents, padded with exponent 1 where it has fewer
-        nonzero = [np.flatnonzero(c) for _, _, c in live]
-        exps = np.ones((max(map(len, nonzero)), len(live), 1), np.int64)
-        has = np.zeros(exps.shape, bool)
-        for r, e in enumerate(nonzero):
-            exps[:len(e), r, 0] = e
-            has[:len(e), r, 0] = True
-        terms = np.take_along_axis(cols, exps, axis=0)
 
     def settle(rows, res, iterations, converged):
-        nonlocal z, p, dp, cols, radii, live, exps, has, terms
+        nonlocal z, p, dp, cols, radii, live
         for r, row_res in zip(rows, res):
             slot, n_zero, _ = live[r]
             result = _assemble(z[r], row_res, n_zero, iterations)
@@ -222,16 +201,11 @@ def _aberth(deg, sparse, members, tol, max_iter, outcomes) -> None:
         keep[rows] = False
         z, p, dp = z[keep], p[keep], dp[keep]
         cols, radii = cols[:, keep], radii[keep]
-        if sparse:
-            exps, has, terms = exps[:, keep], has[:, keep], terms[:, keep]
         live = [m for m, k in zip(live, keep) if k]
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if not sparse:
-            _horner(cols, z, p, dp)
+        _horner(cols, z, p, dp)
         for it in range(1, max_iter + 1):
-            if sparse:
-                p, dp = _eval_sparse(exps, has, terms, z)
             newton = p / dp
             w = newton / (1.0 - newton * _repulsion(z))
             bad = ~np.isfinite(w)
@@ -240,17 +214,16 @@ def _aberth(deg, sparse, members, tol, max_iter, outcomes) -> None:
             z = z - w
             for r in np.flatnonzero(restart):
                 # Collided, critical or overflowed points: restart each at a
-                # fresh deterministic spot inside the inclusion circle.
+                # fresh deterministic spot within the largest start radius.
                 idx = np.flatnonzero(bad[r])
                 z[r, idx] = (
                     radii[r]
                     * (0.9 ** (it % 25))
                     * np.exp(1j * (START_PHASE + GOLDEN_ANGLE * (it + idx)))
                 )
-            if not sparse:
-                # The next sweep's values, and P(z) for the residuals below.
-                _horner(cols, z, p, dp)
-            upd = np.max(np.abs(w) / np.maximum(1.0, np.abs(z)), axis=1)
+            # The next sweep's values, and P(z) for the residuals below.
+            _horner(cols, z, p, dp)
+            upd = np.max(np.abs(w) / np.abs(z), axis=1)
             small = ~restart & (upd < tol)
             # Ill-conditioned clusters jitter forever at the conditioning
             # noise floor; once backward error is at machine level there is
@@ -258,13 +231,13 @@ def _aberth(deg, sparse, members, tol, max_iter, outcomes) -> None:
             check = ~restart & (small | (upd < 1e-4) | (it % 10 == 0))
             if check.any():
                 rows = np.flatnonzero(check)
-                res = _scaled_residuals(cols[:, rows], z[rows], None if sparse else p[rows])
+                res = _scaled_residuals(cols[:, rows], z[rows], p[rows])
                 done = small[rows] | (np.max(res, axis=1) < RESIDUAL_FLOOR)
                 if done.any():
                     settle(rows[done], res[done], it, True)
                     if not live:
                         return
-        res = _scaled_residuals(cols, z, None if sparse else p)
+        res = _scaled_residuals(cols, z, p)
     settle(np.arange(len(live)), res, max_iter, False)
 
 
@@ -291,10 +264,9 @@ def all_roots_many(
             outcomes[slot] = _assemble(np.empty(0, complex), np.empty(0), n_zero, 0)
             continue
         c = np.asarray(work, float) / work[-1]
-        sparse = np.count_nonzero(c) <= SPARSE_TERM_CUTOFF and deg > 12
-        groups.setdefault((deg, sparse), []).append((slot, n_zero, c))
-    for (deg, sparse), members in groups.items():
-        _aberth(deg, sparse, members, tol, max_iter, outcomes)
+        groups.setdefault(deg, []).append((slot, n_zero, c))
+    for deg, members in groups.items():
+        _aberth(deg, members, tol, max_iter, outcomes)
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
@@ -313,7 +285,8 @@ def all_roots(
     p : Polynomial
         Degree >= 1.
     tol : float
-        Converged once every per-root update is smaller than this.
+        Converged once every per-root update, relative to the root's
+        magnitude, is smaller than this.
     max_iter : int
         Iteration cap; exceeding it raises NoConvergence carrying the best
         iterate so far.

@@ -3,8 +3,9 @@
 For the plain variant with constant delay the boundary is known in closed
 form: the recurrence is stable exactly when ``eta * a < 2 sin(pi / (4 tau +
 2))``.  Its reciprocal is nearly linear in the delay, ``1 / (eta* a) ~=
-(2 tau + 1) / pi``, which is what makes the practical rescaling rule in
-``scale_lr`` work.
+(2 tau + 1) / pi``, which is the rescaling rule in ``scale_lr``.  That rule
+linearises the sine, so it overshoots the exact edge by ``x / sin(x) - 1``
+with ``x = pi / (4 tau + 2)``: 57% at tau 0, 4.7% at tau 1, 0.14% at tau 8.
 
 Every characteristic polynomial here is linear in ``k = eta*a``:
 ``P(z) = A(z) + k B(z)``.  A root sits on the unit circle at ``z = e^(i
@@ -101,8 +102,12 @@ def scale_lr(eta0: float, tau: int) -> float:
     """Rescale a delay-free step size for training under delay ``tau``.
 
     ``eta0 * pi / (4 (tau + 0.5))``: the ratio of the delayed to undelayed
-    threshold, with the sine linearized.  Useful as a drop-in rule when a
-    well-tuned eta0 is known for synchronous training.
+    threshold, with the sine linearized.  With ``x = pi / (4 tau + 2)`` the
+    exact ratio is ``sin(x)``, so the result overshoots the exact edge by
+    ``x / sin(x) - 1``: 57% at tau 0, where ``scale_lr(eta0, 0)`` is
+    ``(pi / 2) eta0``, 4.7% at tau 1 and 0.14% at tau 8.  A step at the
+    delay-free edge, rescaled to tau 0 or 1, is unstable; eta0 must sit at
+    least that far inside its own edge for the rescaled step to be stable.
     """
     if eta0 <= 0:
         raise ValueError("eta0 must be positive")

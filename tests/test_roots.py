@@ -8,7 +8,14 @@ from oracles import companion_max_magnitude, companion_roots
 
 from staleness_lab import roots
 from staleness_lab.acceptance import _random_families
-from staleness_lab.charpoly import DelayModel, OptimizerSpec, Polynomial, char_poly
+from staleness_lab.charpoly import (
+    DelayModel,
+    OptimizerSpec,
+    Polynomial,
+    char_poly,
+    char_poly_plain,
+    char_poly_shifted,
+)
 from staleness_lab.errors import NoConvergence
 from staleness_lab.roots import (
     RESIDUAL_TOL,
@@ -47,6 +54,12 @@ class TestKnownRoots:
         # z^5 - 1: all five roots on the unit circle
         rs = all_roots(Polynomial((-1.0, 0.0, 0.0, 0.0, 0.0, 1.0)))
         assert all(abs(abs(z) - 1.0) < 1e-12 for z in rs.roots)
+
+    def test_tiny_roots_converge_to_relative_accuracy(self):
+        # z^2 + 1e-160: roots +-1e-80 i, where every update is far below an
+        # absolute tolerance from the first sweep on
+        rs = all_roots(Polynomial((1e-160, 0.0, 1.0)))
+        assert all(abs(abs(z) - 1e-80) <= 1e-12 * 1e-80 for z in rs.roots)
 
 
 class TestZeroRoots:
@@ -123,6 +136,20 @@ class TestAgainstCompanionOracle:
         assert len(rs.roots) == 61
         assert max(rs.residuals) <= RESIDUAL_TOL
         assert rs.max_magnitude == pytest.approx(companion_max_magnitude(p.coeffs), rel=1e-8)
+
+
+class TestHighDegreeDelayPolynomials:
+    # the roots cluster near |z| = 1, where the Newton-polygon starts put every
+    # estimate, so the sweep count stays flat as the degree grows
+    def test_sweeps_stay_bounded_at_tau_1000(self):
+        assert all_roots(char_poly_plain(0.0005, 1.0, 1000)).iterations <= 40
+
+    def test_shifted_momentum_at_tau_500_converges(self):
+        # starts evenly spaced from the edge's phase, with no half-step
+        # offset, stall here at residual 0.999
+        rs = all_roots(char_poly_shifted(0.0005, 1.0, 500, 0.9))
+        assert len(rs.roots) == 502
+        assert max(rs.residuals) <= RESIDUAL_TOL
 
 
 class TestStability:
@@ -214,24 +241,22 @@ class TestBatched:
 
     def test_frozen_digest(self):
         # (roots, residuals, iterations) of 30 polynomials from each family of
-        # the root-finder criterion, frozen from the one-polynomial solver
-        # this batched kernel replaced
+        # the root-finder criterion; the starting points and the evaluation
+        # order fix every last bit and every iteration count
         families = _random_families(np.random.default_rng(11))
         ps = [Polynomial(c) for family in families for c in family[:30]]
         assert len(ps) == 120
         assert _digest(all_roots_many(ps)) == (
-            "eb1548b02cdde5471c8a30d97fbaf5d3c9fb6fa13e6d706be06b21a80e1bfbef"
+            "e94e4bef3e7e3858b169e2ac6b6056e6c7e2c23dda0d238aeb13f98885988e8d"
         )
 
-    def test_sparse_rows_of_one_degree_share_a_batch(self):
+    def test_frozen_digest_of_characteristic_and_sparse_families(self):
         # all 500 characteristic and sparse polynomials of the root-finder
-        # criterion, frozen from the solver that batched sparse polynomials
-        # only when their exponent sets matched; rows with an exponent-3 term
-        # (z ** 2 in the derivative) are among them
+        # criterion, solved in batches that mix their exponent sets
         families = _random_families(np.random.default_rng(11))
         ps = [Polynomial(c) for c in families[1] + families[2]]
         assert _digest(all_roots_many(ps)) == (
-            "f2d4d2b4503ffc626a63e24fb866425f99ac429da5a5b699079f520e234b941c"
+            "c3116ed2e0d02e7a5cda7f5646f68693a03d27c6244419921cb47fc15228d139"
         )
 
     def test_pair_blocks_do_not_change_results(self, monkeypatch):

@@ -1,5 +1,9 @@
-"""Property tests: a batched solve does not depend on batch order or company."""
+"""Property tests: a batched solve does not depend on batch order or company,
+and every start finds every root."""
 
+import math
+
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -7,9 +11,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from staleness_lab.charpoly import Polynomial
+from oracles import companion_roots
+
+from staleness_lab.charpoly import DelayModel, OptimizerSpec, Polynomial, char_poly
 from staleness_lab.errors import NoConvergence
-from staleness_lab.roots import all_roots_many
+from staleness_lab.roots import all_roots, all_roots_many
 
 coefficient = st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_nan=False))
 leading = st.floats(0.5, 2.0) | st.floats(-2.0, -0.5)
@@ -47,3 +53,45 @@ def test_batch_is_independent_of_order_and_company(ps, rnd):
     order = list(range(len(ps)))
     rnd.shuffle(order)
     assert outcome([ps[i] for i in order]) == expected([singles[i] for i in order])
+
+
+sign = st.sampled_from((-1.0, 1.0))
+
+
+@st.composite
+def sparse_polynomials(draw):
+    """Three to eight nonzero terms at degree 20 to 120."""
+    deg = draw(st.integers(20, 120))
+    coeffs = [0.0] * deg + [draw(leading)]
+    for k in draw(st.sets(st.integers(0, deg - 1), min_size=2, max_size=7)):
+        coeffs[k] = draw(sign) * draw(st.floats(0.05, 2.0))
+    return Polynomial(tuple(coeffs))
+
+
+@st.composite
+def wild_polynomials(draw):
+    """Coefficients from 1e-5 to 1e5 in magnitude, of either sign."""
+    deg = draw(st.integers(1, 30))
+    return Polynomial(tuple(draw(sign) * 10.0 ** draw(st.floats(-5.0, 5.0)) for _ in range(deg + 1)))
+
+
+@st.composite
+def characteristic_polynomials(draw):
+    variant = draw(st.sampled_from(("plain", "momentum", "shifted")))
+    m = 0.0 if variant == "plain" else draw(st.floats(0.0, 0.99))
+    tau = draw(st.integers(0, 150))
+    # down to 1e-4 of the edge, where the roots split into rings of far
+    # different radii
+    eta = 10.0 ** draw(st.floats(-4.0, 0.4)) * 2 * math.sin(math.pi / (4 * tau + 2))
+    return char_poly(OptimizerSpec(variant, eta, m), 1.0, DelayModel.constant(tau))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(polynomials() | sparse_polynomials() | wild_polynomials() | characteristic_polynomials())
+def test_roots_match_the_companion_oracle_both_ways(p):
+    got = np.asarray(all_roots(p).roots)
+    want = np.asarray(companion_roots(p.coeffs))
+    for w in want:
+        assert np.min(np.abs(got - w)) <= 1e-6 * max(1.0, abs(w))
+    for g in got:
+        assert np.min(np.abs(want - g)) <= 1e-6 * max(1.0, abs(g))

@@ -64,10 +64,12 @@ class TestLrHelpers:
         assert scale_lr(0.8, 8) == 0.07391982714328925
 
     def test_scale_lr_is_threshold_ratio_linearized(self):
-        # pi / (4 (tau + 0.5)) approximates sin(pi / (4 tau + 2)) / sin(pi/2)
-        for tau in (4, 16, 64):
+        # x = pi / (4 tau + 2) stands in for the exact ratio sin(x) / sin(pi/2),
+        # so the rule overshoots by x / sin(x): pi / 2 at tau 0
+        for tau in range(65):
+            x = math.pi / (4 * tau + 2)
             exact_ratio = analytic_threshold_plain(1.0, tau) / analytic_threshold_plain(1.0, 0)
-            assert scale_lr(1.0, tau) == pytest.approx(exact_ratio, rel=0.05)
+            assert scale_lr(0.8, tau) / (0.8 * exact_ratio) == pytest.approx(x / math.sin(x), rel=1e-12)
 
     def test_effective_dampened_inverse(self):
         for m in (0.0, 0.5, 0.9):

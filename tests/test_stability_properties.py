@@ -1,4 +1,5 @@
-"""Property tests: how a threshold search answers to scaling and to the delay."""
+"""Property tests: how a threshold search answers to scaling and to the delay,
+and that stability flips once along eta, at the threshold."""
 
 import pytest
 
@@ -7,7 +8,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from staleness_lab.charpoly import DelayModel
+from oracles import companion_max_magnitude
+
+from staleness_lab.charpoly import DelayModel, OptimizerSpec, char_poly
 from staleness_lab.stability import numeric_threshold
 
 variant_and_m = st.one_of(
@@ -40,3 +43,18 @@ def test_plain_threshold_falls_as_the_delay_grows(tau, step):
     shorter = numeric_threshold("plain", 1.0, DelayModel.constant(tau))
     longer = numeric_threshold("plain", 1.0, DelayModel.constant(tau + step))
     assert longer.eta_star < shorter.eta_star
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(variant_and_m, st.integers(0, 24))
+def test_stability_flips_once_at_the_threshold(vm, tau):
+    variant, m = vm
+    delay = DelayModel.constant(tau)
+    eta_star = numeric_threshold(variant, 1.0, delay, m=m).eta_star
+
+    def spectral_radius(f):
+        poly = char_poly(OptimizerSpec(variant, f * eta_star, m), 1.0, delay)
+        return companion_max_magnitude(poly.coeffs)
+
+    assert all(spectral_radius(f) < 1.0 for f in (0.5, 0.9, 0.99))
+    assert all(spectral_radius(f) > 1.0 for f in (1.01, 1.5, 4.0))
