@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import deque
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -366,9 +367,8 @@ def simulate_expectation(problem: QuadraticProblem, config: SimConfig) -> SimVer
     ``tau_max + 2`` consecutive steps below ``decay_factor`` times it,
     otherwise undecided at ``max_steps``.  Runs are evaluated in blocks of
     steps; nothing past the verdict step is reported.  1-D runs step on
-    plain floats; at d > 1 a run steps in blocks of ``min_delay + 1``
-    steps, whose gradients are one stacked matvec, bit-identical to
-    stepping with ``H @ s``.
+    plain floats; at d > 1 a run steps on ``_block_steps``, bit-identical
+    to stepping with ``H @ s``.
     """
     y0 = _initial_vector(problem, config)
     opt, delay = config.optimizer, config.delay
@@ -376,8 +376,7 @@ def simulate_expectation(problem: QuadraticProblem, config: SimConfig) -> SimVer
         y = float(y0[0])
         advance = _scalar_steps(float(problem.hessian[0, 0]), y, opt, delay)
         return _simulate(config, advance, y, abs(y))
-    H = problem.hessian
-    advance = _block_steps(y0, opt, delay, lambda t, e: H)
+    advance = _block_steps(y0, opt, delay, problem.hessian)
     return _simulate(config, advance, y0, float(np.linalg.norm(y0)))
 
 
@@ -434,34 +433,40 @@ def _scalar_steps(h: float, y0: float, opt: OptimizerSpec, delay: DelayModel):
     return advance
 
 
-def _block_steps(y0: np.ndarray, opt: OptimizerSpec, delay: DelayModel, mats, lags=None):
-    """Block step function on arrays, for the expectation and sampled dynamics.
+def _block_steps(y0: np.ndarray, opt: OptimizerSpec, delay: DelayModel, M: np.ndarray,
+                 picks=None, lags=None):
+    """Block step function on arrays, for the expectation, sampled and server dynamics.
 
-    Steps go in blocks of ``min_delay + 1``, so every state a block reads
-    exists before it starts, and its gradients are one stacked matvec,
-    ``np.matmul(M, S[:, :, None])``.  ``mats(t, e)`` gives ``M`` for steps
-    ``t + 1 .. e``: the hessian, or the components drawn for those steps.
-    A step's stale state is the one ``delay.tau`` steps back, the
-    probability-weighted state over the pmf, or, given per-step ``lags``,
-    the one ``lags[t]`` steps back.  Plain and shifted then take their
+    A step's gradient is ``M @ s``, with ``M`` the hessian or the component
+    of a stack that ``picks`` names, at the stale state ``s``: the one
+    ``delay.tau`` steps back, the probability-weighted state over the pmf,
+    or the one ``lags`` steps back.  ``picks(t, n)`` and ``lags(t, n)`` give
+    the indices and (clipped) lags of steps ``t + 1 .. t + n``, called once
+    per block in step order, so a run draws only the blocks it steps.
+    Steps go in spans of ``min_delay + 1``, so every state a span reads
+    exists before it starts, and a span's gradients are one stacked matvec,
+    ``np.matmul(M, S[:, :, None])``.  Plain and shifted then take their
     states from one ``np.subtract.accumulate`` or ``np.add.accumulate``;
-    momentum keeps its per-step velocity recurrence.  Each element is the
-    rounded result of the per-step update, so the run is bit-identical to
-    stepping with ``H @ s``.
+    momentum keeps its per-step velocity recurrence.  Spans of one or two
+    steps cost more to stack than to step, so at ``min_delay`` 0 and 1 each
+    step takes one ``M @ s`` on its own row.  Each element is the rounded
+    result of the per-step update, so the run is bit-identical to stepping
+    with ``M @ s`` either way.
     """
     eta, m = opt.eta, opt.m
     ce = eta * (1.0 - m)
     variant = opt.variant
     keep = delay.max_delay + 1
-    span = delay.delays[0] + 1
+    tau = delay.delays[0]  # the constant delay, or the shortest of a pmf's
+    span = tau + 1
     pairs = None if delay.is_constant or lags is not None else list(zip(delay.delays, delay.probs))
     hist = np.tile(y0, (keep, 1))  # the last keep states, oldest first
     vel = np.zeros_like(hist)  # shifted: the velocity is read with the delay too
     v = vel[-1]
     t = 0
 
-    def advance(n):
-        nonlocal hist, vel, v, t
+    def stacked(n, P, back):
+        nonlocal v, vel
         # row keep + j holds the state after step t + j + 1, which reads
         # row keep - 1 + j - lag
         Y = np.concatenate((hist, np.empty((n, hist.shape[1]))))
@@ -475,12 +480,12 @@ def _block_steps(y0: np.ndarray, opt: OptimizerSpec, delay: DelayModel, mats, la
                     S = term if S is None else S + term
             else:
                 if lags is None:
-                    rows = slice(keep - 1 - delay.tau + s, keep - 1 - delay.tau + e)
+                    rows = slice(keep - 1 - back + s, keep - 1 - back + e)
                 else:
-                    rows = np.arange(keep - 1 + s, keep - 1 + e) - lags[t + s:t + e]
+                    rows = np.arange(keep - 1 + s, keep - 1 + e) - back[s:e]
                 S = Y[rows]
-            G = np.matmul(mats(t + s, t + e), S[:, :, None])[:, :, 0]
-            new = Y[keep - 1 + s:keep + e]  # the state before the block, then its states
+            G = np.matmul(M if P is None else M[P[s:e]], S[:, :, None])[:, :, 0]
+            new = Y[keep - 1 + s:keep + e]  # the state before the span, then its states
             if variant == "plain":
                 np.multiply(eta, G, out=new[1:])
                 np.subtract.accumulate(new, axis=0, out=new)
@@ -492,9 +497,38 @@ def _block_steps(y0: np.ndarray, opt: OptimizerSpec, delay: DelayModel, mats, la
             else:
                 new[1:] = V[keep + s:keep + e] = m * V[rows] - ce * G
             np.add.accumulate(new, axis=0, out=new)
-        hist = Y[n:]
         if V is not None:
             vel = V[n:]
+        return Y
+
+    def row_by_row(n, P, back):
+        nonlocal v, vel
+        # the states go to a list, stacked once at the end; a shifted run has
+        # a constant delay, so each step reads the oldest kept velocity
+        ys, vq = list(hist), deque(vel)
+        y = ys[-1]
+        reads = (np.arange(keep - 1, keep - 1 + n) - back).tolist()
+        for r, Mr in zip(reads, repeat(M, n) if P is None else map(M.__getitem__, P.tolist())):
+            g = Mr @ ys[r]
+            if variant == "plain":
+                y = y - eta * g
+            elif variant == "momentum":
+                v = m * v - ce * g
+                y = y + v
+            else:
+                vq.append(m * vq.popleft() - ce * g)
+                y = y + vq[-1]
+            ys.append(y)
+        vel = vq
+        return np.array(ys)
+
+    step = row_by_row if span <= 2 and pairs is None else stacked
+
+    def advance(n):
+        nonlocal hist, t
+        P = None if picks is None else picks(t, n)
+        Y = step(n, P, tau if lags is None else lags(t, n))
+        hist = Y[n:]
         t += n
         return Y[keep:]
 
@@ -509,9 +543,11 @@ def simulate_sgd(problem: QuadraticProblem, config: SimConfig, seed: int = 0) ->
     from the pmf; a drawn delay longer than the elapsed steps is clipped to
     the initial point and counted in ``clipped_delays``.  ``seed`` drives
     the gradient and delay draws (``config.seed`` only the random init).
-    Both come from one generator and are drawn up front for ``max_steps``
-    steps.  The run steps in blocks of ``min_delay + 1`` steps, each block's
-    gradients one stacked matvec over its drawn components, at any
+    Both come from one generator.  With a constant delay the picks are
+    drawn one block at a time, the same draws as one draw for all
+    ``max_steps``, so a run that ends early draws only what it stepped; with
+    a pmf every pick and then every delay is drawn up front for
+    ``max_steps`` steps.  The run steps on ``_block_steps`` at any
     dimension.  With all components equal the trajectory reproduces
     ``simulate_expectation`` exactly, arithmetic included.
     """
@@ -522,15 +558,17 @@ def simulate_sgd(problem: QuadraticProblem, config: SimConfig, seed: int = 0) ->
     max_steps = config.resolved_max_steps()
 
     rng = np.random.default_rng(seed)
-    picks = rng.integers(0, C.shape[0], size=max_steps)
     if delay.is_constant:
-        lags, draws = None, None
+        picks, lags, draws = lambda t, n: rng.integers(0, C.shape[0], size=n), None, None
     else:
-        draws = rng.choice(np.array(delay.delays), size=max_steps, p=np.array(delay.probs))
-        lags, draws = np.minimum(draws, np.arange(max_steps)), [draws]
+        # every pick, then every delay: the order the frozen digest pins
+        picked = rng.integers(0, C.shape[0], size=max_steps)
+        drawn = rng.choice(np.array(delay.delays), size=max_steps, p=np.array(delay.probs))
+        clipped = np.minimum(drawn, np.arange(max_steps))
+        picks, lags, draws = lambda t, n: picked[t:t + n], lambda t, n: clipped[t:t + n], [drawn]
 
     y0 = _initial_vector(problem, config)
-    advance = _block_steps(y0, config.optimizer, delay, lambda t, e: C[picks[t:e]], lags)
+    advance = _block_steps(y0, config.optimizer, delay, C, picks, lags)
     return _simulate(config, advance, y0, float(np.linalg.norm(y0)), draws)
 
 

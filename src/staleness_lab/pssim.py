@@ -1,29 +1,30 @@
 """Asynchronous parameter-server emulation, closing the protocol-to-theory loop.
 
-A deterministic event loop stands in for real asynchrony: each worker holds
-a snapshot of the central parameters, and on every global step one worker
-applies the gradient taken at its snapshot, then re-snapshots.  Round-robin
-scheduling over W workers realizes a constant delay of exactly W - 1;
-sampled-delay scheduling realizes a configured delay distribution.  The
-update arithmetic matches the recurrences in ``dynamics`` expression for
-expression, so round-robin trajectories reproduce the constant-delay
-simulator bit for bit, not merely to tolerance.
+Each worker holds a snapshot of the central parameters, and on every global
+step one worker applies the gradient taken at its snapshot, then
+re-snapshots.  Under round-robin scheduling over W workers a step reads the
+snapshot taken W steps back: a constant delay of exactly W - 1.  Round-robin
+runs therefore step on the simulators' engine at that delay
+(``dynamics._scalar_steps`` for 1-D expectation runs, ``_block_steps``
+otherwise) and reproduce the constant-delay simulator bit for bit.
+Sampled-delay scheduling realizes a delay distribution: each step reads the
+state a drawn number of steps back, on ``_block_steps`` with per-step lags,
+or on a flat float loop for 1-D expectation runs.
 
 Velocity placement follows the structural split between the two momentum
 flavors: the standard variant keeps one central buffer at the server, the
-shifted variant gives every worker its own.
+shifted variant gives every worker its own, read with the delay.
 
-The event loop advances a block of steps at a time, and the simulators'
-verdict tracker judges each block by the rule ``simulate_expectation``
-states.  A block may step past the verdict; nothing past the verdict step
-is reported, neither norms, states, applied delays nor clipped draws.
+Runs advance a block of steps at a time, and the simulators' verdict
+tracker judges each block by the rule ``simulate_expectation`` states.  A
+block may step past the verdict; nothing past the verdict step is reported,
+neither norms, states, applied delays nor clipped draws.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -33,8 +34,10 @@ from .dynamics import (
     QuadraticProblem,
     SimConfig,
     SimVerdict,
+    _block_steps,
     _float_block,
     _initial_vector,
+    _scalar_steps,
     _simulated_threshold,
     _track,
 )
@@ -121,12 +124,13 @@ def run_ps(
     ``SampledDelay`` raises.  Verdict rules are those of
     ``simulate_expectation``, with a window of ``max_delay + 2`` steps.
     Runs are evaluated in blocks of steps; nothing past the verdict step is
-    reported.  The event loop takes one step at a time at any dimension; 1-D
-    expectation runs take it on plain floats.  A ``SampledDelay``'s delays
-    and sgd-mode component picks are drawn one block at a time, each from
-    one generator that continues across the blocks: the same draws as one
-    draw for all ``steps``, so a run that ends early draws only what it
-    stepped.
+    reported.  Round robin steps as the constant delay ``W - 1`` on the
+    simulators' engine, 1-D expectation runs on plain floats; sampled
+    delays step on the same engine with per-step lags, or on plain floats
+    for 1-D expectation runs.  A ``SampledDelay``'s delays and sgd-mode
+    component picks are drawn one block at a time, each from one generator
+    that continues across the blocks: the same draws as one draw for all
+    ``steps``, so a run that ends early draws only what it stepped.
     """
     verdict, norms, draws = _track_ps(
         problem, scheduler, optimizer, steps, seed, mode, blowup_factor, decay_factor,
@@ -146,7 +150,7 @@ def run_ps(
 
 def _track_ps(problem, scheduler, optimizer, steps, seed, mode, blowup_factor, decay_factor,
               init="top_eigvec", init_seed=0, record_states=False, every=0):
-    """Check a ``run_ps`` request and track its event loop to the verdict.
+    """Check a ``run_ps`` request and track its steps to the verdict.
 
     Returns the verdict, the distances every ``every`` steps (``None`` when
     ``every`` is 0, as for threshold probes) and the sampled delays drawn.
@@ -175,24 +179,28 @@ def _track_ps(problem, scheduler, optimizer, steps, seed, mode, blowup_factor, d
     )
     y0 = _initial_vector(problem, cfg_probe)
 
-    n_slots, slots, draws = _schedule(scheduler)
+    if isinstance(scheduler, RoundRobin):
+        delay, lags, draws = DelayModel.constant(scheduler.max_delay), None, None
+    else:
+        delay = scheduler.pmf
+        lags, draws = _schedule(scheduler)
     if mode == "expectation" and problem.d == 1:
         # plain floats: the threshold searches run here
-        y0 = float(y0[0])
+        y0, h = float(y0[0]), float(problem.hessian[0, 0])
         n0 = abs(y0)
-        advance = _float_loop(optimizer, y0, n_slots, slots, float(problem.hessian[0, 0]))
+        if lags is None:
+            advance = _scalar_steps(h, y0, optimizer, delay)
+        else:
+            advance = _float_loop(optimizer, y0, delay.max_delay, lags, h)
     else:
         n0 = float(np.linalg.norm(y0))
         if mode == "sgd":
             C = problem.components
             rng = np.random.default_rng(seed)
-
-            def mats(n):
-                return map(C.__getitem__, rng.integers(0, C.shape[0], size=n))
+            advance = _block_steps(y0, optimizer, delay, C,
+                                   lambda t, n: rng.integers(0, C.shape[0], size=n), lags)
         else:
-            def mats(n):
-                return repeat(problem.hessian, n)
-        advance = _event_loop(optimizer, y0, n_slots, slots, mats)
+            advance = _block_steps(y0, optimizer, delay, problem.hessian, lags=lags)
     verdict, norms = _track(
         advance, y0, n0, scheduler.max_delay + 2, steps, blowup_factor, decay_factor,
         every=every, keep_states=record_states, draws=draws,
@@ -200,118 +208,58 @@ def _track_ps(problem, scheduler, optimizer, steps, seed, mode, blowup_factor, d
     return verdict, norms, draws
 
 
-def _schedule(scheduler):
-    """Snapshot slots, the slots a block of steps reads and writes, and any draws.
+def _schedule(scheduler: SampledDelay):
+    """The lags of a sampled-delay run, drawn block by block, and the draws.
 
-    ``slots(t, n)`` gives, for steps ``t + 1 .. t + n``, the snapshot each
-    step reads and the one it overwrites.  Round robin keeps one snapshot
-    per worker: at step ``t`` worker ``(t - 1) % W`` applies the gradient
-    taken at its snapshot, then re-snapshots.  Sampled delays keep a ring of
-    the last ``max_delay + 2`` central states and read the one ``k`` steps
-    back, clipped to the start.  Their delays are drawn one block at a time
-    and appended to ``draws``; one generator continues across the blocks,
-    so the draws are those of a single draw for the whole run.
+    ``lags(t, n)`` draws the delays of steps ``t + 1 .. t + n``, appends
+    them to ``draws`` and returns them clipped to the elapsed steps, so a
+    step reads the state ``k`` steps back or the start.  One generator
+    continues across the blocks, so the draws are those of a single draw
+    for the whole run.
     """
-    if isinstance(scheduler, RoundRobin):
-        W = scheduler.n_workers
-
-        def slots(t, n):
-            workers = (np.arange(t, t + n) % W).tolist()
-            return workers, workers
-
-        return W, slots, None
     rng = np.random.default_rng(scheduler.seed)
     support, probs = np.array(scheduler.pmf.delays), np.array(scheduler.pmf.probs)
     draws = []
-    L = scheduler.max_delay + 2
 
-    def slots(t, n):
+    def lags(t, n):
         draws.append(rng.choice(support, size=n, p=probs))
-        elapsed = np.arange(t, t + n)
-        back = np.minimum(draws[-1], elapsed)
-        return ((elapsed - back) % L).tolist(), ((elapsed + 1) % L).tolist()
+        return np.minimum(draws[-1], np.arange(t, t + n))
 
-    return L, slots, draws
+    return lags, draws
 
 
-def _event_loop(opt: OptimizerSpec, y0, n_slots: int, slots, mats):
-    """Block step function of the server's event loop, on state vectors.
+def _float_loop(opt: OptimizerSpec, y0: float, max_delay: int, lags, h: float):
+    """Block step function of a 1-D sampled-delay run, on plain floats.
 
-    Each step reads a snapshot, applies the gradient taken there and writes
-    the new central state to a snapshot, as ``slots`` directs; ``mats(n)``
-    yields the matrices of the next ``n`` steps.  Standard momentum keeps
-    one central velocity, the shifted variant one per worker.
+    The steps of ``_block_steps`` with the curvature ``h`` for the matrix,
+    written out flat for plain and momentum over local variables; the
+    update expressions are the same.  ``hist`` holds the last
+    ``max_delay + 1`` states, oldest first, and each step reads the one its
+    lag names.  A block's states go to the tracker as one float64 array.
     """
     eta, m = opt.eta, opt.m
-    variant = opt.variant
     ce = eta * (1.0 - m)
-    zero = np.zeros_like(y0)
-    snaps = [y0] * n_slots
-    svel = [zero] * n_slots
-    v, y, t = zero, y0, 0
+    keep = max_delay + 1
+    hist = [y0] * keep
+    v, t = 0.0, 0
 
     def advance(n):
-        nonlocal v, y, t
-        new = []
-        for r, w, M in zip(*slots(t, n), mats(n)):
-            g = M @ snaps[r]
-            if variant == "plain":
-                y = y - eta * g
-            elif variant == "momentum":
-                v = m * v - ce * g
+        nonlocal v, t
+        y = hist[-1]
+        reads = (np.arange(keep - 1, keep - 1 + n) - lags(t, n)).tolist()
+        if opt.variant == "plain":
+            for r in reads:
+                y = y - eta * (h * hist[r])
+                hist.append(y)
+        else:
+            for r in reads:
+                v = m * v - ce * (h * hist[r])
                 y = y + v
-            else:
-                vw = m * svel[r] - ce * g
-                svel[r] = vw
-                y = y + vw
-            snaps[w] = y
-            new.append(y)
+                hist.append(y)
+        new = _float_block(hist[keep:])
+        del hist[:-keep]
         t += n
         return new
-
-    return advance
-
-
-def _float_loop(opt: OptimizerSpec, y0: float, n_slots: int, slots, h: float):
-    """Block step function of a 1-D expectation run's event loop, on plain floats.
-
-    The steps of ``_event_loop`` with the curvature ``h`` for the matrix,
-    written out flat for each variant over local variables; the update
-    expressions are the same.  Threshold searches run millions of these
-    steps.  A block's states go to the tracker as one float64 array.
-    """
-    eta, m = opt.eta, opt.m
-    variant = opt.variant
-    ce = eta * (1.0 - m)
-    snaps = [y0] * n_slots
-    svel = [0.0] * n_slots
-    last_y, last_v, t = y0, 0.0, 0
-
-    def advance(n):
-        nonlocal last_y, last_v, t
-        y, v = last_y, last_v
-        new = []
-        steps = zip(*slots(t, n))
-        if variant == "plain":
-            for r, w in steps:
-                y = y - eta * (h * snaps[r])
-                snaps[w] = y
-                new.append(y)
-        elif variant == "momentum":
-            for r, w in steps:
-                v = m * v - ce * (h * snaps[r])
-                y = y + v
-                snaps[w] = y
-                new.append(y)
-        else:
-            for r, w in steps:
-                vw = m * svel[r] - ce * (h * snaps[r])
-                svel[r] = vw
-                y = y + vw
-                snaps[w] = y
-                new.append(y)
-        last_y, last_v, t = y, v, t + n
-        return _float_block(new)
 
     return advance
 

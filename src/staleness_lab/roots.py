@@ -250,7 +250,9 @@ def all_roots_many(
 
     Returns ``[all_roots(p, tol, max_iter) for p in polys]``, bit for bit, and
     raises what that loop would raise first: the ValueError or NoConvergence
-    of the first failing polynomial in input order.
+    of the first failing polynomial in input order.  A polynomial of degree
+    0, or with a nonzero coefficient below ``np.finfo(float).tiny`` once
+    divided by the leading one, fails with a ValueError.
     """
     outcomes: list = [None] * len(polys)
     groups: dict = {}
@@ -264,6 +266,15 @@ def all_roots_many(
             outcomes[slot] = _assemble(np.empty(0, complex), np.empty(0), n_zero, 0)
             continue
         c = np.asarray(work, float) / work[-1]
+        sub = np.flatnonzero((c != 0.0) & (np.abs(c) < np.finfo(float).tiny))
+        if sub.size:
+            # subnormal arithmetic cannot see the error of a root estimate
+            k = int(sub[0])
+            outcomes[slot] = ValueError(
+                f"coefficient {n_zero + k} is subnormal ({float(c[k])!r}) once divided by the "
+                f"leading one; the root solver needs normal floats"
+            )
+            continue
         groups.setdefault(deg, []).append((slot, n_zero, c))
     for deg, members in groups.items():
         _aberth(deg, members, tol, max_iter, outcomes)

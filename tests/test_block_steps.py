@@ -1,10 +1,11 @@
 """The block-stepped simulators against a per-step loop, bit for bit.
 
 ``_step_loop`` is the update written one step at a time, with each gradient
-taken as ``M @ s`` on one stale state.  The simulators step in blocks and
-take a block's gradients as one stacked matvec; every state they report
-must equal the loop's, to the last bit, at delays and dimensions well past
-the frozen digests'.
+taken as ``M @ s`` on one stale state.  The simulators step in blocks: they
+take a span's gradients as one stacked matvec, or, at delays 0 and 1, step
+each row of the block on its own.  Every state they report must equal the
+loop's, to the last bit, at delays and dimensions well past the frozen
+digests'.
 """
 
 import numpy as np

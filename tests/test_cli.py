@@ -107,6 +107,14 @@ class TestRoots:
         rc, _, err = run_cli(capsys, "roots", "--a", "1.0", "--tau", "2")
         assert rc == 2
 
+    def test_subnormal_eta_is_a_usage_error(self, capsys):
+        # eta a = 1e-320 is a subnormal constant term, whose roots (1e-160)
+        # the solver cannot resolve
+        rc, out, err = run_cli(capsys, "roots", "--a", "1", "--eta", "1e-320", "--tau", "2")
+        assert rc == 2
+        assert out == ""
+        assert "coefficient 0 is subnormal" in err
+
     def test_solves_the_polynomial_once(self, capsys, monkeypatch):
         from staleness_lab import roots
 

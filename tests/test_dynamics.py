@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,23 @@ class TestSgd:
         cfg = SimConfig(OptimizerSpec("plain", 0.3), 2, max_steps=50)
         with pytest.raises(ValueError):
             simulate_sgd(QuadraticProblem(np.diag([1.0, 0.4])), cfg)
+
+    def test_draws_only_the_blocks_the_run_steps(self):
+        # converges at step 53; drawn up front, three million picks would
+        # take 24 MB
+        opt = OptimizerSpec("plain", 0.5)
+        short = simulate_sgd(self._problem(noise=True),
+                             SimConfig(opt, 1, max_steps=10_000, record_trace=True), seed=1)
+        cfg = SimConfig(opt, 1, max_steps=3_000_000, record_trace=True)
+        tracemalloc.start()
+        try:
+            run = simulate_sgd(self._problem(noise=True), cfg, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run.status == CONVERGED and run.steps == 53
+        assert peak < 2_000_000
+        assert short.trace == run.trace
 
     def test_sampled_delays_clip_at_history_edge(self):
         # delays of 3..5 drawn from step 1 on must clip until history exists

@@ -4,6 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the property test below needs the test extra
+    st = None
+
 from staleness_lab import dynamics, pssim
 from staleness_lab.charpoly import DelayModel, OptimizerSpec, pmf_uniform
 from staleness_lab.dynamics import (
@@ -11,6 +17,7 @@ from staleness_lab.dynamics import (
     QuadraticProblem,
     SimConfig,
     simulate_expectation,
+    simulate_sgd,
 )
 from staleness_lab.errors import NoThreshold
 from staleness_lab.pssim import (
@@ -83,6 +90,43 @@ class TestRoundRobinEquivalence:
         run = run_ps(_scalar(), RoundRobin(4), OptimizerSpec("plain", 0.1), 50)
         assert run.applied_delays[:3] == (0, 1, 2)
         assert all(k == 3 for k in run.applied_delays[3:])
+
+
+if st is not None:
+    @st.composite
+    def _round_robin_cases(draw):
+        workers = draw(st.integers(1, 12))
+        d = draw(st.sampled_from((1, 3)))
+        variant = draw(st.sampled_from(("plain", "momentum", "shifted")))
+        m = 0.0 if variant == "plain" else draw(st.floats(0.0, 0.95))
+        g = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal((4, d, d))
+        comps = g @ g.transpose(0, 2, 1) / d + 0.1 * np.eye(d)  # distinct components
+        problem = QuadraticProblem(comps.mean(axis=0), components=comps)
+        edge = numeric_threshold(variant, problem.sharpness(), DelayModel.constant(workers - 1),
+                                 m=m).eta_star
+        opt = OptimizerSpec(variant, draw(st.floats(0.5, 1.5)) * edge, m)
+        return problem, workers, opt, draw(st.integers(workers, 1500)), draw(st.booleans())
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_round_robin_cases(), mode=st.sampled_from(("expectation", "sgd")),
+           seed=st.integers(0, 100))
+    def test_round_robin_is_the_constant_delay_simulator(case, mode, seed):
+        problem, workers, opt, steps, record = case
+        run = run_ps(problem, RoundRobin(workers), opt, steps, seed=seed, mode=mode,
+                     record_states=record)
+        cfg = SimConfig(opt, workers - 1, max_steps=steps, record_trace=True,
+                        record_states=record)
+        if mode == "expectation":
+            ref = simulate_expectation(problem, cfg)
+        else:
+            ref = simulate_sgd(problem, cfg, seed=seed)
+        got = run.verdict
+        assert (run.steps, got.status, got.escape_step) == (ref.steps, ref.status, ref.escape_step)
+        assert np.array(run.norms).tobytes() == np.array([n for _, n in ref.trace]).tobytes()
+        if record:
+            assert got.states.tobytes() == ref.states.tobytes()
+        else:
+            assert got.states is None and ref.states is None
 
 
 class TestHistogram:

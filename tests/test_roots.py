@@ -61,6 +61,22 @@ class TestKnownRoots:
         rs = all_roots(Polynomial((1e-160, 0.0, 1.0)))
         assert all(abs(abs(z) - 1e-80) <= 1e-12 * 1e-80 for z in rs.roots)
 
+    def test_subnormal_coefficient_is_refused(self):
+        # z^2 + 5e-324: in subnormal arithmetic the iteration settled on
+        # +-(-9.70e-163 + 2.00e-162j) with residual 0.0, not on +-2.22e-162j
+        with pytest.raises(ValueError, match=r"coefficient 0 is subnormal \(5e-324\)"):
+            all_roots(Polynomial((5e-324, 0.0, 1.0)))
+
+    def test_coefficient_subnormal_once_monic_is_refused(self):
+        # 1e-300 is normal, but 1e-310 after dividing by the leading 1e10
+        with pytest.raises(ValueError, match="coefficient 1 is subnormal"):
+            all_roots(Polynomial((1.0, 1e-300, 1e10)))
+
+    def test_smallest_normal_coefficients_still_solve(self):
+        rs = all_roots(Polynomial((3e-308, 0.0, 1.0)))
+        assert all(abs(abs(z) - math.sqrt(3e-308)) <= 1e-12 * math.sqrt(3e-308)
+                   for z in rs.roots)
+
 
 class TestZeroRoots:
     def test_zero_constant_term(self):
@@ -238,6 +254,16 @@ class TestBatched:
             all_roots_many([bad_iter, Polynomial((3.0,))], max_iter=1)
         with pytest.raises(ValueError):
             all_roots_many([Polynomial((3.0,)), bad_iter], max_iter=1)
+
+    def test_subnormal_coefficient_raises_in_input_order(self):
+        # z (z^2 + 1e-320): the error names the coefficient of the input
+        good, bad = Polynomial((0.5, -1.0, 1.0)), Polynomial((0.0, 1e-320, 0.0, 1.0))
+        with pytest.raises(ValueError, match="coefficient 1 is subnormal"):
+            all_roots_many([good, bad, good])
+        with pytest.raises(NoConvergence):
+            all_roots_many([_dense(1, 30), bad], max_iter=1)
+        with pytest.raises(ValueError, match="subnormal"):
+            all_roots_many([bad, _dense(1, 30)], max_iter=1)
 
     def test_frozen_digest(self):
         # (roots, residuals, iterations) of 30 polynomials from each family of

@@ -35,6 +35,8 @@ def outcome(ps):
         return all_roots_many(ps)
     except NoConvergence as exc:
         return ("raised", str(exc), exc.best, exc.iterations)
+    except ValueError as exc:  # a coefficient subnormal once monic
+        return ("raised", str(exc))
 
 
 def expected(singles):
@@ -89,7 +91,13 @@ def characteristic_polynomials(draw):
 @settings(max_examples=80, deadline=None, database=None)
 @given(polynomials() | sparse_polynomials() | wild_polynomials() | characteristic_polynomials())
 def test_roots_match_the_companion_oracle_both_ways(p):
-    got = np.asarray(all_roots(p).roots)
+    try:
+        got = np.asarray(all_roots(p).roots)
+    except ValueError:
+        # refused only for a coefficient that is subnormal once monic
+        c = np.asarray(p.coeffs) / p.coeffs[-1]
+        assert np.any((c != 0.0) & (np.abs(c) < np.finfo(float).tiny))
+        return
     want = np.asarray(companion_roots(p.coeffs))
     for w in want:
         assert np.min(np.abs(got - w)) <= 1e-6 * max(1.0, abs(w))
