@@ -1,7 +1,7 @@
 """A round-robin parameter server is exactly a constant-delay recurrence.
 
 With W workers taking turns, every gradient applied at step t was computed
-from the iterate at step t - (W - 1).  The event-loop emulator therefore
+from the iterate at step t - (W - 1).  The parameter-server emulator therefore
 reproduces the constant-delay simulator bit for bit, which this demo checks
 directly.  With randomly-timed workers the delays spread out, and the
 measured stability threshold follows the delay distribution instead.

@@ -6,7 +6,7 @@ charpoly   characteristic polynomials, delay models, optimizer specs
 roots      deterministic simultaneous root iteration, batched by shape
 stability  closed-form and certified crossing thresholds, curve fits
 dynamics   delay-recurrence simulators, escape times, power iteration
-pssim      parameter-server event-loop emulator
+pssim      parameter-server emulator: schedulers, runs, delay histograms
 cli        staleness-lab command line
 """
 

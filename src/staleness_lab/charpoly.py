@@ -292,21 +292,15 @@ def char_poly_stochastic(eta: float, a: float, delay: DelayModel) -> Polynomial:
 
 
 def char_poly(optimizer: OptimizerSpec, a: float, delay: DelayModel) -> Polynomial:
-    """Dispatch to the right builder for an optimizer/delay combination.
+    """The polynomial of an optimizer/delay combination, from ``char_poly_terms``.
 
     Random delays are only analyzed for the plain variant; combining them
     with momentum raises.
     """
-    if delay.is_constant:
-        tau = delay.tau
-        if optimizer.variant == PLAIN:
-            return char_poly_plain(optimizer.eta, a, tau)
-        if optimizer.variant == MOMENTUM:
-            return char_poly_momentum(optimizer.eta, a, tau, optimizer.m)
-        return char_poly_shifted(optimizer.eta, a, tau, optimizer.m)
-    if optimizer.variant != PLAIN:
-        raise ValueError("random delay analysis is only supported for plain")
-    return char_poly_stochastic(optimizer.eta, a, delay)
+    if not (a > 0.0 and math.isfinite(a)):
+        raise ValueError("a must be positive and finite")
+    return _poly_from_terms(char_poly_terms(optimizer.variant, optimizer.m, delay),
+                            optimizer.eta, a)
 
 
 def _norm_cdf(x: float) -> float:

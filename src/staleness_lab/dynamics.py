@@ -6,7 +6,8 @@ has a root outside the unit circle, so the simulators double as an
 independent check on the algebra.  Provided here: the deterministic
 expectation dynamics, their sampled-gradient counterpart, threshold search
 driven purely by simulation verdicts, escape-time tables, and a
-power-iteration sharpness estimate.
+power-iteration sharpness estimate.  The step engine and the sampled-delay
+sampler here also run every parameter-server run in ``pssim``.
 
 All randomness flows through seeded generators; identical inputs give
 bit-identical outputs.
@@ -366,28 +367,70 @@ def simulate_expectation(problem: QuadraticProblem, config: SimConfig) -> SimVer
     (non-finite states count), converged on the step that completes
     ``tau_max + 2`` consecutive steps below ``decay_factor`` times it,
     otherwise undecided at ``max_steps``.  Runs are evaluated in blocks of
-    steps; nothing past the verdict step is reported.  1-D runs step on
-    plain floats; at d > 1 a run steps on ``_block_steps``, bit-identical
-    to stepping with ``H @ s``.
+    steps; nothing past the verdict step is reported.  The run steps on the
+    engine ``_engine`` picks.
     """
-    y0 = _initial_vector(problem, config)
-    opt, delay = config.optimizer, config.delay
-    if problem.d == 1:
-        y = float(y0[0])
-        advance = _scalar_steps(float(problem.hessian[0, 0]), y, opt, delay)
-        return _simulate(config, advance, y, abs(y))
-    advance = _block_steps(y0, opt, delay, problem.hessian)
-    return _simulate(config, advance, y0, float(np.linalg.norm(y0)))
+    advance, y0, n0 = _engine(problem, _initial_vector(problem, config),
+                              config.optimizer, config.delay)
+    return _simulate(config, advance, y0, n0)
 
 
-def _scalar_steps(h: float, y0: float, opt: OptimizerSpec, delay: DelayModel):
-    """Block step function of the 1-D expectation dynamics, on plain floats.
+def _engine(problem: QuadraticProblem, y0: np.ndarray, opt: OptimizerSpec, delay: DelayModel,
+            pick_seed=None, lags=None):
+    """The step function of a run, its start and the start's distance.
+
+    With ``pick_seed`` each step's gradient is that of a uniformly drawn
+    component, the picks drawn block by block from
+    ``np.random.default_rng(pick_seed)``; otherwise it is the hessian's.
+    ``lags`` is as ``_block_steps`` takes it.  A 1-D run on the hessian
+    steps on plain floats (``_scalar_steps``), every other run on
+    ``_block_steps``, bit-identical to stepping with ``M @ s``.
+    """
+    if pick_seed is None:
+        if problem.d == 1:
+            y = float(y0[0])
+            return _scalar_steps(float(problem.hessian[0, 0]), y, opt, delay, lags), y, abs(y)
+        M, picks = problem.hessian, None
+    else:
+        M, rng = problem.components, np.random.default_rng(pick_seed)
+
+        def picks(t, n):
+            return rng.integers(0, M.shape[0], size=n)
+
+    return _block_steps(y0, opt, delay, M, picks, lags), y0, float(np.linalg.norm(y0))
+
+
+def _schedule(pmf: DelayModel, seed):
+    """The lags of a sampled-delay run, drawn block by block, and the draws.
+
+    ``lags(t, n)`` draws the delays of steps ``t + 1 .. t + n`` from
+    ``np.random.default_rng(seed)``, appends them to ``draws`` and returns
+    them clipped to the elapsed steps, so a step reads the state ``k`` steps
+    back or the start.  One generator continues across the blocks, so the
+    draws are those of a single draw for the whole run, and a run that ends
+    early draws only the blocks it stepped.
+    """
+    rng = np.random.default_rng(seed)
+    support, probs = np.array(pmf.delays), np.array(pmf.probs)
+    draws = []
+
+    def lags(t, n):
+        draws.append(rng.choice(support, size=n, p=probs))
+        return np.minimum(draws[-1], np.arange(t, t + n))
+
+    return lags, draws
+
+
+def _scalar_steps(h: float, y0: float, opt: OptimizerSpec, delay: DelayModel, lags=None):
+    """Block step function of the 1-D dynamics, on plain floats.
 
     ``hist`` holds the last ``max_delay + 1`` states, oldest first, so a
     constant-delay block reads its stale states in order from the front
-    while it appends the new ones.  Threshold searches hammer these loops
-    with million-step probes, so each variant's loop is written out flat.
-    A block's states go to the tracker as one float64 array.
+    while it appends the new ones.  With ``lags`` (plain and momentum only),
+    each step reads the state its lag names, as in ``_block_steps``; a pmf
+    without them reads the probability-weighted state.  Threshold searches
+    hammer these loops with million-step probes, so each loop is written out
+    flat.  A block's states go to the tracker as one float64 array.
     """
     eta, m = opt.eta, opt.m
     ce = eta * (1.0 - m)
@@ -395,13 +438,26 @@ def _scalar_steps(h: float, y0: float, opt: OptimizerSpec, delay: DelayModel):
     keep = delay.max_delay + 1
     hist = [y0] * keep
     vel = [0.0] * keep  # shifted: the velocity is read with the delay too
-    pairs = None if delay.is_constant else [(-1 - k, p) for k, p in zip(delay.delays, delay.probs)]
+    pairs = None if delay.is_constant or lags is not None else [
+        (-1 - k, p) for k, p in zip(delay.delays, delay.probs)]
     v = 0.0
+    t = 0
 
     def advance(n):
-        nonlocal v
+        nonlocal v, t
         y = hist[-1]
-        if pairs is not None:
+        if lags is not None:
+            reads = (np.arange(keep - 1, keep - 1 + n) - lags(t, n)).tolist()
+            if variant == "plain":
+                for r in reads:
+                    y = y - eta * (h * hist[r])
+                    hist.append(y)
+            else:
+                for r in reads:
+                    v = m * v - ce * (h * hist[r])
+                    y = y + v
+                    hist.append(y)
+        elif pairs is not None:
             for _ in range(n):
                 acc = 0.0
                 for i, p in pairs:
@@ -428,6 +484,7 @@ def _scalar_steps(h: float, y0: float, opt: OptimizerSpec, delay: DelayModel):
                 hist.append(y)
         new = _float_block(hist[keep:])
         del hist[:-keep], vel[:-keep]
+        t += n
         return new
 
     return advance
@@ -542,34 +599,24 @@ def simulate_sgd(problem: QuadraticProblem, config: SimConfig, seed: int = 0) ->
     stale state.  The delay is the configured constant, or drawn per step
     from the pmf; a drawn delay longer than the elapsed steps is clipped to
     the initial point and counted in ``clipped_delays``.  ``seed`` drives
-    the gradient and delay draws (``config.seed`` only the random init).
-    Both come from one generator.  With a constant delay the picks are
-    drawn one block at a time, the same draws as one draw for all
-    ``max_steps``, so a run that ends early draws only what it stepped; with
-    a pmf every pick and then every delay is drawn up front for
-    ``max_steps`` steps.  The run steps on ``_block_steps`` at any
-    dimension.  With all components equal the trajectory reproduces
-    ``simulate_expectation`` exactly, arithmetic included.
+    the gradient and delay draws (``config.seed`` only the random init):
+    the picks come from ``np.random.default_rng(seed)``, the delays from a
+    second generator spawned from ``np.random.SeedSequence(seed)``.  Both
+    are drawn one block at a time, the same draws as one draw each for all
+    ``max_steps``, so a run that ends early draws only what it stepped and
+    its trajectory does not depend on ``max_steps``.  The run steps on
+    ``_block_steps`` at any dimension.  With all components equal the
+    trajectory reproduces ``simulate_expectation`` exactly, arithmetic
+    included.
     """
     if problem.components is None:
         raise ValueError("simulate_sgd needs a problem with components")
-    C = problem.components
-    delay = config.delay
-    max_steps = config.resolved_max_steps()
-
-    rng = np.random.default_rng(seed)
-    if delay.is_constant:
-        picks, lags, draws = lambda t, n: rng.integers(0, C.shape[0], size=n), None, None
-    else:
-        # every pick, then every delay: the order the frozen digest pins
-        picked = rng.integers(0, C.shape[0], size=max_steps)
-        drawn = rng.choice(np.array(delay.delays), size=max_steps, p=np.array(delay.probs))
-        clipped = np.minimum(drawn, np.arange(max_steps))
-        picks, lags, draws = lambda t, n: picked[t:t + n], lambda t, n: clipped[t:t + n], [drawn]
-
-    y0 = _initial_vector(problem, config)
-    advance = _block_steps(y0, config.optimizer, delay, C, picks, lags)
-    return _simulate(config, advance, y0, float(np.linalg.norm(y0)), draws)
+    lags = draws = None
+    if not config.delay.is_constant:
+        lags, draws = _schedule(config.delay, np.random.SeedSequence(seed).spawn(1)[0])
+    advance, y0, n0 = _engine(problem, _initial_vector(problem, config), config.optimizer,
+                              config.delay, seed, lags)
+    return _simulate(config, advance, y0, n0, draws)
 
 
 def _simulated_threshold(run, a, variant, m, delay, rel_tol, probe_steps,

@@ -4,12 +4,12 @@ Each worker holds a snapshot of the central parameters, and on every global
 step one worker applies the gradient taken at its snapshot, then
 re-snapshots.  Under round-robin scheduling over W workers a step reads the
 snapshot taken W steps back: a constant delay of exactly W - 1.  Round-robin
-runs therefore step on the simulators' engine at that delay
-(``dynamics._scalar_steps`` for 1-D expectation runs, ``_block_steps``
-otherwise) and reproduce the constant-delay simulator bit for bit.
-Sampled-delay scheduling realizes a delay distribution: each step reads the
-state a drawn number of steps back, on ``_block_steps`` with per-step lags,
-or on a flat float loop for 1-D expectation runs.
+runs therefore step on the simulators' engine at that delay and reproduce
+the constant-delay simulator bit for bit.  Sampled-delay scheduling
+realizes a delay distribution: each step reads the state a drawn number of
+steps back, with the lags drawn by ``dynamics._schedule``.  Every run steps
+on the engine ``dynamics._engine`` picks; this module only schedules,
+validates and reports.
 
 Velocity placement follows the structural split between the two momentum
 flavors: the standard variant keeps one central buffer at the server, the
@@ -34,10 +34,9 @@ from .dynamics import (
     QuadraticProblem,
     SimConfig,
     SimVerdict,
-    _block_steps,
-    _float_block,
+    _engine,
     _initial_vector,
-    _scalar_steps,
+    _schedule,
     _simulated_threshold,
     _track,
 )
@@ -124,13 +123,12 @@ def run_ps(
     ``SampledDelay`` raises.  Verdict rules are those of
     ``simulate_expectation``, with a window of ``max_delay + 2`` steps.
     Runs are evaluated in blocks of steps; nothing past the verdict step is
-    reported.  Round robin steps as the constant delay ``W - 1`` on the
-    simulators' engine, 1-D expectation runs on plain floats; sampled
-    delays step on the same engine with per-step lags, or on plain floats
-    for 1-D expectation runs.  A ``SampledDelay``'s delays and sgd-mode
-    component picks are drawn one block at a time, each from one generator
-    that continues across the blocks: the same draws as one draw for all
-    ``steps``, so a run that ends early draws only what it stepped.
+    reported.  Round robin steps as the constant delay ``W - 1``, sampled
+    delays with per-step lags, both on the simulators' engine.  A
+    ``SampledDelay``'s delays (from its own seed) and sgd-mode component
+    picks (from ``seed``) are drawn one block at a time, each from its own
+    generator that continues across the blocks: the same draws as one draw
+    for all ``steps``, so a run that ends early draws only what it stepped.
     """
     verdict, norms, draws = _track_ps(
         problem, scheduler, optimizer, steps, seed, mode, blowup_factor, decay_factor,
@@ -183,85 +181,13 @@ def _track_ps(problem, scheduler, optimizer, steps, seed, mode, blowup_factor, d
         delay, lags, draws = DelayModel.constant(scheduler.max_delay), None, None
     else:
         delay = scheduler.pmf
-        lags, draws = _schedule(scheduler)
-    if mode == "expectation" and problem.d == 1:
-        # plain floats: the threshold searches run here
-        y0, h = float(y0[0]), float(problem.hessian[0, 0])
-        n0 = abs(y0)
-        if lags is None:
-            advance = _scalar_steps(h, y0, optimizer, delay)
-        else:
-            advance = _float_loop(optimizer, y0, delay.max_delay, lags, h)
-    else:
-        n0 = float(np.linalg.norm(y0))
-        if mode == "sgd":
-            C = problem.components
-            rng = np.random.default_rng(seed)
-            advance = _block_steps(y0, optimizer, delay, C,
-                                   lambda t, n: rng.integers(0, C.shape[0], size=n), lags)
-        else:
-            advance = _block_steps(y0, optimizer, delay, problem.hessian, lags=lags)
+        lags, draws = _schedule(delay, scheduler.seed)
+    advance, y0, n0 = _engine(problem, y0, optimizer, delay, seed if mode == "sgd" else None, lags)
     verdict, norms = _track(
         advance, y0, n0, scheduler.max_delay + 2, steps, blowup_factor, decay_factor,
         every=every, keep_states=record_states, draws=draws,
     )
     return verdict, norms, draws
-
-
-def _schedule(scheduler: SampledDelay):
-    """The lags of a sampled-delay run, drawn block by block, and the draws.
-
-    ``lags(t, n)`` draws the delays of steps ``t + 1 .. t + n``, appends
-    them to ``draws`` and returns them clipped to the elapsed steps, so a
-    step reads the state ``k`` steps back or the start.  One generator
-    continues across the blocks, so the draws are those of a single draw
-    for the whole run.
-    """
-    rng = np.random.default_rng(scheduler.seed)
-    support, probs = np.array(scheduler.pmf.delays), np.array(scheduler.pmf.probs)
-    draws = []
-
-    def lags(t, n):
-        draws.append(rng.choice(support, size=n, p=probs))
-        return np.minimum(draws[-1], np.arange(t, t + n))
-
-    return lags, draws
-
-
-def _float_loop(opt: OptimizerSpec, y0: float, max_delay: int, lags, h: float):
-    """Block step function of a 1-D sampled-delay run, on plain floats.
-
-    The steps of ``_block_steps`` with the curvature ``h`` for the matrix,
-    written out flat for plain and momentum over local variables; the
-    update expressions are the same.  ``hist`` holds the last
-    ``max_delay + 1`` states, oldest first, and each step reads the one its
-    lag names.  A block's states go to the tracker as one float64 array.
-    """
-    eta, m = opt.eta, opt.m
-    ce = eta * (1.0 - m)
-    keep = max_delay + 1
-    hist = [y0] * keep
-    v, t = 0.0, 0
-
-    def advance(n):
-        nonlocal v, t
-        y = hist[-1]
-        reads = (np.arange(keep - 1, keep - 1 + n) - lags(t, n)).tolist()
-        if opt.variant == "plain":
-            for r in reads:
-                y = y - eta * (h * hist[r])
-                hist.append(y)
-        else:
-            for r in reads:
-                v = m * v - ce * (h * hist[r])
-                y = y + v
-                hist.append(y)
-        new = _float_block(hist[keep:])
-        del hist[:-keep]
-        t += n
-        return new
-
-    return advance
 
 
 def ps_empirical_threshold(

@@ -5,7 +5,8 @@ taken as ``M @ s`` on one stale state.  The simulators step in blocks: they
 take a span's gradients as one stacked matvec, or, at delays 0 and 1, step
 each row of the block on its own.  Every state they report must equal the
 loop's, to the last bit, at delays and dimensions well past the frozen
-digests'.
+digests'.  The parameter server's sampled-delay runs step on the same
+engine and are held to the same loop.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from staleness_lab.charpoly import DelayModel, OptimizerSpec, pmf_uniform
 from staleness_lab.dynamics import QuadraticProblem, SimConfig, simulate_expectation, simulate_sgd
+from staleness_lab.pssim import SampledDelay, run_ps
 
 VARIANTS = (("plain", 0.0), ("momentum", 0.7), ("shifted", 0.7))
 TAUS = (1, 8, 16, 64)
@@ -136,14 +138,39 @@ def test_sgd_with_sampled_delays_matches_the_step_loop(pmf, d):
                         record_states=True)
         verdict = simulate_sgd(problem, cfg, seed=3)
         assert verdict.steps > pmf.max_delay + 2
-        rng = np.random.default_rng(3)
-        picks = rng.integers(0, len(C), size=STEPS)
-        draws = rng.choice(np.array(pmf.delays), size=STEPS, p=np.array(pmf.probs))
+        # picks from the seed's generator, delays from a second one spawned
+        # from the seed
+        picks = np.random.default_rng(3).integers(0, len(C), size=STEPS)
+        delay_rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
+        draws = delay_rng.choice(np.array(pmf.delays), size=STEPS, p=np.array(pmf.probs))
         want = _step_loop(verdict.states[0], opt, STEPS, lambda t: C[picks[t]],
                           lag=lambda t: int(draws[t]))
         _assert_same_states(verdict, want)
         assert verdict.clipped_delays == int(np.count_nonzero(
             draws[:verdict.steps] > np.arange(verdict.steps)))
+
+
+@pytest.mark.parametrize("d", (1, 3))
+@pytest.mark.parametrize("pmf", (pmf_uniform(1, 8), pmf_uniform(15, 64)))
+def test_sampled_delay_server_matches_the_step_loop(pmf, d):
+    # 1-D runs step on the float loop, d = 3 on the block engine
+    problem = QuadraticProblem(_spd(d, 5 * d))
+    H = problem.hessian
+    scheduler = SampledDelay(pmf, seed=11)
+    draws = np.random.default_rng(11).choice(np.array(pmf.delays), size=STEPS,
+                                             p=np.array(pmf.probs))
+    for variant, m in VARIANTS[:2]:
+        for eta in _etas(int(pmf.expected_delay()), problem.sharpness()):
+            opt = OptimizerSpec(variant, eta, m)
+            run = run_ps(problem, scheduler, opt, STEPS, init="random_unit", init_seed=d,
+                         record_states=True)
+            verdict = run.verdict
+            assert verdict.steps > pmf.max_delay + 2
+            want = _step_loop(verdict.states[0], opt, STEPS, lambda t: H,
+                              lag=lambda t: int(draws[t]))
+            _assert_same_states(verdict, want)
+            assert run.applied_delays == tuple(
+                np.minimum(draws, np.arange(STEPS))[:verdict.steps].tolist())
 
 
 def test_zero_delay_runs_one_step_blocks():

@@ -229,6 +229,24 @@ class TestSgd:
         assert peak < 2_000_000
         assert short.trace == run.trace
 
+    def test_sampled_delays_do_not_depend_on_the_budget(self):
+        # converges at step 111 under either budget; drawn up front, three
+        # million picks and delays would take 96 MB and move the trajectory
+        opt = OptimizerSpec("plain", 0.3)
+        pmf = pmf_uniform(1, 4)
+        short = simulate_sgd(self._problem(noise=True),
+                             SimConfig(opt, pmf, max_steps=10_000, record_trace=True), seed=1)
+        cfg = SimConfig(opt, pmf, max_steps=3_000_000, record_trace=True)
+        tracemalloc.start()
+        try:
+            run = simulate_sgd(self._problem(noise=True), cfg, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run.status == CONVERGED and run.steps == 111
+        assert peak < 2_000_000
+        assert short.trace == run.trace
+
     def test_sampled_delays_clip_at_history_edge(self):
         # delays of 3..5 drawn from step 1 on must clip until history exists
         cfg = SimConfig(OptimizerSpec("plain", 0.05), pmf_uniform(3, 5),

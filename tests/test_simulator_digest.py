@@ -119,7 +119,7 @@ def _ps_runs():
 FROZEN = {
     "expectation_scalar": "18d760d044bb8750b9b72bc63838f53f120e6c602ae248f6ebbdbb227eca8099",
     "expectation_vector": "7f509f2193a1593fb5e3fa58e0cd48f9bf35c80563cb747ab48731d23738f829",
-    "sgd": "1b4e5db81ce86a2e7e0ff51df08614172497393c6f7aebe8eedec0aa3adaab56",
+    "sgd": "7075f273a7d67eeb09ef0004e3bbf482f994daee65c0ec05505cee761b76a1a5",
     "ps": "468e2bd7ce00d3d5a4f9bc333d2478d9ec0f203686193a047077bf801569b8db",
 }
 

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from oracles import companion_max_magnitude
 
-from staleness_lab.charpoly import DelayModel, OptimizerSpec, char_poly
+from staleness_lab.charpoly import (
+    DelayModel,
+    OptimizerSpec,
+    char_poly,
+    pmf_discrete_gaussian,
+    pmf_uniform,
+)
 from staleness_lab.stability import numeric_threshold
 
 variant_and_m = st.one_of(
@@ -45,11 +51,7 @@ def test_plain_threshold_falls_as_the_delay_grows(tau, step):
     assert longer.eta_star < shorter.eta_star
 
 
-@settings(max_examples=40, deadline=None, database=None)
-@given(variant_and_m, st.integers(0, 24))
-def test_stability_flips_once_at_the_threshold(vm, tau):
-    variant, m = vm
-    delay = DelayModel.constant(tau)
+def _assert_flips_once(variant, m, delay):
     eta_star = numeric_threshold(variant, 1.0, delay, m=m).eta_star
 
     def spectral_radius(f):
@@ -58,3 +60,20 @@ def test_stability_flips_once_at_the_threshold(vm, tau):
 
     assert all(spectral_radius(f) < 1.0 for f in (0.5, 0.9, 0.99))
     assert all(spectral_radius(f) > 1.0 for f in (1.01, 1.5, 4.0))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(variant_and_m, st.integers(0, 24))
+def test_stability_flips_once_at_the_threshold(vm, tau):
+    variant, m = vm
+    _assert_flips_once(variant, m, DelayModel.constant(tau))
+
+
+uniform_pmfs = st.integers(1, 24).flatmap(
+    lambda hi: st.integers(1, hi).map(lambda lo: pmf_uniform(lo, hi)))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.one_of(uniform_pmfs, st.integers(1, 12).map(pmf_discrete_gaussian)))
+def test_stability_flips_once_at_the_pmf_threshold(pmf):
+    _assert_flips_once("plain", 0.0, pmf)
