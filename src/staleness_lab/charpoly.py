@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 PROB_SUM_TOL = 1e-12
@@ -91,8 +92,8 @@ class Polynomial:
 class DelayModel:
     """Distribution of gradient staleness: a constant delay or a finite pmf.
 
-    ``delays`` are distinct non-negative integers in ascending order and
-    ``probs`` the matching masses, summing to 1 within ``PROB_SUM_TOL``.
+    ``delays`` are distinct integers in ``[0, MAX_TAU]`` in ascending order
+    and ``probs`` the matching masses, summing to 1 within ``PROB_SUM_TOL``.
     A constant delay is the single-entry point mass.
     """
 
@@ -100,12 +101,10 @@ class DelayModel:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        delays = tuple(int(d) for d in self.delays)
+        delays = tuple(_check_delay(d) for d in self.delays)
         probs = tuple(float(p) for p in self.probs)
         if len(delays) != len(probs) or not delays:
             raise ValueError("delays and probs must be equal-length, non-empty")
-        if any(d < 0 for d in delays):
-            raise ValueError("delays must be non-negative")
         if any(b <= a for a, b in zip(delays, delays[1:])):
             raise ValueError("delays must be strictly increasing")
         if any(not 0.0 < p <= 1.0 for p in probs):
@@ -117,9 +116,7 @@ class DelayModel:
 
     @classmethod
     def constant(cls, tau: int) -> "DelayModel":
-        if tau < 0 or tau > MAX_TAU:
-            raise ValueError(f"constant delay must be in [0, {MAX_TAU}]")
-        return cls((int(tau),), (1.0,))
+        return cls((tau,), (1.0,))
 
     @classmethod
     def pmf(cls, entries) -> "DelayModel":
@@ -128,7 +125,7 @@ class DelayModel:
         Delays must be positive here; a zero delay only makes sense as the
         constant model.
         """
-        pairs = sorted(dict(entries).items())
+        pairs = sorted((_check_delay(k), p) for k, p in dict(entries).items())
         if any(k < 1 for k, _ in pairs):
             raise ValueError("pmf delays must be positive integers")
         return cls(tuple(k for k, _ in pairs), tuple(p for _, p in pairs))
@@ -165,32 +162,54 @@ class OptimizerSpec:
     m: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.eta > 0.0 and math.isfinite(self.eta)):
-            raise ValueError("eta must be positive and finite")
+        _check_positive("eta", self.eta)
         _check_variant(self.variant, self.m)
 
     def with_eta(self, eta: float) -> "OptimizerSpec":
         return OptimizerSpec(self.variant, eta, self.m)
 
 
+# What counts as a valid input, said once: every module checks its step
+# sizes, curvatures, momenta and delays with these.
+
+def _check_positive(name: str, x: float) -> None:
+    """Require ``0 < x < inf`` (a NaN fails)."""
+    if not (x > 0.0 and math.isfinite(x)):
+        raise ValueError(f"{name} must be positive and finite, got {x!r}")
+
+
+def _check_momentum(m: float) -> None:
+    if not 0.0 <= m < 1.0:
+        raise ValueError("m must lie in [0, 1)")
+
+
+def _check_delay(tau) -> int:
+    """A delay as an ``int``: an integer (numpy's included, bools not) in
+    ``[0, MAX_TAU]``."""
+    if not isinstance(tau, numbers.Integral) or isinstance(tau, bool):
+        raise ValueError(f"tau must be an integer, got {tau!r}")
+    if not 0 <= tau <= MAX_TAU:
+        raise ValueError(f"tau must be in [0, {MAX_TAU}], got {tau}")
+    return int(tau)
+
+
+def as_delay(delay) -> DelayModel:
+    """A ``DelayModel`` as given; anything else as the constant delay it names."""
+    return delay if isinstance(delay, DelayModel) else DelayModel.constant(delay)
+
+
 def _check_variant(variant: str, m: float) -> None:
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    if not 0.0 <= m < 1.0:
-        raise ValueError("m must lie in [0, 1)")
+    _check_momentum(m)
     if variant == PLAIN and m != 0.0:
         raise ValueError("plain variant has no momentum; m must be 0")
 
 
-def _check_scalars(eta: float, a: float, tau: int) -> None:
-    if not (eta > 0.0 and math.isfinite(eta)):
-        raise ValueError("eta must be positive and finite")
-    if not (a > 0.0 and math.isfinite(a)):
-        raise ValueError("a must be positive and finite")
-    if not isinstance(tau, int) or isinstance(tau, bool):
-        raise ValueError("tau must be an integer")
-    if tau < 0 or tau > MAX_TAU:
-        raise ValueError(f"tau must be in [0, {MAX_TAU}]")
+def _check_scalars(eta: float, a: float, tau: int) -> int:
+    _check_positive("eta", eta)
+    _check_positive("a", a)
+    return _check_delay(tau)
 
 
 def _constant_terms(variant: str, m: float, tau: int) -> tuple[Term, ...]:
@@ -223,8 +242,6 @@ def char_poly_terms(variant: str, m: float, delay: DelayModel) -> tuple[Term, ..
     """
     _check_variant(variant, m)
     if delay.is_constant:
-        if delay.tau > MAX_TAU:
-            raise ValueError(f"tau must be in [0, {MAX_TAU}]")
         return _constant_terms(variant, m, delay.tau)
     if variant != PLAIN:
         raise ValueError("random delay analysis is only supported for plain")
@@ -248,7 +265,7 @@ def char_poly_plain(eta: float, a: float, tau: int) -> Polynomial:
     At ``tau = 0`` the two leading terms collide with the constant structure
     and the result degenerates to the familiar ``z - (1 - eta*a)``.
     """
-    _check_scalars(eta, a, tau)
+    tau = _check_scalars(eta, a, tau)
     return _poly_from_terms(_constant_terms(PLAIN, 0.0, tau), eta, a)
 
 
@@ -260,7 +277,7 @@ def char_poly_momentum(eta: float, a: float, tau: int, m: float) -> Polynomial:
     ``z`` gives the degree-2 polynomial ``z^2 - (1 + m - eta*(1-m)*a) z + m``
     (the gradient term shifts onto ``z`` and merges there).
     """
-    _check_scalars(eta, a, tau)
+    tau = _check_scalars(eta, a, tau)
     _check_variant(MOMENTUM, m)
     return _poly_from_terms(_constant_terms(MOMENTUM, m, tau), eta, a)
 
@@ -273,7 +290,7 @@ def char_poly_shifted(eta: float, a: float, tau: int, m: float) -> Polynomial:
     momentum feedback out to lag ``tau + 1`` and, unlike the central-velocity
     variant, lets larger ``m`` tolerate larger step sizes.
     """
-    _check_scalars(eta, a, tau)
+    tau = _check_scalars(eta, a, tau)
     _check_variant(SHIFTED_MOMENTUM, m)
     return _poly_from_terms(_constant_terms(SHIFTED_MOMENTUM, m, tau), eta, a)
 
@@ -284,10 +301,8 @@ def char_poly_stochastic(eta: float, a: float, delay: DelayModel) -> Polynomial:
     With maximum support ``K`` this is ``z^(K+1) - z^K + eta*a * sum_k p_k
     z^(K-k)``.  A point mass reproduces the constant-delay polynomial exactly.
     """
-    if not (eta > 0.0 and math.isfinite(eta)):
-        raise ValueError("eta must be positive and finite")
-    if not (a > 0.0 and math.isfinite(a)):
-        raise ValueError("a must be positive and finite")
+    _check_positive("eta", eta)
+    _check_positive("a", a)
     return _poly_from_terms(_stochastic_terms(delay), eta, a)
 
 
@@ -297,8 +312,7 @@ def char_poly(optimizer: OptimizerSpec, a: float, delay: DelayModel) -> Polynomi
     Random delays are only analyzed for the plain variant; combining them
     with momentum raises.
     """
-    if not (a > 0.0 and math.isfinite(a)):
-        raise ValueError("a must be positive and finite")
+    _check_positive("a", a)
     return _poly_from_terms(char_poly_terms(optimizer.variant, optimizer.m, delay),
                             optimizer.eta, a)
 
@@ -309,6 +323,7 @@ def _norm_cdf(x: float) -> float:
 
 def pmf_uniform(lo: int, hi: int) -> DelayModel:
     """Uniform delay on the integers ``lo..hi`` inclusive."""
+    lo, hi = _check_delay(lo), _check_delay(hi)
     if not 1 <= lo <= hi:
         raise ValueError("need 1 <= lo <= hi")
     n = hi - lo + 1
@@ -321,10 +336,13 @@ def pmf_discrete_gaussian(mu: int) -> DelayModel:
     Mass at ``k`` in ``1..2*mu`` is the normal probability of the interval
     ``(k-0.5, k+0.5)``, renormalized over the truncated support.  The mean
     sits within 1e-6 of ``mu`` once ``mu >= 6``; for smaller ``mu`` the
-    dropped left tail biases it up by a visible but harmless amount.
+    dropped left tail biases it up by a visible but harmless amount.  The
+    support must fit the delay bound: ``2 * mu <= MAX_TAU``.
     """
+    mu = _check_delay(mu)
     if mu < 1:
         raise ValueError("mu must be a positive integer")
+    _check_delay(2 * mu)
     raw = [_norm_cdf(k + 0.5 - mu) - _norm_cdf(k - 0.5 - mu) for k in range(1, 2 * mu + 1)]
     total = math.fsum(raw)
     # Far-tail intervals underflow to exactly zero mass; drop them rather

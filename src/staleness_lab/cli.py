@@ -28,13 +28,15 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .charpoly import DelayModel, OptimizerSpec, char_poly, pmf_discrete_gaussian, pmf_uniform
+from .charpoly import (DelayModel, OptimizerSpec, _check_delay, _check_positive, char_poly,
+                       pmf_discrete_gaussian, pmf_uniform)
 from .dynamics import (
     DIVERGED,
     UNDECIDED,
     QuadraticProblem,
     SimConfig,
     SimVerdict,
+    _trace_steps,
     escape_time_curve,
     simulate_expectation,
 )
@@ -172,17 +174,19 @@ def _configure(command: str, args: argparse.Namespace) -> dict:
 
 
 def _parse_tau_values(text: str) -> list[int]:
+    """The delays ``N``, ``N,M,...`` or ``LO..HI`` name; a range's ends are
+    checked before its list is built."""
     text = text.strip()
+    lo, sep, hi = text.partition("..")
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            lo_i, hi_i = int(lo), int(hi)
-            if hi_i < lo_i:
-                raise CliUsage(f"empty tau range {text!r}")
-            return list(range(lo_i, hi_i + 1))
-        taus = [int(p) for p in text.split(",") if p.strip() != ""]
+        taus = [int(lo), int(hi)] if sep else [int(p) for p in text.split(",") if p.strip() != ""]
     except ValueError:
         raise CliUsage(f"cannot parse tau list {text!r}") from None
+    if sep:
+        lo_i, hi_i = _check_delay(taus[0]), _check_delay(taus[1])
+        if hi_i < lo_i:
+            raise CliUsage(f"empty tau range {text!r}")
+        return list(range(lo_i, hi_i + 1))
     if not taus:
         raise CliUsage(f"tau list {text!r} names no delay")
     return taus
@@ -190,15 +194,17 @@ def _parse_tau_values(text: str) -> list[int]:
 
 def _parse_pmf(text: str) -> DelayModel:
     kind, _, rest = text.partition(":")
+    build = {"uniform": pmf_uniform, "gauss": pmf_discrete_gaussian}.get(kind)
+    if build is None:
+        raise CliUsage(f"pmf must look like uniform:LO,HI or gauss:MU, got {text!r}")
     try:
-        if kind == "uniform":
-            lo, hi = rest.split(",")
-            return pmf_uniform(int(lo), int(hi))
-        if kind == "gauss":
-            return pmf_discrete_gaussian(int(rest))
+        args = [int(p) for p in rest.split(",")]
     except ValueError:
-        raise CliUsage(f"cannot parse pmf {text!r}") from None
-    raise CliUsage(f"pmf must look like uniform:LO,HI or gauss:MU, got {text!r}")
+        args = []
+    if len(args) != (2 if kind == "uniform" else 1):
+        raise CliUsage(f"cannot parse pmf {text!r}")
+    # a bad delay is reported in the library's words, before any entry is built
+    return build(*args)
 
 
 def _require(cfg: dict, key: str, flag: str):
@@ -224,8 +230,7 @@ def _single_delay(cfg: dict) -> DelayModel:
 
 def _curvature(cfg: dict) -> float:
     a = _require(cfg, "a", "--a")
-    if a <= 0:
-        raise CliUsage("--a must be positive")
+    _check_positive("--a", a)
     return a
 
 
@@ -356,8 +361,6 @@ def cmd_threshold(cfg: dict, args: argparse.Namespace) -> int:
 def cmd_roots(cfg: dict, args: argparse.Namespace) -> int:
     a = _require(cfg, "a", "--a")
     eta = _require(cfg, "eta", "--eta")
-    if eta <= 0:
-        raise CliUsage("--eta must be positive (the polynomial degenerates at 0)")
     delay = _single_delay(cfg)
     poly = char_poly(OptimizerSpec(cfg["variant"], eta, cfg["m"]), a, delay)
     rs = all_roots(poly)
@@ -403,7 +406,10 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
     )
     if eta == 0.0:
         steps = sim_cfg.resolved_max_steps()
-        verdict = SimVerdict(UNDECIDED, None, 1.0, steps, trace=((0, 1.0), (steps, 1.0)))
+        trace = None
+        if sim_cfg.record_trace:
+            trace = tuple((s, 1.0) for s in _trace_steps(steps, sim_cfg.record_every))
+        verdict = SimVerdict(UNDECIDED, None, 1.0, steps, trace=trace)
     else:
         verdict = simulate_expectation(problem, sim_cfg)
 
@@ -457,8 +463,6 @@ def cmd_ps(cfg: dict, args: argparse.Namespace) -> int:
     variant = cfg["variant"]
     problem = _build_problem(cfg)
     eta = _require(cfg, "eta", "--eta")
-    if eta <= 0:
-        raise CliUsage("--eta must be positive")
     if (cfg["workers"] is None) == (cfg["pmf"] is None):
         raise CliUsage("provide exactly one of --workers / --pmf")
     seed = cfg["seed"]

@@ -23,9 +23,9 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .charpoly import DelayModel, OptimizerSpec
+from .charpoly import DelayModel, OptimizerSpec, _check_positive, as_delay
 from .errors import NoConvergence, UndecidedAtProbe
-from .stability import METHOD_SIMULATION, ThresholdResult, _bisect_eta, _check_rel_tol
+from .stability import METHOD_SIMULATION, ThresholdResult, _bisect_eta
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
@@ -48,8 +48,8 @@ COMPONENT_MEAN_TOL = 1e-10
 
 
 class QuadraticProblem:
-    """Quadratic objective ``0.5 (x - x*)' H (x - x*)``, possibly a mean of
-    per-sample quadratics.
+    """Quadratic objective ``0.5 x' H x`` with its minimum at the origin,
+    possibly a mean of per-sample quadratics.
 
     Parameters
     ----------
@@ -59,12 +59,9 @@ class QuadraticProblem:
     components : sequence of (d, d) array_like, optional
         Per-sample curvatures whose mean is ``hessian``; required by
         ``simulate_sgd``, ignored by the expectation dynamics.
-    minimum : (d,) array_like, optional
-        Location of the minimum; defaults to the origin.  Simulations track
-        the offset from this point, so it never enters the arithmetic.
     """
 
-    def __init__(self, hessian, components=None, minimum=None):
+    def __init__(self, hessian, components=None):
         H = np.array(hessian, dtype=float)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ValueError("hessian must be a square matrix")
@@ -95,16 +92,6 @@ class QuadraticProblem:
         else:
             C = None
 
-        if minimum is None:
-            x_star = np.zeros(H.shape[0])
-        else:
-            x_star = np.array(minimum, dtype=float)
-            if x_star.shape != (H.shape[0],):
-                raise ValueError("minimum must be a length-d vector")
-            if not np.isfinite(x_star).all():
-                raise ValueError("minimum entries must be finite")
-        x_star.setflags(write=False)
-
         # Fix the top eigenvector's sign so initialization is reproducible.
         top = eigvecs[:, -1].copy()
         if top[int(np.argmax(np.abs(top)))] < 0:
@@ -115,14 +102,13 @@ class QuadraticProblem:
 
         self._hessian = H
         self._components = C
-        self._minimum = x_star
         self._eigvals = eigvals
         self._top = top
 
     @classmethod
-    def diagonal(cls, spectrum, components=None, minimum=None) -> "QuadraticProblem":
+    def diagonal(cls, spectrum, components=None) -> "QuadraticProblem":
         """Problem with the given eigenvalues on the diagonal."""
-        return cls(np.diag(np.asarray(spectrum, dtype=float)), components, minimum)
+        return cls(np.diag(np.asarray(spectrum, dtype=float)), components)
 
     @property
     def d(self) -> int:
@@ -135,10 +121,6 @@ class QuadraticProblem:
     @property
     def components(self) -> np.ndarray | None:
         return self._components
-
-    @property
-    def minimum(self) -> np.ndarray:
-        return self._minimum
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -181,8 +163,7 @@ class SimConfig:
     record_states: bool = False
 
     def __post_init__(self):
-        if isinstance(self.delay, int):
-            object.__setattr__(self, "delay", DelayModel.constant(self.delay))
+        object.__setattr__(self, "delay", as_delay(self.delay))
         if not isinstance(self.optimizer, OptimizerSpec):
             raise TypeError("optimizer must be an OptimizerSpec")
         if not self.delay.is_constant and self.optimizer.variant != "plain":
@@ -350,10 +331,15 @@ def _simulate(config: SimConfig, advance, y0, n0, draws=None) -> SimVerdict:
     )
     if norms is None:
         return verdict
-    steps = list(range(0, verdict.steps + 1, every))
-    if steps[-1] != verdict.steps:
-        steps.append(verdict.steps)
-    return replace(verdict, trace=tuple(zip(steps, norms)))
+    return replace(verdict, trace=tuple(zip(_trace_steps(verdict.steps, every), norms)))
+
+
+def _trace_steps(steps: int, every: int) -> list[int]:
+    """The steps a trace records: 0, ``every``, ``2 * every``, ... and ``steps``."""
+    grid = list(range(0, steps + 1, every))
+    if grid[-1] != steps:
+        grid.append(steps)
+    return grid
 
 
 def simulate_expectation(problem: QuadraticProblem, config: SimConfig) -> SimVerdict:
@@ -627,7 +613,7 @@ def _simulated_threshold(run, a, variant, m, delay, rel_tol, probe_steps,
     doubled once; if it stays undecided the search raises
     ``UndecidedAtProbe`` rather than guess.
     """
-    _check_rel_tol(rel_tol)
+    _check_positive("rel_tol", rel_tol)
 
     def stable(eta: float) -> bool:
         for steps in (probe_steps, 2 * probe_steps):
@@ -676,8 +662,7 @@ def empirical_threshold(
     undecided probe gets its step budget doubled once; if it stays
     undecided the search raises ``UndecidedAtProbe`` rather than guess.
     """
-    if isinstance(delay, int):
-        delay = DelayModel.constant(delay)
+    delay = as_delay(delay)
 
     def run(eta, steps):
         cfg = SimConfig(

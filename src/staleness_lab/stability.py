@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charpoly import DelayModel, char_poly_terms
+from .charpoly import (DelayModel, _check_delay, _check_momentum, _check_positive, as_delay,
+                       char_poly_terms)
 from .errors import NoConvergence, NoThreshold
 
 ETA_A_CAP = 16.0
@@ -80,10 +81,8 @@ def analytic_threshold_plain(a: float, tau: int) -> float:
     At ``tau = 0`` this is the familiar ``2 / a``; the delay shrinks the
     usable step size roughly in proportion to ``1 / (2 tau + 1)``.
     """
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
+    _check_positive("a", a)
+    tau = _check_delay(tau)
     return (2.0 / a) * math.sin(math.pi / (4 * tau + 2))
 
 
@@ -93,6 +92,7 @@ def taylor_inverse_threshold(tau: int) -> float:
     Undefined at ``tau = 0``: the expansion is around large delay and the
     delay-free case needs no approximation.
     """
+    tau = _check_delay(tau)
     if tau < 1:
         raise ValueError("the linear approximation needs tau >= 1")
     return (2 * tau + 1) / math.pi
@@ -109,37 +109,23 @@ def scale_lr(eta0: float, tau: int) -> float:
     delay-free edge, rescaled to tau 0 or 1, is unstable; eta0 must sit at
     least that far inside its own edge for the rescaled step to be stable.
     """
-    if eta0 <= 0:
-        raise ValueError("eta0 must be positive")
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
+    _check_positive("eta0", eta0)
+    tau = _check_delay(tau)
     return eta0 * math.pi / (4.0 * (tau + 0.5))
 
 
 def effective_lr(eta: float, m: float) -> float:
     """Long-run step size ``eta / (1 - m)`` of a momentum update."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if not 0.0 <= m < 1.0:
-        raise ValueError("m must lie in [0, 1)")
+    _check_positive("eta", eta)
+    _check_momentum(m)
     return eta / (1.0 - m)
 
 
 def dampened_lr(eta_eff: float, m: float) -> float:
     """Invert :func:`effective_lr`: the raw eta that yields ``eta_eff``."""
-    if eta_eff <= 0:
-        raise ValueError("eta_eff must be positive")
-    if not 0.0 <= m < 1.0:
-        raise ValueError("m must lie in [0, 1)")
+    _check_positive("eta_eff", eta_eff)
+    _check_momentum(m)
     return eta_eff * (1.0 - m)
-
-
-def _check_rel_tol(rel_tol: float) -> None:
-    """Require ``0 < rel_tol < inf``: a NaN or infinite tolerance would end a
-    bisection at its doubling bracket, and one <= 0 would run it to float
-    resolution."""
-    if not 0.0 < rel_tol < math.inf:
-        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
 
 
 def _bisect_eta(
@@ -421,11 +407,9 @@ def numeric_threshold(
     NoConvergence
         If the certificate fails: the crossing is not the boundary.
     """
-    if not (a > 0 and math.isfinite(a)):
-        raise ValueError("a must be positive and finite")
-    _check_rel_tol(rel_tol)
-    if isinstance(delay, int):
-        delay = DelayModel.constant(delay)
+    _check_positive("a", a)
+    _check_positive("rel_tol", rel_tol)
+    delay = as_delay(delay)
 
     split = _Split(variant, m, delay)
     k_star, theta_star = boundary_crossing(variant, m, delay)
@@ -492,7 +476,7 @@ class ThresholdCurve:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(self.to_csv())
 
 
@@ -530,7 +514,7 @@ def threshold_curve(
     """
     rows: list[CurveRow] = []
     for d in delays:
-        model = DelayModel.constant(d) if isinstance(d, int) else d
+        model = as_delay(d)
         x = float(model.expected_delay())
         try:
             res = numeric_threshold(variant, a, model, m=m, rel_tol=rel_tol)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -86,6 +87,21 @@ class TestThreshold:
         assert rc == 1
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("delay", [
+        ("--tau", "0..200000"), ("--pmf", "uniform:1,200000"), ("--pmf", "gauss:100000"),
+    ])
+    def test_delays_past_max_tau_exit_before_any_is_built(self, capsys, delay):
+        # 200,000 delays, built one by one, would take several MB
+        tracemalloc.start()
+        try:
+            rc, out, err = run_cli(capsys, "threshold", "--a", "1", *delay)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert out == "" and err.startswith("usage error: tau must be in [0, 10000], got ")
+        assert peak < 1_000_000
+
 
 class TestRoots:
     def test_text_output(self, capsys):
@@ -138,6 +154,21 @@ class TestSimulate:
         assert rc == 0
         assert "undecided" in out
         assert "amplification 1" in out
+
+    @pytest.mark.parametrize("steps", [1000, 1050])
+    def test_zero_eta_trace_follows_record_every(self, capsys, tmp_path, steps):
+        # the rows a run with a tiny step size records, at the same steps
+        grids = []
+        for eta in ("0", "1e-12"):
+            out = tmp_path / eta
+            rc, _, _ = run_cli(capsys, "simulate", "--a", "1.0", "--eta", eta, "--tau", "4",
+                               "--steps", str(steps), "--record-every", "100", "--out", str(out))
+            assert rc == 0
+            rows = (out / "trace.csv").read_text().splitlines()
+            grids.append([int(row.split(",")[0]) for row in rows[1:]])
+        assert grids[0] == grids[1] == [*range(0, 1001, 100), *([steps] if steps % 100 else [])]
+        assert (tmp_path / "0" / "trace.csv").read_text().splitlines()[1:] == [
+            f"{s},1.0" for s in grids[0]]
 
     @pytest.mark.parametrize("extra", [
         ["--steps", "-5"],

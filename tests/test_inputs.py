@@ -1,0 +1,158 @@
+"""One definition of a valid input, seen from every public entry point.
+
+Step sizes and curvatures are positive and finite, momenta lie in [0, 1),
+and every delay, constant or in a pmf's support, is an integer in
+[0, MAX_TAU]; numpy integers count as integers, bools do not.  Each rejected
+input raises ValueError at once, never a NaN, a truncated delay, an
+AttributeError or an allocation sized by the bad value.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from staleness_lab.charpoly import (
+    MAX_TAU,
+    DelayModel,
+    OptimizerSpec,
+    char_poly,
+    char_poly_momentum,
+    char_poly_plain,
+    char_poly_shifted,
+    char_poly_stochastic,
+    pmf_discrete_gaussian,
+    pmf_uniform,
+)
+from staleness_lab.dynamics import (
+    QuadraticProblem,
+    SimConfig,
+    empirical_threshold,
+    escape_time_curve,
+)
+from staleness_lab.stability import (
+    analytic_threshold_plain,
+    dampened_lr,
+    effective_lr,
+    numeric_threshold,
+    scale_lr,
+    taylor_inverse_threshold,
+    threshold_curve,
+)
+
+PROBLEM = QuadraticProblem([[1.0]])
+PMF = pmf_uniform(1, 3)
+OPT = OptimizerSpec("plain", 0.1)
+
+# Entry point -> call with the checked argument replaced by x.
+POSITIVE = {
+    "OptimizerSpec eta": lambda x: OptimizerSpec("plain", x),
+    "char_poly_plain eta": lambda x: char_poly_plain(x, 1.0, 3),
+    "char_poly_plain a": lambda x: char_poly_plain(0.1, x, 3),
+    "char_poly_momentum eta": lambda x: char_poly_momentum(x, 1.0, 3, 0.5),
+    "char_poly_momentum a": lambda x: char_poly_momentum(0.1, x, 3, 0.5),
+    "char_poly_shifted eta": lambda x: char_poly_shifted(x, 1.0, 3, 0.5),
+    "char_poly_shifted a": lambda x: char_poly_shifted(0.1, x, 3, 0.5),
+    "char_poly_stochastic eta": lambda x: char_poly_stochastic(x, 1.0, PMF),
+    "char_poly_stochastic a": lambda x: char_poly_stochastic(0.1, x, PMF),
+    "char_poly a": lambda x: char_poly(OPT, x, DelayModel.constant(3)),
+    "analytic_threshold_plain a": lambda x: analytic_threshold_plain(x, 3),
+    "scale_lr eta0": lambda x: scale_lr(x, 3),
+    "effective_lr eta": lambda x: effective_lr(x, 0.5),
+    "dampened_lr eta_eff": lambda x: dampened_lr(x, 0.5),
+    "numeric_threshold a": lambda x: numeric_threshold("plain", x, 3),
+    "numeric_threshold rel_tol": lambda x: numeric_threshold("plain", 1.0, 3, rel_tol=x),
+    "threshold_curve a": lambda x: threshold_curve("plain", x, [3]),
+    "empirical_threshold rel_tol": lambda x: empirical_threshold(PROBLEM, "plain", 3, rel_tol=x),
+}
+BAD_POSITIVE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "0": 0.0, "negative": -1.0}
+
+MOMENTUM = {
+    "OptimizerSpec m": lambda x: OptimizerSpec("momentum", 0.1, x),
+    "char_poly_momentum m": lambda x: char_poly_momentum(0.1, 1.0, 3, x),
+    "char_poly_shifted m": lambda x: char_poly_shifted(0.1, 1.0, 3, x),
+    "effective_lr m": lambda x: effective_lr(0.1, x),
+    "dampened_lr m": lambda x: dampened_lr(0.1, x),
+    "numeric_threshold m": lambda x: numeric_threshold("momentum", 1.0, 3, m=x),
+}
+BAD_MOMENTUM = {"nan": math.nan, "inf": math.inf, "negative": -0.1, "1": 1.0}
+
+DELAY = {
+    "DelayModel.constant": lambda x: DelayModel.constant(x),
+    "DelayModel.pmf": lambda x: DelayModel.pmf({x: 1.0}),
+    "pmf_uniform lo": lambda x: pmf_uniform(x, 5),
+    "pmf_uniform hi": lambda x: pmf_uniform(1, x),
+    "pmf_discrete_gaussian": lambda x: pmf_discrete_gaussian(x),
+    "char_poly_plain": lambda x: char_poly_plain(0.1, 1.0, x),
+    "char_poly_momentum": lambda x: char_poly_momentum(0.1, 1.0, x, 0.5),
+    "char_poly_shifted": lambda x: char_poly_shifted(0.1, 1.0, x, 0.5),
+    "analytic_threshold_plain": lambda x: analytic_threshold_plain(1.0, x),
+    "taylor_inverse_threshold": lambda x: taylor_inverse_threshold(x),
+    "scale_lr": lambda x: scale_lr(0.1, x),
+    "numeric_threshold": lambda x: numeric_threshold("plain", 1.0, x),
+    "threshold_curve": lambda x: threshold_curve("plain", 1.0, [x]),
+    "SimConfig": lambda x: SimConfig(OPT, x),
+    "empirical_threshold": lambda x: empirical_threshold(PROBLEM, "plain", x),
+    "escape_time_curve": lambda x: escape_time_curve(PROBLEM, "plain", x, [0.1]),
+}
+BAD_DELAY = {"2.5": 2.5, "3.0": 3.0, "True": True, "nan": math.nan, "inf": math.inf,
+             "negative": -1, "MAX_TAU + 1": MAX_TAU + 1, "text": "3"}
+
+# Delays inside [0, MAX_TAU] whose pmf support is not.
+SUPPORT_PAST_MAX_TAU = {
+    "DelayModel.pmf": lambda: DelayModel.pmf({1: 0.5, MAX_TAU + 1: 0.5}),
+    "DelayModel": lambda: DelayModel((1, 2 * MAX_TAU), (0.5, 0.5)),
+    "pmf_uniform": lambda: pmf_uniform(1, MAX_TAU + 1),
+    "pmf_discrete_gaussian": lambda: pmf_discrete_gaussian(MAX_TAU // 2 + 1),
+}
+
+
+def _table(entries, values):
+    return [pytest.param(call, x, id=f"{name}-{label}")
+            for name, call in entries.items() for label, x in values.items()]
+
+
+@pytest.mark.parametrize("call, x", _table(POSITIVE, BAD_POSITIVE)
+                         + _table(MOMENTUM, BAD_MOMENTUM) + _table(DELAY, BAD_DELAY))
+def test_rejected_input_raises_value_error(call, x):
+    with pytest.raises(ValueError):
+        call(x)
+
+
+@pytest.mark.parametrize("call", SUPPORT_PAST_MAX_TAU.values(), ids=SUPPORT_PAST_MAX_TAU.keys())
+def test_pmf_support_past_max_tau_is_rejected(call):
+    with pytest.raises(ValueError, match=r"tau must be in \[0, 10000\]"):
+        call()
+
+
+def test_error_text_names_the_input():
+    with pytest.raises(ValueError, match="a must be positive and finite"):
+        analytic_threshold_plain(math.nan, 3)
+    with pytest.raises(ValueError, match=r"m must lie in \[0, 1\)"):
+        effective_lr(0.1, 1.0)
+    with pytest.raises(ValueError, match="tau must be an integer"):
+        DelayModel.constant(2.5)
+
+
+def _result(value):
+    if hasattr(value, "rows"):  # a threshold curve
+        return [row.result.eta_star for row in value.rows]
+    if hasattr(value, "eta_star"):
+        return value.eta_star
+    return value
+
+
+# The trajectory searches take their delay through SimConfig.
+@pytest.mark.parametrize("name", [n for n in DELAY
+                                  if n not in ("empirical_threshold", "escape_time_curve")])
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16])
+def test_numpy_integer_delays_are_accepted(name, kind):
+    want, got = DELAY[name](3), DELAY[name](kind(3))
+    assert _result(got) == _result(want)
+    if isinstance(got, DelayModel):
+        assert all(type(d) is int for d in got.delays)
+
+
+def test_numpy_integer_delay_is_stored_as_int():
+    assert type(SimConfig(OPT, np.int64(3)).delay.tau) is int
+    assert type(DelayModel.constant(np.int64(MAX_TAU)).tau) is int
