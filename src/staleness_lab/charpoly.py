@@ -170,7 +170,7 @@ class OptimizerSpec:
 
 
 # What counts as a valid input, said once: every module checks its step
-# sizes, curvatures, momenta and delays with these.
+# sizes, curvatures, momenta, delays and counts with these.
 
 def _check_positive(name: str, x: float) -> None:
     """Require ``0 < x < inf`` (a NaN fails)."""
@@ -183,14 +183,27 @@ def _check_momentum(m: float) -> None:
         raise ValueError("m must lie in [0, 1)")
 
 
-def _check_delay(tau) -> int:
-    """A delay as an ``int``: an integer (numpy's included, bools not) in
-    ``[0, MAX_TAU]``."""
-    if not isinstance(tau, numbers.Integral) or isinstance(tau, bool):
-        raise ValueError(f"tau must be an integer, got {tau!r}")
+def _check_integer(name: str, x) -> int:
+    """An integer (numpy's included, bools not) as an ``int``."""
+    if not isinstance(x, numbers.Integral) or isinstance(x, bool):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
+def _check_delay(tau, name: str = "tau") -> int:
+    """A delay as an ``int``: an integer in ``[0, MAX_TAU]``."""
+    tau = _check_integer(name, tau)
     if not 0 <= tau <= MAX_TAU:
-        raise ValueError(f"tau must be in [0, {MAX_TAU}], got {tau}")
-    return int(tau)
+        raise ValueError(f"{name} must be in [0, {MAX_TAU}], got {tau}")
+    return tau
+
+
+def _check_count(name: str, n) -> int:
+    """A count (steps, workers, dimensions) as an ``int``: an integer >= 1."""
+    n = _check_integer(name, n)
+    if n < 1:
+        raise ValueError(f"{name} must be a positive integer, got {n}")
+    return n
 
 
 def as_delay(delay) -> DelayModel:

@@ -432,6 +432,8 @@ def cmd_escape_curve(cfg: dict, args: argparse.Namespace) -> int:
             etas = [float(p) for p in cfg["etas"].split(",") if p.strip() != ""]
         except ValueError:
             raise CliUsage(f"cannot parse --etas {cfg['etas']!r}") from None
+        if not etas:
+            raise CliUsage(f"--etas {cfg['etas']!r} names no step size")
     else:
         try:
             lo_s, hi_s, n_s = cfg["eta_range"].split(":")
@@ -581,8 +583,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .acceptance import CRITERIA, run_criteria
 
     known = [c[0] for c in CRITERIA]
-    if args.only:
+    if args.only is not None:
         names = [n.strip() for n in args.only.split(",") if n.strip()]
+        if not names:
+            raise CliUsage(f"--only {args.only!r} names no criterion")
         unknown = sorted(set(names) - set(known))
         if unknown:
             raise CliUsage(f"unknown criterion name(s): {', '.join(unknown)}; "

@@ -23,7 +23,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .charpoly import DelayModel, OptimizerSpec, _check_positive, as_delay
+from .charpoly import DelayModel, OptimizerSpec, _check_count, _check_positive, as_delay
 from .errors import NoConvergence, UndecidedAtProbe
 from .stability import METHOD_SIMULATION, ThresholdResult, _bisect_eta
 
@@ -168,14 +168,13 @@ class SimConfig:
             raise TypeError("optimizer must be an OptimizerSpec")
         if not self.delay.is_constant and self.optimizer.variant != "plain":
             raise ValueError("random delays pair with the plain update only")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError("max_steps must be positive")
+        if self.max_steps is not None:
+            object.__setattr__(self, "max_steps", _check_count("max_steps", self.max_steps))
         if not self.blowup_factor > 1.0 > self.decay_factor > 0.0:
             raise ValueError("need blowup_factor > 1 > decay_factor > 0")
         if self.init not in ("top_eigvec", "random_unit"):
             raise ValueError("init must be 'top_eigvec' or 'random_unit'")
-        if self.record_every < 1:
-            raise ValueError("record_every must be positive")
+        object.__setattr__(self, "record_every", _check_count("record_every", self.record_every))
 
     def resolved_max_steps(self) -> int:
         if self.max_steps is not None:
@@ -614,6 +613,7 @@ def _simulated_threshold(run, a, variant, m, delay, rel_tol, probe_steps,
     ``UndecidedAtProbe`` rather than guess.
     """
     _check_positive("rel_tol", rel_tol)
+    probe_steps = _check_count("probe_steps", probe_steps)
 
     def stable(eta: float) -> bool:
         for steps in (probe_steps, 2 * probe_steps):
@@ -630,7 +630,7 @@ def _simulated_threshold(run, a, variant, m, delay, rel_tol, probe_steps,
     # budget; near eta = 0 the decay rate is about eta * a per step, so the
     # doubling phase starts where classification costs a tenth of the budget.
     start_eta_a = 10.0 * math.log(1.0 / decay_factor) / probe_steps
-    eta_lo, eta_hi = _bisect_eta(stable, a, rel_tol, start_eta_a=start_eta_a)
+    eta_lo, eta_hi = _bisect_eta(stable, start_eta_a / a, rel_tol)
     return ThresholdResult(
         eta_star=0.5 * (eta_lo + eta_hi),
         method=METHOD_SIMULATION,
@@ -749,10 +749,9 @@ def power_iteration(
     NoConvergence
         After ``max_iter`` steps; carries the last estimate in ``best``.
     """
-    if d < 1:
-        raise ValueError("d must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    d = _check_count("d", d)
+    _check_positive("tol", tol)
+    max_iter = _check_count("max_iter", max_iter)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(d)
     v = v / float(np.linalg.norm(v))

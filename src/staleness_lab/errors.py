@@ -20,8 +20,8 @@ class NoThreshold(RuntimeError):
     """No stability boundary was found.
 
     Raised when no root of the characteristic polynomial ever reaches the
-    unit circle, or when a simulator search pushes ``eta * a`` past its cap
-    while runs still look stable (or were never stable to begin with).
+    unit circle, or when a simulator search finds its runs unstable already
+    at the smallest probe.
     """
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charpoly import DelayModel, OptimizerSpec
+from .charpoly import DelayModel, OptimizerSpec, _check_count, _check_delay
 from .dynamics import (
     PROBE_STEPS,
     QuadraticProblem,
@@ -50,8 +50,9 @@ class RoundRobin:
     n_workers: int
 
     def __post_init__(self):
-        if not isinstance(self.n_workers, int) or self.n_workers < 1:
-            raise ValueError("n_workers must be a positive integer")
+        n_workers = _check_count("n_workers", self.n_workers)
+        _check_delay(n_workers - 1, "n_workers - 1")
+        object.__setattr__(self, "n_workers", n_workers)
 
     @property
     def max_delay(self) -> int:
@@ -153,19 +154,9 @@ def _track_ps(problem, scheduler, optimizer, steps, seed, mode, blowup_factor, d
     Returns the verdict, the distances every ``every`` steps (``None`` when
     ``every`` is 0, as for threshold probes) and the sampled delays drawn.
     """
+    steps = _check_count("steps", steps)
     if mode not in ("expectation", "sgd"):
         raise ValueError("mode must be 'expectation' or 'sgd'")
-    if not isinstance(optimizer, OptimizerSpec):
-        raise TypeError("optimizer must be an OptimizerSpec")
-    if isinstance(scheduler, SampledDelay) and optimizer.variant == "shifted":
-        raise ValueError("shifted momentum needs per-worker velocities; SampledDelay has no workers")
-    if isinstance(scheduler, RoundRobin) and steps < scheduler.n_workers:
-        raise ValueError("need at least one step per worker")
-    if steps < 1:
-        raise ValueError("steps must be positive")
-    if mode == "sgd" and problem.components is None:
-        raise ValueError("sgd mode needs a problem with components")
-
     cfg_probe = SimConfig(  # reuse the validation; init vector only
         optimizer=optimizer,
         delay=0,
@@ -175,6 +166,12 @@ def _track_ps(problem, scheduler, optimizer, steps, seed, mode, blowup_factor, d
         init=init,
         seed=init_seed,
     )
+    if isinstance(scheduler, SampledDelay) and optimizer.variant == "shifted":
+        raise ValueError("shifted momentum needs per-worker velocities; SampledDelay has no workers")
+    if isinstance(scheduler, RoundRobin) and steps < scheduler.n_workers:
+        raise ValueError("need at least one step per worker")
+    if mode == "sgd" and problem.components is None:
+        raise ValueError("sgd mode needs a problem with components")
     y0 = _initial_vector(problem, cfg_probe)
 
     if isinstance(scheduler, RoundRobin):

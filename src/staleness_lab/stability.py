@@ -29,7 +29,6 @@ from .charpoly import (DelayModel, _check_delay, _check_momentum, _check_positiv
                        char_poly_terms)
 from .errors import NoConvergence, NoThreshold
 
-ETA_A_CAP = 16.0
 BRACKET_START = 1e-6
 
 # The certificate counts roots on circles just off the unit circle, so a
@@ -128,38 +127,31 @@ def dampened_lr(eta_eff: float, m: float) -> float:
     return eta_eff * (1.0 - m)
 
 
-def _bisect_eta(
-    stable, a: float, rel_tol: float, start_eta_a: float = BRACKET_START,
-    cap: float = ETA_A_CAP,
-) -> tuple[float, float]:
+def _bisect_eta(stable, eta_start: float, rel_tol: float) -> tuple[float, float]:
     """Bracket and bisect a stability boundary along eta.
 
     ``stable(eta)`` must flip from True to False exactly once as eta grows.
-    Doubles from ``start_eta_a / a`` until instability, then bisects until
-    the bracket is narrower than ``rel_tol`` times its midpoint.  Returns the
-    final (stable, unstable) pair.  Shared by the crossing search here and
-    the trajectory-verdict searches built on simulators (which need a larger
-    start, since classifying a nearly-motionless run takes forever, and the
-    ``eta*a`` cap, since a simulator cannot tell a run is stable forever).
+    Doubles from ``eta_start`` until the first unstable probe, then bisects
+    until the bracket is narrower than ``rel_tol`` times its midpoint.
+    Returns the final (stable, unstable) pair.  Shared by the crossing
+    search here and the trajectory-verdict searches built on simulators,
+    which start higher, since classifying a nearly-motionless run takes
+    forever.
+
+    The doubling needs no cap.  The crossing search's predicate fails once
+    ``eta*a`` passes its finite ``k*``.  Every trajectory probe starts from
+    the top eigenvector with a constant pre-history and zero velocity, so
+    its first step maps ``x0`` to ``(1 - eta*a*(1-m)) x0``, for plain,
+    momentum and shifted updates, pmf-weighted and sampled delays and
+    round-robin servers alike.  A probe with ``eta*a*(1-m) > blowup_factor
+    + 1`` therefore diverges on step 1, and the doubling ends by then.
     """
-    eta = start_eta_a / a
+    eta = eta_start
     eta_lo = None
-    while True:
-        if eta * a > cap:
-            if eta_lo is None:
-                raise NoThreshold(
-                    f"the first probe, eta*a = {eta * a:.3g}, is past the cap eta*a = {cap:.3g}"
-                )
-            raise NoThreshold(
-                f"still stable at eta*a = {eta_lo * a:.3g}, and the next probe would pass "
-                f"the cap eta*a = {cap:.3g}; no boundary below the cap"
-            )
-        if stable(eta):
-            eta_lo = eta
-            eta *= 2.0
-        else:
-            eta_hi = eta
-            break
+    while stable(eta):
+        eta_lo = eta
+        eta *= 2.0
+    eta_hi = eta
     if eta_lo is None:
         raise NoThreshold("unstable already at the smallest probe; nothing to bracket")
 
@@ -413,7 +405,7 @@ def numeric_threshold(
 
     split = _Split(variant, m, delay)
     k_star, theta_star = boundary_crossing(variant, m, delay)
-    eta_lo, eta_hi = _bisect_eta(lambda eta: eta * a <= k_star, a, rel_tol, cap=math.inf)
+    eta_lo, eta_hi = _bisect_eta(lambda eta: eta * a <= k_star, BRACKET_START / a, rel_tol)
     inside_lo = _winding_number(split, eta_lo * a, 1.0 + CERT_MARGIN, theta_star)
     inside_hi = _winding_number(split, eta_hi * a, 1.0 - CERT_MARGIN, theta_star)
     if inside_lo != split.degree or inside_hi >= split.degree:

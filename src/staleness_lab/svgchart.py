@@ -59,7 +59,8 @@ def render_line_chart(
     x_label: str | None = None,
     y_label: str | None = None,
 ) -> str:
-    """Render one polyline per y-column; ``None`` cells break the line.
+    """Render one polyline per y-column; ``None`` and non-finite cells
+    break the line.
 
     ``headers`` names the columns (first is x, used for the x-axis label
     unless overridden); ``rows`` holds floats or ``None``.  Returns a
@@ -71,8 +72,8 @@ def render_line_chart(
     if any(len(r) != len(headers) for r in rows):
         raise ValueError("row width must match header width")
 
-    xs = [r[0] for r in rows if r[0] is not None]
-    ys = [r[i] for r in rows for i in range(1, len(headers)) if r[i] is not None]
+    xs = [r[0] for r in rows if _finite(r[0])]
+    ys = [r[i] for r in rows for i in range(1, len(headers)) if _finite(r[i])]
     if not xs or not ys:
         raise ValueError("no numeric data to plot")
 
@@ -149,13 +150,13 @@ def render_line_chart(
             f'{MARGIN_TOP + plot_h / 2:.2f})">{_esc(y_label or headers[1])}</text>'
         )
 
-    # series polylines (None breaks the line into segments)
+    # series polylines (a None or non-finite cell breaks the line into segments)
     for si in range(n_series):
         color = PALETTE[si % len(PALETTE)]
         segments: list[list[str]] = [[]]
         for r in rows:
             x, y = r[0], r[1 + si]
-            if x is None or y is None:
+            if not (_finite(x) and _finite(y)):
                 if segments[-1]:
                     segments.append([])
                 continue
@@ -193,6 +194,10 @@ def render_line_chart(
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def _finite(v) -> bool:
+    return v is not None and math.isfinite(v)
 
 
 def _esc(s: str) -> str:

@@ -431,6 +431,15 @@ class TestEscapeCurveCmd:
                            "--etas", "0.1", "--eta-range", "0.1:0.2:2")
         assert rc == 2
 
+    @pytest.mark.parametrize("etas", [",", " , "])
+    def test_etas_naming_no_step_size_is_usage_error(self, capsys, tmp_path, etas):
+        out = tmp_path / "esc.csv"
+        rc, stdout, err = run_cli(capsys, "escape-curve", "--a", "1.0", "--tau", "2",
+                                  "--etas", etas, "--out", str(out))
+        assert rc == 2
+        assert "names no step size" in err
+        assert stdout == "" and not out.exists()
+
 
 class TestPs:
     def test_round_robin_outputs(self, capsys, tmp_path):
@@ -535,6 +544,33 @@ class TestPlot:
         rc, _, _ = run_cli(capsys, "plot", str(src), str(dst))
         assert rc == 0
 
+    def test_non_finite_cells_break_segments_like_empty_ones(self, capsys, tmp_path):
+        # a diverged run's trace ends in inf
+        rc, _, _ = run_cli(capsys, "simulate", "--a", "2", "--eta", "1e308", "--tau", "0",
+                           "--out", str(tmp_path / "d"))
+        assert rc == 0
+        assert (tmp_path / "d" / "trace.csv").read_text().endswith("\n1,inf\n")
+        rc, _, err = run_cli(capsys, "plot", str(tmp_path / "d" / "trace.csv"),
+                             str(tmp_path / "t.svg"))
+        assert rc == 0 and err == ""
+        rendered = {}
+        for name, text in [("nan", "x,y\n0,1\n1,nan\n2,3\n3,4\n"),
+                           ("empty", "x,y\n0,1\n1,\n2,3\n3,4\n")]:
+            rc, _, _ = run_cli(capsys, "plot", str(self._write(tmp_path, text)),
+                               str(tmp_path / f"{name}.svg"))
+            assert rc == 0
+            rendered[name] = (tmp_path / f"{name}.svg").read_text()
+        assert rendered["nan"] == rendered["empty"]
+        assert "nan" not in rendered["nan"] and "<circle" in rendered["nan"]
+
+    def test_no_finite_point_is_no_numeric_data(self, capsys, tmp_path):
+        src = self._write(tmp_path, "x,y\n0,inf\n1,nan\n2,-inf\n")
+        dst = tmp_path / "o.svg"
+        rc, _, err = run_cli(capsys, "plot", str(src), str(dst))
+        assert rc == 1
+        assert err == "error: no numeric data to plot\n"
+        assert not dst.exists()
+
 
 class TestVerify:
     def test_single_criterion(self, capsys):
@@ -547,6 +583,13 @@ class TestVerify:
         rc, _, err = run_cli(capsys, "verify", "--only", "no-such-check")
         assert rc == 2
         assert "no-such-check" in err
+
+    @pytest.mark.parametrize("only", [",", "", " , "])
+    def test_only_naming_no_criterion_is_usage_error(self, capsys, only):
+        rc, out, err = run_cli(capsys, "verify", "--only", only)
+        assert rc == 2
+        assert "names no criterion" in err
+        assert out == ""
 
 
 class TestVersionFlag:

@@ -23,7 +23,11 @@ from staleness_lab.dynamics import (
     simulate_sgd,
 )
 from staleness_lab.errors import NoConvergence, NoThreshold, UndecidedAtProbe
-from staleness_lab.stability import METHOD_SIMULATION, analytic_threshold_plain
+from staleness_lab.stability import (
+    METHOD_SIMULATION,
+    analytic_threshold_plain,
+    numeric_threshold,
+)
 
 
 class TestQuadraticProblem:
@@ -269,15 +273,24 @@ class TestEmpiricalThreshold:
                                 rel_tol=1e-7, probe_steps=2000)
         assert ei.value.max_steps == 4000  # the probe was doubled once
 
-    def test_cap_error_names_the_last_stable_probe(self):
-        # momentum 0.9 at delay 0 turns unstable at eta*a = 38; the last
-        # probe below the cap is 9.05, the next would be 18.1
-        with pytest.raises(NoThreshold, match=r"still stable at eta\*a = 9\.05, .*"
-                           r"the cap eta\*a = 16\b"):
-            empirical_threshold(QuadraticProblem([[1.0]]), "momentum", 0, m=0.9)
+    @pytest.mark.parametrize("variant", ["momentum", "shifted"])
+    @pytest.mark.parametrize("m", [0.9, 0.99])
+    def test_finds_the_tau_zero_momentum_boundaries(self, variant, m):
+        # both momentum variants cross at eta*a = 2(1+m)/(1-m) at tau 0:
+        # 38 at m = 0.9 and 398 at m = 0.99
+        want = numeric_threshold(variant, 1.0, 0, m=m).eta_star
+        got = empirical_threshold(QuadraticProblem([[1.0]]), variant, 0, m=m)
+        assert abs(got.eta_star - want) <= 0.02 * want
 
-    def test_cap_error_when_the_first_probe_is_past_it(self):
-        with pytest.raises(NoThreshold, match=r"first probe, eta\*a = 138, is past the cap"):
+    def test_first_probe_already_unstable_raises(self):
+        # with 2-step probes the search starts at eta*a = 69, past the
+        # tau-0 boundary at 2, and that probe diverges within 4 steps
+        with pytest.raises(NoThreshold, match="unstable already at the smallest probe"):
+            empirical_threshold(QuadraticProblem([[1.0]]), "plain", 0, probe_steps=2)
+
+    def test_one_step_probes_cannot_classify(self):
+        # the first probe, at eta*a = 138, is still undecided after 2 steps
+        with pytest.raises(UndecidedAtProbe):
             empirical_threshold(QuadraticProblem([[1.0]]), "plain", 0, probe_steps=1)
 
     @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1.0])

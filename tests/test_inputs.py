@@ -1,10 +1,11 @@
 """One definition of a valid input, seen from every public entry point.
 
 Step sizes and curvatures are positive and finite, momenta lie in [0, 1),
-and every delay, constant or in a pmf's support, is an integer in
-[0, MAX_TAU]; numpy integers count as integers, bools do not.  Each rejected
-input raises ValueError at once, never a NaN, a truncated delay, an
-AttributeError or an allocation sized by the bad value.
+every delay, constant or in a pmf's support, is an integer in [0, MAX_TAU],
+and every count (steps, workers, dimensions) is an integer >= 1; numpy
+integers count as integers, bools do not.  Each rejected input raises
+ValueError at once, never a NaN, a truncated delay, an AttributeError or an
+allocation sized by the bad value.
 """
 
 import math
@@ -24,12 +25,16 @@ from staleness_lab.charpoly import (
     pmf_discrete_gaussian,
     pmf_uniform,
 )
+from staleness_lab import dynamics, pssim
 from staleness_lab.dynamics import (
     QuadraticProblem,
     SimConfig,
     empirical_threshold,
     escape_time_curve,
+    power_iteration,
+    simulate_expectation,
 )
+from staleness_lab.pssim import RoundRobin, ps_empirical_threshold, run_ps
 from staleness_lab.stability import (
     analytic_threshold_plain,
     dampened_lr,
@@ -64,6 +69,7 @@ POSITIVE = {
     "numeric_threshold rel_tol": lambda x: numeric_threshold("plain", 1.0, 3, rel_tol=x),
     "threshold_curve a": lambda x: threshold_curve("plain", x, [3]),
     "empirical_threshold rel_tol": lambda x: empirical_threshold(PROBLEM, "plain", 3, rel_tol=x),
+    "power_iteration tol": lambda x: power_iteration(lambda v: v, 2, tol=x),
 }
 BAD_POSITIVE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "0": 0.0, "negative": -1.0}
 
@@ -98,6 +104,25 @@ DELAY = {
 BAD_DELAY = {"2.5": 2.5, "3.0": 3.0, "True": True, "nan": math.nan, "inf": math.inf,
              "negative": -1, "MAX_TAU + 1": MAX_TAU + 1, "text": "3"}
 
+# Entry point -> call with the checked count replaced by x; the last word
+# of the name is the parameter its error message names.
+COUNT = {
+    "SimConfig max_steps": lambda x: SimConfig(OPT, 3, max_steps=x),
+    "SimConfig record_every": lambda x: SimConfig(OPT, 3, record_every=x),
+    "escape_time_curve max_steps": lambda x: escape_time_curve(PROBLEM, "plain", 3, [0.1],
+                                                               max_steps=x),
+    "run_ps steps": lambda x: run_ps(PROBLEM, RoundRobin(1), OPT, x),
+    "empirical_threshold probe_steps": lambda x: empirical_threshold(PROBLEM, "plain", 3,
+                                                                     probe_steps=x),
+    "ps_empirical_threshold probe_steps": lambda x: ps_empirical_threshold(
+        PROBLEM, RoundRobin(4), "plain", probe_steps=x),
+    "power_iteration d": lambda x: power_iteration(lambda v: v, x),
+    "power_iteration max_iter": lambda x: power_iteration(lambda v: v, 2, max_iter=x),
+    "RoundRobin n_workers": lambda x: RoundRobin(x),
+}
+BAD_COUNT = {"2.5": 2.5, "3.0": 3.0, "True": True, "nan": math.nan, "inf": math.inf,
+             "0": 0, "negative": -1, "text": "3"}
+
 # Delays inside [0, MAX_TAU] whose pmf support is not.
 SUPPORT_PAST_MAX_TAU = {
     "DelayModel.pmf": lambda: DelayModel.pmf({1: 0.5, MAX_TAU + 1: 0.5}),
@@ -117,6 +142,22 @@ def _table(entries, values):
 def test_rejected_input_raises_value_error(call, x):
     with pytest.raises(ValueError):
         call(x)
+
+
+@pytest.mark.parametrize("name, x", [pytest.param(name, x, id=f"{name}-{label}")
+                                     for name in COUNT for label, x in BAD_COUNT.items()])
+def test_rejected_count_raises_value_error_naming_it(monkeypatch, name, x):
+    # before any probe or run is stepped
+    monkeypatch.setattr(dynamics, "simulate_expectation", None)
+    monkeypatch.setattr(pssim, "_track", None)
+    with pytest.raises(ValueError, match=rf"\b{name.split()[-1]} must be"):
+        COUNT[name](x)
+
+
+def test_worker_count_induces_a_delay_within_max_tau():
+    assert RoundRobin(MAX_TAU + 1).max_delay == MAX_TAU
+    with pytest.raises(ValueError, match=rf"n_workers - 1 must be in \[0, {MAX_TAU}\]"):
+        RoundRobin(MAX_TAU + 2)
 
 
 @pytest.mark.parametrize("call", SUPPORT_PAST_MAX_TAU.values(), ids=SUPPORT_PAST_MAX_TAU.keys())
@@ -156,3 +197,36 @@ def test_numpy_integer_delays_are_accepted(name, kind):
 def test_numpy_integer_delay_is_stored_as_int():
     assert type(SimConfig(OPT, np.int64(3)).delay.tau) is int
     assert type(DelayModel.constant(np.int64(MAX_TAU)).tau) is int
+
+
+# Each count's result with an int, as a plain comparable value.
+COUNT_RESULTS = {
+    "SimConfig max_steps": lambda n: simulate_expectation(
+        PROBLEM, SimConfig(OPT, 3, max_steps=n, record_trace=True)).trace,
+    "SimConfig record_every": lambda n: simulate_expectation(
+        PROBLEM, SimConfig(OPT, 3, max_steps=40, record_every=n, record_trace=True)).trace,
+    "escape_time_curve max_steps": lambda n: escape_time_curve(
+        PROBLEM, "plain", 3, [0.1, 0.5], max_steps=n).rows,
+    "run_ps steps": lambda n: run_ps(PROBLEM, RoundRobin(2), OPT, n).norms,
+    "empirical_threshold probe_steps": lambda n: empirical_threshold(
+        PROBLEM, "plain", 3, probe_steps=n).bracket,
+    "ps_empirical_threshold probe_steps": lambda n: ps_empirical_threshold(
+        PROBLEM, RoundRobin(4), "plain", probe_steps=n).bracket,
+    "power_iteration d": lambda n: power_iteration(lambda v: 2.0 * v, n, seed=0),
+    "power_iteration max_iter": lambda n: power_iteration(lambda v: 2.0 * v, 3, max_iter=n,
+                                                          seed=0),
+    "RoundRobin n_workers": lambda n: run_ps(PROBLEM, RoundRobin(n), OPT, 60).norms,
+}
+
+
+@pytest.mark.parametrize("name", COUNT_RESULTS)
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16])
+def test_numpy_integer_counts_are_accepted(name, kind):
+    n = 20_000 if "probe_steps" in name else 5
+    assert COUNT_RESULTS[name](kind(n)) == COUNT_RESULTS[name](n)
+
+
+def test_numpy_integer_counts_are_stored_as_int():
+    cfg = SimConfig(OPT, 3, max_steps=np.int64(7), record_every=np.uint16(2))
+    assert type(cfg.max_steps) is int and type(cfg.record_every) is int
+    assert type(RoundRobin(np.int32(4)).n_workers) is int

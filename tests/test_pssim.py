@@ -19,7 +19,6 @@ from staleness_lab.dynamics import (
     simulate_expectation,
     simulate_sgd,
 )
-from staleness_lab.errors import NoThreshold
 from staleness_lab.pssim import (
     RoundRobin,
     SampledDelay,
@@ -295,8 +294,11 @@ class TestPsThreshold:
         assert got.bracket == want.bracket
         assert len(probes) > 10
 
-    def test_cap_error_names_the_last_stable_probe(self):
-        # momentum 0.9 at delay 0 turns unstable at eta*a = 38, past the cap
-        with pytest.raises(NoThreshold, match=r"still stable at eta\*a = 9\.05, .*"
-                           r"the cap eta\*a = 16\b"):
-            ps_empirical_threshold(_scalar(), RoundRobin(1), "momentum", m=0.9)
+    @pytest.mark.parametrize("variant", ["momentum", "shifted"])
+    @pytest.mark.parametrize("m", [0.9, 0.99])
+    def test_finds_the_tau_zero_momentum_boundaries(self, variant, m):
+        # one worker is delay 0, where both momentum variants cross at
+        # eta*a = 2(1+m)/(1-m): 38 at m = 0.9 and 398 at m = 0.99
+        want = numeric_threshold(variant, 1.0, 0, m=m).eta_star
+        got = ps_empirical_threshold(_scalar(), RoundRobin(1), variant, m=m)
+        assert abs(got.eta_star - want) <= 0.02 * want

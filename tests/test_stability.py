@@ -162,9 +162,9 @@ class TestNumericThreshold:
         worst = analytic_threshold_plain(1.0, 9)
         assert mixed > worst
 
-    def test_no_threshold_above_cap(self):
-        # at tau=0 both momentum variants cross at eta*a = 2(1+m)/(1-m), far
-        # above the eta*a cap the simulator searches keep (38 at m = 0.9)
+    def test_tau_zero_momentum_boundary_is_the_closed_form(self):
+        # at tau=0 both momentum variants cross at eta*a = 2(1+m)/(1-m):
+        # 38 at m = 0.9 and 398 at m = 0.99
         for variant in ("momentum", "shifted"):
             for m in (0.8, 0.9, 0.99):
                 r = numeric_threshold(variant, 1.0, DelayModel.constant(0), m=m)
