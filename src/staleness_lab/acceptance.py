@@ -41,6 +41,7 @@ from .dynamics import (
     power_iteration,
     simulate_expectation,
 )
+from .errors import NoConvergence
 from .pssim import RoundRobin, ps_empirical_threshold, run_ps
 from .roots import all_roots_many
 from .stability import (
@@ -54,13 +55,19 @@ from .stability import (
 TWO_OVER_PI = 2.0 / math.pi
 
 
+def _eta_stars(variant: str, a: float, delays, m: float = 0.0, rel_tol: float = 1e-8):
+    """``numeric_threshold(...).eta_star`` at each delay, searched as one curve."""
+    curve = threshold_curve(variant, a, delays, m=m, rel_tol=rel_tol)
+    for row in curve.rows:
+        if row.result is None:
+            raise NoConvergence(f"threshold search at delay {row.x!r} failed: {row.error}")
+    return [row.result.eta_star for row in curve.rows]
+
+
 def _plain_thresholds(ctx: dict) -> dict[int, float]:
     """Numeric plain-variant thresholds for tau 0..64 at a=1, cached."""
     if "plain_eta" not in ctx:
-        ctx["plain_eta"] = {
-            tau: numeric_threshold("plain", 1.0, DelayModel.constant(tau)).eta_star
-            for tau in range(65)
-        }
+        ctx["plain_eta"] = dict(enumerate(_eta_stars("plain", 1.0, range(65))))
     return ctx["plain_eta"]
 
 
@@ -139,9 +146,8 @@ def _c_grid(ctx, out_dir):
     fracs = (0.3, 0.5, 0.6, 0.8, 0.9, 0.95, 1.05, 1.2, 1.5, 2.0, 3.0)
     polys, verdicts = [], []
     for variant, m in families:
-        for tau in taus:
+        for tau, eta_star in zip(taus, _eta_stars(variant, 1.0, taus, m=m, rel_tol=1e-6)):
             dm = DelayModel.constant(tau)
-            eta_star = numeric_threshold(variant, 1.0, dm, m=m, rel_tol=1e-6).eta_star
             for frac in fracs:
                 eta = frac * eta_star
                 polys.append(char_poly(OptimizerSpec(variant, eta, m), 1.0, dm))
@@ -200,11 +206,14 @@ def _c_modes(ctx, out_dir):
 def _c_ps(ctx, out_dir):
     worst = 0.0
     combos = 0
-    for workers in (2, 5, 9, 17, 33):
-        tau = workers - 1
-        dm = DelayModel.constant(tau)
-        for variant, m in (("plain", 0.0), ("momentum", 0.8), ("shifted", 0.8)):
-            eta = 0.45 * numeric_threshold(variant, 1.0, dm, m=m, rel_tol=1e-4).eta_star
+    worker_counts = (2, 5, 9, 17, 33)
+    families = (("plain", 0.0), ("momentum", 0.8), ("shifted", 0.8))
+    edges = {variant: _eta_stars(variant, 1.0, [w - 1 for w in worker_counts], m=m, rel_tol=1e-4)
+             for variant, m in families}
+    for i, workers in enumerate(worker_counts):
+        dm = DelayModel.constant(workers - 1)
+        for variant, m in families:
+            eta = 0.45 * edges[variant][i]
             opt = OptimizerSpec(variant, eta, m)
             steps = 600
             run = run_ps(QuadraticProblem([[1.0]]), RoundRobin(workers), opt, steps)

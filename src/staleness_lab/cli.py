@@ -28,8 +28,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .charpoly import (DelayModel, OptimizerSpec, _check_delay, _check_positive, char_poly,
-                       pmf_discrete_gaussian, pmf_uniform)
+from .charpoly import (DelayModel, OptimizerSpec, _check_count, _check_delay, _check_positive,
+                       char_poly, pmf_discrete_gaussian, pmf_uniform)
 from .dynamics import (
     DIVERGED,
     UNDECIDED,
@@ -234,6 +234,13 @@ def _curvature(cfg: dict) -> float:
     return a
 
 
+def _check_counts(cfg: dict, *keys: str) -> None:
+    """Check the given count settings (steps, workers), naming their flags."""
+    for key in keys:
+        if cfg[key] is not None:
+            _check_count("--" + key.replace("_", "-"), cfg[key])
+
+
 def _build_problem(cfg: dict) -> QuadraticProblem:
     if (cfg["a"] is None) == (cfg["spectrum"] is None):
         raise CliUsage("provide exactly one of --a / --spectrum")
@@ -388,6 +395,7 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
     eta = _require(cfg, "eta", "--eta")
     if eta < 0:
         raise CliUsage("--eta must be non-negative")
+    _check_counts(cfg, "steps", "record_every")
     t0 = time.time()
 
     # OptimizerSpec (rightly) demands eta > 0, so a zero step size is checked
@@ -443,6 +451,7 @@ def cmd_escape_curve(cfg: dict, args: argparse.Namespace) -> int:
         if n < 2 or hi <= lo:
             raise CliUsage("--eta-range needs COUNT >= 2 and HI > LO")
         etas = [lo + i * (hi - lo) / (n - 1) for i in range(n)]
+    _check_counts(cfg, "steps")
 
     t0 = time.time()
     curve = escape_time_curve(
@@ -467,6 +476,7 @@ def cmd_ps(cfg: dict, args: argparse.Namespace) -> int:
     eta = _require(cfg, "eta", "--eta")
     if (cfg["workers"] is None) == (cfg["pmf"] is None):
         raise CliUsage("provide exactly one of --workers / --pmf")
+    _check_counts(cfg, "workers", "steps")
     seed = cfg["seed"]
     if cfg["workers"] is not None:
         scheduler = RoundRobin(cfg["workers"])

@@ -15,7 +15,11 @@ D-decomposition).  The closed form is this crossing for the plain variant,
 at ``theta = pi / (2 tau + 1)``.  For everything else (momentum variants,
 random delays) :func:`numeric_threshold` finds the crossing numerically and
 certifies the resulting step-size bracket with the argument principle; it
-never solves for roots.
+never solves for roots.  :func:`threshold_curve` runs a sweep's searches as
+one batch: the crossing brackets of all its delays are bisected together,
+in blocks of at most ``BRACKET_BLOCK`` brackets, so a bisection step costs
+one round of numpy calls for the whole sweep.  Each row equals the search
+of its delay alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ MAX_REFINE = 32
 NEAR_ZERO_STEPS = 20
 # Above this many terms a polynomial is evaluated by Horner's rule.
 DENSE_TERMS = 8
+# Most crossing brackets one batched bisection carries.  A block's
+# exponential tables (terms x brackets, under 1 MB) stay in cache.
+BRACKET_BLOCK = 1 << 12
 
 METHOD_ANALYTIC = "analytic"
 METHOD_BISECTION = "bisection"
@@ -177,8 +184,12 @@ class _CirclePoly:
     few terms become ``i e`` and ``c_e radius^e`` columns, so a call takes
     one exponential table over (terms x angles) and adds its rows up by
     exponent in the order given, starting from zero.  Many terms (a delay
-    pmf) are evaluated by Horner's rule instead.
+    pmf) are evaluated by Horner's rule instead.  A stack of polynomials
+    (:meth:`stacked`) evaluates each angle with its own polynomial.
     """
+
+    # for a stack: the polynomial of each angle, a column of ``dense``
+    owner = None
 
     def __init__(self, terms, radius: float = 1.0):
         acc: dict[int, float] = {}
@@ -197,18 +208,54 @@ class _CirclePoly:
         scaled = [c * radius**e for e, c in zip(self.exps, self.coefs)]
         self.scaled = np.array(scaled, dtype=float)[:, None]
 
+    @classmethod
+    def stacked(cls, polys, owner: np.ndarray) -> "_CirclePoly":
+        """Unit-circle polynomials of one kind, all sparse or all dense, as
+        one: a call evaluates angle ``i`` with ``polys[owner[i]]``.
+
+        Padding moves no bisection step.  A sparse polynomial's missing rows
+        are exact zeros added last, which at most turn a sum of -0.0 into
+        +0.0, and the bisection only asks whether ``Im w > 0``.  A dense
+        one's missing top coefficients are zeros, which Horner's rule carries
+        as an exact zero until the polynomial's own top coefficient is added.
+        """
+        stack = cls.__new__(cls)
+        stack.radius = 1.0
+        if polys[0].dense is None:
+            stack.dense = None
+            stack.jexps = _pad([p.jexps[:, 0] for p in polys], complex)[:, owner]
+            stack.scaled = _pad([p.scaled[:, 0] for p in polys], float)[:, owner]
+        else:
+            # a (coefficients x polynomials) table, gathered per coefficient
+            # at each call: never one coefficient per angle
+            stack.dense = _pad([p.dense for p in polys], float)
+            stack.owner = owner
+        return stack
+
     def __call__(self, theta: np.ndarray) -> np.ndarray:
-        if self.dense is not None:
-            z = self.radius * np.exp(1j * theta)
-            out = np.full(theta.shape, complex(self.dense[-1]))
-            # the product goes to its own buffer: numpy rounds a one-element
-            # complex product computed in place differently
-            zout = np.empty_like(out)
-            for c in self.dense[-2::-1]:
-                np.multiply(out, z, out=zout)
-                np.add(zout, c, out=out)
-            return out
-        return _add_rows(self.scaled * np.exp(self.jexps * theta))
+        if self.dense is None:
+            return _add_rows(self.scaled * np.exp(self.jexps * theta))
+        z = self.radius * np.exp(1j * theta)
+        coefs = iter(self.dense[::-1])
+        if self.owner is not None:
+            coefs = (c[self.owner] for c in coefs)
+        out = np.empty(theta.shape, complex)
+        out[...] = next(coefs)
+        # the product goes to its own buffer: numpy rounds a one-element
+        # complex product computed in place differently
+        zout = np.empty_like(out)
+        for c in coefs:
+            np.multiply(out, z, out=zout)
+            np.add(zout, c, out=out)
+        return out
+
+
+def _pad(columns, dtype) -> np.ndarray:
+    """The 1-D ``columns`` side by side, zero below the shorter ones."""
+    table = np.zeros((max(len(c) for c in columns), len(columns)), dtype)
+    for j, c in enumerate(columns):
+        table[:len(c), j] = c
+    return table
 
 
 def _add_rows(table: np.ndarray) -> np.ndarray:
@@ -223,15 +270,29 @@ class _Split:
     """``P(z) = A(z) + k B(z)`` for one variant and delay model, ``k = eta*a``."""
 
     def __init__(self, variant: str, m: float, delay: DelayModel):
+        self.variant, self.m, self.delay = variant, m, delay
         self.terms = char_poly_terms(variant, m, delay)
         self.degree = max(e for e, _, _ in self.terms)
-        self.a = _CirclePoly((e, fixed) for e, fixed, _ in self.terms)
-        self.b = _CirclePoly((e, per_k) for e, _, per_k in self.terms)
-        self.sparse = self.a.dense is None and self.b.dense is None
+        self._join(_CirclePoly((e, fixed) for e, fixed, _ in self.terms),
+                   _CirclePoly((e, per_k) for e, _, per_k in self.terms))
+
+    @classmethod
+    def stacked(cls, splits, owner: np.ndarray) -> "_Split":
+        """Splits of one kind (:attr:`kind`) as one: :meth:`w` evaluates
+        angle ``i`` with ``splits[owner[i]]``."""
+        stack = cls.__new__(cls)
+        stack._join(_CirclePoly.stacked([s.a for s in splits], owner),
+                    _CirclePoly.stacked([s.b for s in splits], owner))
+        return stack
+
+    def _join(self, a: _CirclePoly, b: _CirclePoly) -> None:
+        self.a, self.b = a, b
+        self.kind = (a.dense is None, b.dense is None)
+        self.sparse = self.kind == (True, True)
         if self.sparse:
             # the rows of A, then those of B: one exponential table serves both
-            self.jexps = np.concatenate([self.a.jexps, self.b.jexps])
-            self.scaled = np.concatenate([self.a.scaled, self.b.scaled])
+            self.jexps = np.concatenate([a.jexps, b.jexps])
+            self.scaled = np.concatenate([a.scaled, b.scaled])
 
     def w(self, theta: np.ndarray) -> np.ndarray:
         """``-A conj(B)`` at the angles ``theta``, real and positive where a
@@ -244,7 +305,7 @@ class _Split:
         if not self.sparse:
             return -self.a(theta) * np.conj(self.b(theta))
         table = self.scaled * np.exp(self.jexps * theta)
-        n_a = len(self.a.exps)
+        n_a = len(self.a.jexps)
         return -_add_rows(table[:n_a]) * np.conj(_add_rows(table[n_a:]))
 
     def at(self, k: float, radius: float = 1.0) -> _CirclePoly:
@@ -283,20 +344,13 @@ def _phase_resolved(f, theta: np.ndarray):
     return theta[order], np.concatenate(values)[order], resolved
 
 
-def boundary_crossing(variant: str, m: float, delay: DelayModel) -> tuple[float, float]:
-    """Where a root of ``A + k B`` first reaches the unit circle as ``k`` grows.
+def _scan(split: _Split) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The brackets of every sign change of ``Im w`` on the crossing grid,
+    as their lower and upper angles and the sign at the lower one.
 
-    A root sits at ``z = e^(i theta)`` exactly when ``k = -A/B`` there, so
-    the crossings are the angles where ``w = -A conj(B)`` is real and
-    positive.  ``Im w`` is scanned on a grid of ``8 (deg + 1) + 64`` angles
-    in ``(0, pi]``, refined wherever the phase of ``A`` turns fast; every
-    sign change is bisected to machine precision, and ``theta = pi`` (where
-    ``A`` and ``B`` are real) is always a candidate.  Returns the smallest
-    positive ``k`` and its angle.  Whether that really is the stability
-    boundary is left to the winding-number certificate in
-    :func:`numeric_threshold`.
+    The grid holds ``8 (deg + 1) + 64`` angles in ``(0, pi]``, refined
+    wherever the phase of ``A`` turns fast.
     """
-    split = _Split(variant, m, delay)
     n = _grid_size(split.degree)
     # A vanishes at theta = 0 (the root z = 1 of k = 0), and slow modes (m
     # near 1) cross inside the first grid cell, so the grid also steps
@@ -310,22 +364,95 @@ def boundary_crossing(variant: str, m: float, delay: DelayModel) -> tuple[float,
     # a boolean test, not a product of signs: a zero that falls exactly on
     # a grid point must still open a bracket
     idx = np.flatnonzero(pos[:-1] != pos[1:])
-    lo, hi, lo_pos = grid[idx], grid[idx + 1], pos[idx]
+    return grid[idx], grid[idx + 1], pos[idx]
+
+
+def _bisect_brackets(splits: list[_Split], scans: list) -> list[np.ndarray]:
+    """Bisect the brackets of several searches of one kind to float
+    resolution, together; the lower ends, one array per search.
+
+    Each step costs one round of numpy calls for all searches, and moves
+    every bracket as its search alone would.  The steps are elementwise,
+    and an exhausted bracket is a fixed point: its midpoint is one of its
+    ends, whose sign test comes out as it did when that end was set, so
+    neither end moves while other brackets narrow.
+    """
+    counts = [len(lo) for lo, _, _ in scans]
+    lo, hi, lo_pos = (np.concatenate(parts) for parts in zip(*scans))
+    split = (splits[0] if len(splits) == 1 else
+             _Split.stacked(splits, np.repeat(np.arange(len(splits)), counts)))
     while True:
         mid = 0.5 * (lo + hi)
         if not ((mid > lo) & (mid < hi)).any():
             break
         same = (split.w(mid).imag > 0.0) == lo_pos
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return np.split(lo, np.cumsum(counts)[:-1])
+
+
+def _pick(split: _Split, lo: np.ndarray) -> tuple[float, float] | NoThreshold:
+    """The smallest positive ``k`` over the bisected angles and ``theta = pi``
+    (where ``A`` and ``B`` are real), and its angle."""
     theta = np.append(lo, np.pi)
     w, b_val = split.w(theta), split.b(theta)
     with np.errstate(divide="ignore", invalid="ignore"):
         k = w.real / (b_val.real**2 + b_val.imag**2)
     ok = np.flatnonzero(np.isfinite(k) & (k > 0.0))
     if not ok.size:
-        raise NoThreshold("stable at every step size: no root ever reaches the unit circle")
+        return NoThreshold("stable at every step size: no root ever reaches the unit circle")
     best = ok[np.argmin(k[ok])]
     return float(k[best]), float(theta[best])
+
+
+def _crossings(splits: list[_Split]) -> list[tuple[float, float] | NoThreshold]:
+    """:func:`boundary_crossing` for several splits, in order; a split with
+    no crossing gives its NoThreshold in place.
+
+    Splits of one kind (sparse or dense ``A`` and ``B``) share bisections,
+    in blocks of whole searches holding at most ``BRACKET_BLOCK`` brackets;
+    a search with more brackets than that is bisected alone.
+    """
+    found = [None] * len(splits)
+    kinds: dict[tuple[bool, bool], list[int]] = {}
+    for i, split in enumerate(splits):
+        kinds.setdefault(split.kind, []).append(i)
+
+    def flush(block):
+        members = [splits[i] for i, _ in block]
+        lows = _bisect_brackets(members, [scan for _, scan in block])
+        for (i, _), split, lo in zip(block, members, lows):
+            found[i] = _pick(split, lo)
+
+    for indices in kinds.values():
+        block, size = [], 0
+        for i in indices:
+            scan = _scan(splits[i])
+            if block and size + len(scan[0]) > BRACKET_BLOCK:
+                flush(block)
+                block, size = [], 0
+            block.append((i, scan))
+            size += len(scan[0])
+        flush(block)
+    return found
+
+
+def boundary_crossing(variant: str, m: float, delay: DelayModel) -> tuple[float, float]:
+    """Where a root of ``A + k B`` first reaches the unit circle as ``k`` grows.
+
+    A root sits at ``z = e^(i theta)`` exactly when ``k = -A/B`` there, so
+    the crossings are the angles where ``w = -A conj(B)`` is real and
+    positive: every sign change of ``Im w`` on a grid over ``(0, pi]``
+    (:func:`_scan`) is bisected to machine precision, and ``theta = pi``
+    (where ``A`` and ``B`` are real) is always a candidate.  Returns the
+    smallest positive ``k`` and its angle; whether that really is the
+    stability boundary is left to the winding-number certificate in
+    :func:`numeric_threshold`.  This is the one-delay case of the batched
+    crossing (:func:`_crossings`) that a :func:`threshold_curve` sweep makes.
+    """
+    found, = _crossings([_Split(variant, m, as_delay(delay))])
+    if isinstance(found, NoThreshold):
+        raise found
+    return found
 
 
 def _certificate_grid(degree: int, theta_hint: float) -> np.ndarray:
@@ -349,24 +476,73 @@ def _certificate_grid(degree: int, theta_hint: float) -> np.ndarray:
     return grid[keep]
 
 
-def _winding_number(split: _Split, k: float, radius: float, theta_hint: float) -> int:
+def _winding_number(split: _Split, k: float, radius: float, grid: np.ndarray) -> int:
     """Roots of ``A + k B`` inside ``|z| = radius``, by the argument principle.
 
     Real coefficients make the lower half circle mirror the upper one, so the
     phase is unwrapped over ``theta`` in ``[0, pi]`` and doubled.  It is
-    sampled at ``8 (deg + 1) + 64`` even angles plus a geometric cluster
-    around ``theta_hint`` (:func:`_certificate_grid`), and every step that
+    sampled on ``grid`` (:func:`_certificate_grid`: ``8 (deg + 1) + 64`` even
+    angles plus a geometric cluster around a hint), and every step that
     still turns by more than ``pi / 4`` is cut into eighths
     (:func:`_phase_resolved`); a count that cannot be resolved raises
     ``NoConvergence``.  The grid holds every even angle, so the count is as
     certain with any hint: the crossing angle only saves refinement.
     """
-    _, vals, resolved = _phase_resolved(
-        split.at(k, radius), _certificate_grid(split.degree, theta_hint)
-    )
+    _, vals, resolved = _phase_resolved(split.at(k, radius), grid)
     if not resolved:
         raise NoConvergence(f"winding number at eta*a = {k!r} did not resolve")
     return round(float(np.sum(np.angle(vals[1:] * np.conj(vals[:-1])))) / np.pi)
+
+
+def _certified(split: _Split, a: float, rel_tol: float, k_star: float,
+               theta_star: float) -> ThresholdResult:
+    """The eta bracket around the crossing ``k_star``, certified, as a result."""
+    eta_lo, eta_hi = _bisect_eta(lambda eta: eta * a <= k_star, BRACKET_START / a, rel_tol)
+    grid = _certificate_grid(split.degree, theta_star)
+    inside_lo = _winding_number(split, eta_lo * a, 1.0 + CERT_MARGIN, grid)
+    inside_hi = _winding_number(split, eta_hi * a, 1.0 - CERT_MARGIN, grid)
+    if inside_lo != split.degree or inside_hi >= split.degree:
+        raise NoConvergence(
+            f"crossing at eta*a = {k_star!r} failed its certificate: "
+            f"{inside_lo} of {split.degree} roots inside at the stable end, "
+            f"{inside_hi} at the unstable end"
+        )
+    p = split.at(k_star)
+    residual = abs(p(np.array([theta_star]))[0]) / math.fsum(abs(p.coefs))
+    return ThresholdResult(
+        eta_star=0.5 * (eta_lo + eta_hi),
+        method=METHOD_BISECTION,
+        bracket=(eta_lo, eta_hi),
+        tolerance=rel_tol,
+        variant=split.variant,
+        m=split.m,
+        a=a,
+        delay=split.delay,
+        max_root_residual=float(residual),
+        crossing_angle=theta_star,
+    )
+
+
+def _searches(variant: str, a: float, delays, m: float,
+              rel_tol: float) -> list[ThresholdResult | NoThreshold | NoConvergence]:
+    """:func:`numeric_threshold` at each delay, in order, with the crossings
+    of all of them bisected together (:func:`_crossings`); a failed search
+    gives its NoThreshold or NoConvergence in place.  Bad arguments raise
+    ValueError before any search starts.
+    """
+    _check_positive("a", a)
+    _check_positive("rel_tol", rel_tol)
+    splits = [_Split(variant, m, as_delay(d)) for d in delays]
+    results = []
+    for split, crossing in zip(splits, _crossings(splits)):
+        if isinstance(crossing, NoThreshold):
+            results.append(crossing)
+            continue
+        try:
+            results.append(_certified(split, a, rel_tol, *crossing))
+        except (NoThreshold, NoConvergence) as exc:
+            results.append(exc)
+    return results
 
 
 def numeric_threshold(
@@ -390,7 +566,8 @@ def numeric_threshold(
     ``[0, pi]`` plus a geometric cluster around the crossing angle theta*,
     where each bracket end has a root within ``rel_tol`` of the circle; then
     every step whose phase turns by more than ``pi / 4`` is refined.  Random
-    delays are supported for the plain variant only.
+    delays are supported for the plain variant only.  This is the one-delay
+    case of the batched search behind :func:`threshold_curve`.
 
     Raises
     ------
@@ -399,35 +576,10 @@ def numeric_threshold(
     NoConvergence
         If the certificate fails: the crossing is not the boundary.
     """
-    _check_positive("a", a)
-    _check_positive("rel_tol", rel_tol)
-    delay = as_delay(delay)
-
-    split = _Split(variant, m, delay)
-    k_star, theta_star = boundary_crossing(variant, m, delay)
-    eta_lo, eta_hi = _bisect_eta(lambda eta: eta * a <= k_star, BRACKET_START / a, rel_tol)
-    inside_lo = _winding_number(split, eta_lo * a, 1.0 + CERT_MARGIN, theta_star)
-    inside_hi = _winding_number(split, eta_hi * a, 1.0 - CERT_MARGIN, theta_star)
-    if inside_lo != split.degree or inside_hi >= split.degree:
-        raise NoConvergence(
-            f"crossing at eta*a = {k_star!r} failed its certificate: "
-            f"{inside_lo} of {split.degree} roots inside at the stable end, "
-            f"{inside_hi} at the unstable end"
-        )
-    p = split.at(k_star)
-    residual = abs(p(np.array([theta_star]))[0]) / math.fsum(abs(p.coefs))
-    return ThresholdResult(
-        eta_star=0.5 * (eta_lo + eta_hi),
-        method=METHOD_BISECTION,
-        bracket=(eta_lo, eta_hi),
-        tolerance=rel_tol,
-        variant=variant,
-        m=m,
-        a=a,
-        delay=delay,
-        max_root_residual=float(residual),
-        crossing_angle=theta_star,
-    )
+    found, = _searches(variant, a, [delay], m, rel_tol)
+    if isinstance(found, Exception):
+        raise found
+    return found
 
 
 @dataclass(frozen=True)
@@ -497,22 +649,23 @@ def threshold_curve(
     m: float = 0.0,
     rel_tol: float = 1e-8,
 ) -> ThresholdCurve:
-    """Sweep :func:`numeric_threshold` across delays and fit the reciprocal.
+    """:func:`numeric_threshold` across delays, and the fit of the reciprocal.
 
     ``delays`` may mix plain integers (constant delay) and DelayModel
-    instances; the x coordinate is the delay or its expectation.  A failed
-    search marks its row and the sweep continues; failed rows are excluded
-    from the fit.
+    instances; the x coordinate is the delay or its expectation.  The
+    searches run as one batch: the crossing brackets of every delay are
+    bisected together, in blocks of at most ``BRACKET_BLOCK`` brackets, and
+    each row equals the search of its delay alone.  A failed search marks
+    its row and the sweep continues; failed rows are excluded from the fit.
     """
-    rows: list[CurveRow] = []
-    for d in delays:
-        model = as_delay(d)
+    models = [as_delay(d) for d in delays]
+    rows = []
+    for model, found in zip(models, _searches(variant, a, models, m, rel_tol)):
         x = float(model.expected_delay())
-        try:
-            res = numeric_threshold(variant, a, model, m=m, rel_tol=rel_tol)
-            rows.append(CurveRow(x=x, result=res, error=None))
-        except (NoThreshold, NoConvergence) as exc:
-            rows.append(CurveRow(x=x, result=None, error=str(exc)))
+        if isinstance(found, ThresholdResult):
+            rows.append(CurveRow(x=x, result=found, error=None))
+        else:
+            rows.append(CurveRow(x=x, result=None, error=str(found)))
     good = [r for r in rows if r.result is not None]
     slope, intercept, r2 = _fit_line([r.x for r in good], [r.inv_a_eta for r in good])
     return ThresholdCurve(rows=tuple(rows), slope=slope, intercept=intercept, r_squared=r2)

@@ -11,11 +11,13 @@ def no_threshold_at_tau_zero(monkeypatch):
     No real configuration fails any more, so the failed-row plumbing of
     sweeps and the CLI is exercised through this stand-in.
     """
-    crossing = stability.boundary_crossing
+    crossings = stability._crossings
 
-    def failing(variant, m, delay):
-        if delay.is_constant and delay.tau == 0:
-            raise NoThreshold("stable at every step size; no boundary crossing")
-        return crossing(variant, m, delay)
+    def failing(splits):
+        return [
+            NoThreshold("stable at every step size; no boundary crossing")
+            if split.delay.is_constant and split.delay.tau == 0 else found
+            for split, found in zip(splits, crossings(splits))
+        ]
 
-    monkeypatch.setattr(stability, "boundary_crossing", failing)
+    monkeypatch.setattr(stability, "_crossings", failing)

@@ -598,3 +598,67 @@ class TestVersionFlag:
             main(["--version"])
         assert ei.value.code == 0
         assert "staleness-lab" in capsys.readouterr().out
+
+
+# Each usage or input error the CLI reports itself: argv ("{tmp}" is a
+# directory holding FILES), exit code, and the whole stderr line.
+FILES = {"bad.json": "{not json", "list.json": "[1, 2]", "empty.csv": "\n\n",
+         "ragged.csv": "x,y\n0,1.0\n1\n"}
+SIM = ["simulate", "--a", "1", "--eta", "0.1", "--tau", "2"]
+ERRORS = {
+    "steps-simulate": ([*SIM, "--steps", "0"], 2,
+                       "usage error: --steps must be a positive integer, got 0"),
+    "steps-escape-curve": (["escape-curve", "--a", "1", "--tau", "2", "--etas", "0.1",
+                            "--steps", "0"], 2,
+                           "usage error: --steps must be a positive integer, got 0"),
+    "record-every": ([*SIM, "--record-every", "0"], 2,
+                     "usage error: --record-every must be a positive integer, got 0"),
+    "workers": (["ps", "--workers", "0", "--a", "1", "--eta", "0.1"], 2,
+                "usage error: --workers must be a positive integer, got 0"),
+    "steps-ps": (["ps", "--workers", "2", "--a", "1", "--eta", "0.1", "--steps", "-3"], 2,
+                 "usage error: --steps must be a positive integer, got -3"),
+    "config-unreadable": ([*SIM, "--config", "{tmp}/missing.json"], 2,
+                          "usage error: cannot read config {tmp}/missing.json: [Errno 2] "
+                          "No such file or directory: '{tmp}/missing.json'"),
+    "config-not-json": ([*SIM, "--config", "{tmp}/bad.json"], 2,
+                        "usage error: config {tmp}/bad.json is not valid JSON: "
+                        "Expecting property name enclosed in double quotes: "
+                        "line 1 column 2 (char 1)"),
+    "config-not-object": ([*SIM, "--config", "{tmp}/list.json"], 2,
+                          "usage error: config {tmp}/list.json must hold a JSON object"),
+    "tau-list": (["threshold", "--a", "1", "--tau", "1,x"], 2,
+                 "usage error: cannot parse tau list '1,x'"),
+    "tau-range": (["threshold", "--a", "1", "--tau", "1..x"], 2,
+                  "usage error: cannot parse tau list '1..x'"),
+    "pmf-kind": (["threshold", "--a", "1", "--pmf", "poisson:3"], 2,
+                 "usage error: pmf must look like uniform:LO,HI or gauss:MU, got 'poisson:3'"),
+    "pmf-arity": (["threshold", "--a", "1", "--pmf", "uniform:1"], 2,
+                  "usage error: cannot parse pmf 'uniform:1'"),
+    "pmf-number": (["threshold", "--a", "1", "--pmf", "gauss:x"], 2,
+                   "usage error: cannot parse pmf 'gauss:x'"),
+    "spectrum-number": (["simulate", "--spectrum", "1,x", "--eta", "0.1", "--tau", "2"], 2,
+                        "usage error: cannot parse spectrum '1,x'"),
+    "spectrum-empty": (["simulate", "--spectrum", ",", "--eta", "0.1", "--tau", "2"], 2,
+                       "usage error: spectrum must list at least one eigenvalue"),
+    "eta-range-shape": (["escape-curve", "--a", "1", "--tau", "2", "--eta-range", "0.1:0.2"], 2,
+                        "usage error: --eta-range must look like LO:HI:COUNT"),
+    "eta-range-count": (["escape-curve", "--a", "1", "--tau", "2", "--eta-range",
+                         "0.1:0.2:1"], 2, "usage error: --eta-range needs COUNT >= 2 and HI > LO"),
+    "eta-negative": (["simulate", "--a", "1", "--eta", "-0.1", "--tau", "2"], 2,
+                     "usage error: --eta must be non-negative"),
+    "plot-missing": (["plot", "{tmp}/missing.csv", "{tmp}/o.svg"], 1,
+                     "error: cannot read {tmp}/missing.csv: [Errno 2] "
+                     "No such file or directory: '{tmp}/missing.csv'"),
+    "plot-empty": (["plot", "{tmp}/empty.csv", "{tmp}/o.svg"], 1, "error: line 1: file is empty"),
+    "plot-ragged": (["plot", "{tmp}/ragged.csv", "{tmp}/o.svg"], 1,
+                    "error: line 3: expected 2 fields, got 1"),
+}
+
+
+@pytest.mark.parametrize("argv, code, message", ERRORS.values(), ids=ERRORS.keys())
+def test_error_exit_code_and_message(capsys, tmp_path, argv, code, message):
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    rc, out, err = run_cli(capsys, *[arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    assert (rc, out, err) == (code, "", message.replace("{tmp}", str(tmp_path)) + "\n")
+    assert not (tmp_path / "o.svg").exists()

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from oracles import companion_max_magnitude, grid_threshold
 
 from staleness_lab import stability
 from staleness_lab.charpoly import DelayModel, OptimizerSpec, char_poly, pmf_discrete_gaussian, pmf_uniform
-from staleness_lab.errors import NoConvergence
+from staleness_lab.errors import NoConvergence, NoThreshold
 from staleness_lab.stability import (
     METHOD_BISECTION,
     ThresholdCurve,
@@ -179,7 +181,7 @@ class TestNumericThreshold:
 
     @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1.0])
     def test_rejects_bad_rel_tol_before_the_crossing_scan(self, monkeypatch, rel_tol):
-        monkeypatch.setattr(stability, "boundary_crossing", None)
+        monkeypatch.setattr(stability, "_crossings", None)
         with pytest.raises(ValueError, match="rel_tol"):
             numeric_threshold("plain", 1.0, DelayModel.constant(3), rel_tol=rel_tol)
 
@@ -205,15 +207,22 @@ class TestBoundaryCrossing:
             assert r.max_root_residual <= 1e-12
 
     def test_certificate_rejects_a_wrong_crossing(self, monkeypatch):
-        crossing = stability.boundary_crossing
+        crossings = stability._crossings
 
-        def too_far(variant, m, delay):
-            k, theta = crossing(variant, m, delay)
-            return 1.5 * k, theta
+        def too_far(splits):
+            return [(1.5 * k, theta) for k, theta in crossings(splits)]
 
-        monkeypatch.setattr(stability, "boundary_crossing", too_far)
+        monkeypatch.setattr(stability, "_crossings", too_far)
         with pytest.raises(NoConvergence, match="certificate"):
             numeric_threshold("plain", 1.0, DelayModel.constant(8))
+
+    def test_boundary_crossing_is_the_searchs_crossing(self):
+        for variant, m, delay in (("plain", 0.0, 8), ("shifted", 0.9, 5),
+                                  ("plain", 0.0, pmf_uniform(1, 12))):
+            k, theta = stability.boundary_crossing(variant, m, delay)
+            r = numeric_threshold(variant, 1.0, delay, m=m)
+            assert theta == r.crossing_angle
+            assert r.bracket[0] <= k <= r.bracket[1]
 
     @pytest.mark.parametrize("variant,m,delay", [
         ("plain", 0.0, pmf_uniform(1, 64)),
@@ -247,12 +256,13 @@ class TestCertificate:
             r = numeric_threshold(variant, 1.0, delay, m=m)
             split = stability._Split(variant, m, delay)
             theta = r.crossing_angle
-            hints = (theta, (theta + 1.0) % math.pi)
+            grids = [stability._certificate_grid(split.degree, hint)
+                     for hint in (theta, (theta + 1.0) % math.pi)]
             for k, radius in ((r.bracket[0], 1.0 + stability.CERT_MARGIN),
                               (r.bracket[1], 1.0 - stability.CERT_MARGIN)):
                 want = _even_grid_count(split, k, radius)
-                for hint in hints:
-                    assert stability._winding_number(split, k, radius, hint) == want
+                for grid in grids:
+                    assert stability._winding_number(split, k, radius, grid) == want
 
     def test_grid_keeps_the_even_angles(self):
         for degree, hint in ((1, math.pi), (5, 0.0), (64, 0.3), (257, 1e-9)):
@@ -280,7 +290,7 @@ class TestThresholdCurve:
     def test_failed_row_is_recorded_not_raised(self, no_threshold_at_tau_zero):
         curve = threshold_curve("shifted", 1.0, [0, 4, 8], m=0.9)
         assert curve.rows[0].result is None
-        assert "cap" in curve.rows[0].error or "stable" in curve.rows[0].error
+        assert "stable" in curve.rows[0].error
         assert curve.rows[1].result is not None
         assert math.isfinite(curve.slope)
 
@@ -306,3 +316,99 @@ class TestThresholdCurve:
     def test_single_row_has_nan_fit(self):
         curve = threshold_curve("plain", 1.0, [4])
         assert math.isnan(curve.slope) and math.isnan(curve.r_squared)
+
+
+_CORPUS_DIGEST = "e8043e244fd8949ae4e5e9561c8c7fdf7ae3fb8278016337246bd401f81d3356"
+
+_plain_delay = hs.one_of(
+    hs.integers(0, 40),
+    hs.tuples(hs.integers(1, 40), hs.integers(1, 40)).map(lambda b: pmf_uniform(min(b), max(b))),
+    hs.integers(1, 20).map(pmf_discrete_gaussian),
+)
+_sweep = hs.one_of(
+    hs.tuples(hs.just("plain"), hs.just(0.0), hs.lists(_plain_delay, min_size=1, max_size=6)),
+    hs.tuples(hs.sampled_from(("momentum", "shifted")), hs.floats(0.0, 0.99),
+              hs.lists(hs.integers(0, 40), min_size=1, max_size=6)),
+)
+
+
+def _fields(r):
+    return (r.eta_star, r.bracket, r.crossing_angle, r.max_root_residual)
+
+
+class TestBatchedSweep:
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(_sweep, hs.integers(-4, 4), hs.sampled_from((1e-8, 1e-6, 1e-4)))
+    def test_rows_equal_searches_one_delay_at_a_time(self, sweep, j, rel_tol):
+        variant, m, delays = sweep
+        a = 1.5**j
+        curve = threshold_curve(variant, a, delays, m=m, rel_tol=rel_tol)
+        assert len(curve.rows) == len(delays)
+        for row, delay in zip(curve.rows, delays):
+            alone = numeric_threshold(variant, a, delay, m=m, rel_tol=rel_tol)
+            assert row.error is None
+            assert _fields(row.result) == _fields(alone)
+
+    def test_corpus_as_curves_hashes_to_the_frozen_digest(self):
+        cases = _search_corpus()
+        families: dict = {}
+        for variant, m, delay in cases:
+            families.setdefault((variant, m), []).append(delay)
+        found = {}
+        for (variant, m), delays in families.items():
+            curve = threshold_curve(variant, 1.0, delays, m=m)
+            found.update(((variant, m, d), row.result) for d, row in zip(delays, curve.rows))
+        h = hashlib.sha256()
+        for case in cases:
+            h.update(repr(_fields(found[case])).encode())
+        assert h.hexdigest() == _CORPUS_DIGEST
+
+    @pytest.mark.parametrize("block", [1, 5, 40])
+    def test_rows_do_not_depend_on_the_block(self, monkeypatch, block):
+        sweeps = [("plain", 0.0, [*range(13), pmf_uniform(1, 12), pmf_uniform(2, 3), pmf_uniform(3, 20),
+                                  pmf_discrete_gaussian(4)]),
+                  ("shifted", 0.9, list(range(13)))]
+        want = [threshold_curve(v, 1.0, delays, m=m).rows for v, m, delays in sweeps]
+        monkeypatch.setattr(stability, "BRACKET_BLOCK", block)
+        assert [threshold_curve(v, 1.0, delays, m=m).rows for v, m, delays in sweeps] == want
+
+    def test_every_bracket_ends_where_it_would_alone(self):
+        # not just the crossing each search keeps: exhausted brackets stand
+        # still while the rest of the batch narrows
+        for variant, m, delays in [("plain", 0.0, [pmf_uniform(1, 12), pmf_uniform(3, 20),
+                                                   pmf_discrete_gaussian(6)]),
+                                   ("plain", 0.0, list(range(0, 40, 3))),
+                                   ("momentum", 0.99, list(range(0, 40, 3)))]:
+            splits = [stability._Split(variant, m, DelayModel.constant(d) if isinstance(d, int)
+                                       else d) for d in delays]
+            scans = [stability._scan(split) for split in splits]
+            together = stability._bisect_brackets(splits, scans)
+            assert sum(map(len, together)) > 10 * len(splits)
+            for split, scan, lows in zip(splits, scans, together):
+                alone, = stability._bisect_brackets([split], [scan])
+                assert np.array_equal(lows, alone)
+
+    def test_one_batched_crossing_call_per_curve(self, monkeypatch):
+        calls = []
+        crossings = stability._crossings
+
+        def counting(splits):
+            calls.append(len(splits))
+            return crossings(splits)
+
+        monkeypatch.setattr(stability, "_crossings", counting)
+        threshold_curve("plain", 1.0, [0, 4, pmf_uniform(1, 12), 9])
+        assert calls == [4]
+
+    def test_failed_rows_stay_in_place_and_in_order(self, no_threshold_at_tau_zero):
+        delays = [3, 0, pmf_uniform(1, 12), 0, 7]
+        curve = threshold_curve("plain", 1.0, delays)
+        assert [r.x for r in curve.rows] == [3.0, 0.0, 6.5, 0.0, 7.0]
+        for row, delay in zip(curve.rows, delays):
+            if delay == 0:
+                assert row.result is None and "stable" in row.error
+                with pytest.raises(NoThreshold):
+                    numeric_threshold("plain", 1.0, delay)
+            else:
+                assert row.error is None
+                assert _fields(row.result) == _fields(numeric_threshold("plain", 1.0, delay))
