@@ -31,11 +31,14 @@ from . import __version__
 from .charpoly import (DelayModel, OptimizerSpec, _check_count, _check_delay, _check_positive,
                        char_poly, pmf_discrete_gaussian, pmf_uniform)
 from .dynamics import (
+    BLOWUP_FACTOR,
+    DECAY_FACTOR,
     DIVERGED,
     UNDECIDED,
     QuadraticProblem,
     SimConfig,
     SimVerdict,
+    _check_simulated,
     _trace_steps,
     escape_time_curve,
     simulate_expectation,
@@ -399,8 +402,8 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
     t0 = time.time()
 
     # OptimizerSpec (rightly) demands eta > 0, so a zero step size is checked
-    # with every other setting under a stand-in eta; it moves nothing, and
-    # its run is reported directly.
+    # with every other setting, the simulators' pairing rule included, under
+    # a stand-in eta; it moves nothing, and its run is reported directly.
     sim_cfg = SimConfig(
         optimizer=OptimizerSpec(cfg["variant"], eta or 1.0, cfg["m"]),
         delay=delay,
@@ -413,6 +416,7 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
         record_trace=bool(cfg["out"]),
     )
     if eta == 0.0:
+        _check_simulated(sim_cfg)
         steps = sim_cfg.resolved_max_steps()
         trace = None
         if sim_cfg.record_trace:
@@ -471,7 +475,6 @@ def cmd_escape_curve(cfg: dict, args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------- ps
 
 def cmd_ps(cfg: dict, args: argparse.Namespace) -> int:
-    variant = cfg["variant"]
     problem = _build_problem(cfg)
     eta = _require(cfg, "eta", "--eta")
     if (cfg["workers"] is None) == (cfg["pmf"] is None):
@@ -482,12 +485,10 @@ def cmd_ps(cfg: dict, args: argparse.Namespace) -> int:
         scheduler = RoundRobin(cfg["workers"])
     else:
         scheduler = SampledDelay(_parse_pmf(cfg["pmf"]), seed=seed)
-    if variant == "shifted" and isinstance(scheduler, SampledDelay):
-        raise CliUsage("shifted momentum needs --workers (per-worker velocities)")
 
     t0 = time.time()
     run = run_ps(
-        problem, scheduler, OptimizerSpec(variant, eta, cfg["m"]),
+        problem, scheduler, OptimizerSpec(cfg["variant"], eta, cfg["m"]),
         cfg["steps"], seed=seed, mode="expectation",
         blowup_factor=cfg["blowup"], decay_factor=cfg["decay"],
     )
@@ -624,6 +625,7 @@ class Command(NamedTuple):
 
 
 _MODEL = {"variant": "plain", "m": 0.0, "tau": None, "pmf": None, "a": None}
+_VERDICT_LINES = {"blowup": BLOWUP_FACTOR, "decay": DECAY_FACTOR}
 
 COMMANDS = {
     "threshold": Command(cmd_threshold, "stability threshold across delays", {
@@ -636,16 +638,16 @@ COMMANDS = {
        "at --tau 2000 and 36 s at --tau 10000 (the limit) on a 2-core machine. "
        "Memory stays bounded."),
     "simulate": Command(cmd_simulate, "run the delayed dynamics once", {
-        **_MODEL, "spectrum": None, "eta": None, "steps": None, "blowup": 1e6,
-        "decay": 1e-6, "init": "top_eigvec", "seed": _env_seed, "record_every": 1, "out": None,
+        **_MODEL, "spectrum": None, "eta": None, "steps": None, **_VERDICT_LINES,
+        "init": "top_eigvec", "seed": _env_seed, "record_every": 1, "out": None,
     }),
     "escape-curve": Command(cmd_escape_curve, "escape step per step size", {
         **_MODEL, "spectrum": None, "etas": None, "eta_range": None, "steps": None,
-        "blowup": 1e6, "decay": 1e-6, "out": None,
+        **_VERDICT_LINES, "out": None,
     }),
     "ps": Command(cmd_ps, "asynchronous parameter-server emulation", {
         "workers": None, "pmf": None, "variant": "plain", "m": 0.0, "a": None,
-        "spectrum": None, "eta": None, "steps": 10_000, "blowup": 1e6, "decay": 1e-6,
+        "spectrum": None, "eta": None, "steps": 10_000, **_VERDICT_LINES,
         "seed": _env_seed, "out": None,
     }),
 }

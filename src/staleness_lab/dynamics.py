@@ -6,8 +6,8 @@ has a root outside the unit circle, so the simulators double as an
 independent check on the algebra.  Provided here: the deterministic
 expectation dynamics, their sampled-gradient counterpart, threshold search
 driven purely by simulation verdicts, escape-time tables, and a
-power-iteration sharpness estimate.  The step engine and the sampled-delay
-sampler here also run every parameter-server run in ``pssim``.
+power-iteration sharpness estimate.  A ``SimConfig`` describes every run,
+simulator or parameter-server (``pssim``), and ``_run`` starts each one.
 
 All randomness flows through seeded generators; identical inputs give
 bit-identical outputs.
@@ -41,6 +41,9 @@ PROBE_STEPS = 1_000_000
 # Simulations step in blocks that double up to this many steps.  The steps
 # a block runs past its verdict are thrown away, so the cap bounds that waste.
 BLOCK_CAP = 4096
+# Default verdict lines, as multiples of the initial distance from the minimum.
+BLOWUP_FACTOR = 1e6
+DECAY_FACTOR = 1e-6
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -142,20 +145,22 @@ class QuadraticProblem:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Knobs for one simulation run.
+    """Knobs for one run, of a simulator or of the parameter server.
 
     ``max_steps=None`` resolves to ``default_max_steps(tau_max)``.
     ``init`` picks the starting offset: the top eigenvector of the hessian
     (excites the mode that loses stability first) or a seeded random unit
     vector.  Trace and state recording are off by default; ``record_every``
-    thins the trace only, states are kept at every step.
+    thins the trace only, states are kept at every step.  A server run's
+    delay is its scheduler's.  The simulators pair a random delay with the
+    plain update only, the server with all but shifted.
     """
 
     optimizer: OptimizerSpec
     delay: DelayModel | int
     max_steps: int | None = None
-    blowup_factor: float = 1e6
-    decay_factor: float = 1e-6
+    blowup_factor: float = BLOWUP_FACTOR
+    decay_factor: float = DECAY_FACTOR
     init: str = "top_eigvec"
     seed: int = 0
     record_every: int = 1
@@ -166,12 +171,9 @@ class SimConfig:
         object.__setattr__(self, "delay", as_delay(self.delay))
         if not isinstance(self.optimizer, OptimizerSpec):
             raise TypeError("optimizer must be an OptimizerSpec")
-        if not self.delay.is_constant and self.optimizer.variant != "plain":
-            raise ValueError("random delays pair with the plain update only")
         if self.max_steps is not None:
             object.__setattr__(self, "max_steps", _check_count("max_steps", self.max_steps))
-        if not self.blowup_factor > 1.0 > self.decay_factor > 0.0:
-            raise ValueError("need blowup_factor > 1 > decay_factor > 0")
+        _check_verdict_lines(self.blowup_factor, self.decay_factor)
         if self.init not in ("top_eigvec", "random_unit"):
             raise ValueError("init must be 'top_eigvec' or 'random_unit'")
         object.__setattr__(self, "record_every", _check_count("record_every", self.record_every))
@@ -180,6 +182,11 @@ class SimConfig:
         if self.max_steps is not None:
             return self.max_steps
         return default_max_steps(self.delay.max_delay)
+
+
+def _check_verdict_lines(blowup_factor: float, decay_factor: float) -> None:
+    if not blowup_factor > 1.0 > decay_factor > 0.0:
+        raise ValueError("need blowup_factor > 1 > decay_factor > 0")
 
 
 def default_max_steps(max_delay: int) -> int:
@@ -214,14 +221,6 @@ class SimVerdict:
             raise ValueError(f"unknown status {self.status!r}")
         if self.status == DIVERGED and self.escape_step is None:
             raise ValueError("a diverged verdict must carry its escape step")
-
-
-def _initial_vector(problem: QuadraticProblem, config: SimConfig) -> np.ndarray:
-    if config.init == "top_eigvec":
-        return problem.top_eigvec()
-    rng = np.random.default_rng(config.seed)
-    v = rng.standard_normal(problem.d)
-    return v / float(np.linalg.norm(v))
 
 
 def _float_block(values: list) -> np.ndarray:
@@ -321,13 +320,42 @@ def _track(advance, y0, n0, window, max_steps, blowup_factor, decay_factor,
     return verdict, norms
 
 
-def _simulate(config: SimConfig, advance, y0, n0, draws=None) -> SimVerdict:
-    """Track ``advance`` with ``config``'s verdict lines, step budget and recording."""
-    every = config.record_every if config.record_trace else 0
+def _run(problem: QuadraticProblem, config: SimConfig, pick_seed=None, lag_seed=None, every=0):
+    """Start the run ``config`` describes and track it to its verdict.
+
+    Every run, simulator or server, starts here, at ``config``'s ``init``.
+    With ``lag_seed`` each step reads the state a drawn lag back
+    (``_schedule``), without it a pmf delay reads the probability-weighted
+    state; ``pick_seed`` is as ``_engine`` takes it.  Returns the verdict,
+    the distances every ``every`` steps (``None`` when ``every`` is 0) and
+    the sampled delays drawn (``None`` without ``lag_seed``).
+    """
+    y0 = problem.top_eigvec()
+    if config.init == "random_unit":
+        y0 = np.random.default_rng(config.seed).standard_normal(problem.d)
+        y0 = y0 / float(np.linalg.norm(y0))
+    lags = draws = None
+    if lag_seed is not None:
+        lags, draws = _schedule(config.delay, lag_seed)
+    advance, y0, n0 = _engine(problem, y0, config.optimizer, config.delay, pick_seed, lags)
     verdict, norms = _track(
         advance, y0, n0, config.delay.max_delay + 2, config.resolved_max_steps(),
         config.blowup_factor, config.decay_factor, every, config.record_states, draws,
     )
+    return verdict, norms, draws
+
+
+def _check_simulated(config: SimConfig) -> None:
+    """The simulators' pairing rule: a random delay takes the plain update only."""
+    if not config.delay.is_constant and config.optimizer.variant != "plain":
+        raise ValueError("random delays pair with the plain update only")
+
+
+def _simulate(problem, config: SimConfig, pick_seed=None, lag_seed=None) -> SimVerdict:
+    """The simulators' shared path: their pairing rule, the run and its trace."""
+    _check_simulated(config)
+    every = config.record_every if config.record_trace else 0
+    verdict, norms, _ = _run(problem, config, pick_seed, lag_seed, every)
     if norms is None:
         return verdict
     return replace(verdict, trace=tuple(zip(_trace_steps(verdict.steps, every), norms)))
@@ -352,12 +380,10 @@ def simulate_expectation(problem: QuadraticProblem, config: SimConfig) -> SimVer
     (non-finite states count), converged on the step that completes
     ``tau_max + 2`` consecutive steps below ``decay_factor`` times it,
     otherwise undecided at ``max_steps``.  Runs are evaluated in blocks of
-    steps; nothing past the verdict step is reported.  The run steps on the
-    engine ``_engine`` picks.
+    steps; nothing past the verdict step is reported.  The run starts
+    through ``_run``.
     """
-    advance, y0, n0 = _engine(problem, _initial_vector(problem, config),
-                              config.optimizer, config.delay)
-    return _simulate(config, advance, y0, n0)
+    return _simulate(problem, config)
 
 
 def _engine(problem: QuadraticProblem, y0: np.ndarray, opt: OptimizerSpec, delay: DelayModel,
@@ -596,16 +622,12 @@ def simulate_sgd(problem: QuadraticProblem, config: SimConfig, seed: int = 0) ->
     """
     if problem.components is None:
         raise ValueError("simulate_sgd needs a problem with components")
-    lags = draws = None
-    if not config.delay.is_constant:
-        lags, draws = _schedule(config.delay, np.random.SeedSequence(seed).spawn(1)[0])
-    advance, y0, n0 = _engine(problem, _initial_vector(problem, config), config.optimizer,
-                              config.delay, seed, lags)
-    return _simulate(config, advance, y0, n0, draws)
+    lag_seed = None if config.delay.is_constant else np.random.SeedSequence(seed).spawn(1)[0]
+    return _simulate(problem, config, seed, lag_seed)
 
 
 def _simulated_threshold(run, a, variant, m, delay, rel_tol, probe_steps,
-                         decay_factor) -> ThresholdResult:
+                         blowup_factor, decay_factor) -> ThresholdResult:
     """Bisect eta on ``run(eta, steps)``, the status of a trajectory.
 
     Converged counts as stable.  An undecided probe gets its step budget
@@ -614,6 +636,7 @@ def _simulated_threshold(run, a, variant, m, delay, rel_tol, probe_steps,
     """
     _check_positive("rel_tol", rel_tol)
     probe_steps = _check_count("probe_steps", probe_steps)
+    _check_verdict_lines(blowup_factor, decay_factor)  # before the start is set from them
 
     def stable(eta: float) -> bool:
         for steps in (probe_steps, 2 * probe_steps):
@@ -651,8 +674,8 @@ def empirical_threshold(
     m: float = 0.0,
     rel_tol: float = 0.02,
     probe_steps: int = PROBE_STEPS,
-    blowup_factor: float = 1e6,
-    decay_factor: float = 1e-6,
+    blowup_factor: float = BLOWUP_FACTOR,
+    decay_factor: float = DECAY_FACTOR,
 ) -> ThresholdResult:
     """Stability boundary measured from trajectories alone.
 
@@ -665,18 +688,11 @@ def empirical_threshold(
     delay = as_delay(delay)
 
     def run(eta, steps):
-        cfg = SimConfig(
-            optimizer=OptimizerSpec(variant, eta, m),
-            delay=delay,
-            max_steps=steps,
-            blowup_factor=blowup_factor,
-            decay_factor=decay_factor,
-            init="top_eigvec",
-        )
+        cfg = SimConfig(OptimizerSpec(variant, eta, m), delay, steps, blowup_factor, decay_factor)
         return simulate_expectation(problem, cfg).status
 
     return _simulated_threshold(run, problem.sharpness(), variant, m, delay,
-                                rel_tol, probe_steps, decay_factor)
+                                rel_tol, probe_steps, blowup_factor, decay_factor)
 
 
 @dataclass(frozen=True)
@@ -703,8 +719,8 @@ def escape_time_curve(
     etas,
     m: float = 0.0,
     max_steps: int | None = None,
-    blowup_factor: float = 1e6,
-    decay_factor: float = 1e-6,
+    blowup_factor: float = BLOWUP_FACTOR,
+    decay_factor: float = DECAY_FACTOR,
 ) -> EscapeCurve:
     """How fast instability bites: escape step for each step size.
 
@@ -716,14 +732,8 @@ def escape_time_curve(
         raise ValueError("etas must be strictly ascending")
     rows = []
     for eta in etas:
-        cfg = SimConfig(
-            optimizer=OptimizerSpec(variant, eta, m),
-            delay=delay,
-            max_steps=max_steps,
-            blowup_factor=blowup_factor,
-            decay_factor=decay_factor,
-            init="top_eigvec",
-        )
+        cfg = SimConfig(OptimizerSpec(variant, eta, m), delay, max_steps, blowup_factor,
+                        decay_factor)
         verdict = simulate_expectation(problem, cfg)
         rows.append((eta, verdict.escape_step if verdict.status == DIVERGED else None))
     return EscapeCurve(rows=tuple(rows))

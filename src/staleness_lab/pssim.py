@@ -3,13 +3,13 @@
 Each worker holds a snapshot of the central parameters, and on every global
 step one worker applies the gradient taken at its snapshot, then
 re-snapshots.  Under round-robin scheduling over W workers a step reads the
-snapshot taken W steps back: a constant delay of exactly W - 1.  Round-robin
-runs therefore step on the simulators' engine at that delay and reproduce
-the constant-delay simulator bit for bit.  Sampled-delay scheduling
-realizes a delay distribution: each step reads the state a drawn number of
-steps back, with the lags drawn by ``dynamics._schedule``.  Every run steps
-on the engine ``dynamics._engine`` picks; this module only schedules,
-validates and reports.
+snapshot taken W steps back: a constant delay of exactly W - 1, so
+round-robin runs reproduce the constant-delay simulator bit for bit.
+Sampled-delay scheduling realizes a delay distribution: each step reads the
+state a drawn number of steps back.  Every run is a ``SimConfig`` with the
+delay its scheduler realizes, started by ``dynamics._run`` as every
+simulator run is; this module only schedules, validates and reports.  The
+server runs momentum under sampled delays, which the simulators refuse.
 
 Velocity placement follows the structural split between the two momentum
 flavors: the standard variant keeps one central buffer at the server, the
@@ -30,15 +30,14 @@ import numpy as np
 
 from .charpoly import DelayModel, OptimizerSpec, _check_count, _check_delay
 from .dynamics import (
+    BLOWUP_FACTOR,
+    DECAY_FACTOR,
     PROBE_STEPS,
     QuadraticProblem,
     SimConfig,
     SimVerdict,
-    _engine,
-    _initial_vector,
-    _schedule,
+    _run,
     _simulated_threshold,
-    _track,
 )
 from .stability import ThresholdResult
 
@@ -109,8 +108,8 @@ def run_ps(
     steps: int,
     seed: int = 0,
     mode: str = "expectation",
-    blowup_factor: float = 1e6,
-    decay_factor: float = 1e-6,
+    blowup_factor: float = BLOWUP_FACTOR,
+    decay_factor: float = DECAY_FACTOR,
     init: str = "top_eigvec",
     init_seed: int = 0,
     record_states: bool = False,
@@ -124,12 +123,13 @@ def run_ps(
     ``SampledDelay`` raises.  Verdict rules are those of
     ``simulate_expectation``, with a window of ``max_delay + 2`` steps.
     Runs are evaluated in blocks of steps; nothing past the verdict step is
-    reported.  Round robin steps as the constant delay ``W - 1``, sampled
-    delays with per-step lags, both on the simulators' engine.  A
-    ``SampledDelay``'s delays (from its own seed) and sgd-mode component
-    picks (from ``seed``) are drawn one block at a time, each from its own
-    generator that continues across the blocks: the same draws as one draw
-    for all ``steps``, so a run that ends early draws only what it stepped.
+    reported.  Like a simulator run, the run is a ``SimConfig`` started by
+    ``dynamics._run``: round robin at the constant delay ``W - 1``, sampled
+    delays at their pmf with per-step lags.  A ``SampledDelay``'s delays
+    (from its own seed) and sgd-mode component picks (from ``seed``) are
+    drawn one block at a time, each from its own generator that continues
+    across the blocks: the same draws as one draw for all ``steps``, so a
+    run that ends early draws only what it stepped.
     """
     verdict, norms, draws = _track_ps(
         problem, scheduler, optimizer, steps, seed, mode, blowup_factor, decay_factor,
@@ -147,9 +147,16 @@ def run_ps(
     )
 
 
+def _scheduled_delay(scheduler: RoundRobin | SampledDelay) -> DelayModel:
+    """The delay a scheduler realizes: ``W - 1`` for round robin, else its pmf."""
+    if isinstance(scheduler, RoundRobin):
+        return DelayModel.constant(scheduler.max_delay)
+    return scheduler.pmf
+
+
 def _track_ps(problem, scheduler, optimizer, steps, seed, mode, blowup_factor, decay_factor,
               init="top_eigvec", init_seed=0, record_states=False, every=0):
-    """Check a ``run_ps`` request and track its steps to the verdict.
+    """Check a ``run_ps`` request and run it through ``dynamics._run``.
 
     Returns the verdict, the distances every ``every`` steps (``None`` when
     ``every`` is 0, as for threshold probes) and the sampled delays drawn.
@@ -157,34 +164,20 @@ def _track_ps(problem, scheduler, optimizer, steps, seed, mode, blowup_factor, d
     steps = _check_count("steps", steps)
     if mode not in ("expectation", "sgd"):
         raise ValueError("mode must be 'expectation' or 'sgd'")
-    cfg_probe = SimConfig(  # reuse the validation; init vector only
-        optimizer=optimizer,
-        delay=0,
-        max_steps=steps,
-        blowup_factor=blowup_factor,
-        decay_factor=decay_factor,
-        init=init,
-        seed=init_seed,
-    )
-    if isinstance(scheduler, SampledDelay) and optimizer.variant == "shifted":
-        raise ValueError("shifted momentum needs per-worker velocities; SampledDelay has no workers")
-    if isinstance(scheduler, RoundRobin) and steps < scheduler.n_workers:
+    config = SimConfig(optimizer, _scheduled_delay(scheduler), steps, blowup_factor, decay_factor,
+                       init=init, seed=init_seed, record_states=record_states)
+    lag_seed = None
+    if isinstance(scheduler, SampledDelay):
+        if optimizer.variant == "shifted":
+            raise ValueError(
+                "shifted momentum needs per-worker velocities; SampledDelay has no workers")
+        # a seed sequence, so that a seed of None draws lags too
+        lag_seed = np.random.SeedSequence(scheduler.seed)
+    elif steps < scheduler.n_workers:
         raise ValueError("need at least one step per worker")
     if mode == "sgd" and problem.components is None:
         raise ValueError("sgd mode needs a problem with components")
-    y0 = _initial_vector(problem, cfg_probe)
-
-    if isinstance(scheduler, RoundRobin):
-        delay, lags, draws = DelayModel.constant(scheduler.max_delay), None, None
-    else:
-        delay = scheduler.pmf
-        lags, draws = _schedule(delay, scheduler.seed)
-    advance, y0, n0 = _engine(problem, y0, optimizer, delay, seed if mode == "sgd" else None, lags)
-    verdict, norms = _track(
-        advance, y0, n0, scheduler.max_delay + 2, steps, blowup_factor, decay_factor,
-        every=every, keep_states=record_states, draws=draws,
-    )
-    return verdict, norms, draws
+    return _run(problem, config, seed if mode == "sgd" else None, lag_seed, every)
 
 
 def ps_empirical_threshold(
@@ -194,8 +187,8 @@ def ps_empirical_threshold(
     m: float = 0.0,
     rel_tol: float = 0.02,
     probe_steps: int = PROBE_STEPS,
-    blowup_factor: float = 1e6,
-    decay_factor: float = 1e-6,
+    blowup_factor: float = BLOWUP_FACTOR,
+    decay_factor: float = DECAY_FACTOR,
 ) -> ThresholdResult:
     """Stability boundary of the emulated server, by bisection on verdicts.
 
@@ -207,17 +200,11 @@ def ps_empirical_threshold(
     """
 
     def run(eta, steps):
-        verdict, _, _ = _track_ps(problem, scheduler, OptimizerSpec(variant, eta, m), steps,
-                                  seed=0, mode="expectation", blowup_factor=blowup_factor,
-                                  decay_factor=decay_factor)
-        return verdict.status
+        return _track_ps(problem, scheduler, OptimizerSpec(variant, eta, m), steps, 0,
+                         "expectation", blowup_factor, decay_factor)[0].status
 
-    if isinstance(scheduler, RoundRobin):
-        delay = DelayModel.constant(scheduler.n_workers - 1)
-    else:
-        delay = scheduler.pmf
-    return _simulated_threshold(run, problem.sharpness(), variant, m, delay,
-                                rel_tol, probe_steps, decay_factor)
+    return _simulated_threshold(run, problem.sharpness(), variant, m, _scheduled_delay(scheduler),
+                                rel_tol, probe_steps, blowup_factor, decay_factor)
 
 
 def delay_histogram(run: PSRun) -> tuple[tuple[int, float], ...]:

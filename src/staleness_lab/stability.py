@@ -47,7 +47,6 @@ DENSE_TERMS = 8
 # exponential tables (terms x brackets, under 1 MB) stay in cache.
 BRACKET_BLOCK = 1 << 12
 
-METHOD_ANALYTIC = "analytic"
 METHOD_BISECTION = "bisection"
 METHOD_SIMULATION = "simulation"
 

@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from staleness_lab import stability
+from staleness_lab import dynamics, stability
 from staleness_lab.errors import NoThreshold
 
 
@@ -21,3 +23,18 @@ def no_threshold_at_tau_zero(monkeypatch):
         ]
 
     monkeypatch.setattr(stability, "_crossings", failing)
+
+
+@pytest.fixture
+def no_run(monkeypatch):
+    """Unbind ``dynamics._run``, which starts every run, wherever it is bound.
+
+    A test using this fails with a TypeError if any simulator or server run
+    starts, so it shows that a check comes before every step.
+    """
+    start = dynamics._run
+    bound = [module for name, module in list(sys.modules.items())
+             if name.startswith("staleness_lab") and getattr(module, "_run", None) is start]
+    assert {m.__name__ for m in bound} >= {"staleness_lab.dynamics", "staleness_lab.pssim"}
+    for module in bound:
+        monkeypatch.setattr(module, "_run", None)

@@ -45,6 +45,24 @@ def test_frozen_details(acceptance_results):
     assert h.hexdigest() == "7cf708f6805195c14dc7a5d310b2ee06fa5ae0da70b0027ce27b6d17a00f7162"
 
 
+# sha256 of the CSV artifacts that verify --out writes from these criteria
+ARTIFACTS = {
+    "taylor_accuracy.csv": "b27fdc1a00b896912907980e0943ed05c1e0b3288143e97203f0e369ef3661d2",
+    "momentum_direction.csv": "9cc1fdc4577ce49eb9b77cfcc1be353fc151f62feb091b3c3b8994f9d76fb309",
+}
+
+
+def test_frozen_artifacts(tmp_path):
+    # written in process, where the determinism criterion writes them in
+    # subprocesses
+    results = run_criteria(["taylor-accuracy", "momentum-direction"], out_dir=tmp_path)
+    assert [(name, ok) for name, ok, _ in results] == [
+        ("taylor-accuracy", True), ("momentum-direction", True)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(ARTIFACTS)
+    for name, digest in ARTIFACTS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 class TestGateSensitivity:
     """The gate must fail when the thing it checks is actually wrong."""
 

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 import tracemalloc
 
 import pytest
 
+from staleness_lab.acceptance import run_criteria
 from staleness_lab.cli import main
 from staleness_lab.stability import analytic_threshold_plain
 
@@ -181,6 +183,16 @@ class TestSimulate:
                                "--tau", "4", *extra)
         assert rc == 2
         assert out == "" and err.startswith("usage error:")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("eta", ["0", "0.1"])
+    def test_random_delay_with_momentum_is_refused(self, capsys, tmp_path, eta):
+        # a zero step size never reaches the simulators, and keeps their rule
+        rc, out, err = run_cli(capsys, "simulate", "--a", "1", "--eta", eta,
+                               "--pmf", "uniform:1,3", "--variant", "momentum", "--m", "0.5",
+                               "--out", str(tmp_path / "run"))
+        assert rc == 2 and out == ""
+        assert err == "usage error: random delays pair with the plain update only\n"
         assert not (tmp_path / "run").exists()
 
     def test_diverged_is_a_normal_result(self, capsys):
@@ -474,10 +486,14 @@ class TestPs:
                            "--a", "1.0", "--eta", "0.1")
         assert rc == 2
 
-    def test_shifted_needs_workers(self, capsys):
-        rc, _, err = run_cli(capsys, "ps", "--pmf", "uniform:1,3", "--a", "1.0",
-                             "--eta", "0.05", "--variant", "shifted", "--m", "0.5")
+    def test_shifted_needs_workers(self, capsys, tmp_path):
+        # the library's pairing rule, raised before anything is written
+        rc, out, err = run_cli(capsys, "ps", "--pmf", "uniform:1,3", "--a", "1.0",
+                               "--eta", "0.05", "--variant", "shifted", "--m", "0.5",
+                               "--out", str(tmp_path / "run"))
         assert rc == 2
+        assert out == "" and err.startswith("usage error:")
+        assert not (tmp_path / "run").exists()
 
     def test_out_below_a_file_is_a_one_line_error(self, capsys, tmp_path):
         blocker = tmp_path / "file"
@@ -512,6 +528,16 @@ class TestPlot:
         assert rc == 0
         svg = dst.read_text()
         assert svg.startswith("<svg") and "decay" in svg
+
+    def test_multi_series_chart_is_frozen(self, capsys, tmp_path):
+        # three series, so the chart carries a legend
+        run_criteria(["taylor-accuracy"], out_dir=tmp_path)
+        src, dst = tmp_path / "taylor_accuracy.csv", tmp_path / "taylor.svg"
+        assert src.read_text().splitlines()[0] == "tau,inverse_exact,taylor,abs_err"
+        rc, out, _ = run_cli(capsys, "plot", str(src), str(dst))
+        assert rc == 0 and out == f"wrote {dst}\n"
+        assert hashlib.sha256(dst.read_bytes()).hexdigest() == (
+            "23b981a3e2e631e7557f3bed2090be1041853682f819b7b5a2cf561cca692642")
 
     def test_textual_column_skipped_with_note(self, capsys, tmp_path):
         src = self._write(tmp_path, "x,val,tag\n0,1.0,alpha\n1,0.5,beta\n")

@@ -81,9 +81,17 @@ class TestSimConfig:
         cfg = SimConfig(OptimizerSpec("plain", 0.1), 4)
         assert isinstance(cfg.delay, DelayModel) and cfg.delay.tau == 4
 
-    def test_random_delay_needs_plain(self):
-        with pytest.raises(ValueError):
-            SimConfig(OptimizerSpec("momentum", 0.1, 0.5), pmf_uniform(1, 3))
+    def test_random_delay_needs_plain(self, no_run):
+        # the simulators' rule, checked as a run starts, before any step;
+        # the config itself describes any run (the server runs momentum
+        # under sampled delays)
+        problem = QuadraticProblem([[1.0]], components=[[[0.5]], [[1.5]]])
+        for variant in ("momentum", "shifted"):
+            cfg = SimConfig(OptimizerSpec(variant, 0.1, 0.5), pmf_uniform(1, 3))
+            for simulate in (simulate_expectation, simulate_sgd):
+                with pytest.raises(ValueError,
+                                   match="random delays pair with the plain update only"):
+                    simulate(problem, cfg)
 
     def test_resolved_max_steps_floor(self):
         assert SimConfig(OptimizerSpec("plain", 0.1), 4).resolved_max_steps() == 100_000

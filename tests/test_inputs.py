@@ -25,7 +25,6 @@ from staleness_lab.charpoly import (
     pmf_discrete_gaussian,
     pmf_uniform,
 )
-from staleness_lab import dynamics, pssim
 from staleness_lab.dynamics import (
     QuadraticProblem,
     SimConfig,
@@ -34,7 +33,7 @@ from staleness_lab.dynamics import (
     power_iteration,
     simulate_expectation,
 )
-from staleness_lab.pssim import RoundRobin, ps_empirical_threshold, run_ps
+from staleness_lab.pssim import RoundRobin, SampledDelay, ps_empirical_threshold, run_ps
 from staleness_lab.stability import (
     analytic_threshold_plain,
     dampened_lr,
@@ -146,12 +145,38 @@ def test_rejected_input_raises_value_error(call, x):
 
 @pytest.mark.parametrize("name, x", [pytest.param(name, x, id=f"{name}-{label}")
                                      for name in COUNT for label, x in BAD_COUNT.items()])
-def test_rejected_count_raises_value_error_naming_it(monkeypatch, name, x):
+def test_rejected_count_raises_value_error_naming_it(no_run, name, x):
     # before any probe or run is stepped
-    monkeypatch.setattr(dynamics, "simulate_expectation", None)
-    monkeypatch.setattr(pssim, "_track", None)
     with pytest.raises(ValueError, match=rf"\b{name.split()[-1]} must be"):
         COUNT[name](x)
+
+
+# Entry point -> call with the verdict lines replaced by (blowup, decay).
+VERDICT_LINES = {
+    "SimConfig": lambda b, d: SimConfig(OPT, 3, blowup_factor=b, decay_factor=d),
+    "run_ps round robin": lambda b, d: run_ps(PROBLEM, RoundRobin(4), OPT, 100,
+                                              blowup_factor=b, decay_factor=d),
+    "run_ps sampled": lambda b, d: run_ps(PROBLEM, SampledDelay(PMF), OPT, 100,
+                                          blowup_factor=b, decay_factor=d),
+    "empirical_threshold": lambda b, d: empirical_threshold(
+        PROBLEM, "plain", 3, blowup_factor=b, decay_factor=d),
+    "ps_empirical_threshold round robin": lambda b, d: ps_empirical_threshold(
+        PROBLEM, RoundRobin(4), "plain", blowup_factor=b, decay_factor=d),
+    "ps_empirical_threshold sampled": lambda b, d: ps_empirical_threshold(
+        PROBLEM, SampledDelay(PMF), "plain", blowup_factor=b, decay_factor=d),
+    "escape_time_curve": lambda b, d: escape_time_curve(
+        PROBLEM, "plain", 3, [0.1], blowup_factor=b, decay_factor=d),
+}
+BAD_VERDICT_LINES = {"blowup 1": (1.0, 1e-6), "blowup 0.5": (0.5, 1e-6),
+                     "blowup nan": (math.nan, 1e-6), "decay 1": (1e6, 1.0),
+                     "decay 2": (1e6, 2.0), "decay 0": (1e6, 0.0), "decay negative": (1e6, -1.0),
+                     "decay nan": (1e6, math.nan)}
+
+
+@pytest.mark.parametrize("call, lines", _table(VERDICT_LINES, BAD_VERDICT_LINES))
+def test_rejected_verdict_lines_raise_before_any_run(no_run, call, lines):
+    with pytest.raises(ValueError, match=r"need blowup_factor > 1 > decay_factor > 0"):
+        call(*lines)
 
 
 def test_worker_count_induces_a_delay_within_max_tau():

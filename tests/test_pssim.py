@@ -10,7 +10,7 @@ try:
 except ImportError:  # the property test below needs the test extra
     st = None
 
-from staleness_lab import dynamics, pssim
+from staleness_lab import dynamics
 from staleness_lab.charpoly import DelayModel, OptimizerSpec, pmf_uniform
 from staleness_lab.dynamics import (
     CONVERGED,
@@ -240,6 +240,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_ps(_scalar(), RoundRobin(8), OptimizerSpec("plain", 0.1), 5)
 
+    @pytest.mark.parametrize("scheduler", [RoundRobin(4), SampledDelay(pmf_uniform(1, 3))])
+    def test_bad_init_rejected_before_any_step(self, no_run, scheduler):
+        with pytest.raises(ValueError, match="init must be 'top_eigvec' or 'random_unit'"):
+            run_ps(_scalar(), scheduler, OptimizerSpec("plain", 0.1), 100, init="zeros")
+
+    @pytest.mark.parametrize("scheduler", [RoundRobin(4), SampledDelay(pmf_uniform(1, 3))])
+    def test_optimizer_must_be_a_spec_before_any_step(self, no_run, scheduler):
+        with pytest.raises(TypeError, match="optimizer must be an OptimizerSpec"):
+            run_ps(_scalar(), scheduler, ("plain", 0.1, 0.0), 100)
+
     def test_sgd_mode_needs_components(self):
         with pytest.raises(ValueError):
             run_ps(_scalar(), RoundRobin(2), OptimizerSpec("plain", 0.1), 100,
@@ -255,9 +265,7 @@ class TestPsThreshold:
         assert r.delay.tau == 4
 
     @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1.0])
-    def test_rejects_bad_rel_tol_before_any_probe(self, monkeypatch, rel_tol):
-        monkeypatch.setattr(pssim, "run_ps", None)
-        monkeypatch.setattr(pssim, "_track_ps", None)
+    def test_rejects_bad_rel_tol_before_any_probe(self, no_run, rel_tol):
         with pytest.raises(ValueError, match="rel_tol"):
             ps_empirical_threshold(_scalar(), RoundRobin(4), "plain", rel_tol=rel_tol)
 
@@ -289,7 +297,8 @@ class TestPsThreshold:
             return full.verdict.status
 
         delay = getattr(scheduler, "pmf", DelayModel.constant(scheduler.max_delay))
-        want = dynamics._simulated_threshold(run, 1.0, variant, m, delay, 0.02, 20_000, 1e-6)
+        want = dynamics._simulated_threshold(run, 1.0, variant, m, delay, 0.02, 20_000,
+                                             1e6, 1e-6)
         got = ps_empirical_threshold(problem, scheduler, variant, m, probe_steps=20_000)
         assert got.bracket == want.bracket
         assert len(probes) > 10
