@@ -188,15 +188,14 @@ def _c_modes(ctx, out_dir):
             QuadraticProblem(hess),
             SimConfig(opt, dm, max_steps=400_000, init="random_unit", seed=trial),
         ).status
-        top = simulate_expectation(
-            QuadraticProblem([[lam_max]]), SimConfig(opt, dm, max_steps=400_000)
-        ).status
+        # the ratios include 1.0, so the first mode is the top one
         per_mode = [
             simulate_expectation(
                 QuadraticProblem([[float(lam)]]), SimConfig(opt, dm, max_steps=400_000)
             ).status
             for lam in lams
         ]
+        top = per_mode[0]
         anded = CONVERGED if all(s == CONVERGED for s in per_mode) else DIVERGED
         if not (full == top == anded):
             mismatches += 1

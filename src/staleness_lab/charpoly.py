@@ -13,7 +13,9 @@ module builds those polynomials for the optimizer variants we study:
 
 where ``a`` is the curvature of the loss along the mode under study and the
 random-delay form averages over a probability mass function on delays with
-maximum support ``K``.  Small ``tau`` makes exponents collide (for example the
+maximum support ``K``.  A constant delay is that pmf's point mass, so plain
+at any delay and momentum at ``tau >= 1`` are built by one term builder
+(``char_poly_terms``).  Small ``tau`` makes exponents collide (for example the
 ``m z^(tau-1)`` term lands on the constant when ``tau = 1``), so builders
 accumulate coefficients by exponent instead of writing to fixed slots.
 
@@ -170,7 +172,7 @@ class OptimizerSpec:
 
 
 # What counts as a valid input, said once: every module checks its step
-# sizes, curvatures, momenta, delays and counts with these.
+# sizes, curvatures, momenta, delays, counts and seeds with these.
 
 def _check_positive(name: str, x: float) -> None:
     """Require ``0 < x < inf`` (a NaN fails)."""
@@ -206,6 +208,16 @@ def _check_count(name: str, n) -> int:
     return n
 
 
+def _check_seed(name: str, seed) -> int | None:
+    """A seed as given: ``None`` (fresh entropy) or an integer >= 0 as an ``int``."""
+    if seed is None:
+        return None
+    seed = _check_integer(name, seed)
+    if seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer or None, got {seed}")
+    return seed
+
+
 def as_delay(delay) -> DelayModel:
     """A ``DelayModel`` as given; anything else as the constant delay it names."""
     return delay if isinstance(delay, DelayModel) else DelayModel.constant(delay)
@@ -219,57 +231,40 @@ def _check_variant(variant: str, m: float) -> None:
         raise ValueError("plain variant has no momentum; m must be 0")
 
 
-def _check_scalars(eta: float, a: float, tau: int) -> int:
-    _check_positive("eta", eta)
-    _check_positive("a", a)
-    return _check_delay(tau)
-
-
-def _constant_terms(variant: str, m: float, tau: int) -> tuple[Term, ...]:
-    if variant == PLAIN:
-        return ((tau + 1, 1.0, 0.0), (tau, -1.0, 0.0), (0, 0.0, 1.0))
-    if variant == MOMENTUM:
-        if tau == 0:
-            # z^-1 would appear; multiplying through by z moves the gradient
-            # term onto z, where it merges with the momentum term
-            return ((2, 1.0, 0.0), (1, -(1.0 + m), 0.0), (1, 0.0, 1.0 - m), (0, m, 0.0))
-        return ((tau + 1, 1.0, 0.0), (tau, -(1.0 + m), 0.0), (tau - 1, m, 0.0), (0, 0.0, 1.0 - m))
-    return ((tau + 2, 1.0, 0.0), (tau + 1, -1.0, 0.0), (1, -m, 1.0 - m), (0, m, 0.0))
-
-
-def _stochastic_terms(delay: DelayModel) -> tuple[Term, ...]:
-    big_k = delay.max_delay
-    return ((big_k + 1, 1.0, 0.0), (big_k, -1.0, 0.0)) + tuple(
-        (big_k - k, 0.0, p) for k, p in zip(delay.delays, delay.probs)
-    )
-
-
 def char_poly_terms(variant: str, m: float, delay: DelayModel) -> tuple[Term, ...]:
     """Sparse terms of the characteristic polynomial split by the step size.
 
     Every polynomial here is linear in ``k = eta*a``: ``P(z) = A(z) + k B(z)``.
     Each term ``(exp, fixed, per_k)`` contributes ``fixed`` to ``A`` and
     ``per_k`` to ``B`` at ``z^exp``.  Terms may share an exponent (small
-    delays make them collide); every consumer adds them up in this order.
-    Random delays are only analyzed for the plain variant.
+    delays make them collide); every consumer adds them up in this order
+    (``_sum_by_exponent``).  Plain at any delay and momentum at ``tau >= 1``
+    share one form, ``z^(K+1) - (1+m) z^K + m z^(K-1) + (1-m) k sum_j p_j
+    z^(K-j)``, a constant delay being its point mass; plain has no ``m``
+    term.  Random delays are only analyzed for the plain variant.
     """
     _check_variant(variant, m)
-    if delay.is_constant:
-        return _constant_terms(variant, m, delay.tau)
-    if variant != PLAIN:
+    if variant != PLAIN and not delay.is_constant:
         raise ValueError("random delay analysis is only supported for plain")
-    return _stochastic_terms(delay)
+    big_k = delay.max_delay
+    if variant == SHIFTED_MOMENTUM:
+        return ((big_k + 2, 1.0, 0.0), (big_k + 1, -1.0, 0.0), (1, -m, 1.0 - m), (0, m, 0.0))
+    if variant == MOMENTUM and big_k == 0:
+        # z^-1 would appear; multiplying through by z moves the gradient
+        # term onto z, where it merges with the momentum term
+        return ((2, 1.0, 0.0), (1, -(1.0 + m), 0.0), (1, 0.0, 1.0 - m), (0, m, 0.0))
+    head = ((big_k + 1, 1.0, 0.0), (big_k, -(1.0 + m), 0.0))
+    if variant == MOMENTUM:
+        head += ((big_k - 1, m, 0.0),)
+    return head + tuple((big_k - j, 0.0, (1.0 - m) * p) for j, p in zip(delay.delays, delay.probs))
 
 
-def _poly_from_terms(terms: tuple[Term, ...], eta: float, a: float) -> Polynomial:
-    # Accumulate by exponent: small tau makes several terms share a slot.
+def _sum_by_exponent(terms) -> dict[int, float]:
+    """``(exp, coef)`` terms added up by exponent, in term order from zero."""
     acc: dict[int, float] = {}
-    for exp, fixed, per_k in terms:
-        acc[exp] = acc.get(exp, 0.0) + (fixed + eta * per_k * a)
-    coeffs = [0.0] * (max(acc) + 1)
-    for exp, coef in acc.items():
-        coeffs[exp] = coef
-    return Polynomial(tuple(coeffs))
+    for exp, coef in terms:
+        acc[exp] = acc.get(exp, 0.0) + coef
+    return acc
 
 
 def char_poly_plain(eta: float, a: float, tau: int) -> Polynomial:
@@ -278,8 +273,7 @@ def char_poly_plain(eta: float, a: float, tau: int) -> Polynomial:
     At ``tau = 0`` the two leading terms collide with the constant structure
     and the result degenerates to the familiar ``z - (1 - eta*a)``.
     """
-    tau = _check_scalars(eta, a, tau)
-    return _poly_from_terms(_constant_terms(PLAIN, 0.0, tau), eta, a)
+    return char_poly(OptimizerSpec(PLAIN, eta), a, DelayModel.constant(tau))
 
 
 def char_poly_momentum(eta: float, a: float, tau: int, m: float) -> Polynomial:
@@ -290,9 +284,7 @@ def char_poly_momentum(eta: float, a: float, tau: int, m: float) -> Polynomial:
     ``z`` gives the degree-2 polynomial ``z^2 - (1 + m - eta*(1-m)*a) z + m``
     (the gradient term shifts onto ``z`` and merges there).
     """
-    tau = _check_scalars(eta, a, tau)
-    _check_variant(MOMENTUM, m)
-    return _poly_from_terms(_constant_terms(MOMENTUM, m, tau), eta, a)
+    return char_poly(OptimizerSpec(MOMENTUM, eta, m), a, DelayModel.constant(tau))
 
 
 def char_poly_shifted(eta: float, a: float, tau: int, m: float) -> Polynomial:
@@ -303,20 +295,16 @@ def char_poly_shifted(eta: float, a: float, tau: int, m: float) -> Polynomial:
     momentum feedback out to lag ``tau + 1`` and, unlike the central-velocity
     variant, lets larger ``m`` tolerate larger step sizes.
     """
-    tau = _check_scalars(eta, a, tau)
-    _check_variant(SHIFTED_MOMENTUM, m)
-    return _poly_from_terms(_constant_terms(SHIFTED_MOMENTUM, m, tau), eta, a)
+    return char_poly(OptimizerSpec(SHIFTED_MOMENTUM, eta, m), a, DelayModel.constant(tau))
 
 
 def char_poly_stochastic(eta: float, a: float, delay: DelayModel) -> Polynomial:
     """Expected-dynamics polynomial for a random delay drawn from ``delay``.
 
     With maximum support ``K`` this is ``z^(K+1) - z^K + eta*a * sum_k p_k
-    z^(K-k)``.  A point mass reproduces the constant-delay polynomial exactly.
+    z^(K-k)``.  A point mass is the constant-delay polynomial.
     """
-    _check_positive("eta", eta)
-    _check_positive("a", a)
-    return _poly_from_terms(_stochastic_terms(delay), eta, a)
+    return char_poly(OptimizerSpec(PLAIN, eta), a, delay)
 
 
 def char_poly(optimizer: OptimizerSpec, a: float, delay: DelayModel) -> Polynomial:
@@ -326,8 +314,13 @@ def char_poly(optimizer: OptimizerSpec, a: float, delay: DelayModel) -> Polynomi
     with momentum raises.
     """
     _check_positive("a", a)
-    return _poly_from_terms(char_poly_terms(optimizer.variant, optimizer.m, delay),
-                            optimizer.eta, a)
+    eta = optimizer.eta
+    acc = _sum_by_exponent((exp, fixed + eta * per_k * a) for exp, fixed, per_k
+                           in char_poly_terms(optimizer.variant, optimizer.m, delay))
+    coeffs = [0.0] * (max(acc) + 1)
+    for exp, coef in acc.items():
+        coeffs[exp] = coef
+    return Polynomial(tuple(coeffs))
 
 
 def _norm_cdf(x: float) -> float:

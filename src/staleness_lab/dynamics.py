@@ -23,7 +23,8 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .charpoly import DelayModel, OptimizerSpec, _check_count, _check_positive, as_delay
+from .charpoly import (DelayModel, OptimizerSpec, _check_count, _check_positive, _check_seed,
+                       as_delay)
 from .errors import NoConvergence, UndecidedAtProbe
 from .stability import METHOD_SIMULATION, ThresholdResult, _bisect_eta
 
@@ -162,7 +163,7 @@ class SimConfig:
     blowup_factor: float = BLOWUP_FACTOR
     decay_factor: float = DECAY_FACTOR
     init: str = "top_eigvec"
-    seed: int = 0
+    seed: int | None = 0
     record_every: int = 1
     record_trace: bool = False
     record_states: bool = False
@@ -177,6 +178,7 @@ class SimConfig:
         if self.init not in ("top_eigvec", "random_unit"):
             raise ValueError("init must be 'top_eigvec' or 'random_unit'")
         object.__setattr__(self, "record_every", _check_count("record_every", self.record_every))
+        object.__setattr__(self, "seed", _check_seed("seed", self.seed))
 
     def resolved_max_steps(self) -> int:
         if self.max_steps is not None:
@@ -603,7 +605,7 @@ def _block_steps(y0: np.ndarray, opt: OptimizerSpec, delay: DelayModel, M: np.nd
     return advance
 
 
-def simulate_sgd(problem: QuadraticProblem, config: SimConfig, seed: int = 0) -> SimVerdict:
+def simulate_sgd(problem: QuadraticProblem, config: SimConfig, seed: int | None = 0) -> SimVerdict:
     """Run the sampled-gradient dynamics.
 
     Each step applies the gradient of one uniformly drawn component at the
@@ -611,19 +613,20 @@ def simulate_sgd(problem: QuadraticProblem, config: SimConfig, seed: int = 0) ->
     from the pmf; a drawn delay longer than the elapsed steps is clipped to
     the initial point and counted in ``clipped_delays``.  ``seed`` drives
     the gradient and delay draws (``config.seed`` only the random init):
-    the picks come from ``np.random.default_rng(seed)``, the delays from a
-    second generator spawned from ``np.random.SeedSequence(seed)``.  Both
-    are drawn one block at a time, the same draws as one draw each for all
-    ``max_steps``, so a run that ends early draws only what it stepped and
-    its trajectory does not depend on ``max_steps``.  The run steps on
+    the picks come from ``np.random.SeedSequence(seed)``, the delays from a
+    second generator spawned from it; a seed of ``None`` draws both from
+    fresh entropy.  Both are drawn one block at a time, the same draws as
+    one draw each for all ``max_steps``, so a run that ends early draws only
+    what it stepped and its trajectory does not depend on ``max_steps``.  The run steps on
     ``_block_steps`` at any dimension.  With all components equal the
     trajectory reproduces ``simulate_expectation`` exactly, arithmetic
     included.
     """
     if problem.components is None:
         raise ValueError("simulate_sgd needs a problem with components")
-    lag_seed = None if config.delay.is_constant else np.random.SeedSequence(seed).spawn(1)[0]
-    return _simulate(problem, config, seed, lag_seed)
+    pick_seed = np.random.SeedSequence(_check_seed("seed", seed))
+    lag_seed = None if config.delay.is_constant else pick_seed.spawn(1)[0]
+    return _simulate(problem, config, pick_seed, lag_seed)
 
 
 def _simulated_threshold(run, a, variant, m, delay, rel_tol, probe_steps,
@@ -762,7 +765,7 @@ def power_iteration(
     d = _check_count("d", d)
     _check_positive("tol", tol)
     max_iter = _check_count("max_iter", max_iter)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed("seed", seed))
     v = rng.standard_normal(d)
     v = v / float(np.linalg.norm(v))
     lam = 0.0

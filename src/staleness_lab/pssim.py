@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charpoly import DelayModel, OptimizerSpec, _check_count, _check_delay
+from .charpoly import DelayModel, OptimizerSpec, _check_count, _check_delay, _check_seed
 from .dynamics import (
     BLOWUP_FACTOR,
     DECAY_FACTOR,
@@ -67,13 +67,14 @@ class SampledDelay:
     """
 
     pmf: DelayModel
-    seed: int = 0
+    seed: int | None = 0
 
     def __post_init__(self):
         if not isinstance(self.pmf, DelayModel) or self.pmf.is_constant:
             raise ValueError(
                 "SampledDelay takes a pmf delay model; use RoundRobin for constant delays"
             )
+        object.__setattr__(self, "seed", _check_seed("seed", self.seed))
 
     @property
     def max_delay(self) -> int:
@@ -106,12 +107,12 @@ def run_ps(
     scheduler: RoundRobin | SampledDelay,
     optimizer: OptimizerSpec,
     steps: int,
-    seed: int = 0,
+    seed: int | None = 0,
     mode: str = "expectation",
     blowup_factor: float = BLOWUP_FACTOR,
     decay_factor: float = DECAY_FACTOR,
     init: str = "top_eigvec",
-    init_seed: int = 0,
+    init_seed: int | None = 0,
     record_states: bool = False,
 ) -> PSRun:
     """Emulate the parameter server for ``steps`` global steps.
@@ -162,10 +163,12 @@ def _track_ps(problem, scheduler, optimizer, steps, seed, mode, blowup_factor, d
     ``every`` is 0, as for threshold probes) and the sampled delays drawn.
     """
     steps = _check_count("steps", steps)
+    seed = _check_seed("seed", seed)
     if mode not in ("expectation", "sgd"):
         raise ValueError("mode must be 'expectation' or 'sgd'")
     config = SimConfig(optimizer, _scheduled_delay(scheduler), steps, blowup_factor, decay_factor,
-                       init=init, seed=init_seed, record_states=record_states)
+                       init=init, seed=_check_seed("init_seed", init_seed),
+                       record_states=record_states)
     lag_seed = None
     if isinstance(scheduler, SampledDelay):
         if optimizer.variant == "shifted":
@@ -177,7 +180,8 @@ def _track_ps(problem, scheduler, optimizer, steps, seed, mode, blowup_factor, d
         raise ValueError("need at least one step per worker")
     if mode == "sgd" and problem.components is None:
         raise ValueError("sgd mode needs a problem with components")
-    return _run(problem, config, seed if mode == "sgd" else None, lag_seed, every)
+    pick_seed = np.random.SeedSequence(seed) if mode == "sgd" else None
+    return _run(problem, config, pick_seed, lag_seed, every)
 
 
 def ps_empirical_threshold(

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charpoly import (DelayModel, _check_delay, _check_momentum, _check_positive, as_delay,
-                       char_poly_terms)
+from .charpoly import (DelayModel, _check_delay, _check_momentum, _check_positive,
+                       _sum_by_exponent, as_delay, char_poly_terms)
 from .errors import NoConvergence, NoThreshold
 
 BRACKET_START = 1e-6
@@ -191,10 +191,7 @@ class _CirclePoly:
     owner = None
 
     def __init__(self, terms, radius: float = 1.0):
-        acc: dict[int, float] = {}
-        for e, c in terms:
-            acc[e] = acc.get(e, 0.0) + c
-        acc = {e: c for e, c in acc.items() if c != 0.0}
+        acc = {e: c for e, c in _sum_by_exponent(terms).items() if c != 0.0}
         self.exps = np.array(list(acc), dtype=np.int64)
         self.coefs = np.array(list(acc.values()), dtype=float)
         self.radius = radius

@@ -219,6 +219,15 @@ class TestSgd:
         b = simulate_sgd(self._problem(noise=True), cfg, seed=2)
         assert not np.array_equal(a.states, b.states)
 
+    def test_seed_none_draws_fresh_picks(self):
+        # None is fresh entropy for the picks; it never steps on the hessian
+        problem = QuadraticProblem(np.diag([1.0, 0.4]),
+                                   components=[np.diag([1.6, 0.2]), np.diag([0.4, 0.6])])
+        cfg = SimConfig(OptimizerSpec("plain", 0.5), 2, record_states=True)
+        assert simulate_expectation(problem, cfg).states[1].tolist() == [0.5, 0.0]
+        first = simulate_sgd(problem, cfg, seed=None).states[1].tolist()
+        assert first in ([1.0 - 0.5 * 1.6, 0.0], [1.0 - 0.5 * 0.4, 0.0])
+
     def test_requires_components(self):
         cfg = SimConfig(OptimizerSpec("plain", 0.3), 2, max_steps=50)
         with pytest.raises(ValueError):

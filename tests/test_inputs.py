@@ -32,6 +32,7 @@ from staleness_lab.dynamics import (
     escape_time_curve,
     power_iteration,
     simulate_expectation,
+    simulate_sgd,
 )
 from staleness_lab.pssim import RoundRobin, SampledDelay, ps_empirical_threshold, run_ps
 from staleness_lab.stability import (
@@ -122,6 +123,21 @@ COUNT = {
 BAD_COUNT = {"2.5": 2.5, "3.0": 3.0, "True": True, "nan": math.nan, "inf": math.inf,
              "0": 0, "negative": -1, "text": "3"}
 
+# Entry point -> call with the seed replaced by x; the last word of the
+# name is the parameter its error message names.
+SGD_PROBLEM = QuadraticProblem([[1.0]], components=[[[0.5]], [[1.5]]])
+SEED = {
+    "SimConfig seed": lambda x: SimConfig(OPT, 3, seed=x),
+    "SampledDelay seed": lambda x: SampledDelay(PMF, seed=x),
+    "simulate_sgd seed": lambda x: simulate_sgd(SGD_PROBLEM, SimConfig(OPT, 3), seed=x),
+    "run_ps seed": lambda x: run_ps(SGD_PROBLEM, RoundRobin(2), OPT, 10, seed=x, mode="sgd"),
+    "run_ps init_seed": lambda x: run_ps(PROBLEM, RoundRobin(2), OPT, 10, init="random_unit",
+                                         init_seed=x),
+    "power_iteration seed": lambda x: power_iteration(lambda v: v, 2, seed=x),
+}
+BAD_SEED = {"2.5": 2.5, "3.0": 3.0, "True": True, "False": False, "nan": math.nan,
+            "inf": math.inf, "negative": -1, "text": "3"}
+
 # Delays inside [0, MAX_TAU] whose pmf support is not.
 SUPPORT_PAST_MAX_TAU = {
     "DelayModel.pmf": lambda: DelayModel.pmf({1: 0.5, MAX_TAU + 1: 0.5}),
@@ -149,6 +165,29 @@ def test_rejected_count_raises_value_error_naming_it(no_run, name, x):
     # before any probe or run is stepped
     with pytest.raises(ValueError, match=rf"\b{name.split()[-1]} must be"):
         COUNT[name](x)
+
+
+@pytest.mark.parametrize("name, x", [pytest.param(name, x, id=f"{name}-{label}")
+                                     for name in SEED for label, x in BAD_SEED.items()])
+def test_rejected_seed_raises_value_error_naming_it(no_run, name, x):
+    # before any run is stepped
+    with pytest.raises(ValueError, match=rf"\b{name.split()[-1]} must be"):
+        SEED[name](x)
+
+
+@pytest.mark.parametrize("name", SEED)
+def test_seeds_accept_none_and_numpy_integers(name):
+    def result(x):
+        value = SEED[name](x)
+        return repr(value.norms if hasattr(value, "norms") else value)
+
+    result(None)
+    assert result(np.uint16(3)) == result(3)
+
+
+def test_numpy_integer_seeds_are_stored_as_int():
+    assert type(SimConfig(OPT, 3, seed=np.int64(3)).seed) is int
+    assert type(SampledDelay(PMF, seed=np.uint16(3)).seed) is int
 
 
 # Entry point -> call with the verdict lines replaced by (blowup, decay).

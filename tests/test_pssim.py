@@ -225,6 +225,15 @@ class TestSgdPicks:
         assert peak < 2_000_000
         assert short.norms == run.norms
 
+    def test_seed_none_draws_fresh_picks(self):
+        # None is fresh entropy for the picks; it never steps on the hessian
+        problem = QuadraticProblem(np.diag([1.0, 0.4]),
+                                   components=[np.diag([1.6, 0.2]), np.diag([0.4, 0.6])])
+        opt = OptimizerSpec("plain", 0.5)
+        assert run_ps(problem, RoundRobin(3), opt, 1000).norms[1] == 0.5
+        norm = run_ps(problem, RoundRobin(3), opt, 1000, seed=None, mode="sgd").norms[1]
+        assert norm in (abs(1.0 - 0.5 * 1.6), abs(1.0 - 0.5 * 0.4))
+
     def test_picks_drawn_in_pieces_equal_one_draw(self):
         # what the per-block picks rely on: one generator continuing across
         # draws gives the values of a single draw
