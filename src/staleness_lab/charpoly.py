@@ -9,15 +9,16 @@ module builds those polynomials for the optimizer variants we study:
 * plain:            ``z^(tau+1) - z^tau + eta*a``
 * momentum:         ``z^(tau+1) - (1+m) z^tau + m z^(tau-1) + eta*(1-m)*a``
 * shifted momentum: ``z^(tau+2) - z^(tau+1) + (eta*(1-m)*a - m) z + m``
-* random delay:     ``z^(K+1) - z^K + eta*a * sum_k p_k z^(K-k)``
+* random delay:     ``z^(K+1) - (1+m) z^K + m z^(K-1) + eta*(1-m)*a * sum_k p_k z^(K-k)``
 
 where ``a`` is the curvature of the loss along the mode under study and the
 random-delay form averages over a probability mass function on delays with
-maximum support ``K``.  A constant delay is that pmf's point mass, so plain
-at any delay and momentum at ``tau >= 1`` are built by one term builder
-(``char_poly_terms``).  Small ``tau`` makes exponents collide (for example the
-``m z^(tau-1)`` term lands on the constant when ``tau = 1``), so builders
-accumulate coefficients by exponent instead of writing to fixed slots.
+maximum support ``K`` (plain has no ``m`` terms).  A constant delay is that
+pmf's point mass, so one term builder (``char_poly_terms``) builds plain and
+momentum at any delay but momentum's ``tau = 0``.  Small ``tau`` makes
+exponents collide (for example the ``m z^(tau-1)`` term lands on the
+constant when ``tau = 1``), so builders accumulate coefficients by exponent
+instead of writing to fixed slots.
 
 Every one of these is linear in ``k = eta*a``: ``P(z) = A(z) + k B(z)``.
 ``char_poly_terms`` gives that split as sparse terms, the one description
@@ -231,6 +232,12 @@ def _check_variant(variant: str, m: float) -> None:
         raise ValueError("plain variant has no momentum; m must be 0")
 
 
+def _check_pairing(variant: str, delay: DelayModel) -> None:
+    """Shifted momentum reads a per-worker velocity, which only a constant delay drives."""
+    if variant == SHIFTED_MOMENTUM and not delay.is_constant:
+        raise ValueError("shifted momentum needs a constant delay: its velocities are per worker")
+
+
 def char_poly_terms(variant: str, m: float, delay: DelayModel) -> tuple[Term, ...]:
     """Sparse terms of the characteristic polynomial split by the step size.
 
@@ -238,14 +245,15 @@ def char_poly_terms(variant: str, m: float, delay: DelayModel) -> tuple[Term, ..
     Each term ``(exp, fixed, per_k)`` contributes ``fixed`` to ``A`` and
     ``per_k`` to ``B`` at ``z^exp``.  Terms may share an exponent (small
     delays make them collide); every consumer adds them up in this order
-    (``_sum_by_exponent``).  Plain at any delay and momentum at ``tau >= 1``
-    share one form, ``z^(K+1) - (1+m) z^K + m z^(K-1) + (1-m) k sum_j p_j
-    z^(K-j)``, a constant delay being its point mass; plain has no ``m``
-    term.  Random delays are only analyzed for the plain variant.
+    (``_sum_by_exponent``).  Plain and momentum share one form at every
+    delay but momentum's constant ``tau = 0``: ``z^(K+1) - (1+m) z^K + m
+    z^(K-1) + (1-m) k sum_j p_j z^(K-j)``, a constant delay being its point
+    mass; plain has no ``m`` term.  ``delay`` goes through ``as_delay``, and
+    shifted momentum takes a constant delay only (``_check_pairing``).
     """
     _check_variant(variant, m)
-    if variant != PLAIN and not delay.is_constant:
-        raise ValueError("random delay analysis is only supported for plain")
+    delay = as_delay(delay)
+    _check_pairing(variant, delay)
     big_k = delay.max_delay
     if variant == SHIFTED_MOMENTUM:
         return ((big_k + 2, 1.0, 0.0), (big_k + 1, -1.0, 0.0), (1, -m, 1.0 - m), (0, m, 0.0))
@@ -307,11 +315,11 @@ def char_poly_stochastic(eta: float, a: float, delay: DelayModel) -> Polynomial:
     return char_poly(OptimizerSpec(PLAIN, eta), a, delay)
 
 
-def char_poly(optimizer: OptimizerSpec, a: float, delay: DelayModel) -> Polynomial:
+def char_poly(optimizer: OptimizerSpec, a: float, delay: DelayModel | int) -> Polynomial:
     """The polynomial of an optimizer/delay combination, from ``char_poly_terms``.
 
-    Random delays are only analyzed for the plain variant; combining them
-    with momentum raises.
+    ``delay`` is a ``DelayModel`` or an int, the constant delay it names.
+    Shifted momentum with a random delay raises (``_check_pairing``).
     """
     _check_positive("a", a)
     eta = optimizer.eta

@@ -38,7 +38,6 @@ from .dynamics import (
     QuadraticProblem,
     SimConfig,
     SimVerdict,
-    _check_simulated,
     _trace_steps,
     escape_time_curve,
     simulate_expectation,
@@ -328,6 +327,8 @@ def _report(verdict: SimVerdict, command: str, cfg: dict, seeds: dict,
 # ---------------------------------------------------------------- threshold
 
 def cmd_threshold(cfg: dict, args: argparse.Namespace) -> int:
+    if cfg["svg"] and not cfg["out"]:
+        raise CliUsage("--svg needs --out")
     variant = cfg["variant"]
     a = _curvature(cfg)
     delays = _delays(cfg)
@@ -402,8 +403,8 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
     t0 = time.time()
 
     # OptimizerSpec (rightly) demands eta > 0, so a zero step size is checked
-    # with every other setting, the simulators' pairing rule included, under
-    # a stand-in eta; it moves nothing, and its run is reported directly.
+    # with every other setting under a stand-in eta; it moves nothing, and
+    # its run is reported directly.
     sim_cfg = SimConfig(
         optimizer=OptimizerSpec(cfg["variant"], eta or 1.0, cfg["m"]),
         delay=delay,
@@ -416,7 +417,6 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
         record_trace=bool(cfg["out"]),
     )
     if eta == 0.0:
-        _check_simulated(sim_cfg)
         steps = sim_cfg.resolved_max_steps()
         trace = None
         if sim_cfg.record_trace:

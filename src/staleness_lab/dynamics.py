@@ -23,8 +23,8 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .charpoly import (DelayModel, OptimizerSpec, _check_count, _check_positive, _check_seed,
-                       as_delay)
+from .charpoly import (DelayModel, OptimizerSpec, _check_count, _check_pairing, _check_positive,
+                       _check_seed, as_delay)
 from .errors import NoConvergence, UndecidedAtProbe
 from .stability import METHOD_SIMULATION, ThresholdResult, _bisect_eta
 
@@ -153,8 +153,8 @@ class SimConfig:
     (excites the mode that loses stability first) or a seeded random unit
     vector.  Trace and state recording are off by default; ``record_every``
     thins the trace only, states are kept at every step.  A server run's
-    delay is its scheduler's.  The simulators pair a random delay with the
-    plain update only, the server with all but shifted.
+    delay is its scheduler's.  Every run takes any delay but shifted
+    momentum, which takes a constant one (``charpoly._check_pairing``).
     """
 
     optimizer: OptimizerSpec
@@ -172,6 +172,7 @@ class SimConfig:
         object.__setattr__(self, "delay", as_delay(self.delay))
         if not isinstance(self.optimizer, OptimizerSpec):
             raise TypeError("optimizer must be an OptimizerSpec")
+        _check_pairing(self.optimizer.variant, self.delay)
         if self.max_steps is not None:
             object.__setattr__(self, "max_steps", _check_count("max_steps", self.max_steps))
         _check_verdict_lines(self.blowup_factor, self.decay_factor)
@@ -347,15 +348,8 @@ def _run(problem: QuadraticProblem, config: SimConfig, pick_seed=None, lag_seed=
     return verdict, norms, draws
 
 
-def _check_simulated(config: SimConfig) -> None:
-    """The simulators' pairing rule: a random delay takes the plain update only."""
-    if not config.delay.is_constant and config.optimizer.variant != "plain":
-        raise ValueError("random delays pair with the plain update only")
-
-
 def _simulate(problem, config: SimConfig, pick_seed=None, lag_seed=None) -> SimVerdict:
-    """The simulators' shared path: their pairing rule, the run and its trace."""
-    _check_simulated(config)
+    """The simulators' shared path: the run and its trace."""
     every = config.record_every if config.record_trace else 0
     verdict, norms, _ = _run(problem, config, pick_seed, lag_seed, every)
     if norms is None:
@@ -376,7 +370,7 @@ def simulate_expectation(problem: QuadraticProblem, config: SimConfig) -> SimVer
 
     Iterates the exact linear recurrence of the configured variant, with the
     pre-history filled with the initial point.  Random delays use the
-    probability-weighted stale state and are limited to the plain variant.
+    probability-weighted stale state, for plain and momentum.
     Verdict rules: diverged on the first step whose distance from the
     minimum is not at most ``blowup_factor`` times the initial distance
     (non-finite states count), converged on the step that completes
@@ -439,11 +433,12 @@ def _scalar_steps(h: float, y0: float, opt: OptimizerSpec, delay: DelayModel, la
 
     ``hist`` holds the last ``max_delay + 1`` states, oldest first, so a
     constant-delay block reads its stale states in order from the front
-    while it appends the new ones.  With ``lags`` (plain and momentum only),
-    each step reads the state its lag names, as in ``_block_steps``; a pmf
-    without them reads the probability-weighted state.  Threshold searches
-    hammer these loops with million-step probes, so each loop is written out
-    flat.  A block's states go to the tracker as one float64 array.
+    while it appends the new ones.  With ``lags`` each step reads the state
+    its lag names, as in ``_block_steps``; a pmf without them reads the
+    probability-weighted state (plain or momentum: shifted takes a constant
+    delay only).  Threshold searches hammer these loops with million-step
+    probes, so each update has its own flat loop.  A block's states go to
+    the tracker as one float64 array.
     """
     eta, m = opt.eta, opt.m
     ce = eta * (1.0 - m)
@@ -470,12 +465,20 @@ def _scalar_steps(h: float, y0: float, opt: OptimizerSpec, delay: DelayModel, la
                     v = m * v - ce * (h * hist[r])
                     y = y + v
                     hist.append(y)
-        elif pairs is not None:
+        elif pairs is not None and variant == "plain":
             for _ in range(n):
                 acc = 0.0
                 for i, p in pairs:
                     acc += p * hist[i]
                 y = y - eta * (h * acc)
+                hist.append(y)
+        elif pairs is not None:
+            for _ in range(n):
+                acc = 0.0
+                for i, p in pairs:
+                    acc += p * hist[i]
+                v = m * v - ce * (h * acc)
+                y = y + v
                 hist.append(y)
         elif variant == "plain":
             # Gradient written as eta * (h * stale) rather than with a fused

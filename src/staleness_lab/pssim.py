@@ -8,12 +8,12 @@ round-robin runs reproduce the constant-delay simulator bit for bit.
 Sampled-delay scheduling realizes a delay distribution: each step reads the
 state a drawn number of steps back.  Every run is a ``SimConfig`` with the
 delay its scheduler realizes, started by ``dynamics._run`` as every
-simulator run is; this module only schedules, validates and reports.  The
-server runs momentum under sampled delays, which the simulators refuse.
+simulator run is; this module only schedules, validates and reports.
 
 Velocity placement follows the structural split between the two momentum
 flavors: the standard variant keeps one central buffer at the server, the
-shifted variant gives every worker its own, read with the delay.
+shifted variant gives every worker its own, read with the delay, so it
+needs a worker scheduler (``charpoly._check_pairing``).
 
 Runs advance a block of steps at a time, and the simulators' verdict
 tracker judges each block by the rule ``simulate_expectation`` states.  A
@@ -120,8 +120,8 @@ def run_ps(
     ``mode`` picks the gradient: ``"expectation"`` uses the full hessian,
     ``"sgd"`` a uniformly drawn component per step (components required;
     ``seed`` drives the draws).  The shifted variant needs per-worker
-    velocity buffers and therefore a worker scheduler: combining it with
-    ``SampledDelay`` raises.  Verdict rules are those of
+    velocity buffers and therefore a worker scheduler: its ``SimConfig``
+    refuses a ``SampledDelay``.  Verdict rules are those of
     ``simulate_expectation``, with a window of ``max_delay + 2`` steps.
     Runs are evaluated in blocks of steps; nothing past the verdict step is
     reported.  Like a simulator run, the run is a ``SimConfig`` started by
@@ -171,9 +171,6 @@ def _track_ps(problem, scheduler, optimizer, steps, seed, mode, blowup_factor, d
                        record_states=record_states)
     lag_seed = None
     if isinstance(scheduler, SampledDelay):
-        if optimizer.variant == "shifted":
-            raise ValueError(
-                "shifted momentum needs per-worker velocities; SampledDelay has no workers")
         # a seed sequence, so that a seed of None draws lags too
         lag_seed = np.random.SeedSequence(scheduler.seed)
     elif steps < scheduler.n_workers:

@@ -321,6 +321,6 @@ def is_stable(p: Polynomial, margin: float = 0.0) -> bool:
     A root exactly on the boundary counts as unstable: the recurrence then
     sustains oscillations instead of damping them.
     """
-    if margin < 0:
+    if not margin >= 0:  # a NaN fails too
         raise ValueError("margin must be non-negative")
     return max_root_magnitude(p) < 1.0 - margin

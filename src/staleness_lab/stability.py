@@ -562,8 +562,9 @@ def numeric_threshold(
     ``[0, pi]`` plus a geometric cluster around the crossing angle theta*,
     where each bracket end has a root within ``rel_tol`` of the circle; then
     every step whose phase turns by more than ``pi / 4`` is refined.  Random
-    delays are supported for the plain variant only.  This is the one-delay
-    case of the batched search behind :func:`threshold_curve`.
+    delays pair with plain and momentum, not shifted (``char_poly_terms``).
+    This is the one-delay case of the batched search behind
+    :func:`threshold_curve`.
 
     Raises
     ------

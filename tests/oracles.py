@@ -102,3 +102,32 @@ def grid_threshold(stable_fn, lo: float, hi: float, steps: int = 200_000) -> flo
 def dominant_power_eig(mat: np.ndarray) -> float:
     """Top eigenvalue via dense symmetric eigensolve (oracle for power iteration)."""
     return float(np.linalg.eigvalsh(mat)[-1])
+
+
+def momentum_pmf_transition(eta, a, m, delays, probs) -> np.ndarray:
+    """Transition matrix of the expected heavy-ball recurrence under a delay pmf.
+
+    Translated from the update rule ``v' = m v - eta (1-m) a sum_k p_k
+    x_{t-k}``, ``x' = x + v'`` on the state ``(x_t, x_{t-1}, ..., x_{t-K},
+    v_t)`` with ``K`` the largest delay: the state window plus the velocity,
+    with no polynomial involved.
+    """
+    big_k = max(delays)
+    n = big_k + 2
+    vel = n - 1
+    rows = [[0.0] * n for _ in range(n)]
+    c = eta * (1.0 - m) * a
+    # the new velocity, and the new iterate: x_t plus the new velocity
+    rows[vel][vel] = m
+    for k, p in zip(delays, probs):
+        rows[vel][k] -= c * p
+    rows[0] = list(rows[vel])
+    rows[0][0] += 1.0
+    # the window shifts by one step
+    for i in range(1, big_k + 1):
+        rows[i][i - 1] = 1.0
+    return np.array(rows)
+
+
+def spectral_radius(mat: np.ndarray) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(mat))))

@@ -17,6 +17,8 @@ from staleness_lab.dynamics import QuadraticProblem, SimConfig, simulate_expecta
 from staleness_lab.pssim import SampledDelay, run_ps
 
 VARIANTS = (("plain", 0.0), ("momentum", 0.7), ("shifted", 0.7))
+# the updates a random delay drives: shifted momentum takes a constant delay only
+PMF_VARIANTS = (("plain", 0.0), ("momentum", 0.5), ("momentum", 0.9))
 TAUS = (1, 8, 16, 64)
 DIMS = (1, 3, 8, 24)
 STEPS = 1000
@@ -89,14 +91,16 @@ def test_constant_delay_matches_the_step_loop(tau, d):
             _assert_same_states(verdict, want)
 
 
-@pytest.mark.parametrize("d", (3, 8, 24))
-def test_pmf_delay_matches_the_step_loop(d):
+@pytest.mark.parametrize("variant, m", PMF_VARIANTS)
+@pytest.mark.parametrize("d", (1, 3, 8, 24))
+def test_pmf_delay_matches_the_step_loop(d, variant, m):
+    # 1-D runs step on the float loop, the others on the block engine
     problem = QuadraticProblem(_spd(d, d))
     H = problem.hessian
     pmf = pmf_uniform(3, 12)
     pairs = list(zip(pmf.delays, pmf.probs))
     for eta_a in (0.02, 0.3):
-        opt = OptimizerSpec("plain", eta_a / problem.sharpness())
+        opt = OptimizerSpec(variant, eta_a / problem.sharpness(), m)
         cfg = SimConfig(opt, pmf, max_steps=STEPS, init="random_unit", seed=d,
                         record_states=True)
         verdict = simulate_expectation(problem, cfg)
@@ -127,13 +131,14 @@ def test_sgd_with_constant_delay_matches_the_step_loop(tau, d):
         _assert_same_states(verdict, want)
 
 
+@pytest.mark.parametrize("variant, m", PMF_VARIANTS)
 @pytest.mark.parametrize("d", DIMS)
 @pytest.mark.parametrize("pmf", (pmf_uniform(1, 8), pmf_uniform(15, 64)))
-def test_sgd_with_sampled_delays_matches_the_step_loop(pmf, d):
+def test_sgd_with_sampled_delays_matches_the_step_loop(pmf, d, variant, m):
     problem = _sgd_problem(d, d)
     C = problem.components
     for eta_a in (0.01, 0.2):
-        opt = OptimizerSpec("plain", eta_a / problem.sharpness())
+        opt = OptimizerSpec(variant, eta_a / problem.sharpness(), m)
         cfg = SimConfig(opt, pmf, max_steps=STEPS, init="random_unit", seed=d,
                         record_states=True)
         verdict = simulate_sgd(problem, cfg, seed=3)

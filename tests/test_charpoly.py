@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from oracles import companion_roots, momentum_pmf_transition, spectral_radius
+
 from staleness_lab.charpoly import (
     DelayModel,
     OptimizerSpec,
@@ -175,6 +177,21 @@ class TestStochasticPoly:
         assert p.degree == 5
 
 
+class TestMomentumPmfPoly:
+    @pytest.mark.parametrize("m", [0.1, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("pmf", [pmf_uniform(1, 3), pmf_uniform(2, 9), pmf_uniform(8, 32),
+                                     pmf_discrete_gaussian(8)],
+                             ids=["1..3", "2..9", "8..32", "g8"])
+    def test_roots_are_the_update_rules_spectrum(self, pmf, m):
+        # the largest root modulus is the spectral radius of the expected
+        # heavy-ball recurrence, stepped on its state window and velocity
+        for k in (0.01, 0.1, 0.5, 1.3):
+            poly = char_poly(OptimizerSpec("momentum", k, m), 1.0, pmf)
+            want = spectral_radius(momentum_pmf_transition(k, 1.0, m, pmf.delays, pmf.probs))
+            got = float(max(abs(companion_roots(poly.coeffs))))
+            assert got == pytest.approx(want, rel=1e-10)
+
+
 class TestDispatch:
     def test_routes_each_variant(self):
         d = DelayModel.constant(2)
@@ -182,9 +199,9 @@ class TestDispatch:
         assert char_poly(OptimizerSpec("momentum", 0.1, 0.5), 1.0, d).coeffs == char_poly_momentum(0.1, 1.0, 2, 0.5).coeffs
         assert char_poly(OptimizerSpec("shifted", 0.1, 0.5), 1.0, d).coeffs == char_poly_shifted(0.1, 1.0, 2, 0.5).coeffs
 
-    def test_random_delay_with_momentum_raises(self):
-        with pytest.raises(ValueError):
-            char_poly(OptimizerSpec("momentum", 0.1, 0.5), 1.0, pmf_uniform(1, 3))
+    def test_random_delay_with_shifted_raises(self):
+        with pytest.raises(ValueError, match="shifted momentum needs a constant delay"):
+            char_poly(OptimizerSpec("shifted", 0.1, 0.5), 1.0, pmf_uniform(1, 3))
 
 
 class TestPmfBuilders:

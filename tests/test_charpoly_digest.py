@@ -1,12 +1,17 @@
-"""Frozen digest of every characteristic polynomial's terms and coefficients.
+"""Frozen digests of every characteristic polynomial's terms and coefficients.
 
-The digest was taken before the constant-delay and random-delay polynomials
-shared one term builder.  It covers the sparse terms of ``char_poly_terms``
-and the coefficients of ``char_poly`` (sign of zero included) for every
-variant and momentum in the grid, every delay from 0 to 300 plus
-``MAX_TAU``, and a spread of delay pmfs.  A combination that is refused
-contributes its error message instead.  The named builders must give the
-same coefficients as ``char_poly`` everywhere on the grid.
+They cover the sparse terms of ``char_poly_terms`` and the coefficients of
+``char_poly`` (sign of zero included) for every variant and momentum in the
+grid, every delay from 0 to 300 plus ``MAX_TAU``, and a spread of delay
+pmfs.  A combination that is refused contributes its error message instead.
+The named builders must give the same coefficients as ``char_poly``
+everywhere on the grid.
+
+The grid is hashed in two parts.  Plain at every delay and every variant at
+constant delays were frozen before the constant-delay and random-delay
+polynomials shared one term builder, and have not moved since.  Momentum
+and shifted with a pmf were frozen when momentum began to take a pmf and
+shifted momentum kept its refusal.
 """
 
 import hashlib
@@ -40,7 +45,15 @@ PMFS = (
     + [pmf_discrete_gaussian(mu) for mu in (1, 3, 6, 10, 30)]
 )
 
-DIGEST = "a6e8d3c3f20e9654d92f4e90038eef56ae650f73b47460974c0f9819c13fec81"
+GRID = [(variant, m, delay) for variant, m in VARIANTS for delay in CONSTANT + PMFS]
+PARTS = {
+    "plain or constant delay": (
+        [(v, m, d) for v, m, d in GRID if v == "plain" or d.is_constant],
+        "83331d59ff5c48c166cb3791c21dcc29e5285a01859ae4415857a71f834f99bb"),
+    "momentum or shifted with a pmf": (
+        [(v, m, d) for v, m, d in GRID if v != "plain" and not d.is_constant],
+        "3a35d0d06e5975477061ac44de8941416e3fa66cdaebfd3f914397267f119e3d"),
+}
 
 
 def _named(variant, m, eta, a, delay):
@@ -58,21 +71,22 @@ def _coeff_bytes(poly) -> bytes:
     return np.asarray(poly.coeffs, dtype=float).tobytes()
 
 
-def test_terms_and_coefficients_match_the_frozen_digest():
+@pytest.mark.parametrize("part", PARTS)
+def test_terms_and_coefficients_match_the_frozen_digest(part):
+    grid, digest = PARTS[part]
     h = hashlib.sha256()
-    for variant, m in VARIANTS:
-        for delay in CONSTANT + PMFS:
-            try:
-                terms = char_poly_terms(variant, m, delay)
-            except ValueError as e:
-                h.update(repr(e).encode())
-                with pytest.raises(ValueError, match=re.escape(str(e))):
-                    char_poly(OptimizerSpec(variant, 0.1, m), 1.0, delay)
-                continue
-            h.update(repr(terms).encode())
-            for eta, a in STEPS:
-                coeffs = _coeff_bytes(char_poly(OptimizerSpec(variant, eta, m), a, delay))
-                for poly in _named(variant, m, eta, a, delay):
-                    assert _coeff_bytes(poly) == coeffs
-                h.update(coeffs)
-    assert h.hexdigest() == DIGEST
+    for variant, m, delay in grid:
+        try:
+            terms = char_poly_terms(variant, m, delay)
+        except ValueError as e:
+            h.update(repr(e).encode())
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                char_poly(OptimizerSpec(variant, 0.1, m), 1.0, delay)
+            continue
+        h.update(repr(terms).encode())
+        for eta, a in STEPS:
+            coeffs = _coeff_bytes(char_poly(OptimizerSpec(variant, eta, m), a, delay))
+            for poly in _named(variant, m, eta, a, delay):
+                assert _coeff_bytes(poly) == coeffs
+            h.update(coeffs)
+    assert h.hexdigest() == digest

@@ -186,13 +186,14 @@ class TestSimulate:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("eta", ["0", "0.1"])
-    def test_random_delay_with_momentum_is_refused(self, capsys, tmp_path, eta):
-        # a zero step size never reaches the simulators, and keeps their rule
+    def test_random_delay_with_shifted_is_refused(self, capsys, tmp_path, eta):
+        # a zero step size never reaches the simulators, and keeps the rule
         rc, out, err = run_cli(capsys, "simulate", "--a", "1", "--eta", eta,
-                               "--pmf", "uniform:1,3", "--variant", "momentum", "--m", "0.5",
+                               "--pmf", "uniform:1,3", "--variant", "shifted", "--m", "0.5",
                                "--out", str(tmp_path / "run"))
         assert rc == 2 and out == ""
-        assert err == "usage error: random delays pair with the plain update only\n"
+        assert err == ("usage error: shifted momentum needs a constant delay: "
+                       "its velocities are per worker\n")
         assert not (tmp_path / "run").exists()
 
     def test_diverged_is_a_normal_result(self, capsys):
@@ -629,7 +630,7 @@ class TestVersionFlag:
 # Each usage or input error the CLI reports itself: argv ("{tmp}" is a
 # directory holding FILES), exit code, and the whole stderr line.
 FILES = {"bad.json": "{not json", "list.json": "[1, 2]", "empty.csv": "\n\n",
-         "ragged.csv": "x,y\n0,1.0\n1\n"}
+         "ragged.csv": "x,y\n0,1.0\n1\n", "svg.json": '{"svg": "o.svg"}'}
 SIM = ["simulate", "--a", "1", "--eta", "0.1", "--tau", "2"]
 ERRORS = {
     "steps-simulate": ([*SIM, "--steps", "0"], 2,
@@ -652,6 +653,10 @@ ERRORS = {
                         "line 1 column 2 (char 1)"),
     "config-not-object": ([*SIM, "--config", "{tmp}/list.json"], 2,
                           "usage error: config {tmp}/list.json must hold a JSON object"),
+    "svg-without-out": (["threshold", "--a", "1", "--tau", "0..2", "--svg", "{tmp}/o.svg"], 2,
+                        "usage error: --svg needs --out"),
+    "svg-key-without-out": (["threshold", "--a", "1", "--tau", "0..2", "--config",
+                             "{tmp}/svg.json"], 2, "usage error: --svg needs --out"),
     "tau-list": (["threshold", "--a", "1", "--tau", "1,x"], 2,
                  "usage error: cannot parse tau list '1,x'"),
     "tau-range": (["threshold", "--a", "1", "--tau", "1..x"], 2,

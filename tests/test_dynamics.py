@@ -81,17 +81,10 @@ class TestSimConfig:
         cfg = SimConfig(OptimizerSpec("plain", 0.1), 4)
         assert isinstance(cfg.delay, DelayModel) and cfg.delay.tau == 4
 
-    def test_random_delay_needs_plain(self, no_run):
-        # the simulators' rule, checked as a run starts, before any step;
-        # the config itself describes any run (the server runs momentum
-        # under sampled delays)
-        problem = QuadraticProblem([[1.0]], components=[[[0.5]], [[1.5]]])
-        for variant in ("momentum", "shifted"):
-            cfg = SimConfig(OptimizerSpec(variant, 0.1, 0.5), pmf_uniform(1, 3))
-            for simulate in (simulate_expectation, simulate_sgd):
-                with pytest.raises(ValueError,
-                                   match="random delays pair with the plain update only"):
-                    simulate(problem, cfg)
+    def test_random_delay_refuses_shifted(self):
+        # the config of every run, simulator or server, checks the pairing
+        with pytest.raises(ValueError, match="shifted momentum needs a constant delay"):
+            SimConfig(OptimizerSpec("shifted", 0.1, 0.5), pmf_uniform(1, 3))
 
     def test_resolved_max_steps_floor(self):
         assert SimConfig(OptimizerSpec("plain", 0.1), 4).resolved_max_steps() == 100_000
@@ -156,6 +149,19 @@ class TestVerdicts:
         assert v.status == DIVERGED
         assert v.escape_step is not None and v.escape_step <= v.steps
         assert v.amplification > 1e6
+
+    @pytest.mark.parametrize("spectrum, hi, m", [
+        *(pytest.param([1.3], hi, m, id=f"d1-1..{hi}-{m}") for hi in (4, 16)
+          for m in (0.1, 0.5, 0.9, 0.99)),
+        *(pytest.param([1.3, 0.9, 0.6], 16, m, id=f"d3-1..16-{m}") for m in (0.5, 0.9)),
+    ])
+    def test_momentum_with_pmf_straddles_the_root_threshold(self, spectrum, hi, m):
+        pmf = pmf_uniform(1, hi)
+        eta = numeric_threshold("momentum", 1.3, pmf, m=m).eta_star
+        problem = QuadraticProblem.diagonal(spectrum)
+        for factor, status in ((0.95, CONVERGED), (1.05, DIVERGED)):
+            cfg = SimConfig(OptimizerSpec("momentum", factor * eta, m), pmf)
+            assert simulate_expectation(problem, cfg).status == status
 
     def test_undecided_when_budget_too_small(self):
         v = simulate_expectation(QuadraticProblem([[1.0]]),
@@ -298,6 +304,13 @@ class TestEmpiricalThreshold:
         want = numeric_threshold(variant, 1.0, 0, m=m).eta_star
         got = empirical_threshold(QuadraticProblem([[1.0]]), variant, 0, m=m)
         assert abs(got.eta_star - want) <= 0.02 * want
+
+    @pytest.mark.parametrize("m", [0.5, 0.9])
+    @pytest.mark.parametrize("pmf", [pmf_uniform(1, 4), pmf_uniform(1, 16)], ids=["1..4", "1..16"])
+    def test_momentum_with_pmf_matches_the_root_threshold(self, pmf, m):
+        want = numeric_threshold("momentum", 1.0, pmf, m=m).eta_star
+        got = empirical_threshold(QuadraticProblem([[1.0]]), "momentum", pmf, m, rel_tol=0.005)
+        assert abs(got.eta_star - want) <= 0.005 * want
 
     def test_first_probe_already_unstable_raises(self):
         # with 2-step probes the search starts at eta*a = 69, past the

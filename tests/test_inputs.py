@@ -35,6 +35,7 @@ from staleness_lab.dynamics import (
     simulate_sgd,
 )
 from staleness_lab.pssim import RoundRobin, SampledDelay, ps_empirical_threshold, run_ps
+from staleness_lab.roots import is_stable
 from staleness_lab.stability import (
     analytic_threshold_plain,
     dampened_lr,
@@ -92,6 +93,8 @@ DELAY = {
     "char_poly_plain": lambda x: char_poly_plain(0.1, 1.0, x),
     "char_poly_momentum": lambda x: char_poly_momentum(0.1, 1.0, x, 0.5),
     "char_poly_shifted": lambda x: char_poly_shifted(0.1, 1.0, x, 0.5),
+    "char_poly_stochastic": lambda x: char_poly_stochastic(0.1, 1.0, x),
+    "char_poly": lambda x: char_poly(OPT, 1.0, x),
     "analytic_threshold_plain": lambda x: analytic_threshold_plain(1.0, x),
     "taylor_inverse_threshold": lambda x: taylor_inverse_threshold(x),
     "scale_lr": lambda x: scale_lr(0.1, x),
@@ -102,7 +105,12 @@ DELAY = {
     "escape_time_curve": lambda x: escape_time_curve(PROBLEM, "plain", x, [0.1]),
 }
 BAD_DELAY = {"2.5": 2.5, "3.0": 3.0, "True": True, "nan": math.nan, "inf": math.inf,
-             "negative": -1, "MAX_TAU + 1": MAX_TAU + 1, "text": "3"}
+             "negative": -1, "MAX_TAU + 1": MAX_TAU + 1, "text": "3", "None": None}
+
+NON_NEGATIVE = {
+    "is_stable margin": lambda x: is_stable(char_poly_plain(0.1, 1.0, 2), margin=x),
+}
+BAD_NON_NEGATIVE = {"nan": math.nan, "negative": -0.1}
 
 # Entry point -> call with the checked count replaced by x; the last word
 # of the name is the parameter its error message names.
@@ -153,7 +161,8 @@ def _table(entries, values):
 
 
 @pytest.mark.parametrize("call, x", _table(POSITIVE, BAD_POSITIVE)
-                         + _table(MOMENTUM, BAD_MOMENTUM) + _table(DELAY, BAD_DELAY))
+                         + _table(MOMENTUM, BAD_MOMENTUM) + _table(DELAY, BAD_DELAY)
+                         + _table(NON_NEGATIVE, BAD_NON_NEGATIVE))
 def test_rejected_input_raises_value_error(call, x):
     with pytest.raises(ValueError):
         call(x)

@@ -204,6 +204,15 @@ class TestSampledDelayMechanics:
                      OptimizerSpec("momentum", 0.05, 0.5), 500)
         assert run.verdict.status == CONVERGED
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("m", [0.5, 0.9])
+    @pytest.mark.parametrize("pmf", [pmf_uniform(1, 4), pmf_uniform(1, 16)], ids=["1..4", "1..16"])
+    def test_sampled_momentum_matches_pmf_root_threshold(self, pmf, m, seed):
+        r = ps_empirical_threshold(_scalar(), SampledDelay(pmf, seed=seed), "momentum", m,
+                                   rel_tol=0.01)
+        want = numeric_threshold("momentum", 1.0, pmf, m=m).eta_star
+        assert abs(r.eta_star - want) <= 0.01 * want
+
 
 class TestSgdPicks:
     def _components(self):

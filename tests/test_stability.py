@@ -175,9 +175,27 @@ class TestNumericThreshold:
                 assert lo <= want <= hi
                 assert abs(r.eta_star - want) <= r.tolerance * want
 
-    def test_rejects_momentum_with_random_delay(self):
-        with pytest.raises(ValueError):
-            numeric_threshold("momentum", 1.0, pmf_uniform(1, 4), m=0.5)
+    @pytest.mark.parametrize("m", [0.1, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("pmf", [pmf_uniform(1, 4), pmf_uniform(1, 16),
+                                     pmf_discrete_gaussian(8)], ids=["1..4", "1..16", "g8"])
+    def test_momentum_with_pmf_matches_an_oracle_bisection(self, pmf, m):
+        # bisection on companion-matrix magnitudes, to well below rel_tol
+        def stable(eta):
+            p = char_poly(OptimizerSpec("momentum", eta, m), 1.3, pmf)
+            return companion_max_magnitude(p.coeffs) < 1.0
+
+        lo, hi = 1e-6, 2e-6
+        while stable(hi):
+            lo, hi = hi, 2.0 * hi
+        while hi - lo > 1e-12 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if stable(mid) else (lo, mid)
+        r = numeric_threshold("momentum", 1.3, pmf, m=m)
+        assert abs(r.eta_star - lo) <= r.tolerance * lo
+
+    def test_rejects_shifted_with_random_delay(self):
+        with pytest.raises(ValueError, match="shifted momentum needs a constant delay"):
+            numeric_threshold("shifted", 1.0, pmf_uniform(1, 4), m=0.5)
 
     @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1.0])
     def test_rejects_bad_rel_tol_before_the_crossing_scan(self, monkeypatch, rel_tol):
