@@ -27,7 +27,6 @@ of each polynomial that the builders and the threshold search share.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -71,24 +70,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             result = result * z + c
         return result
-
-    def to_csv_row(self) -> str:
-        """Ascending coefficients as one CSV row, shortest round-trip floats."""
-        return ",".join(repr(c) for c in self.coeffs)
-
-    @classmethod
-    def from_csv_row(cls, row: str) -> "Polynomial":
-        return cls(tuple(float(tok) for tok in row.strip().split(",")))
-
-    def to_json(self) -> str:
-        return json.dumps(list(self.coeffs))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Polynomial":
-        values = json.loads(text)
-        if not isinstance(values, list):
-            raise ValueError("expected a JSON array of coefficients")
-        return cls(tuple(float(v) for v in values))
 
 
 @dataclass(frozen=True)
@@ -167,9 +148,6 @@ class OptimizerSpec:
     def __post_init__(self) -> None:
         _check_positive("eta", self.eta)
         _check_variant(self.variant, self.m)
-
-    def with_eta(self, eta: float) -> "OptimizerSpec":
-        return OptimizerSpec(self.variant, eta, self.m)
 
 
 # What counts as a valid input, said once: every module checks its step

@@ -7,7 +7,8 @@ independent check on the algebra.  Provided here: the deterministic
 expectation dynamics, their sampled-gradient counterpart, threshold search
 driven purely by simulation verdicts, escape-time tables, and a
 power-iteration sharpness estimate.  A ``SimConfig`` describes every run,
-simulator or parameter-server (``pssim``), and ``_run`` starts each one.
+simulator or parameter-server (``pssim``), and ``_run`` starts each one,
+every probe of the one trajectory search (``_simulated_threshold``) included.
 
 All randomness flows through seeded generators; identical inputs give
 bit-identical outputs.
@@ -632,13 +633,16 @@ def simulate_sgd(problem: QuadraticProblem, config: SimConfig, seed: int | None 
     return _simulate(problem, config, pick_seed, lag_seed)
 
 
-def _simulated_threshold(run, a, variant, m, delay, rel_tol, probe_steps,
-                         blowup_factor, decay_factor) -> ThresholdResult:
-    """Bisect eta on ``run(eta, steps)``, the status of a trajectory.
+def _simulated_threshold(problem, variant, delay, m, rel_tol, probe_steps, blowup_factor,
+                         decay_factor, lag_seed=None) -> ThresholdResult:
+    """Bisect eta on the verdicts of trajectories: the one trajectory search.
 
-    Converged counts as stable.  An undecided probe gets its step budget
-    doubled once; if it stays undecided the search raises
-    ``UndecidedAtProbe`` rather than guess.
+    Each probe is a ``SimConfig`` at ``delay``, started by ``_run`` from the
+    top eigenvector with expectation gradients; with ``lag_seed`` every
+    probe reads the same drawn lags (a server's sampled delays), without it
+    a pmf delay reads the probability-weighted state.  Converged counts as
+    stable.  An undecided probe gets its step budget doubled once; if it
+    stays undecided the search raises ``UndecidedAtProbe`` rather than guess.
     """
     _check_positive("rel_tol", rel_tol)
     probe_steps = _check_count("probe_steps", probe_steps)
@@ -646,7 +650,9 @@ def _simulated_threshold(run, a, variant, m, delay, rel_tol, probe_steps,
 
     def stable(eta: float) -> bool:
         for steps in (probe_steps, 2 * probe_steps):
-            status = run(eta, steps)
+            config = SimConfig(OptimizerSpec(variant, eta, m), delay, steps, blowup_factor,
+                               decay_factor)
+            status = _run(problem, config, None, lag_seed)[0].status
             if status != UNDECIDED:
                 return status == CONVERGED
         raise UndecidedAtProbe(
@@ -658,6 +664,7 @@ def _simulated_threshold(run, a, variant, m, delay, rel_tol, probe_steps,
     # A probe can only be classified if its slowest mode moves within the
     # budget; near eta = 0 the decay rate is about eta * a per step, so the
     # doubling phase starts where classification costs a tenth of the budget.
+    a = problem.sharpness()
     start_eta_a = 10.0 * math.log(1.0 / decay_factor) / probe_steps
     eta_lo, eta_hi = _bisect_eta(stable, start_eta_a / a, rel_tol)
     return ThresholdResult(
@@ -685,20 +692,15 @@ def empirical_threshold(
 ) -> ThresholdResult:
     """Stability boundary measured from trajectories alone.
 
-    Bisects eta on the verdict of ``simulate_expectation`` (converged =
-    stable), never consulting the characteristic polynomial, which makes it
-    a genuinely independent cross-check of the root-based thresholds.  An
-    undecided probe gets its step budget doubled once; if it stays
-    undecided the search raises ``UndecidedAtProbe`` rather than guess.
+    Bisects eta on run verdicts (converged = stable), never consulting the
+    characteristic polynomial, which makes it a genuinely independent
+    cross-check of the root-based thresholds.  Each probe is the run
+    ``simulate_expectation`` makes of its ``SimConfig`` (``_simulated_threshold``,
+    with no lags).  An undecided probe gets its step budget doubled once; if
+    it stays undecided the search raises ``UndecidedAtProbe`` rather than guess.
     """
-    delay = as_delay(delay)
-
-    def run(eta, steps):
-        cfg = SimConfig(OptimizerSpec(variant, eta, m), delay, steps, blowup_factor, decay_factor)
-        return simulate_expectation(problem, cfg).status
-
-    return _simulated_threshold(run, problem.sharpness(), variant, m, delay,
-                                rel_tol, probe_steps, blowup_factor, decay_factor)
+    return _simulated_threshold(problem, variant, as_delay(delay), m, rel_tol, probe_steps,
+                                blowup_factor, decay_factor)
 
 
 @dataclass(frozen=True)

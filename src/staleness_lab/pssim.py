@@ -8,7 +8,10 @@ round-robin runs reproduce the constant-delay simulator bit for bit.
 Sampled-delay scheduling realizes a delay distribution: each step reads the
 state a drawn number of steps back.  Every run is a ``SimConfig`` with the
 delay its scheduler realizes, started by ``dynamics._run`` as every
-simulator run is; this module only schedules, validates and reports.
+simulator run is.  The threshold search is the simulators' one
+(``dynamics._simulated_threshold``) on that delay and its lags, so a
+round-robin search is the constant-delay search at ``W - 1``.  This module
+only schedules, validates and reports.
 
 Velocity placement follows the structural split between the two momentum
 flavors: the standard variant keeps one central buffer at the server, the
@@ -132,10 +135,17 @@ def run_ps(
     across the blocks: the same draws as one draw for all ``steps``, so a
     run that ends early draws only what it stepped.
     """
-    verdict, norms, draws = _track_ps(
-        problem, scheduler, optimizer, steps, seed, mode, blowup_factor, decay_factor,
-        init, init_seed, record_states, every=1,
-    )
+    steps = _check_count("steps", steps)
+    seed = _check_seed("seed", seed)
+    if mode not in ("expectation", "sgd"):
+        raise ValueError("mode must be 'expectation' or 'sgd'")
+    delay, lag_seed = _realized(scheduler, steps)
+    config = SimConfig(optimizer, delay, steps, blowup_factor, decay_factor, init=init,
+                       seed=_check_seed("init_seed", init_seed), record_states=record_states)
+    if mode == "sgd" and problem.components is None:
+        raise ValueError("sgd mode needs a problem with components")
+    pick_seed = np.random.SeedSequence(seed) if mode == "sgd" else None
+    verdict, norms, draws = _run(problem, config, pick_seed, lag_seed, every=1)
     t = verdict.steps
     drawn = scheduler.max_delay if draws is None else np.concatenate(draws)[:t]
     applied = np.minimum(drawn, np.arange(t))
@@ -148,37 +158,19 @@ def run_ps(
     )
 
 
-def _scheduled_delay(scheduler: RoundRobin | SampledDelay) -> DelayModel:
-    """The delay a scheduler realizes: ``W - 1`` for round robin, else its pmf."""
-    if isinstance(scheduler, RoundRobin):
-        return DelayModel.constant(scheduler.max_delay)
-    return scheduler.pmf
+def _realized(scheduler: RoundRobin | SampledDelay, steps: int):
+    """The delay a scheduler realizes over ``steps`` steps, and the seed of its lags.
 
-
-def _track_ps(problem, scheduler, optimizer, steps, seed, mode, blowup_factor, decay_factor,
-              init="top_eigvec", init_seed=0, record_states=False, every=0):
-    """Check a ``run_ps`` request and run it through ``dynamics._run``.
-
-    Returns the verdict, the distances every ``every`` steps (``None`` when
-    ``every`` is 0, as for threshold probes) and the sampled delays drawn.
+    Round robin over W workers is the constant delay ``W - 1`` with no lags,
+    and needs at least one step per worker.  Sampled delays are their pmf,
+    with lags drawn from ``SeedSequence(seed)``, so that a seed of None
+    draws lags too.
     """
-    steps = _check_count("steps", steps)
-    seed = _check_seed("seed", seed)
-    if mode not in ("expectation", "sgd"):
-        raise ValueError("mode must be 'expectation' or 'sgd'")
-    config = SimConfig(optimizer, _scheduled_delay(scheduler), steps, blowup_factor, decay_factor,
-                       init=init, seed=_check_seed("init_seed", init_seed),
-                       record_states=record_states)
-    lag_seed = None
     if isinstance(scheduler, SampledDelay):
-        # a seed sequence, so that a seed of None draws lags too
-        lag_seed = np.random.SeedSequence(scheduler.seed)
-    elif steps < scheduler.n_workers:
+        return scheduler.pmf, np.random.SeedSequence(scheduler.seed)
+    if steps < scheduler.n_workers:
         raise ValueError("need at least one step per worker")
-    if mode == "sgd" and problem.components is None:
-        raise ValueError("sgd mode needs a problem with components")
-    pick_seed = np.random.SeedSequence(seed) if mode == "sgd" else None
-    return _run(problem, config, pick_seed, lag_seed, every)
+    return DelayModel.constant(scheduler.max_delay), None
 
 
 def ps_empirical_threshold(
@@ -193,19 +185,17 @@ def ps_empirical_threshold(
 ) -> ThresholdResult:
     """Stability boundary of the emulated server, by bisection on verdicts.
 
-    Same probe protocol as the simulator-based search: an undecided probe
-    doubles its step budget once, then raises ``UndecidedAtProbe``.
-    Expectation-mode gradients keep the predicate deterministic.  A probe
-    is a ``run_ps`` run that records no norms or applied delays, since
-    only its verdict is read.
+    The simulators' search (``dynamics._simulated_threshold``) run on the
+    delay and lags the scheduler realizes: round robin over W workers is
+    the constant-delay search at ``W - 1``, sampled delays probe with the
+    scheduler's drawn lags.  An undecided probe doubles its step budget
+    once, then raises ``UndecidedAtProbe``.  Expectation-mode gradients keep
+    the predicate deterministic, and a probe records nothing but its
+    verdict.
     """
-
-    def run(eta, steps):
-        return _track_ps(problem, scheduler, OptimizerSpec(variant, eta, m), steps, 0,
-                         "expectation", blowup_factor, decay_factor)[0].status
-
-    return _simulated_threshold(run, problem.sharpness(), variant, m, _scheduled_delay(scheduler),
-                                rel_tol, probe_steps, blowup_factor, decay_factor)
+    delay, lag_seed = _realized(scheduler, _check_count("probe_steps", probe_steps))
+    return _simulated_threshold(problem, variant, delay, m, rel_tol, probe_steps, blowup_factor,
+                                decay_factor, lag_seed)
 
 
 def delay_histogram(run: PSRun) -> tuple[tuple[int, float], ...]:

@@ -318,9 +318,10 @@ def max_root_magnitude(p: Polynomial, **kwargs) -> float:
 def is_stable(p: Polynomial, margin: float = 0.0) -> bool:
     """True iff every root lies strictly inside the circle of radius 1 - margin.
 
+    ``margin`` must lie in ``[0, 1)``: at 1 or more the circle has no inside.
     A root exactly on the boundary counts as unstable: the recurrence then
     sustains oscillations instead of damping them.
     """
-    if not margin >= 0:  # a NaN fails too
-        raise ValueError("margin must be non-negative")
+    if not 0 <= margin < 1:  # a NaN fails too
+        raise ValueError("margin must lie in [0, 1)")
     return max_root_magnitude(p) < 1.0 - margin

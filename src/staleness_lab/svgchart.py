@@ -56,15 +56,14 @@ def render_line_chart(
     headers: list[str],
     rows: list[tuple],
     title: str | None = None,
-    x_label: str | None = None,
     y_label: str | None = None,
 ) -> str:
     """Render one polyline per y-column; ``None`` and non-finite cells
     break the line.
 
-    ``headers`` names the columns (first is x, used for the x-axis label
-    unless overridden); ``rows`` holds floats or ``None``.  Returns a
-    standalone SVG document string.
+    ``headers`` names the columns (first is x, also the x-axis label);
+    ``rows`` holds floats or ``None``.  Returns a standalone SVG document
+    string.
     """
     if len(headers) < 2:
         raise ValueError("need an x column and at least one series")
@@ -141,7 +140,7 @@ def render_line_chart(
     )
     parts.append(
         f'<text x="{MARGIN_LEFT + plot_w / 2:.2f}" y="{HEIGHT - 14}" text-anchor="middle" '
-        f'font-size="13" fill="#222222">{_esc(x_label or headers[0])}</text>'
+        f'font-size="13" fill="#222222">{_esc(headers[0])}</text>'
     )
     if y_label or n_series == 1:
         parts.append(

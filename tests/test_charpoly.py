@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -35,19 +34,6 @@ class TestPolynomial:
         assert p(2.0) == 0.0
         assert p(0.0) == 2.0
         assert p(1j) == (2.0 - 3.0 * 1j + 1j * 1j)
-
-    def test_csv_round_trip_is_exact(self):
-        p = Polynomial((0.1, -2.0 / 3.0, 1.0))
-        q = Polynomial.from_csv_row(p.to_csv_row())
-        assert q.coeffs == p.coeffs
-
-    def test_json_round_trip_is_exact(self):
-        p = Polynomial((0.3, 0.0, -1.0, 1.0))
-        assert Polynomial.from_json(p.to_json()).coeffs == p.coeffs
-
-    def test_from_json_rejects_non_array(self):
-        with pytest.raises(ValueError):
-            Polynomial.from_json(json.dumps({"a": 1}))
 
 
 class TestDelayModel:
@@ -90,10 +76,6 @@ class TestOptimizerSpec:
     def test_plain_requires_zero_m(self):
         with pytest.raises(ValueError):
             OptimizerSpec("plain", 0.1, 0.5)
-
-    def test_with_eta(self):
-        s = OptimizerSpec("momentum", 0.1, 0.5).with_eta(0.2)
-        assert (s.variant, s.eta, s.m) == ("momentum", 0.2, 0.5)
 
 
 class TestPlainPoly:

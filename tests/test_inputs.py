@@ -107,10 +107,11 @@ DELAY = {
 BAD_DELAY = {"2.5": 2.5, "3.0": 3.0, "True": True, "nan": math.nan, "inf": math.inf,
              "negative": -1, "MAX_TAU + 1": MAX_TAU + 1, "text": "3", "None": None}
 
-NON_NEGATIVE = {
+# A margin leaves the circle of radius 1 - margin, which needs 0 <= margin < 1.
+MARGIN = {
     "is_stable margin": lambda x: is_stable(char_poly_plain(0.1, 1.0, 2), margin=x),
 }
-BAD_NON_NEGATIVE = {"nan": math.nan, "negative": -0.1}
+BAD_MARGIN = {"nan": math.nan, "negative": -0.1, "1.0": 1.0, "5": 5, "inf": math.inf}
 
 # Entry point -> call with the checked count replaced by x; the last word
 # of the name is the parameter its error message names.
@@ -162,7 +163,7 @@ def _table(entries, values):
 
 @pytest.mark.parametrize("call, x", _table(POSITIVE, BAD_POSITIVE)
                          + _table(MOMENTUM, BAD_MOMENTUM) + _table(DELAY, BAD_DELAY)
-                         + _table(NON_NEGATIVE, BAD_NON_NEGATIVE))
+                         + _table(MARGIN, BAD_MARGIN))
 def test_rejected_input_raises_value_error(call, x):
     with pytest.raises(ValueError):
         call(x)

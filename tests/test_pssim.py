@@ -302,21 +302,21 @@ class TestPsThreshold:
         (RoundRobin(5), "shifted", 0.5),
         (SampledDelay(pmf_uniform(1, 6), seed=3), "plain", 0.0),
     ])
-    def test_status_only_probes_match_recorded_runs(self, scheduler, variant, m):
-        # the search's probes record nothing; the same bisection driven
-        # through run_ps with everything recorded must bracket the same
+    def test_status_only_probes_match_recorded_runs(self, monkeypatch, scheduler, variant, m):
+        # the search's probes record nothing; the same bisection with every
+        # probe made a run_ps run that records everything must bracket the same
         problem = _scalar()
+        want = ps_empirical_threshold(problem, scheduler, variant, m, probe_steps=20_000)
         probes = []
 
-        def run(eta, steps):
-            full = run_ps(problem, scheduler, OptimizerSpec(variant, eta, m), steps,
+        def recorded(problem, config, pick_seed=None, lag_seed=None, every=0):
+            full = run_ps(problem, scheduler, config.optimizer, config.max_steps,
                           record_states=True)
-            probes.append(eta)
-            return full.verdict.status
+            assert len(full.norms) == len(full.verdict.states) == full.steps + 1
+            probes.append(config.optimizer.eta)
+            return full.verdict, None, None
 
-        delay = getattr(scheduler, "pmf", DelayModel.constant(scheduler.max_delay))
-        want = dynamics._simulated_threshold(run, 1.0, variant, m, delay, 0.02, 20_000,
-                                             1e6, 1e-6)
+        monkeypatch.setattr(dynamics, "_run", recorded)  # run_ps keeps its own binding
         got = ps_empirical_threshold(problem, scheduler, variant, m, probe_steps=20_000)
         assert got.bracket == want.bracket
         assert len(probes) > 10
