@@ -1,11 +1,14 @@
-"""Random delays behave like their mean.
+"""Random delays: linear in the mean, with a slope the spread sets.
 
-When the delay is drawn fresh each step from a distribution, the stability
-threshold tracks the expected delay: 1/eta* is again linear, now in E[tau].
-Shown here for uniform delays on {1..b} and for a discretized Gaussian whose
-mean sweeps upward.
+When the delay is drawn fresh each step from a distribution, 1/eta* is again
+linear in the expected delay E[tau] within one family of delays.  But the
+slope is not the constant delay's 2/pi.  A narrow discretized Gaussian acts
+like its mean (slope about 0.65 here).  Uniform delays on {1..b} have slope
+about 0.41: a uniform delay tolerates a larger step than a constant delay at
+its mean, up to about pi/2 times larger as b grows.
 """
 
+import math
 from pathlib import Path
 
 from staleness_lab import pmf_discrete_gaussian, pmf_uniform, threshold_curve
@@ -27,6 +30,7 @@ def main() -> None:
     print(f"  slope of 1/eta* vs E[tau]: {ucurve.slope:.4f}, R^2 = {ucurve.r_squared:.6f}")
     print("discretized Gaussian delays:")
     print(f"  slope of 1/eta* vs E[tau]: {gcurve.slope:.4f}, R^2 = {gcurve.r_squared:.6f}")
+    print(f"constant delay, for reference: slope 2/pi = {2 / math.pi:.4f}")
 
     # one chart, both families, x = expected delay
     xs = sorted({round(r.x, 6) for r in ucurve.rows} | {round(r.x, 6) for r in gcurve.rows})

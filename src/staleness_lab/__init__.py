@@ -41,7 +41,7 @@ from .dynamics import (
 )
 from .errors import NoConvergence, NoThreshold, UndecidedAtProbe
 from .pssim import PSRun, RoundRobin, SampledDelay, delay_histogram, ps_empirical_threshold, run_ps
-from .roots import RootSet, all_roots, all_roots_many, is_stable, max_root_magnitude
+from .roots import RootSet, all_roots, all_roots_many
 from .stability import (
     CurveRow,
     ThresholdCurve,
@@ -94,8 +94,6 @@ __all__ = [
     "effective_lr",
     "empirical_threshold",
     "escape_time_curve",
-    "is_stable",
-    "max_root_magnitude",
     "numeric_threshold",
     "pmf_discrete_gaussian",
     "pmf_uniform",

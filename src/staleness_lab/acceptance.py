@@ -1,15 +1,18 @@
 """The self-check suite behind the ``verify`` subcommand.
 
-Twelve named criteria, each an independent cross-check of one advertised
-capability: closed-form thresholds, the inverse-linear step-size law, the
-momentum direction results, stochastic delays, simulation/root agreement,
-mode reduction, parameter-server equivalence, trajectory-only thresholds,
-power iteration, root-finder invariants, and byte-level determinism.
+Named criteria (``CRITERIA``), each an independent cross-check of one
+advertised capability: closed-form thresholds, the inverse-linear step-size
+law, the momentum direction results, stochastic delays, simulation/root
+agreement, mode reduction, parameter-server equivalence, trajectory-only
+thresholds, power iteration, root-finder invariants, and byte-level
+determinism.
 
-Every criterion uses hard-coded seeds so two runs anywhere produce the
-same table.  A criterion passes only if its numeric condition holds AND it
-finishes inside its time budget; detail strings never contain wall times,
-so the printed table is reproducible byte for byte.
+Every criterion uses hard-coded seeds, and detail strings never contain
+wall times, so two runs on one machine print the same table byte for byte.
+Two details (power-iteration, root-finder) quote errors against numpy's
+LAPACK-backed references, so they may differ between BLAS/LAPACK builds.
+A criterion passes only if its numeric condition holds AND it finishes
+inside its time budget.
 """
 
 from __future__ import annotations
@@ -394,12 +397,18 @@ CRITERIA = [
 
 
 def run_criteria(names=None, out_dir=None):
-    """Run the requested criteria in canonical order.
+    """Run the named criteria (all when ``names`` is None) in canonical order.
 
     Returns a list of (name, passed, detail) tuples.  ``out_dir`` collects
-    CSV artifacts from the criteria that produce them.
+    CSV artifacts from the criteria that produce them.  A name not in
+    ``CRITERIA`` raises ValueError before any criterion runs.
     """
-    wanted = set(names) if names is not None else {n for n, _, _ in CRITERIA}
+    known = [n for n, _, _ in CRITERIA]
+    wanted = set(known if names is None else names)
+    unknown = sorted(wanted - set(known))
+    if unknown:
+        raise ValueError(f"unknown criterion name(s): {', '.join(unknown)}; "
+                         f"known: {', '.join(known)}")
     ctx: dict = {}
     results = []
     for name, func, budget in CRITERIA:

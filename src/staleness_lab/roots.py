@@ -308,20 +308,3 @@ def all_roots(
         Exactly ``p.degree`` roots, every scaled residual <= 1e-9.
     """
     return all_roots_many([p], tol, max_iter)[0]
-
-
-def max_root_magnitude(p: Polynomial, **kwargs) -> float:
-    """Largest root magnitude of ``p`` (the spectral radius of its recurrence)."""
-    return all_roots(p, **kwargs).max_magnitude
-
-
-def is_stable(p: Polynomial, margin: float = 0.0) -> bool:
-    """True iff every root lies strictly inside the circle of radius 1 - margin.
-
-    ``margin`` must lie in ``[0, 1)``: at 1 or more the circle has no inside.
-    A root exactly on the boundary counts as unstable: the recurrence then
-    sustains oscillations instead of damping them.
-    """
-    if not 0 <= margin < 1:  # a NaN fails too
-        raise ValueError("margin must lie in [0, 1)")
-    return max_root_magnitude(p) < 1.0 - margin

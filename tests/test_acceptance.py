@@ -7,16 +7,38 @@ per-criterion detail lines even when everything passes.
 """
 
 import hashlib
+from itertools import islice
 
 import pytest
 
+from staleness_lab import acceptance
 from staleness_lab.acceptance import CRITERIA, run_criteria
 
 NAMES = [name for name, _, _ in CRITERIA]
-# Left out of the frozen details: power-iteration and root-finder quote
-# errors against numpy's eigh and np.roots, which vary between BLAS and
-# LAPACK builds, and determinism reports command-line runs in subprocesses.
-NOT_FROZEN = ("power-iteration", "root-finder", "determinism")
+
+# The verify table's details that come from staleness_lab alone, bit for
+# bit.  A new criterion adds one row here or in UNFROZEN; no row moves.
+FROZEN = {
+    "exact-threshold": "max |numeric - closed form| = 7.812e-09 over tau 0..64",
+    "taylor-accuracy": "max |1/eta* - (2tau+1)/pi| = 0.045070 over tau 1..64",
+    "inverse-linear": "slope=0.636498 (rel err 1.91e-04 vs 2/pi), R^2=0.99999998",
+    "momentum-direction": ("momentum eta* falls with m (min gap 0.0047), "
+                           "shifted rises (min gap 0.0106)"),
+    "stochastic-inverse": ("uniform(1,b) R^2=1.000000, discrete-gaussian R^2=0.999973 "
+                           "for 1/eta* vs E[tau]"),
+    "sim-root-agreement": "539 grid points, 0 disagreements",
+    "mode-reduction": "50 random SPD problems, 0 verdict mismatches",
+    "ps-equivalence": ("15 (W, variant) trajectory pairs, max per-step diff 0.0e+00; "
+                       "PS threshold rel err 0.0013"),
+    "empirical-threshold": "5 operating points, worst rel err 0.0013 vs root-based",
+}
+UNFROZEN = {
+    "power-iteration": "quotes errors against numpy's eigh, which varies between "
+                       "BLAS/LAPACK builds",
+    "root-finder": "quotes errors against np.roots, which varies between "
+                   "BLAS/LAPACK builds",
+    "determinism": "reports command-line runs in subprocesses",
+}
 
 
 @pytest.fixture(scope="session")
@@ -32,17 +54,47 @@ def test_criterion(acceptance_results, name):
     assert ok, f"{name}: {detail}"
 
 
-def test_all_twelve_present(acceptance_results):
-    assert len(acceptance_results) == 12
+def test_battery_names(acceptance_results):
+    assert NAMES == [
+        "exact-threshold", "taylor-accuracy", "inverse-linear", "momentum-direction",
+        "stochastic-inverse", "sim-root-agreement", "mode-reduction", "ps-equivalence",
+        "empirical-threshold", "power-iteration", "root-finder", "determinism",
+    ]
+    assert list(acceptance_results) == NAMES
+    assert not set(FROZEN) & set(UNFROZEN)
+    assert sorted(FROZEN.keys() | UNFROZEN.keys()) == sorted(NAMES)
 
 
-def test_frozen_details(acceptance_results):
-    # the verify table's numbers that come from staleness_lab alone, bit for bit
+@pytest.mark.parametrize("name", FROZEN)
+def test_frozen_detail(acceptance_results, name):
+    assert acceptance_results[name][1] == FROZEN[name]
+
+
+def test_frozen_table_is_the_combined_freeze():
+    # the first nine rows, in battery order, hash to the one digest that
+    # froze them together before each detail was frozen on its own
     h = hashlib.sha256()
-    for name in NAMES:
-        if name not in NOT_FROZEN:
-            h.update(f"{name}: {acceptance_results[name][1]}\n".encode())
+    for name, detail in islice(FROZEN.items(), 9):
+        h.update(f"{name}: {detail}\n".encode())
     assert h.hexdigest() == "7cf708f6805195c14dc7a5d310b2ee06fa5ae0da70b0027ce27b6d17a00f7162"
+
+
+@pytest.mark.parametrize("names", [["no-such"], ["taylor-accuracy", "no-such"]])
+def test_unknown_name_raises_before_any_criterion_runs(monkeypatch, names):
+    calls = []
+
+    def counted(ctx, out_dir):
+        calls.append(1)
+        return True, ""
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [(n, counted, b) for n, _, b in CRITERIA])
+    with pytest.raises(ValueError, match=r"^unknown criterion name\(s\): no-such; "
+                                         r"known: exact-threshold, taylor-accuracy, "):
+        run_criteria(names)
+    assert calls == []
+    # the counter is wired: a known name alone runs its criterion
+    assert run_criteria(["taylor-accuracy"]) == [("taylor-accuracy", True, "")]
+    assert calls == [1]
 
 
 # sha256 of the CSV artifacts that verify --out writes from these criteria

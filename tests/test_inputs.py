@@ -35,7 +35,6 @@ from staleness_lab.dynamics import (
     simulate_sgd,
 )
 from staleness_lab.pssim import RoundRobin, SampledDelay, ps_empirical_threshold, run_ps
-from staleness_lab.roots import is_stable
 from staleness_lab.stability import (
     analytic_threshold_plain,
     dampened_lr,
@@ -107,12 +106,6 @@ DELAY = {
 BAD_DELAY = {"2.5": 2.5, "3.0": 3.0, "True": True, "nan": math.nan, "inf": math.inf,
              "negative": -1, "MAX_TAU + 1": MAX_TAU + 1, "text": "3", "None": None}
 
-# A margin leaves the circle of radius 1 - margin, which needs 0 <= margin < 1.
-MARGIN = {
-    "is_stable margin": lambda x: is_stable(char_poly_plain(0.1, 1.0, 2), margin=x),
-}
-BAD_MARGIN = {"nan": math.nan, "negative": -0.1, "1.0": 1.0, "5": 5, "inf": math.inf}
-
 # Entry point -> call with the checked count replaced by x; the last word
 # of the name is the parameter its error message names.
 COUNT = {
@@ -162,8 +155,7 @@ def _table(entries, values):
 
 
 @pytest.mark.parametrize("call, x", _table(POSITIVE, BAD_POSITIVE)
-                         + _table(MOMENTUM, BAD_MOMENTUM) + _table(DELAY, BAD_DELAY)
-                         + _table(MARGIN, BAD_MARGIN))
+                         + _table(MOMENTUM, BAD_MOMENTUM) + _table(DELAY, BAD_DELAY))
 def test_rejected_input_raises_value_error(call, x):
     with pytest.raises(ValueError):
         call(x)

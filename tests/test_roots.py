@@ -21,8 +21,6 @@ from staleness_lab.roots import (
     RESIDUAL_TOL,
     all_roots,
     all_roots_many,
-    is_stable,
-    max_root_magnitude,
 )
 
 
@@ -166,25 +164,6 @@ class TestHighDegreeDelayPolynomials:
         rs = all_roots(char_poly_shifted(0.0005, 1.0, 500, 0.9))
         assert len(rs.roots) == 502
         assert max(rs.residuals) <= RESIDUAL_TOL
-
-
-class TestStability:
-    def test_strictly_inside(self):
-        assert is_stable(Polynomial((0.25, 0.0, 1.0)))  # roots at +-0.5j
-
-    def test_boundary_counts_as_unstable(self):
-        assert not is_stable(Polynomial((-1.0, 1.0)))  # root exactly at 1
-
-    def test_margin(self):
-        p = Polynomial((0.81, 0.0, 1.0))  # roots at +-0.9j
-        assert is_stable(p)
-        assert not is_stable(p, margin=0.2)
-        with pytest.raises(ValueError):
-            is_stable(p, margin=-0.1)
-
-    def test_max_root_magnitude_shortcut(self):
-        p = Polynomial((0.3, 0.0, -1.0, 1.0))
-        assert max_root_magnitude(p) == all_roots(p).max_magnitude
 
 
 class TestFailureMode:
