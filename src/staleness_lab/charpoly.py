@@ -47,14 +47,18 @@ Term = tuple[int, float, float]
 class Polynomial:
     """Real polynomial stored as ascending coefficients ``c0 + c1 z + ...``.
 
-    Trailing zero coefficients (the high powers) are trimmed on construction
-    so ``degree`` always refers to a nonzero leading coefficient.
+    Every coefficient must be finite.  Trailing zero coefficients (the high
+    powers) are trimmed on construction so ``degree`` always refers to a
+    nonzero leading coefficient.
     """
 
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        cs = tuple(float(c) for c in self.coeffs)
+        cs = tuple(map(float, self.coeffs))
+        if not all(map(math.isfinite, cs)):
+            k = next(k for k, c in enumerate(cs) if not math.isfinite(c))
+            raise ValueError(f"coefficient {k} is not finite ({cs[k]!r})")
         while len(cs) > 1 and cs[-1] == 0.0:
             cs = cs[:-1]
         if not cs or all(c == 0.0 for c in cs):
@@ -78,7 +82,8 @@ class DelayModel:
 
     ``delays`` are distinct integers in ``[0, MAX_TAU]`` in ascending order
     and ``probs`` the matching masses, summing to 1 within ``PROB_SUM_TOL``.
-    A constant delay is the single-entry point mass.
+    A constant delay is the single-entry point mass, and only it may be 0: a
+    pmf's delays start at 1.
     """
 
     delays: tuple[int, ...]
@@ -91,6 +96,8 @@ class DelayModel:
             raise ValueError("delays and probs must be equal-length, non-empty")
         if any(b <= a for a, b in zip(delays, delays[1:])):
             raise ValueError("delays must be strictly increasing")
+        if len(delays) > 1 and delays[0] == 0:
+            raise ValueError("pmf delays must be positive integers")
         if any(not 0.0 < p <= 1.0 for p in probs):
             raise ValueError("probabilities must lie in (0, 1]")
         if abs(math.fsum(probs) - 1.0) > PROB_SUM_TOL:
@@ -104,14 +111,8 @@ class DelayModel:
 
     @classmethod
     def pmf(cls, entries) -> "DelayModel":
-        """Build from ``{delay: prob}`` or an iterable of (delay, prob) pairs.
-
-        Delays must be positive here; a zero delay only makes sense as the
-        constant model.
-        """
+        """Build from ``{delay: prob}`` or an iterable of (delay, prob) pairs."""
         pairs = sorted((_check_delay(k), p) for k, p in dict(entries).items())
-        if any(k < 1 for k, _ in pairs):
-            raise ValueError("pmf delays must be positive integers")
         return cls(tuple(k for k, _ in pairs), tuple(p for _, p in pairs))
 
     @property
@@ -159,9 +160,9 @@ def _check_positive(name: str, x: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {x!r}")
 
 
-def _check_momentum(m: float) -> None:
+def _check_momentum(m: float, name: str = "m") -> None:
     if not 0.0 <= m < 1.0:
-        raise ValueError("m must lie in [0, 1)")
+        raise ValueError(f"{name} must lie in [0, 1)")
 
 
 def _check_integer(name: str, x) -> int:

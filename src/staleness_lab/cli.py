@@ -8,11 +8,13 @@ emulation), ``plot`` (CSV to SVG), ``verify`` (self-check suite).
 Exit codes: 0 success, 1 numeric or verification failure, 2 usage error.
 Configuration precedence is flags over ``--config`` JSON over defaults; the
 environment variable ``STALENESS_LAB_SEED`` replaces the default seed only.
-Each flag is declared once, in ``FLAGS``, and a config value goes through
-its flag's type and choices: it is accepted exactly when the same text would
-be accepted as the flag.  Data-producing commands write a manifest listing
-the resolved configuration and every output file; feeding a manifest back
-through ``--config`` reproduces the outputs byte for byte.
+Each flag is declared once, in ``FLAGS``, with the rule its value must meet,
+and a config value goes through its flag's type, choices and rule: it is
+accepted exactly when the same text would be accepted as the flag, and a bad
+value is refused in the flag's name.  Usage errors are ValueErrors.
+Data-producing commands write a manifest listing the resolved configuration
+and every output file; feeding a manifest back through ``--config``
+reproduces the outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .charpoly import (DelayModel, OptimizerSpec, _check_count, _check_delay, _check_positive,
-                       char_poly, pmf_discrete_gaussian, pmf_uniform)
+from .charpoly import (DelayModel, OptimizerSpec, _check_count, _check_delay, _check_momentum,
+                       _check_positive, char_poly, pmf_discrete_gaussian, pmf_uniform)
 from .dynamics import (
     BLOWUP_FACTOR,
     DECAY_FACTOR,
@@ -63,33 +65,56 @@ def _seed_value(text: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid seed {text!r}: must be a non-negative integer")
 
 
-# Every flag of the config-driven commands, with its argparse keywords.  The
-# config key is the flag's name with underscores for dashes.
+def _check_step_size(flag: str, eta: float) -> None:
+    """Finite and non-negative: ``simulate`` runs a zero step size itself."""
+    if eta < 0:
+        raise ValueError(f"{flag} must be non-negative")
+    if not math.isfinite(eta):
+        raise ValueError(f"{flag} must be finite, got {eta!r}")
+
+
+def _check_step_sizes(flag: str, text: str) -> None:
+    """Comma-separated step sizes, each checked as ``--eta`` is."""
+    try:
+        etas = [float(p) for p in text.split(",") if p.strip() != ""]
+    except ValueError:
+        raise ValueError(f"cannot parse {flag} {text!r}") from None
+    if not etas:
+        raise ValueError(f"{flag} {text!r} names no step size")
+    for eta in etas:
+        _check_step_size(flag, eta)
+
+
+# Every flag of the config-driven commands, with its argparse keywords and its
+# value's rule, if any: ``check(flag, value)`` raises ValueError naming the flag.
+# The config key is the flag's name with underscores for dashes.
 FLAGS = {
-    "workers": dict(type=int, help="round-robin worker count"),
+    "workers": dict(type=int, check=_check_count, help="round-robin worker count"),
     "variant": dict(choices=VARIANTS, help="update rule"),
-    "m": dict(type=float, help="momentum coefficient"),
+    "m": dict(type=float, check=lambda flag, m: _check_momentum(m, flag),
+              help="momentum coefficient"),
     "tau": dict(help="constant delay N; threshold also takes N,M,... or LO..HI"),
     "pmf": dict(help="delay pmf, uniform:LO,HI or gauss:MU"),
-    "a": dict(type=float, help="curvature (sharpness)"),
+    "a": dict(type=float, check=_check_positive, help="curvature (sharpness)"),
     "spectrum": dict(help="comma-separated eigenvalues"),
-    "eta": dict(type=float, help="step size"),
-    "etas": dict(help="comma-separated step sizes (ascending)"),
+    "eta": dict(type=float, check=_check_step_size, help="step size"),
+    "etas": dict(check=_check_step_sizes, help="comma-separated step sizes (ascending)"),
     "eta_range": dict(help="LO:HI:COUNT"),
-    "rel_tol": dict(type=float, help="bracket width relative to its midpoint"),
-    "steps": dict(type=int, help="step budget"),
+    "rel_tol": dict(type=float, check=_check_positive,
+                    help="bracket width relative to its midpoint"),
+    "steps": dict(type=int, check=_check_count, help="step budget"),
     "blowup": dict(type=float, help="divergence threshold on the distance ratio"),
     "decay": dict(type=float, help="convergence threshold on the distance ratio"),
     "init": dict(choices=("top_eigvec", "random_unit"), help="starting offset"),
     "seed": dict(type=_seed_value, help=f"random seed (default: ${SEED_ENV}, else 0)"),
-    "record_every": dict(type=int, help="keep every Nth trace row"),
+    "record_every": dict(type=int, check=_check_count, help="keep every Nth trace row"),
     "out": dict(help="output: CSV path (threshold, escape-curve) or directory (simulate, ps)"),
     "svg": dict(help="also render the curve to this SVG"),
 }
 
 
-class CliUsage(Exception):
-    """Bad flags or bad flag combinations; maps to exit code 2."""
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 class CliFailure(Exception):
@@ -103,7 +128,7 @@ def _env_seed() -> int:
     try:
         return _seed_value(raw)
     except argparse.ArgumentTypeError as exc:
-        raise CliUsage(f"{SEED_ENV}: {exc}") from None
+        raise ValueError(f"{SEED_ENV}: {exc}") from None
 
 
 def _load_config(path: str | None, command: str) -> dict:
@@ -117,18 +142,16 @@ def _load_config(path: str | None, command: str) -> dict:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh, parse_int=str, parse_float=str, parse_constant=str)
     except OSError as exc:
-        raise CliUsage(f"cannot read config {path}: {exc}") from None
+        raise ValueError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise CliUsage(f"config {path} is not valid JSON: {exc}") from None
+        raise ValueError(f"config {path} is not valid JSON: {exc}") from None
     if isinstance(data, dict) and "command" in data and "config" in data:
         # a manifest from an earlier run; replay its configuration
         if data["command"] != command:
-            raise CliUsage(
-                f"manifest {path} was written by '{data['command']}', not '{command}'"
-            )
+            raise ValueError(f"manifest {path} was written by '{data['command']}', not '{command}'")
         data = data["config"]
     if not isinstance(data, dict):
-        raise CliUsage(f"config {path} must hold a JSON object")
+        raise ValueError(f"config {path} must hold a JSON object")
     return data
 
 
@@ -139,17 +162,17 @@ def _config_value(key: str, text: str):
     try:
         val = convert(text)
     except ValueError:
-        raise CliUsage(f"config key {key!r}: invalid {convert.__name__} value: {text!r}") from None
+        raise ValueError(f"config key {key!r}: invalid {convert.__name__} value: {text!r}") from None
     except argparse.ArgumentTypeError as exc:
-        raise CliUsage(f"config key {key!r}: {exc}") from None
+        raise ValueError(f"config key {key!r}: {exc}") from None
     if "choices" in flag and val not in flag["choices"]:
-        raise CliUsage(f"config key {key!r}: invalid choice: {text!r} "
-                       f"(choose from {', '.join(flag['choices'])})")
+        raise ValueError(f"config key {key!r}: invalid choice: {text!r} "
+                         f"(choose from {', '.join(flag['choices'])})")
     return val
 
 
 def _configure(command: str, args: argparse.Namespace) -> dict:
-    """flags > config file > defaults, every value typed by its flag.
+    """flags > config file > defaults, every value typed and checked by its flag.
 
     Unknown config keys are an error, and so is a config value that no flag
     could have given: anything but a number or a string, or a null where the
@@ -159,19 +182,22 @@ def _configure(command: str, args: argparse.Namespace) -> dict:
     config = _load_config(args.config, command)
     unknown = sorted(set(config) - set(cfg))
     if unknown:
-        raise CliUsage(f"unknown config key(s): {', '.join(unknown)}")
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     for key, val in config.items():
         if isinstance(val, str):
             cfg[key] = _config_value(key, val)
         elif val is not None:
             kind = {bool: "true or false", list: "an array", dict: "an object"}[type(val)]
-            raise CliUsage(f"config key {key!r} must be a number or a string, not {kind}")
+            raise ValueError(f"config key {key!r} must be a number or a string, not {kind}")
         elif cfg[key] is not None:
-            raise CliUsage(f"config key {key!r} must not be null")
+            raise ValueError(f"config key {key!r} must not be null")
     for key in cfg:
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val
+        check = FLAGS[key].get("check")
+        if check is not None and cfg[key] is not None:
+            check(_flag(key), cfg[key])
     return cfg
 
 
@@ -183,14 +209,14 @@ def _parse_tau_values(text: str) -> list[int]:
     try:
         taus = [int(lo), int(hi)] if sep else [int(p) for p in text.split(",") if p.strip() != ""]
     except ValueError:
-        raise CliUsage(f"cannot parse tau list {text!r}") from None
+        raise ValueError(f"cannot parse tau list {text!r}") from None
     if sep:
         lo_i, hi_i = _check_delay(taus[0]), _check_delay(taus[1])
         if hi_i < lo_i:
-            raise CliUsage(f"empty tau range {text!r}")
+            raise ValueError(f"empty tau range {text!r}")
         return list(range(lo_i, hi_i + 1))
     if not taus:
-        raise CliUsage(f"tau list {text!r} names no delay")
+        raise ValueError(f"tau list {text!r} names no delay")
     return taus
 
 
@@ -198,26 +224,26 @@ def _parse_pmf(text: str) -> DelayModel:
     kind, _, rest = text.partition(":")
     build = {"uniform": pmf_uniform, "gauss": pmf_discrete_gaussian}.get(kind)
     if build is None:
-        raise CliUsage(f"pmf must look like uniform:LO,HI or gauss:MU, got {text!r}")
+        raise ValueError(f"pmf must look like uniform:LO,HI or gauss:MU, got {text!r}")
     try:
         args = [int(p) for p in rest.split(",")]
     except ValueError:
         args = []
     if len(args) != (2 if kind == "uniform" else 1):
-        raise CliUsage(f"cannot parse pmf {text!r}")
+        raise ValueError(f"cannot parse pmf {text!r}")
     # a bad delay is reported in the library's words, before any entry is built
     return build(*args)
 
 
-def _require(cfg: dict, key: str, flag: str):
+def _require(cfg: dict, key: str):
     if cfg[key] is None:
-        raise CliUsage(f"{flag} is required")
+        raise ValueError(f"{_flag(key)} is required")
     return cfg[key]
 
 
 def _delays(cfg: dict) -> list[DelayModel]:
     if (cfg["tau"] is None) == (cfg["pmf"] is None):
-        raise CliUsage("provide exactly one of --tau / --pmf")
+        raise ValueError("provide exactly one of --tau / --pmf")
     if cfg["pmf"] is not None:
         return [_parse_pmf(cfg["pmf"])]
     return [DelayModel.constant(tau) for tau in _parse_tau_values(cfg["tau"])]
@@ -226,35 +252,22 @@ def _delays(cfg: dict) -> list[DelayModel]:
 def _single_delay(cfg: dict) -> DelayModel:
     delays = _delays(cfg)
     if len(delays) != 1:
-        raise CliUsage("this command takes a single --tau value")
+        raise ValueError("this command takes a single --tau value")
     return delays[0]
-
-
-def _curvature(cfg: dict) -> float:
-    a = _require(cfg, "a", "--a")
-    _check_positive("--a", a)
-    return a
-
-
-def _check_counts(cfg: dict, *keys: str) -> None:
-    """Check the given count settings (steps, workers), naming their flags."""
-    for key in keys:
-        if cfg[key] is not None:
-            _check_count("--" + key.replace("_", "-"), cfg[key])
 
 
 def _build_problem(cfg: dict) -> QuadraticProblem:
     if (cfg["a"] is None) == (cfg["spectrum"] is None):
-        raise CliUsage("provide exactly one of --a / --spectrum")
+        raise ValueError("provide exactly one of --a / --spectrum")
     if cfg["a"] is not None:
-        return QuadraticProblem([[_curvature(cfg)]])
+        return QuadraticProblem([[cfg["a"]]])
     spectrum = cfg["spectrum"]
     try:
         vals = [float(p) for p in spectrum.split(",") if p.strip() != ""]
     except ValueError:
-        raise CliUsage(f"cannot parse spectrum {spectrum!r}") from None
+        raise ValueError(f"cannot parse spectrum {spectrum!r}") from None
     if not vals:
-        raise CliUsage("spectrum must list at least one eigenvalue")
+        raise ValueError("spectrum must list at least one eigenvalue")
     return QuadraticProblem.diagonal(vals)
 
 
@@ -328,9 +341,9 @@ def _report(verdict: SimVerdict, command: str, cfg: dict, seeds: dict,
 
 def cmd_threshold(cfg: dict, args: argparse.Namespace) -> int:
     if cfg["svg"] and not cfg["out"]:
-        raise CliUsage("--svg needs --out")
+        raise ValueError("--svg needs --out")
     variant = cfg["variant"]
-    a = _curvature(cfg)
+    a = _require(cfg, "a")
     delays = _delays(cfg)
 
     t0 = time.time()
@@ -338,19 +351,19 @@ def cmd_threshold(cfg: dict, args: argparse.Namespace) -> int:
     failed = [r for r in curve.rows if r.result is None]
     for r in failed:
         print(f"row x={r.x:g} failed: {r.error}", file=sys.stderr)
+    good = len(curve.rows) - len(failed)
 
     if cfg["out"]:
         out = Path(cfg["out"])
         curve.write_csv(out)
         outputs = [out.name]
-        if cfg["svg"]:
+        if cfg["svg"] and not good:
+            print(f"no row succeeded; {cfg['svg']} not written", file=sys.stderr)
+        elif cfg["svg"]:
             svg_path = Path(cfg["svg"])
-            rows = [
-                (r.x, r.result.eta_star if r.result else None) for r in curve.rows
-            ]
-            _write_text(svg_path, render_line_chart(
-                ["tau_or_Etau", "eta_star"], rows, title=f"stability threshold ({variant})",
-            ))
+            rows = [(r.x, r.result.eta_star if r.result else None) for r in curve.rows]
+            _write_text(svg_path, render_line_chart(["tau_or_Etau", "eta_star"], rows,
+                                                    title=f"stability threshold ({variant})"))
             outputs.append(svg_path.name)
         _write_manifest(out.with_name(out.name + ".manifest.json"),
                         "threshold", cfg, {}, outputs, t0)
@@ -361,7 +374,6 @@ def cmd_threshold(cfg: dict, args: argparse.Namespace) -> int:
                 print(f"x={r.x:g}  failed")
             else:
                 print(f"x={r.x:g}  eta_star={r.result.eta_star!r}  ({r.result.method})")
-    good = len(curve.rows) - len(failed)
     if good >= 2:
         print(f"fit: slope={curve.slope!r} intercept={curve.intercept!r} r_squared={curve.r_squared!r}")
     return 1 if failed else 0
@@ -370,8 +382,8 @@ def cmd_threshold(cfg: dict, args: argparse.Namespace) -> int:
 # -------------------------------------------------------------------- roots
 
 def cmd_roots(cfg: dict, args: argparse.Namespace) -> int:
-    a = _require(cfg, "a", "--a")
-    eta = _require(cfg, "eta", "--eta")
+    a = _require(cfg, "a")
+    eta = _require(cfg, "eta")
     delay = _single_delay(cfg)
     poly = char_poly(OptimizerSpec(cfg["variant"], eta, cfg["m"]), a, delay)
     rs = all_roots(poly)
@@ -396,10 +408,7 @@ def cmd_roots(cfg: dict, args: argparse.Namespace) -> int:
 def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
     problem = _build_problem(cfg)
     delay = _single_delay(cfg)
-    eta = _require(cfg, "eta", "--eta")
-    if eta < 0:
-        raise CliUsage("--eta must be non-negative")
-    _check_counts(cfg, "steps", "record_every")
+    eta = _require(cfg, "eta")
     t0 = time.time()
 
     # OptimizerSpec (rightly) demands eta > 0, so a zero step size is checked
@@ -438,24 +447,18 @@ def cmd_escape_curve(cfg: dict, args: argparse.Namespace) -> int:
     problem = _build_problem(cfg)
     delay = _single_delay(cfg)
     if (cfg["etas"] is None) == (cfg["eta_range"] is None):
-        raise CliUsage("provide exactly one of --etas / --eta-range")
+        raise ValueError("provide exactly one of --etas / --eta-range")
     if cfg["etas"] is not None:
-        try:
-            etas = [float(p) for p in cfg["etas"].split(",") if p.strip() != ""]
-        except ValueError:
-            raise CliUsage(f"cannot parse --etas {cfg['etas']!r}") from None
-        if not etas:
-            raise CliUsage(f"--etas {cfg['etas']!r} names no step size")
+        etas = [float(p) for p in cfg["etas"].split(",") if p.strip() != ""]
     else:
         try:
             lo_s, hi_s, n_s = cfg["eta_range"].split(":")
             lo, hi, n = float(lo_s), float(hi_s), int(n_s)
         except ValueError:
-            raise CliUsage("--eta-range must look like LO:HI:COUNT") from None
+            raise ValueError("--eta-range must look like LO:HI:COUNT") from None
         if n < 2 or hi <= lo:
-            raise CliUsage("--eta-range needs COUNT >= 2 and HI > LO")
+            raise ValueError("--eta-range needs COUNT >= 2 and HI > LO")
         etas = [lo + i * (hi - lo) / (n - 1) for i in range(n)]
-    _check_counts(cfg, "steps")
 
     t0 = time.time()
     curve = escape_time_curve(
@@ -476,10 +479,9 @@ def cmd_escape_curve(cfg: dict, args: argparse.Namespace) -> int:
 
 def cmd_ps(cfg: dict, args: argparse.Namespace) -> int:
     problem = _build_problem(cfg)
-    eta = _require(cfg, "eta", "--eta")
+    eta = _require(cfg, "eta")
     if (cfg["workers"] is None) == (cfg["pmf"] is None):
-        raise CliUsage("provide exactly one of --workers / --pmf")
-    _check_counts(cfg, "workers", "steps")
+        raise ValueError("provide exactly one of --workers / --pmf")
     seed = cfg["seed"]
     if cfg["workers"] is not None:
         scheduler = RoundRobin(cfg["workers"])
@@ -597,7 +599,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.only is not None:
         names = [n.strip() for n in args.only.split(",") if n.strip()]
         if not names:
-            raise CliUsage(f"--only {args.only!r} names no criterion")
+            raise ValueError(f"--only {args.only!r} names no criterion")
     results = run_criteria(names=names, out_dir=args.out)
     width = max(len(n) for n, _, _ in results)
     for name, ok, detail in results:
@@ -658,7 +660,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help, description=command.description)
         for key in command.defaults:
-            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, **FLAGS[key])
+            kwargs = {k: v for k, v in FLAGS[key].items() if k != "check"}
+            p.add_argument(_flag(key), dest=key, default=None, **kwargs)
         if name == "roots":
             p.add_argument("--json", action="store_true", help="print the roots as JSON")
         p.add_argument("--config", default=None, help="JSON config or manifest to replay")
@@ -683,18 +686,12 @@ def main(argv=None) -> int:
         if args.command in COMMANDS:
             return COMMANDS[args.command].handler(_configure(args.command, args), args)
         return args.func(args)
-    except CliUsage as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (NoThreshold, NoConvergence, UndecidedAtProbe) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (CliFailure, OSError) as exc:
+    except (NoThreshold, NoConvergence, UndecidedAtProbe, CliFailure, OSError) as exc:
         # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        # library-level validation; reaching here means a bad flag value
+        # a bad flag value or combination, in the flag's or the library's words
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -68,8 +68,8 @@ class QuadraticProblem:
 
     def __init__(self, hessian, components=None):
         H = np.array(hessian, dtype=float)
-        if H.ndim != 2 or H.shape[0] != H.shape[1]:
-            raise ValueError("hessian must be a square matrix")
+        if H.ndim != 2 or H.shape[0] != H.shape[1] or H.size == 0:
+            raise ValueError("hessian must be a non-empty square matrix")
         if not np.isfinite(H).all():
             raise ValueError("hessian entries must be finite")
         scale = max(1.0, float(np.abs(H).max()))
@@ -85,8 +85,9 @@ class QuadraticProblem:
 
         if components is not None:
             C = np.array(components, dtype=float)
-            if C.ndim != 3 or C.shape[1:] != H.shape:
-                raise ValueError("components must be a stack of matrices shaped like the hessian")
+            if C.ndim != 3 or C.shape[1:] != H.shape or len(C) == 0:
+                raise ValueError("components must be a non-empty stack of matrices shaped like "
+                                 "the hessian")
             if not np.isfinite(C).all():
                 raise ValueError("component entries must be finite")
             if float(np.abs(C - np.transpose(C, (0, 2, 1))).max()) > SYMMETRY_TOL * scale:

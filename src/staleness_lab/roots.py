@@ -34,15 +34,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .charpoly import Polynomial
+from .charpoly import Polynomial, _check_count
 from .errors import NoConvergence
 
 GOLDEN_ANGLE = 2.0 * math.pi * (2.0 - (1.0 + math.sqrt(5.0)) / 2.0)
 START_PHASE = 0.37
 RESIDUAL_TOL = 1e-9
 
-# Clustered roots can pin update sizes at rounding noise above tol while the
-# backward error is already at machine level; accept once residuals reach it.
+# Converged once every per-root update, relative to the root's magnitude, is
+# smaller than this.
+UPDATE_TOL = 1e-13
+
+# Clustered roots can pin update sizes at rounding noise above UPDATE_TOL
+# while the backward error is already at machine level; accept once
+# residuals reach it.
 RESIDUAL_FLOOR = 5e-14
 
 # Most complex elements in one block of pairwise differences (2 MB); a
@@ -164,7 +169,7 @@ def _assemble(z: np.ndarray, res: np.ndarray, n_zero: int, iterations: int) -> R
     )
 
 
-def _aberth(deg, members, tol, max_iter, outcomes) -> None:
+def _aberth(deg, members, max_iter, outcomes) -> None:
     """Solve same-degree polynomials together; ``members`` are ``(slot, n_zero, c)``.
 
     ``c`` is monic with a nonzero constant term.  Each result, a RootSet or
@@ -186,7 +191,7 @@ def _aberth(deg, members, tol, max_iter, outcomes) -> None:
             worst = float(np.max(row_res))
             if not converged:
                 result = NoConvergence(
-                    f"root iteration did not meet tol={tol} within {max_iter} sweeps",
+                    f"root iteration did not meet tol={UPDATE_TOL} within {max_iter} sweeps",
                     best=result,
                     iterations=iterations,
                 )
@@ -224,7 +229,7 @@ def _aberth(deg, members, tol, max_iter, outcomes) -> None:
             # The next sweep's values, and P(z) for the residuals below.
             _horner(cols, z, p, dp)
             upd = np.max(np.abs(w) / np.abs(z), axis=1)
-            small = ~restart & (upd < tol)
+            small = ~restart & (upd < UPDATE_TOL)
             # Ill-conditioned clusters jitter forever at the conditioning
             # noise floor; once backward error is at machine level there is
             # nothing left to converge.  Checked on a stride to stay cheap.
@@ -241,19 +246,17 @@ def _aberth(deg, members, tol, max_iter, outcomes) -> None:
     settle(np.arange(len(live)), res, max_iter, False)
 
 
-def all_roots_many(
-    polys: Sequence[Polynomial],
-    tol: float = 1e-13,
-    max_iter: int = 500,
-) -> list[RootSet]:
+def all_roots_many(polys: Sequence[Polynomial], max_iter: int = 500) -> list[RootSet]:
     """Find every root of each polynomial in ``polys``, batching same-shape ones.
 
-    Returns ``[all_roots(p, tol, max_iter) for p in polys]``, bit for bit, and
+    Returns ``[all_roots(p, max_iter) for p in polys]``, bit for bit, and
     raises what that loop would raise first: the ValueError or NoConvergence
     of the first failing polynomial in input order.  A polynomial of degree
     0, or with a nonzero coefficient below ``np.finfo(float).tiny`` once
-    divided by the leading one, fails with a ValueError.
+    divided by the leading one, fails with a ValueError.  ``max_iter`` is a
+    count (``charpoly._check_count``), checked before any polynomial.
     """
+    max_iter = _check_count("max_iter", max_iter)
     outcomes: list = [None] * len(polys)
     groups: dict = {}
     for slot, p in enumerate(polys):
@@ -277,34 +280,28 @@ def all_roots_many(
             continue
         groups.setdefault(deg, []).append((slot, n_zero, c))
     for deg, members in groups.items():
-        _aberth(deg, members, tol, max_iter, outcomes)
+        _aberth(deg, members, max_iter, outcomes)
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
     return outcomes
 
 
-def all_roots(
-    p: Polynomial,
-    tol: float = 1e-13,
-    max_iter: int = 500,
-) -> RootSet:
+def all_roots(p: Polynomial, max_iter: int = 500) -> RootSet:
     """Find every root of ``p``.
 
     Parameters
     ----------
     p : Polynomial
         Degree >= 1.
-    tol : float
-        Converged once every per-root update, relative to the root's
-        magnitude, is smaller than this.
     max_iter : int
-        Iteration cap; exceeding it raises NoConvergence carrying the best
-        iterate so far.
+        Iteration cap, an integer >= 1; exceeding it raises NoConvergence
+        carrying the best iterate so far.  A root has converged once its
+        update, relative to its magnitude, is below ``UPDATE_TOL``.
 
     Returns
     -------
     RootSet
         Exactly ``p.degree`` roots, every scaled residual <= 1e-9.
     """
-    return all_roots_many([p], tol, max_iter)[0]
+    return all_roots_many([p], max_iter)[0]

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from staleness_lab.acceptance import run_criteria
-from staleness_lab.cli import main
+from staleness_lab.cli import COMMANDS, FLAGS, main
 from staleness_lab.stability import analytic_threshold_plain
 
 
@@ -47,6 +47,18 @@ class TestThreshold:
         assert rc == 0
         assert out_svg.read_text().startswith("<svg")
 
+    def test_svg_of_a_sweep_with_no_threshold_is_skipped(self, capsys, tmp_path,
+                                                         no_threshold_at_tau_zero):
+        # exit 1 with the CSV and its manifest, as without --svg
+        out_csv, out_svg = tmp_path / "c.csv", tmp_path / "c.svg"
+        rc, out, err = run_cli(capsys, "threshold", "--a", "1", "--tau", "0",
+                               "--out", str(out_csv), "--svg", str(out_svg))
+        assert rc == 1 and out == f"wrote 1 rows to {out_csv}\n"
+        assert err.endswith(f"\nno row succeeded; {out_svg} not written\n")
+        assert out_csv.exists() and not out_svg.exists()
+        manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
+        assert manifest["outputs"] == ["c.csv"]
+
     def test_failed_row_exits_one_with_diagnostic(self, capsys, no_threshold_at_tau_zero):
         rc, out, err = run_cli(capsys, "threshold", "--a", "1.0", "--variant",
                                "shifted", "--m", "0.9", "--tau", "0,4")
@@ -81,7 +93,7 @@ class TestThreshold:
     def test_non_finite_rel_tol_is_usage_error(self, capsys):
         rc, out, err = run_cli(capsys, "threshold", "--a", "1", "--tau", "3", "--rel-tol", "nan")
         assert rc == 2
-        assert out == "" and "rel_tol" in err
+        assert out == "" and "--rel-tol" in err
 
     def test_unwritable_out_path_is_a_one_line_error(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "threshold", "--a", "1", "--tau", "0..2",
@@ -677,6 +689,12 @@ ERRORS = {
                          "0.1:0.2:1"], 2, "usage error: --eta-range needs COUNT >= 2 and HI > LO"),
     "eta-negative": (["simulate", "--a", "1", "--eta", "-0.1", "--tau", "2"], 2,
                      "usage error: --eta must be non-negative"),
+    "eta-nan": (["simulate", "--a", "1", "--eta", "nan", "--tau", "2"], 2,
+                "usage error: --eta must be finite, got nan"),
+    "etas-inf": (["escape-curve", "--a", "1", "--tau", "2", "--etas", "0.1,inf"], 2,
+                 "usage error: --etas must be finite, got inf"),
+    "coefficient-overflow": (["roots", "--a", "1e200", "--eta", "1e200", "--tau", "1"], 2,
+                             "usage error: coefficient 0 is not finite (inf)"),
     "plot-missing": (["plot", "{tmp}/missing.csv", "{tmp}/o.svg"], 1,
                      "error: cannot read {tmp}/missing.csv: [Errno 2] "
                      "No such file or directory: '{tmp}/missing.csv'"),
@@ -693,3 +711,42 @@ def test_error_exit_code_and_message(capsys, tmp_path, argv, code, message):
     rc, out, err = run_cli(capsys, *[arg.replace("{tmp}", str(tmp_path)) for arg in argv])
     assert (rc, out, err) == (code, "", message.replace("{tmp}", str(tmp_path)) + "\n")
     assert not (tmp_path / "o.svg").exists()
+
+
+# A valid run of each config-driven command, flag name (config key) -> flag text.
+VALID_RUNS = {
+    "threshold": {"a": "1", "tau": "2"},
+    "roots": {"a": "1", "eta": "0.1", "tau": "2"},
+    "simulate": {"a": "1", "eta": "0.1", "tau": "2"},
+    "escape-curve": {"a": "1", "tau": "2", "etas": "0.1"},
+    "ps": {"workers": "2", "a": "1", "eta": "0.1"},
+}
+# Every flag with a rule, for every command that takes it.
+CHECKED_FLAGS = [(command, key) for command in COMMANDS for key in COMMANDS[command].defaults
+                 if "check" in FLAGS[key]]
+
+
+def test_every_command_has_a_valid_run():
+    assert set(VALID_RUNS) == set(COMMANDS)
+    assert {key for _, key in CHECKED_FLAGS} >= {
+        "a", "eta", "etas", "m", "rel_tol", "steps", "record_every", "workers"}
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command, key", CHECKED_FLAGS,
+                         ids=[f"{command}-{key}" for command, key in CHECKED_FLAGS])
+def test_bad_value_is_named_by_its_flag(capsys, tmp_path, command, key, via):
+    # -1 breaks every rule: no curvature, step size, tolerance, count or momentum is negative
+    flag = "--" + key.replace("_", "-")
+    argv = [command]
+    for other, text in VALID_RUNS[command].items():
+        if other != key:
+            argv += ["--" + other.replace("_", "-"), text]
+    if via == "flag":
+        argv += [flag, "-1"]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({key: -1}))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"usage error: {flag} ") and err.count("\n") == 1

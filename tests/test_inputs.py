@@ -2,12 +2,13 @@
 
 Step sizes and curvatures are positive and finite, momenta lie in [0, 1),
 every delay, constant or in a pmf's support, is an integer in [0, MAX_TAU],
-and every count (steps, workers, dimensions) is an integer >= 1; numpy
-integers count as integers, bools do not.  Each rejected input raises
-ValueError at once, never a NaN, a truncated delay, an AttributeError or an
-allocation sized by the bad value.
+and every count (steps, workers, dimensions, root sweeps) is an integer
+>= 1; numpy integers count as integers, bools do not.  Each rejected input
+raises ValueError at once, never a NaN, a truncated delay, an AttributeError
+or an allocation sized by the bad value.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from staleness_lab.charpoly import (
     MAX_TAU,
     DelayModel,
     OptimizerSpec,
+    Polynomial,
     char_poly,
     char_poly_momentum,
     char_poly_plain,
@@ -35,6 +37,7 @@ from staleness_lab.dynamics import (
     simulate_sgd,
 )
 from staleness_lab.pssim import RoundRobin, SampledDelay, ps_empirical_threshold, run_ps
+from staleness_lab.roots import all_roots, all_roots_many
 from staleness_lab.stability import (
     analytic_threshold_plain,
     dampened_lr,
@@ -48,6 +51,7 @@ from staleness_lab.stability import (
 PROBLEM = QuadraticProblem([[1.0]])
 PMF = pmf_uniform(1, 3)
 OPT = OptimizerSpec("plain", 0.1)
+QUADRATIC = Polynomial((2.0, -3.0, 1.0))  # (z - 1)(z - 2), solved in 4 sweeps
 
 # Entry point -> call with the checked argument replaced by x.
 POSITIVE = {
@@ -121,6 +125,9 @@ COUNT = {
     "power_iteration d": lambda x: power_iteration(lambda v: v, x),
     "power_iteration max_iter": lambda x: power_iteration(lambda v: v, 2, max_iter=x),
     "RoundRobin n_workers": lambda x: RoundRobin(x),
+    "all_roots max_iter": lambda x: all_roots(QUADRATIC, max_iter=x),
+    # checked before any polynomial, so even with none
+    "all_roots_many max_iter": lambda x: all_roots_many([], max_iter=x),
 }
 BAD_COUNT = {"2.5": 2.5, "3.0": 3.0, "True": True, "nan": math.nan, "inf": math.inf,
              "0": 0, "negative": -1, "text": "3"}
@@ -220,6 +227,40 @@ def test_rejected_verdict_lines_raise_before_any_run(no_run, call, lines):
         call(*lines)
 
 
+# Library values refused outright, with the words their ValueError must hold.
+REFUSED = {
+    "Polynomial inf": (lambda: Polynomial((1.0, math.inf)), r"coefficient 1 is not finite \(inf\)"),
+    "Polynomial -inf": (lambda: Polynomial((-math.inf, 0.0, 1.0)),
+                        r"coefficient 0 is not finite \(-inf\)"),
+    "Polynomial nan": (lambda: Polynomial((math.nan, 1.0)), r"coefficient 0 is not finite \(nan\)"),
+    "QuadraticProblem.diagonal empty": (lambda: QuadraticProblem.diagonal([]),
+                                        "hessian must be a non-empty square matrix"),
+    "QuadraticProblem 0x0": (lambda: QuadraticProblem(np.zeros((0, 0))),
+                             "hessian must be a non-empty square matrix"),
+    "QuadraticProblem no components": (lambda: QuadraticProblem([[1.0]], np.zeros((0, 1, 1))),
+                                       "components must be a non-empty stack"),
+    "DelayModel zero in a pmf": (lambda: DelayModel((0, 1), (0.5, 0.5)),
+                                 "pmf delays must be positive integers"),
+}
+
+
+@pytest.mark.parametrize("call, words", REFUSED.values(), ids=REFUSED.keys())
+def test_refused_value_raises_value_error_saying_why(call, words):
+    with pytest.raises(ValueError, match=words):
+        call()
+
+
+def test_a_zero_delay_is_only_the_constant_model():
+    # one rule for every constructor: a point mass at 0 is the constant delay 0
+    assert DelayModel.pmf({0: 1.0}) == DelayModel((0,), (1.0,)) == DelayModel.constant(0)
+
+
+def test_root_solver_takes_no_tolerance():
+    # its convergence rule is roots.UPDATE_TOL, so no NaN or negative one can be passed
+    assert list(inspect.signature(all_roots).parameters) == ["p", "max_iter"]
+    assert list(inspect.signature(all_roots_many).parameters) == ["polys", "max_iter"]
+
+
 def test_worker_count_induces_a_delay_within_max_tau():
     assert RoundRobin(MAX_TAU + 1).max_delay == MAX_TAU
     with pytest.raises(ValueError, match=rf"n_workers - 1 must be in \[0, {MAX_TAU}\]"):
@@ -282,6 +323,8 @@ COUNT_RESULTS = {
     "power_iteration max_iter": lambda n: power_iteration(lambda v: 2.0 * v, 3, max_iter=n,
                                                           seed=0),
     "RoundRobin n_workers": lambda n: run_ps(PROBLEM, RoundRobin(n), OPT, 60).norms,
+    "all_roots max_iter": lambda n: all_roots(QUADRATIC, max_iter=n),
+    "all_roots_many max_iter": lambda n: all_roots_many([QUADRATIC], max_iter=n),
 }
 
 
