@@ -73,7 +73,7 @@ def _check_step_size(flag: str, eta: float) -> None:
         raise ValueError(f"{flag} must be finite, got {eta!r}")
 
 
-def _check_step_sizes(flag: str, text: str) -> None:
+def _step_sizes(flag: str, text: str) -> list[float]:
     """Comma-separated step sizes, each checked as ``--eta`` is."""
     try:
         etas = [float(p) for p in text.split(",") if p.strip() != ""]
@@ -83,10 +83,28 @@ def _check_step_sizes(flag: str, text: str) -> None:
         raise ValueError(f"{flag} {text!r} names no step size")
     for eta in etas:
         _check_step_size(flag, eta)
+    return etas
+
+
+def _step_size_range(flag: str, text: str) -> list[float]:
+    """``COUNT`` evenly spaced step sizes from ``LO`` to ``HI``, written
+    ``LO:HI:COUNT``; both ends are checked as ``--eta`` is."""
+    try:
+        lo_s, hi_s, n_s = text.split(":")
+        lo, hi, n = float(lo_s), float(hi_s), int(n_s)
+    except ValueError:
+        raise ValueError(f"{flag} must look like LO:HI:COUNT") from None
+    _check_step_size(flag, lo)
+    _check_step_size(flag, hi)
+    if n < 2 or hi <= lo:
+        raise ValueError(f"{flag} needs COUNT >= 2 and HI > LO")
+    return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
 
 
 # Every flag of the config-driven commands, with its argparse keywords and its
-# value's rule, if any: ``check(flag, value)`` raises ValueError naming the flag.
+# value's rule, if any: ``check(flag, value)`` raises ValueError naming the
+# flag.  The step-size lists' checks return the list they parsed, so
+# ``escape-curve`` reads its step sizes with the function that checked them.
 # The config key is the flag's name with underscores for dashes.
 FLAGS = {
     "workers": dict(type=int, check=_check_count, help="round-robin worker count"),
@@ -98,8 +116,8 @@ FLAGS = {
     "a": dict(type=float, check=_check_positive, help="curvature (sharpness)"),
     "spectrum": dict(help="comma-separated eigenvalues"),
     "eta": dict(type=float, check=_check_step_size, help="step size"),
-    "etas": dict(check=_check_step_sizes, help="comma-separated step sizes (ascending)"),
-    "eta_range": dict(help="LO:HI:COUNT"),
+    "etas": dict(check=_step_sizes, help="comma-separated step sizes (ascending)"),
+    "eta_range": dict(check=_step_size_range, help="LO:HI:COUNT"),
     "rel_tol": dict(type=float, check=_check_positive,
                     help="bracket width relative to its midpoint"),
     "steps": dict(type=int, check=_check_count, help="step budget"),
@@ -449,16 +467,9 @@ def cmd_escape_curve(cfg: dict, args: argparse.Namespace) -> int:
     if (cfg["etas"] is None) == (cfg["eta_range"] is None):
         raise ValueError("provide exactly one of --etas / --eta-range")
     if cfg["etas"] is not None:
-        etas = [float(p) for p in cfg["etas"].split(",") if p.strip() != ""]
+        etas = _step_sizes("--etas", cfg["etas"])
     else:
-        try:
-            lo_s, hi_s, n_s = cfg["eta_range"].split(":")
-            lo, hi, n = float(lo_s), float(hi_s), int(n_s)
-        except ValueError:
-            raise ValueError("--eta-range must look like LO:HI:COUNT") from None
-        if n < 2 or hi <= lo:
-            raise ValueError("--eta-range needs COUNT >= 2 and HI > LO")
-        etas = [lo + i * (hi - lo) / (n - 1) for i in range(n)]
+        etas = _step_size_range("--eta-range", cfg["eta_range"])
 
     t0 = time.time()
     curve = escape_time_curve(

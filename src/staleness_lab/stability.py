@@ -15,15 +15,24 @@ D-decomposition).  The closed form is this crossing for the plain variant,
 at ``theta = pi / (2 tau + 1)``.  For everything else (momentum variants,
 random delays) :func:`numeric_threshold` finds the crossing numerically and
 certifies the resulting step-size bracket with the argument principle; it
-never solves for roots.  :func:`threshold_curve` runs a sweep's searches as
-one batch: the crossing brackets of all its delays are bisected together,
-in blocks of at most ``BRACKET_BLOCK`` brackets, so a bisection step costs
-one round of numpy calls for the whole sweep.  Each row equals the search
-of its delay alone, bit for bit.
+never solves for roots.
+
+Every ``A`` here is ``(z - 1) C`` with ``|C| >= 1 - m`` on the unit circle,
+and ``|B| <= 1 - m`` there, so a crossing at angle theta has ``k >= 2
+sin(theta / 2)``.  The search bisects the lowest-angle sign change of ``Im
+(-A conj(B))`` first, drops every other one whose lower angle puts that
+bound above the best ``k`` so far, and bisects only those left; each
+evaluation covers up to six bisection levels of every bracket it carries.
+:func:`threshold_curve` runs a sweep's searches as one batch: the crossing
+brackets of all its delays are bisected together, in blocks of at most
+``BRACKET_BLOCK`` brackets, so a bisection round costs one round of numpy
+calls for the whole sweep.  Each row equals the search of its delay alone,
+bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,9 +52,15 @@ MAX_REFINE = 32
 NEAR_ZERO_STEPS = 20
 # Above this many terms a polynomial is evaluated by Horner's rule.
 DENSE_TERMS = 8
-# Most crossing brackets one batched bisection carries.  A block's
-# exponential tables (terms x brackets, under 1 MB) stay in cache.
+# Most crossing brackets one batched bisection carries, and most angles
+# one of its evaluations takes.  A block's exponential tables (terms x
+# angles, under 1 MB) stay in cache.
 BRACKET_BLOCK = 1 << 12
+# Bisection levels one evaluation covers: the 2^6 - 1 = 63 midpoints of a
+# bracket's next six levels.
+TREE_LEVELS = 6
+# Relative slack on the bound k >= 2 sin(theta / 2) when brackets are cut.
+CUT_SLACK = 1e-9
 
 METHOD_BISECTION = "bisection"
 METHOD_SIMULATION = "simulation"
@@ -187,9 +202,6 @@ class _CirclePoly:
     (:meth:`stacked`) evaluates each angle with its own polynomial.
     """
 
-    # for a stack: the polynomial of each angle, a column of ``dense``
-    owner = None
-
     def __init__(self, terms, radius: float = 1.0):
         acc = {e: c for e, c in _sum_by_exponent(terms).items() if c != 0.0}
         self.exps = np.array(list(acc), dtype=np.int64)
@@ -205,9 +217,10 @@ class _CirclePoly:
         self.scaled = np.array(scaled, dtype=float)[:, None]
 
     @classmethod
-    def stacked(cls, polys, owner: np.ndarray) -> "_CirclePoly":
+    def stacked(cls, polys) -> "_CirclePoly":
         """Unit-circle polynomials of one kind, all sparse or all dense, as
-        one: a call evaluates angle ``i`` with ``polys[owner[i]]``.
+        one: a call with ``owner`` evaluates angle ``i`` with
+        ``polys[owner[i]]``.
 
         Padding moves no bisection step.  A sparse polynomial's missing rows
         are exact zeros added last, which at most turn a sum of -0.0 into
@@ -219,22 +232,22 @@ class _CirclePoly:
         stack.radius = 1.0
         if polys[0].dense is None:
             stack.dense = None
-            stack.jexps = _pad([p.jexps[:, 0] for p in polys], complex)[:, owner]
-            stack.scaled = _pad([p.scaled[:, 0] for p in polys], float)[:, owner]
+            stack.jexps = _pad([p.jexps[:, 0] for p in polys], complex)
+            stack.scaled = _pad([p.scaled[:, 0] for p in polys], float)
         else:
             # a (coefficients x polynomials) table, gathered per coefficient
             # at each call: never one coefficient per angle
             stack.dense = _pad([p.dense for p in polys], float)
-            stack.owner = owner
         return stack
 
-    def __call__(self, theta: np.ndarray) -> np.ndarray:
+    def __call__(self, theta: np.ndarray, owner: np.ndarray | None = None) -> np.ndarray:
         if self.dense is None:
-            return _add_rows(self.scaled * np.exp(self.jexps * theta))
+            table = _gather(self.scaled, owner) * np.exp(_gather(self.jexps, owner) * theta)
+            return _add_rows(table)
         z = self.radius * np.exp(1j * theta)
         coefs = iter(self.dense[::-1])
-        if self.owner is not None:
-            coefs = (c[self.owner] for c in coefs)
+        if owner is not None:
+            coefs = (c[owner] for c in coefs)
         out = np.empty(theta.shape, complex)
         out[...] = next(coefs)
         # the product goes to its own buffer: numpy rounds a one-element
@@ -252,6 +265,11 @@ def _pad(columns, dtype) -> np.ndarray:
     for j, c in enumerate(columns):
         table[:len(c), j] = c
     return table
+
+
+def _gather(table: np.ndarray, owner: np.ndarray | None) -> np.ndarray:
+    """A stack's (terms x polynomials) ``table`` as one column per angle."""
+    return table if owner is None else table[:, owner]
 
 
 def _add_rows(table: np.ndarray) -> np.ndarray:
@@ -273,12 +291,12 @@ class _Split:
                    _CirclePoly((e, per_k) for e, _, per_k in self.terms))
 
     @classmethod
-    def stacked(cls, splits, owner: np.ndarray) -> "_Split":
-        """Splits of one kind (:attr:`kind`) as one: :meth:`w` evaluates
-        angle ``i`` with ``splits[owner[i]]``."""
+    def stacked(cls, splits) -> "_Split":
+        """Splits of one kind (:attr:`kind`) as one: :meth:`w` with
+        ``owner`` evaluates angle ``i`` with ``splits[owner[i]]``."""
         stack = cls.__new__(cls)
-        stack._join(_CirclePoly.stacked([s.a for s in splits], owner),
-                    _CirclePoly.stacked([s.b for s in splits], owner))
+        stack._join(_CirclePoly.stacked([s.a for s in splits]),
+                    _CirclePoly.stacked([s.b for s in splits]))
         return stack
 
     def _join(self, a: _CirclePoly, b: _CirclePoly) -> None:
@@ -290,17 +308,18 @@ class _Split:
             self.jexps = np.concatenate([a.jexps, b.jexps])
             self.scaled = np.concatenate([a.scaled, b.scaled])
 
-    def w(self, theta: np.ndarray) -> np.ndarray:
+    def w(self, theta: np.ndarray, owner: np.ndarray | None = None) -> np.ndarray:
         """``-A conj(B)`` at the angles ``theta``, real and positive where a
-        root of ``A + k B`` sits on the circle for ``k = Re w / |B|^2``.
+        root of ``A + k B`` sits on the circle for ``k = Re w / |B|^2``;
+        ``owner`` names each angle's split in a stack.
 
         Two sparse polynomials share one exponential table; each adds up its
         own rows in order, so the values are those of ``self.a`` and
         ``self.b`` called apart.
         """
         if not self.sparse:
-            return -self.a(theta) * np.conj(self.b(theta))
-        table = self.scaled * np.exp(self.jexps * theta)
+            return -self.a(theta, owner) * np.conj(self.b(theta, owner))
+        table = _gather(self.scaled, owner) * np.exp(_gather(self.jexps, owner) * theta)
         n_a = len(self.a.jexps)
         return -_add_rows(table[:n_a]) * np.conj(_add_rows(table[n_a:]))
 
@@ -367,23 +386,65 @@ def _bisect_brackets(splits: list[_Split], scans: list) -> list[np.ndarray]:
     """Bisect the brackets of several searches of one kind to float
     resolution, together; the lower ends, one array per search.
 
-    Each step costs one round of numpy calls for all searches, and moves
-    every bracket as its search alone would.  The steps are elementwise,
-    and an exhausted bracket is a fixed point: its midpoint is one of its
-    ends, whose sign test comes out as it did when that end was set, so
-    neither end moves while other brackets narrow.
+    Each round takes the ``2^L - 1`` midpoints of the next ``L =
+    TREE_LEVELS`` levels of every active bracket's bisection tree (fewer
+    levels when that many angles would pass ``BRACKET_BLOCK``), evaluates
+    them in one :meth:`_Split.w` call, and walks each tree down to the leaf
+    a one-step bisection reaches.  A node's midpoint is ``0.5 * (lo + hi)``
+    of its own bracket, as the one-step loop forms it, so a round moves
+    every bracket exactly as ``L`` one-step bisections would, and as its
+    search alone would.  A bracket whose midpoint is one of its ends is
+    exhausted and leaves the active set.  It is a fixed point: the sign
+    test at that end comes out as it did when the end was set, so the
+    levels a walk takes after its bracket is exhausted move it no more.
     """
     counts = [len(lo) for lo, _, _ in scans]
     lo, hi, lo_pos = (np.concatenate(parts) for parts in zip(*scans))
-    split = (splits[0] if len(splits) == 1 else
-             _Split.stacked(splits, np.repeat(np.arange(len(splits)), counts)))
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not ((mid > lo) & (mid < hi)).any():
-            break
-        same = (split.w(mid).imag > 0.0) == lo_pos
-        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    split, owner = splits[0], None
+    if len(splits) > 1:
+        split = _Split.stacked(splits)
+        owner = np.repeat(np.arange(len(splits)), counts)
+    active = np.arange(lo.size)
+    while active.size:
+        n = active.size
+        levels = max(1, min(TREE_LEVELS, (BRACKET_BLOCK // n + 1).bit_length() - 1))
+        width = 1 << levels
+        # a column per bracket: its ends, and between them the midpoints of
+        # its next levels in ascending order; a level's nodes span every
+        # ``step``-th point, and their midpoints fill the points halfway
+        fence = np.empty((width + 1, n))
+        fence[0], fence[-1] = lo[active], hi[active]
+        step = width
+        while step > 1:
+            fence[step // 2::step] = 0.5 * (fence[:-1:step] + fence[step::step])
+            step //= 2
+        w = split.w(fence[1:-1].ravel(),
+                    None if owner is None else np.tile(owner[active], width - 1))
+        # the walk goes up wherever Im w has the sign of the lower end
+        up = (w.imag > 0.0).reshape(width - 1, n) == lo_pos[active]
+        tests, ups = _walks(levels)
+        leaf = (up[tests] == ups[:, :, None]).all(axis=1).argmax(axis=0)
+        cols = np.arange(n)
+        a_lo, a_hi = fence[leaf, cols], fence[leaf + 1, cols]
+        lo[active], hi[active] = a_lo, a_hi
+        mid = 0.5 * (a_lo + a_hi)
+        active = active[(mid > a_lo) & (mid < a_hi)]
     return np.split(lo, np.cumsum(counts)[:-1])
+
+
+@functools.cache
+def _walks(levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The walk to each leaf of a bisection tree ``levels`` deep, as one row
+    per leaf: the midpoint it tests at each level (an index into the tree's
+    ``2^levels - 1`` midpoints in ascending order) and whether it must go
+    up there.  Exactly one row's answers match any signs at the midpoints,
+    the leaf a one-step bisection reaches.
+    """
+    width = 1 << levels
+    leaf = np.arange(width)[:, None]
+    step = width >> np.arange(levels)
+    test = leaf // step * step + step // 2
+    return test - 1, test <= leaf
 
 
 def _pick(split: _Split, lo: np.ndarray) -> tuple[float, float] | NoThreshold:
@@ -404,9 +465,22 @@ def _crossings(splits: list[_Split]) -> list[tuple[float, float] | NoThreshold]:
     """:func:`boundary_crossing` for several splits, in order; a split with
     no crossing gives its NoThreshold in place.
 
-    Splits of one kind (sparse or dense ``A`` and ``B``) share bisections,
-    in blocks of whole searches holding at most ``BRACKET_BLOCK`` brackets;
-    a search with more brackets than that is bisected alone.
+    Every ``A`` here is ``(z - 1) C`` with ``|C| >= 1 - m`` on the unit
+    circle, and ``|B| <= 1 - m`` there (``C = z^K`` plain, ``z^(K-1) (z - m)``
+    momentum, or ``z - m`` at tau 0, ``z^(K+1) - m`` shifted), so a crossing
+    at angle theta has ``k >= |e^(i theta) - 1| = 2 sin(theta / 2)``.  Each
+    search first bisects only its lowest-angle bracket and picks ``k_c``
+    over it and ``theta = pi``; a bracket whose lower angle has ``2
+    sin(theta_lo / 2) > k_c (1 + CUT_SLACK)`` cannot hold a smaller ``k``
+    and is dropped.  Only the brackets left are bisected, and the pick is
+    made again over them and the first, so it equals the pick over every
+    bracket.  A search with at most one bracket, or none left after the
+    cut, evaluates ``w`` for its pick once.
+
+    Splits of one kind (sparse or dense ``A`` and ``B``) share both rounds
+    of bisection, in blocks of whole searches holding at most
+    ``BRACKET_BLOCK`` brackets in their scans; a search with more brackets
+    than that is bisected alone.
     """
     found = [None] * len(splits)
     kinds: dict[tuple[bool, bool], list[int]] = {}
@@ -415,9 +489,20 @@ def _crossings(splits: list[_Split]) -> list[tuple[float, float] | NoThreshold]:
 
     def flush(block):
         members = [splits[i] for i, _ in block]
-        lows = _bisect_brackets(members, [scan for _, scan in block])
-        for (i, _), split, lo in zip(block, members, lows):
-            found[i] = _pick(split, lo)
+        firsts = _bisect_brackets(members, [tuple(part[:1] for part in scan)
+                                            for _, scan in block])
+        left = []
+        for (i, scan), split, first in zip(block, members, firsts):
+            found[i] = _pick(split, first)
+            k_c = math.inf if isinstance(found[i], NoThreshold) else found[i][0]
+            keep = 2.0 * np.sin(0.5 * scan[0][1:]) <= k_c * (1.0 + CUT_SLACK)
+            if keep.any():
+                left.append((i, first, tuple(part[1:][keep] for part in scan)))
+        if left:
+            members = [splits[i] for i, _, _ in left]
+            lows = _bisect_brackets(members, [rest for _, _, rest in left])
+            for (i, first, _), split, lo in zip(left, members, lows):
+                found[i] = _pick(split, np.concatenate([first, lo]))
 
     for indices in kinds.values():
         block, size = [], 0
@@ -437,13 +522,16 @@ def boundary_crossing(variant: str, m: float, delay: DelayModel) -> tuple[float,
 
     A root sits at ``z = e^(i theta)`` exactly when ``k = -A/B`` there, so
     the crossings are the angles where ``w = -A conj(B)`` is real and
-    positive: every sign change of ``Im w`` on a grid over ``(0, pi]``
-    (:func:`_scan`) is bisected to machine precision, and ``theta = pi``
-    (where ``A`` and ``B`` are real) is always a candidate.  Returns the
-    smallest positive ``k`` and its angle; whether that really is the
-    stability boundary is left to the winding-number certificate in
-    :func:`numeric_threshold`.  This is the one-delay case of the batched
-    crossing (:func:`_crossings`) that a :func:`threshold_curve` sweep makes.
+    positive: the sign changes of ``Im w`` on a grid over ``(0, pi]``
+    (:func:`_scan`) are bisected to machine precision, and ``theta = pi``
+    (where ``A`` and ``B`` are real) is always a candidate.  Only the sign
+    changes that the bound ``k >= 2 sin(theta / 2)`` leaves able to hold the
+    smallest ``k`` are bisected, and the answer is the pick over all of
+    them, bit for bit.  Returns the smallest positive ``k`` and its angle;
+    whether that really is the stability boundary is left to the
+    winding-number certificate in :func:`numeric_threshold`.  This is the
+    one-delay case of the batched crossing (:func:`_crossings`) that a
+    :func:`threshold_curve` sweep makes.
     """
     found, = _crossings([_Split(variant, m, as_delay(delay))])
     if isinstance(found, NoThreshold):

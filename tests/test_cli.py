@@ -687,6 +687,12 @@ ERRORS = {
                         "usage error: --eta-range must look like LO:HI:COUNT"),
     "eta-range-count": (["escape-curve", "--a", "1", "--tau", "2", "--eta-range",
                          "0.1:0.2:1"], 2, "usage error: --eta-range needs COUNT >= 2 and HI > LO"),
+    "eta-range-negative": (["escape-curve", "--a", "1", "--tau", "2", "--eta-range=-0.1:0.2:3"], 2,
+                           "usage error: --eta-range must be non-negative"),
+    "eta-range-nan": (["escape-curve", "--a", "1", "--tau", "2", "--eta-range=0.1:nan:3"], 2,
+                      "usage error: --eta-range must be finite, got nan"),
+    "eta-range-inf": (["escape-curve", "--a", "1", "--tau", "2", "--eta-range=0.1:inf:3"], 2,
+                      "usage error: --eta-range must be finite, got inf"),
     "eta-negative": (["simulate", "--a", "1", "--eta", "-0.1", "--tau", "2"], 2,
                      "usage error: --eta must be non-negative"),
     "eta-nan": (["simulate", "--a", "1", "--eta", "nan", "--tau", "2"], 2,

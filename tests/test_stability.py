@@ -258,6 +258,103 @@ class TestBoundaryCrossing:
         assert rho(lo * (1 - 1e-4)) < 1.0 < rho(hi * (1 + 1e-4))
 
 
+def _one_step_crossing(variant, m, delay):
+    """The crossing with no cut and no tree: every bracket of the scan
+    bisected one level per evaluation of ``w`` until none can narrow, then
+    the pick over all of them."""
+    split = stability._Split(variant, m, delay)
+    lo, hi, lo_pos = stability._scan(split)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not ((mid > lo) & (mid < hi)).any():
+            break
+        same = (split.w(mid).imag > 0.0) == lo_pos
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return stability._pick(split, lo)
+
+
+# (variant, m, delay): many brackets each, and one whose cut keeps some
+_REFERENCE_CASES = [
+    ("plain", 0.0, DelayModel.constant(300)),
+    ("plain", 0.0, DelayModel.constant(1000)),
+    ("plain", 0.0, pmf_uniform(1, 200)),
+    ("plain", 0.0, pmf_discrete_gaussian(40)),
+    ("momentum", 0.99, DelayModel.constant(64)),
+    ("shifted", 0.9, DelayModel.constant(64)),
+    ("plain", 0.0, DelayModel((2, 39), (0.8, 0.2))),
+]
+
+
+@pytest.fixture
+def bisected(monkeypatch):
+    """How many brackets each ``_bisect_brackets`` call carries, in order."""
+    counts = []
+    bisect = stability._bisect_brackets
+
+    def counting(splits, scans):
+        counts.append(sum(len(lo) for lo, _, _ in scans))
+        return bisect(splits, scans)
+
+    monkeypatch.setattr(stability, "_bisect_brackets", counting)
+    return counts
+
+
+@pytest.fixture
+def w_calls(monkeypatch):
+    """How many angles each ``_Split.w`` call evaluates, in order."""
+    sizes = []
+    w = stability._Split.w
+
+    def counting(self, theta, owner=None):
+        sizes.append(theta.size)
+        return w(self, theta, owner)
+
+    monkeypatch.setattr(stability._Split, "w", counting)
+    return sizes
+
+
+class TestCrossingCut:
+    """Only the brackets that can hold the smallest ``k`` are bisected, six
+    levels per evaluation; the crossing is the one-step search's over every
+    bracket, bit for bit."""
+
+    @pytest.mark.parametrize("variant,m,delay", _REFERENCE_CASES)
+    def test_crossing_equals_bisecting_every_bracket_one_step_at_a_time(self, variant, m, delay):
+        want = _one_step_crossing(variant, m, delay)
+        assert stability.boundary_crossing(variant, m, delay) == want
+
+    @pytest.mark.parametrize("variant,m,delay", _REFERENCE_CASES)
+    def test_brackets_left_after_the_cut_are_bisected_and_picked_again(
+            self, monkeypatch, bisected, variant, m, delay):
+        # an unbounded slack puts the cut at inf, as a first bracket with no
+        # positive k does, so every other bracket survives it
+        monkeypatch.setattr(stability, "CUT_SLACK", math.inf)
+        n = len(stability._scan(stability._Split(variant, m, delay))[0])
+        want = _one_step_crossing(variant, m, delay)
+        assert stability.boundary_crossing(variant, m, delay) == want
+        assert bisected == [1, n - 1]
+
+    def test_the_cut_keeps_a_bracket_that_can_hold_the_edge(self, bisected):
+        stability.boundary_crossing("plain", 0.0, DelayModel((2, 39), (0.8, 0.2)))
+        assert len(bisected) == 2 and bisected[0] == 1 and bisected[1] >= 1
+
+    @pytest.mark.parametrize("variant,m,delay", [
+        ("plain", 0.0, DelayModel.constant(256)),
+        ("shifted", 0.9, DelayModel.constant(64)),
+        ("plain", 0.0, pmf_uniform(1, 64)),
+    ])
+    def test_a_search_evaluates_w_a_dozen_times(self, bisected, w_calls, variant, m, delay):
+        # bisecting every bracket one level at a time takes 50 or more
+        stability.boundary_crossing(variant, m, delay)
+        assert bisected == [1]
+        assert len(w_calls) <= 12
+
+    def test_a_search_with_no_bracket_evaluates_w_once(self, bisected, w_calls):
+        # plain tau 0 crosses at z = -1 alone, where eta*a = 2
+        assert stability.boundary_crossing("plain", 0.0, DelayModel.constant(0)) == (2.0, math.pi)
+        assert bisected == [0] and w_calls == [1]
+
+
 def _even_grid_count(split, k, radius):
     """The winding count on the bare even grid, refined the same way."""
     grid = np.linspace(0.0, np.pi, stability._grid_size(split.degree))

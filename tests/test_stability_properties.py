@@ -1,6 +1,10 @@
 """Property tests: how a threshold search answers to scaling and to the delay,
-and that stability flips once along eta, at the threshold."""
+that stability flips once along eta, at the threshold, and the bound on the
+crossing value that lets a search skip brackets."""
 
+import math
+
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -17,6 +21,7 @@ from staleness_lab.charpoly import (
     pmf_discrete_gaussian,
     pmf_uniform,
 )
+from staleness_lab import stability
 from staleness_lab.stability import numeric_threshold
 
 variant_and_m = st.one_of(
@@ -77,3 +82,44 @@ uniform_pmfs = st.integers(1, 24).flatmap(
 @given(st.one_of(uniform_pmfs, st.integers(1, 12).map(pmf_discrete_gaussian)))
 def test_stability_flips_once_at_the_pmf_threshold(pmf):
     _assert_flips_once("plain", 0.0, pmf)
+
+
+def _random_pmf(entries):
+    delays = sorted(entries)
+    total = math.fsum(entries.values())
+    return DelayModel(tuple(delays), tuple(entries[d] / total for d in delays))
+
+
+random_pmfs = st.dictionaries(st.integers(1, 40), st.floats(0.01, 1.0),
+                              min_size=2, max_size=40).map(_random_pmf)
+crossing_cases = st.one_of(
+    st.tuples(st.just("plain"), st.just(0.0), st.integers(0, 300).map(DelayModel.constant)),
+    st.tuples(st.sampled_from(("momentum", "shifted")), st.floats(0.0, 0.999),
+              st.integers(0, 300).map(DelayModel.constant)),
+    st.tuples(st.just("plain"), st.just(0.0), random_pmfs),
+    st.tuples(st.just("momentum"), st.floats(0.0, 0.999), random_pmfs),
+)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(crossing_cases)
+def test_every_crossing_value_is_at_least_the_chord_to_one(case):
+    """``k >= |e^(i theta) - 1| = 2 sin(theta / 2)`` at every positive crossing.
+
+    Every polynomial ``char_poly_terms`` builds factors as ``A = (z - 1) C``
+    with ``|C| >= 1 - m`` on the unit circle, while ``|B| <= 1 - m`` there:
+    ``C = z^K`` plain, ``z^(K-1) (z - m)`` momentum (``z - m`` at tau 0),
+    ``z^(K+1) - m`` shifted.  ``_crossings`` drops every bracket whose lower
+    angle already breaks the bound for the best ``k`` found, so a variant
+    that breaks the factorisation must fail here, not in a digest.  Every
+    bracket is bisected, none cut.
+    """
+    variant, m, delay = case
+    split = stability._Split(variant, m, delay)
+    lows, = stability._bisect_brackets([split], [stability._scan(split)])
+    theta = np.append(lows, np.pi)
+    w, b = split.w(theta), split.b(theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = w.real / (b.real**2 + b.imag**2)
+    crossing = np.isfinite(k) & (k > 0.0)
+    assert (k[crossing] >= 2.0 * np.sin(0.5 * theta[crossing]) * (1.0 - 1e-12)).all()
