@@ -15,7 +15,10 @@ D-decomposition).  The closed form is this crossing for the plain variant,
 at ``theta = pi / (2 tau + 1)``.  For everything else (momentum variants,
 random delays) :func:`numeric_threshold` finds the crossing numerically and
 certifies the resulting step-size bracket with the argument principle; it
-never solves for roots.
+never solves for roots.  Both ends of the bracket are counted in one pass,
+as two rows of one coefficient table: one real FFT evaluates them at the
+even angles, and one exponential table at the few angles around the
+crossing and wherever the phase still turns fast.
 
 Every ``A`` here is ``(z - 1) C`` with ``|C| >= 1 - m`` on the unit circle,
 and ``|B| <= 1 - m`` there, so a crossing at angle theta has ``k >= 2
@@ -33,6 +36,7 @@ bit for bit.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,6 +53,15 @@ BRACKET_START = 1e-6
 CERT_MARGIN = 1e-12
 MAX_PHASE_STEP = math.pi / 4
 MAX_REFINE = 32
+# Most entries (terms x angles) of one exponential table in the
+# certificate, 1 MB: a dense polynomial is evaluated a few angles at a time.
+CERT_TABLE = 1 << 16
+# The certificate's cluster around a crossing, in units of the grid step
+# pi / n: -1, -1/8, ..., -8^-MAX_REFINE, 0, 8^-MAX_REFINE, ..., 1/8, 1.
+_CLUSTER = np.concatenate([-(8.0 ** -np.arange(MAX_REFINE + 1)), [0.0],
+                           8.0 ** -np.arange(MAX_REFINE, -1, -1)])
+# Where a refined step's seven inner angles sit: it is cut into eighths.
+_EIGHTHS = np.arange(1, 8) / 8.0
 NEAR_ZERO_STEPS = 20
 # Above this many terms a polynomial is evaluated by Horner's rule.
 DENSE_TERMS = 8
@@ -75,9 +88,10 @@ class ThresholdResult:
     bracket is closed, and ``lo`` may lie on the boundary itself: at tau 0
     the crossing value is exact and ``lo`` can land on it, with a root at
     ``z = -1``.  From a polynomial, ``hi`` is certified unstable up to the
-    ``CERT_MARGIN`` (1e-12) radius slack of the winding count and up to the
+    ``CERT_MARGIN`` (1e-12) radius slack of the winding counts and up to the
     rounding of the float coefficients: all its roots may still lie inside
-    the unit circle, one of them within 1e-12 of it.
+    the unit circle, one of them within 1e-12 of it.  The certificate only
+    accepts or refuses the bracket; no field comes from its counts.
     ``max_root_residual`` is the scaled residual ``|P(e^(i theta*))| / sum
     |c_k|`` of the crossing root at ``crossing_angle`` theta*; both are NaN
     when the boundary came from simulation, not the polynomial.
@@ -192,29 +206,27 @@ def _grid_size(degree: int) -> int:
 
 
 class _CirclePoly:
-    """``sum_e c_e z^e`` evaluated on the circle ``z = radius * e^(i theta)``.
+    """``sum_e c_e z^e`` evaluated on the unit circle ``z = e^(i theta)``.
 
-    The per-term constants are computed once per polynomial and radius: a
-    few terms become ``i e`` and ``c_e radius^e`` columns, so a call takes
-    one exponential table over (terms x angles) and adds its rows up by
-    exponent in the order given, starting from zero.  Many terms (a delay
-    pmf) are evaluated by Horner's rule instead.  A stack of polynomials
+    The per-term constants are computed once per polynomial: a few terms
+    become ``i e`` and ``c_e`` columns, so a call takes one exponential
+    table over (terms x angles) and adds its rows up by exponent in the
+    order given, starting from zero.  Many terms (a delay pmf) are
+    evaluated by Horner's rule instead.  A stack of polynomials
     (:meth:`stacked`) evaluates each angle with its own polynomial.
     """
 
-    def __init__(self, terms, radius: float = 1.0):
+    def __init__(self, terms):
         acc = {e: c for e, c in _sum_by_exponent(terms).items() if c != 0.0}
         self.exps = np.array(list(acc), dtype=np.int64)
         self.coefs = np.array(list(acc.values()), dtype=float)
-        self.radius = radius
         self.dense = None
         if len(acc) > DENSE_TERMS:
             self.dense = np.zeros(int(self.exps.max()) + 1)
             self.dense[self.exps] = self.coefs
             return
         self.jexps = 1j * self.exps[:, None]
-        scaled = [c * radius**e for e, c in zip(self.exps, self.coefs)]
-        self.scaled = np.array(scaled, dtype=float)[:, None]
+        self.column = self.coefs[:, None]
 
     @classmethod
     def stacked(cls, polys) -> "_CirclePoly":
@@ -229,11 +241,10 @@ class _CirclePoly:
         as an exact zero until the polynomial's own top coefficient is added.
         """
         stack = cls.__new__(cls)
-        stack.radius = 1.0
         if polys[0].dense is None:
             stack.dense = None
             stack.jexps = _pad([p.jexps[:, 0] for p in polys], complex)
-            stack.scaled = _pad([p.scaled[:, 0] for p in polys], float)
+            stack.column = _pad([p.coefs for p in polys], float)
         else:
             # a (coefficients x polynomials) table, gathered per coefficient
             # at each call: never one coefficient per angle
@@ -242,9 +253,9 @@ class _CirclePoly:
 
     def __call__(self, theta: np.ndarray, owner: np.ndarray | None = None) -> np.ndarray:
         if self.dense is None:
-            table = _gather(self.scaled, owner) * np.exp(_gather(self.jexps, owner) * theta)
+            table = _gather(self.column, owner) * np.exp(_gather(self.jexps, owner) * theta)
             return _add_rows(table)
-        z = self.radius * np.exp(1j * theta)
+        z = np.exp(1j * theta)
         coefs = iter(self.dense[::-1])
         if owner is not None:
             coefs = (c[owner] for c in coefs)
@@ -306,7 +317,7 @@ class _Split:
         if self.sparse:
             # the rows of A, then those of B: one exponential table serves both
             self.jexps = np.concatenate([a.jexps, b.jexps])
-            self.scaled = np.concatenate([a.scaled, b.scaled])
+            self.column = np.concatenate([a.column, b.column])
 
     def w(self, theta: np.ndarray, owner: np.ndarray | None = None) -> np.ndarray:
         """``-A conj(B)`` at the angles ``theta``, real and positive where a
@@ -319,44 +330,61 @@ class _Split:
         """
         if not self.sparse:
             return -self.a(theta, owner) * np.conj(self.b(theta, owner))
-        table = _gather(self.scaled, owner) * np.exp(_gather(self.jexps, owner) * theta)
+        table = _gather(self.column, owner) * np.exp(_gather(self.jexps, owner) * theta)
         n_a = len(self.a.jexps)
         return -_add_rows(table[:n_a]) * np.conj(_add_rows(table[n_a:]))
 
-    def at(self, k: float, radius: float = 1.0) -> _CirclePoly:
-        return _CirclePoly(((e, fixed + k * per_k) for e, fixed, per_k in self.terms), radius)
+    def at(self, k: float) -> _CirclePoly:
+        return _CirclePoly((e, fixed + k * per_k) for e, fixed, per_k in self.terms)
 
 
-def _phase_resolved(f, theta: np.ndarray):
-    """Sample complex ``f`` on the ascending angles ``theta``, cutting every
-    step that turns its phase by more than ``pi / 4`` into eighths until none
-    does, so no near-zero of ``f`` (a root close to the circle) can slip
-    between two samples.  Returns all samples in order and whether every
-    step got below the bound (none can where ``f`` vanishes on the circle).
+def _phase_resolved(f, theta: np.ndarray, vals: np.ndarray):
+    """Refine the samples ``vals`` of complex functions, one a row, at the
+    ascending angles ``theta``: every step that turns a row's phase by more
+    than ``pi / 4`` is cut into eighths, with ``f(angles)`` giving every row
+    at the new angles, until none does, so no near-zero of a row (a root
+    close to the circle) can slip between two samples.  A row stops at a
+    step that float resolution cannot cut, and after ``MAX_REFINE`` checks.
+
+    Returns the new angles and values, one array of each a round, each value
+    from its own step's row; each row's phase turn over ``theta``, added up
+    step by step as the steps resolve; and whether each row resolved, every
+    step below the bound (none can where the row vanishes on the circle).
     """
-    vals = f(theta)
-    thetas, values = [theta], [vals]
-    lo, hi, f_lo, f_hi = theta[:-1], theta[1:], vals[:-1], vals[1:]
-    resolved = False
-    for _ in range(MAX_REFINE):
-        wide = np.abs(np.angle(f_hi * np.conj(f_lo))) > MAX_PHASE_STEP
-        if not wide.any():
-            resolved = True
+    rows = len(vals)
+    step = np.angle(vals[:, 1:] * np.conj(vals[:, :-1]))
+    wide = np.abs(step) > MAX_PHASE_STEP
+    turn, failed = np.where(wide, 0.0, step).sum(axis=1), np.zeros(rows, bool)
+    row, at = np.nonzero(wide)
+    lo, hi, f_lo, f_hi = theta[at], theta[at + 1], vals[row, at], vals[row, at + 1]
+    thetas, values = [], []
+    # the samples were the first of MAX_REFINE checks
+    for _ in range(MAX_REFINE - 1):
+        if not row.size:
             break
-        lo, hi, f_lo, f_hi = lo[wide], hi[wide], f_lo[wide], f_hi[wide]
-        inner = lo[:, None] + (hi - lo)[:, None] * (np.arange(1, 8) / 8.0)
+        inner = lo[:, None] + (hi - lo)[:, None] * _EIGHTHS
         edges = np.concatenate([lo[:, None], inner, hi[:, None]], axis=1)
-        if not (np.diff(edges, axis=1) > 0.0).all():
-            break  # float resolution exhausted
-        f_inner = f(inner.ravel()).reshape(inner.shape)
+        stuck = ~(edges[:, 1:] > edges[:, :-1]).all(axis=1)
+        if stuck.any():  # float resolution exhausted: the row stops
+            failed[row[stuck]] = True
+            live = ~failed[row]
+            row, inner, edges = row[live], inner[live], edges[live]
+            f_lo, f_hi = f_lo[live], f_hi[live]
+            if not row.size:
+                break
+        f_inner = f(inner.ravel()).reshape(rows, *inner.shape)[row, np.arange(row.size)]
         thetas.append(inner.ravel())
         values.append(f_inner.ravel())
         f_edges = np.concatenate([f_lo[:, None], f_inner, f_hi[:, None]], axis=1)
+        row = np.repeat(row, 8)
         lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
         f_lo, f_hi = f_edges[:, :-1].ravel(), f_edges[:, 1:].ravel()
-    theta = np.concatenate(thetas)
-    order = np.argsort(theta)
-    return theta[order], np.concatenate(values)[order], resolved
+        step = np.angle(f_hi * np.conj(f_lo))
+        wide = np.abs(step) > MAX_PHASE_STEP
+        turn += np.bincount(row, np.where(wide, 0.0, step), minlength=rows)
+        row, lo, hi, f_lo, f_hi = row[wide], lo[wide], hi[wide], f_lo[wide], f_hi[wide]
+    failed[row] = True  # still turning too far at the last check
+    return thetas, values, turn, ~failed
 
 
 def _scan(split: _Split) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -374,7 +402,11 @@ def _scan(split: _Split) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # such a point for every k).
     grid = np.pi * np.concatenate([0.5 ** np.arange(NEAR_ZERO_STEPS, 0, -1),
                                    np.arange(1, n + 1)]) / n
-    grid, a_val, _ = _phase_resolved(split.a, grid)
+    a_val = split.a(grid)
+    thetas, values, _, _ = _phase_resolved(lambda t: split.a(t)[None], grid, a_val[None])
+    grid, a_val = np.concatenate([grid, *thetas]), np.concatenate([a_val, *values])
+    order = np.argsort(grid)
+    grid, a_val = grid[order], a_val[order]
     pos = (-a_val * np.conj(split.b(grid))).imag > 0.0
     # a boolean test, not a product of signs: a zero that falls exactly on
     # a grid point must still open a bracket
@@ -447,11 +479,25 @@ def _walks(levels: int) -> tuple[np.ndarray, np.ndarray]:
     return test - 1, test <= leaf
 
 
-def _pick(split: _Split, lo: np.ndarray) -> tuple[float, float] | NoThreshold:
-    """The smallest positive ``k`` over the bisected angles and ``theta = pi``
-    (where ``A`` and ``B`` are real), and its angle."""
-    theta = np.append(lo, np.pi)
-    w, b_val = split.w(theta), split.b(theta)
+def _picks(splits: list[_Split], lows: list[np.ndarray]) -> list[tuple[float, float] | NoThreshold]:
+    """Each split's smallest positive ``k`` over its bisected angles ``lows``
+    and ``theta = pi`` (where ``A`` and ``B`` are real), and its angle, from
+    one evaluation of ``w`` and ``B`` over splits of one kind."""
+    thetas = [np.append(lo, np.pi) for lo in lows]
+    sizes = [t.size for t in thetas]
+    split, owner = splits[0], None
+    if len(splits) > 1:
+        split = _Split.stacked(splits)
+        owner = np.repeat(np.arange(len(splits)), sizes)
+    theta = np.concatenate(thetas)
+    w, b_val = split.w(theta, owner), split.b(theta, owner)
+    ends = list(itertools.accumulate(sizes, initial=0))
+    return [_least_k(t, w[i:j], b_val[i:j]) for t, i, j in zip(thetas, ends, ends[1:])]
+
+
+def _least_k(theta: np.ndarray, w: np.ndarray,
+             b_val: np.ndarray) -> tuple[float, float] | NoThreshold:
+    """The smallest positive ``k = Re w / |B|^2`` over ``theta``, and its angle."""
     with np.errstate(divide="ignore", invalid="ignore"):
         k = w.real / (b_val.real**2 + b_val.imag**2)
     ok = np.flatnonzero(np.isfinite(k) & (k > 0.0))
@@ -478,9 +524,10 @@ def _crossings(splits: list[_Split]) -> list[tuple[float, float] | NoThreshold]:
     cut, evaluates ``w`` for its pick once.
 
     Splits of one kind (sparse or dense ``A`` and ``B``) share both rounds
-    of bisection, in blocks of whole searches holding at most
+    of bisection and of picks, in blocks of whole searches holding at most
     ``BRACKET_BLOCK`` brackets in their scans; a search with more brackets
-    than that is bisected alone.
+    than that is bisected alone.  A block's picks take one stacked
+    evaluation of ``w`` and ``B`` a round (:func:`_picks`).
     """
     found = [None] * len(splits)
     kinds: dict[tuple[bool, bool], list[int]] = {}
@@ -492,8 +539,8 @@ def _crossings(splits: list[_Split]) -> list[tuple[float, float] | NoThreshold]:
         firsts = _bisect_brackets(members, [tuple(part[:1] for part in scan)
                                             for _, scan in block])
         left = []
-        for (i, scan), split, first in zip(block, members, firsts):
-            found[i] = _pick(split, first)
+        for (i, scan), first, pick in zip(block, firsts, _picks(members, firsts)):
+            found[i] = pick
             k_c = math.inf if isinstance(found[i], NoThreshold) else found[i][0]
             keep = 2.0 * np.sin(0.5 * scan[0][1:]) <= k_c * (1.0 + CUT_SLACK)
             if keep.any():
@@ -501,8 +548,10 @@ def _crossings(splits: list[_Split]) -> list[tuple[float, float] | NoThreshold]:
         if left:
             members = [splits[i] for i, _, _ in left]
             lows = _bisect_brackets(members, [rest for _, _, rest in left])
-            for (i, first, _), split, lo in zip(left, members, lows):
-                found[i] = _pick(split, np.concatenate([first, lo]))
+            picks = _picks(members, [np.concatenate([first, lo])
+                                     for (_, first, _), lo in zip(left, lows)])
+            for (i, _, _), pick in zip(left, picks):
+                found[i] = pick
 
     for indices in kinds.values():
         block, size = [], 0
@@ -539,52 +588,89 @@ def boundary_crossing(variant: str, m: float, delay: DelayModel) -> tuple[float,
     return found
 
 
-def _certificate_grid(degree: int, theta_hint: float) -> np.ndarray:
-    """Ascending angles in ``[0, pi]`` for the winding count near a crossing.
+class _BracketEnds:
+    """``A + k B`` at both ends of a bracket, each on its certificate circle:
+    the stable end ``k_lo`` on ``|z| = 1 + CERT_MARGIN``, the unstable end
+    ``k_hi`` on ``|z| = 1 - CERT_MARGIN``.
 
-    The ``n = 8 (deg + 1) + 64`` evenly spaced angles, plus ``theta_hint``
-    and a geometric cluster ``theta_hint +- (pi / n) 8^-j`` around it for
-    ``j = 0..MAX_REFINE``, clipped to ``[0, pi]``.  The finest offsets round
-    onto ``theta_hint`` itself, and repeated angles are dropped.  A bracket
-    end sits within ``rel_tol`` of the crossing, so one root is that close
-    to the circle at theta*; the cluster samples the fast phase turn there
-    up front instead of leaving it to level after level of refinement.
+    The ends are the two rows of one real coefficient table, ``c_e
+    radius^e``, each end's terms summed by exponent as :meth:`_Split.at`
+    sums them, so that ``z = e^(i theta)`` puts each row on its circle.  One
+    real FFT of the table gives both rows at the even angles (:meth:`even`),
+    and one exponential table gives them at any other angles (a call),
+    adding each row's terms up in the order :meth:`_Split.at`'s polynomial
+    does.
     """
-    n = _grid_size(degree)
-    steps = (np.pi / n) * np.array([8.0**-j for j in range(MAX_REFINE + 1)])
-    cluster = theta_hint + np.concatenate([-steps, [0.0], steps])
-    grid = np.concatenate([np.linspace(0.0, np.pi, n), np.clip(cluster, 0.0, np.pi)])
-    grid = grid[np.argsort(grid)]
-    keep = np.ones(grid.size, bool)
-    keep[1:] = np.diff(grid) > 0.0
-    return grid[keep]
 
+    def __init__(self, split: _Split, k_lo: float, k_hi: float):
+        self.n = _grid_size(split.degree)
+        self.table = np.zeros((2, split.degree + 1))
+        for row, k, radius in zip(self.table, (k_lo, k_hi), (1.0 + CERT_MARGIN, 1.0 - CERT_MARGIN)):
+            acc = _sum_by_exponent((e, fixed + k * per_k) for e, fixed, per_k in split.terms)
+            exps = np.array(list(acc))
+            row[exps] = np.array(list(acc.values())) * radius**exps
+        # both ends have the terms' exponents, in the same order
+        self.coefs, self.jexps = self.table[:, exps].T[:, :, None], 1j * exps[:, None, None]
 
-def _winding_number(split: _Split, k: float, radius: float, grid: np.ndarray) -> int:
-    """Roots of ``A + k B`` inside ``|z| = radius``, by the argument principle.
+    def __call__(self, theta: np.ndarray) -> np.ndarray:
+        """Both rows at the angles ``theta``, one row each, from exponential
+        tables of at most ``CERT_TABLE`` entries."""
+        step = max(1, CERT_TABLE // len(self.jexps))
+        # a sum over the first axis adds the terms up in order, as _add_rows
+        parts = [(self.coefs * np.exp(self.jexps * theta[i:i + step])).sum(axis=0)
+                 for i in range(0, theta.size, step)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
-    Real coefficients make the lower half circle mirror the upper one, so the
-    phase is unwrapped over ``theta`` in ``[0, pi]`` and doubled.  It is
-    sampled on ``grid`` (:func:`_certificate_grid`: ``8 (deg + 1) + 64`` even
-    angles plus a geometric cluster around a hint), and every step that
-    still turns by more than ``pi / 4`` is cut into eighths
-    (:func:`_phase_resolved`); a count that cannot be resolved raises
-    ``NoConvergence``.  The grid holds every even angle, so the count is as
-    certain with any hint: the crossing angle only saves refinement.
-    """
-    _, vals, resolved = _phase_resolved(split.at(k, radius), grid)
-    if not resolved:
-        raise NoConvergence(f"winding number at eta*a = {k!r} did not resolve")
-    return round(float(np.sum(np.angle(vals[1:] * np.conj(vals[:-1])))) / np.pi)
+    def even(self) -> tuple[np.ndarray, np.ndarray]:
+        """The even angles ``2 pi j / M`` in ``[0, pi]`` and both rows there.
+
+        ``M`` is the smallest power of two with ``M >= 2 (n - 1)``, ``n = 8
+        (deg + 1) + 64``, so the angles are at least as dense as ``n`` evenly
+        spaced ones on ``[0, pi]``, and ``0`` and ``pi`` are among them.
+        """
+        half = 1 << (self.n - 2).bit_length()
+        # the FFT adds up c_e e^(-i theta e): the conjugate of each row
+        vals = np.conj(np.fft.rfft(self.table, 2 * half))
+        return np.pi * np.arange(half + 1) / half, vals
+
+    def grid(self, theta_hint: float) -> tuple[np.ndarray, np.ndarray]:
+        """The even angles, joined by a geometric cluster ``theta_hint +- (pi
+        / n) 8^-j`` for ``j = 0..MAX_REFINE`` clipped to ``[0, pi]``, in
+        ascending order without repeats, and both rows there.
+
+        The finest offsets round onto ``theta_hint`` itself.  A bracket end
+        sits within ``rel_tol`` of the crossing, so one root is that close to
+        the circle at theta*; the cluster samples the fast phase turn there
+        up front instead of leaving it to level after level of refinement.
+        The grid holds every even angle, so a count is as certain with any
+        hint: the crossing angle only saves refinement.
+        """
+        theta, vals = self.even()
+        cluster = np.clip(theta_hint + (np.pi / self.n) * _CLUSTER, 0.0, np.pi)
+        # the few even angles inside the cluster's span are sorted in with
+        # it, once each, and evaluated with it: near the crossing, where a
+        # row is smallest, the exponential table rounds as split.at's does
+        i, j = np.searchsorted(theta, cluster[0]), np.searchsorted(theta, cluster[-1], "right")
+        span = np.sort(np.concatenate([theta[i:j], cluster]))
+        span = span[np.concatenate([[True], span[1:] > span[:-1]])]
+        return (np.concatenate([theta[:i], span, theta[j:]]),
+                np.concatenate([vals[:, :i], self(span), vals[:, j:]], axis=1))
 
 
 def _certified(split: _Split, a: float, rel_tol: float, k_star: float,
                theta_star: float) -> ThresholdResult:
     """The eta bracket around the crossing ``k_star``, certified, as a result."""
     eta_lo, eta_hi = _bisect_eta(lambda eta: eta * a <= k_star, BRACKET_START / a, rel_tol)
-    grid = _certificate_grid(split.degree, theta_star)
-    inside_lo = _winding_number(split, eta_lo * a, 1.0 + CERT_MARGIN, grid)
-    inside_hi = _winding_number(split, eta_hi * a, 1.0 - CERT_MARGIN, grid)
+    k_lo, k_hi = eta_lo * a, eta_hi * a
+    ends = _BracketEnds(split, k_lo, k_hi)
+    _, _, turns, resolved = _phase_resolved(ends, *ends.grid(theta_star))
+    for k, ok in zip((k_lo, k_hi), resolved):
+        if not ok:
+            raise NoConvergence(f"winding number at eta*a = {k!r} did not resolve")
+    # roots inside each end's circle, by the argument principle: real
+    # coefficients make the lower half circle mirror the upper one, so the
+    # turn over [0, pi] is half the count
+    inside_lo, inside_hi = (round(float(t) / np.pi) for t in turns)
     if inside_lo != split.degree or inside_hi >= split.degree:
         raise NoConvergence(
             f"crossing at eta*a = {k_star!r} failed its certificate: "
@@ -645,14 +731,15 @@ def numeric_threshold(
     midpoint.  Before returning, the argument principle certifies it: every
     root lies inside ``|z| = 1 + 1e-12`` at the stable end, and at least one
     lies outside ``|z| = 1 - 1e-12`` at the unstable end.  (The margins let
-    a bracket end sit exactly on the boundary.)  Both counts sample the
-    circle on the same grid, ``8 (deg + 1) + 64`` evenly spaced angles in
-    ``[0, pi]`` plus a geometric cluster around the crossing angle theta*,
-    where each bracket end has a root within ``rel_tol`` of the circle; then
-    every step whose phase turns by more than ``pi / 4`` is refined.  Random
-    delays pair with plain and momentum, not shifted (``char_poly_terms``).
-    This is the one-delay case of the batched search behind
-    :func:`threshold_curve`.
+    a bracket end sit exactly on the boundary.)  Both counts are made in one
+    pass over one grid: the even angles ``2 pi j / M`` in ``[0, pi]``, with
+    ``M`` the smallest power of two at least ``2 (n - 1)``, ``n = 8 (deg +
+    1) + 64``, from one real FFT of both ends' coefficients, plus a
+    geometric cluster around the crossing angle theta*, where each bracket
+    end has a root within ``rel_tol`` of the circle; then every step whose
+    phase turns by more than ``pi / 4`` is refined.  Random delays pair with
+    plain and momentum, not shifted (``char_poly_terms``).  This is the
+    one-delay case of the batched search behind :func:`threshold_curve`.
 
     Raises
     ------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from oracles import companion_max_magnitude, grid_threshold
+from oracles import companion_max_magnitude, companion_roots, grid_threshold
 
 from staleness_lab import stability
 from staleness_lab.charpoly import DelayModel, OptimizerSpec, char_poly, pmf_discrete_gaussian, pmf_uniform
@@ -270,7 +270,8 @@ def _one_step_crossing(variant, m, delay):
             break
         same = (split.w(mid).imag > 0.0) == lo_pos
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-    return stability._pick(split, lo)
+    pick, = stability._picks([split], [lo])
+    return pick
 
 
 # (variant, m, delay): many brackets each, and one whose cut keeps some
@@ -355,38 +356,134 @@ class TestCrossingCut:
         assert bisected == [0] and w_calls == [1]
 
 
-def _even_grid_count(split, k, radius):
-    """The winding count on the bare even grid, refined the same way."""
-    grid = np.linspace(0.0, np.pi, stability._grid_size(split.degree))
-    _, vals, resolved = stability._phase_resolved(split.at(k, radius), grid)
-    assert resolved
-    return round(float(np.sum(np.angle(vals[1:] * np.conj(vals[:-1])))) / np.pi)
+def _certified_ends(variant, m, delay, rel_tol=1e-8):
+    """The search at ``a = 1``, its split and the two ends of its bracket."""
+    r = numeric_threshold(variant, 1.0, delay, m=m, rel_tol=rel_tol)
+    split = stability._Split(variant, m, delay)
+    return r, split, stability._BracketEnds(split, *r.bracket)
+
+
+def _root_counts(ends, theta, vals):
+    """The roots inside each end's circle counted from the samples, as the
+    certificate counts them; None where a count does not resolve."""
+    _, _, turns, resolved = stability._phase_resolved(ends, theta, vals)
+    return [round(float(t) / math.pi) if ok else None for t, ok in zip(turns, resolved)]
 
 
 class TestCertificate:
-    def test_seeded_grid_counts_as_the_even_grid(self):
+    def test_counts_are_the_even_grids_with_any_hint(self):
         # at both bracket ends of every corpus search, with the crossing
         # angle as the hint and with a hint a radian away from it
         for variant, m, delay in _search_corpus():
-            r = numeric_threshold(variant, 1.0, delay, m=m)
-            split = stability._Split(variant, m, delay)
+            r, split, ends = _certified_ends(variant, m, delay)
+            want = _root_counts(ends, *ends.even())
+            assert want[0] == split.degree and want[1] < split.degree
             theta = r.crossing_angle
-            grids = [stability._certificate_grid(split.degree, hint)
-                     for hint in (theta, (theta + 1.0) % math.pi)]
-            for k, radius in ((r.bracket[0], 1.0 + stability.CERT_MARGIN),
-                              (r.bracket[1], 1.0 - stability.CERT_MARGIN)):
-                want = _even_grid_count(split, k, radius)
-                for grid in grids:
-                    assert stability._winding_number(split, k, radius, grid) == want
+            for hint in (theta, (theta + 1.0) % math.pi):
+                assert _root_counts(ends, *ends.grid(hint)) == want
 
-    def test_grid_keeps_the_even_angles(self):
-        for degree, hint in ((1, math.pi), (5, 0.0), (64, 0.3), (257, 1e-9)):
-            grid = stability._certificate_grid(degree, hint)
-            even = np.linspace(0.0, np.pi, stability._grid_size(degree))
-            assert np.isin(even, grid).all() and hint in grid
-            assert grid[0] == 0.0 and grid[-1] == math.pi and (np.diff(grid) > 0.0).all()
-            near = np.abs(grid - hint)
-            assert np.count_nonzero((near > 0.0) & (near < 1e-12)) >= 2
+    def test_counts_equal_the_companion_eigenvalues_inside(self):
+        # a search to rel_tol 1e-4 keeps its bracket ends far enough from the
+        # edge to count against eigenvalues: at 1e-8 the crossing root lies
+        # within 1e-9 of the circle in 204 of these 218 counts
+        counted = skipped = 0
+        for variant, m, delay in _search_corpus():
+            if delay.max_delay > 16:
+                continue
+            r, split, ends = _certified_ends(variant, m, delay, rel_tol=1e-4)
+            got = _root_counts(ends, *ends.grid(r.crossing_angle))
+            for eta, radius, inside in zip(r.bracket, (1.0 + 1e-12, 1.0 - 1e-12), got):
+                coeffs = char_poly(OptimizerSpec(variant, eta, m), 1.0, delay).coeffs
+                modulus = np.abs(companion_roots(coeffs))
+                if np.any(np.abs(modulus - radius) < 1e-9):
+                    skipped += 1
+                    continue
+                counted += 1
+                assert inside == np.count_nonzero(modulus < radius)
+        assert counted + skipped == 218 and skipped <= 5
+
+    @pytest.mark.parametrize("degree,hint", [(1, math.pi), (5, 0.0), (64, 0.3), (257, 1e-9)])
+    def test_grid_holds_the_even_angles_and_the_hint(self, degree, hint):
+        ends = stability._BracketEnds(stability._Split("plain", 0.0, DelayModel.constant(degree - 1)),
+                                      0.5, 0.7)
+        even, _ = ends.even()
+        n = stability._grid_size(degree)
+        # as dense as n even angles on [0, pi], from an FFT of power-of-two size
+        half = even.size - 1
+        assert half >= n - 1 and half & (half - 1) == 0
+        assert even[0] == 0.0 and even[-1] == math.pi
+        theta, vals = ends.grid(hint)
+        assert np.isin(even, theta).all() and hint in theta
+        assert theta[0] == 0.0 and theta[-1] == math.pi and (np.diff(theta) > 0.0).all()
+        near = np.abs(theta - hint)
+        assert np.count_nonzero((near > 0.0) & (near < 1e-12)) >= 2
+        # the FFT's values are each row's at its angle
+        scale = np.abs(ends.table).sum(axis=1, keepdims=True)
+        assert np.abs(vals - ends(theta)).max() <= 1e-13 * scale.max()
+
+    @pytest.mark.parametrize("variant,m,delay", [
+        ("plain", 0.0, DelayModel.constant(256)),
+        ("shifted", 0.9, DelayModel.constant(64)),
+        ("plain", 0.0, pmf_uniform(1, 64)),
+    ])
+    def test_a_certificate_takes_one_fft_and_three_tables(self, monkeypatch, variant, m, delay):
+        # the FFT covers both ends on the even grid; exponential tables only
+        # the cluster around the crossing and each round of refinement
+        ffts, tables = [], []
+        rfft, call = np.fft.rfft, stability._BracketEnds.__call__
+
+        def counting_rfft(*args, **kwargs):
+            ffts.append(1)
+            return rfft(*args, **kwargs)
+
+        def counting_call(self, theta):
+            tables.append(theta.size)
+            return call(self, theta)
+
+        monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+        monkeypatch.setattr(stability._BracketEnds, "__call__", counting_call)
+        numeric_threshold(variant, 1.0, delay, m=m)
+        assert len(ffts) == 1 and 1 <= len(tables) <= 3
+
+    def test_a_row_that_cannot_resolve_stops_alone(self):
+        # a zero on the circle at theta = 1 stops its row when float
+        # resolution runs out, about 16 cuts deep; one at 1e-150, beside the
+        # sample at 0, when the MAX_REFINE checks run out; z - 0.5 resolves
+        # beside them and turns by pi over [0, pi]
+        zeros = np.array([np.exp(1j), np.exp(1e-150j), 0.5])[:, None]
+
+        def f(theta):
+            return np.exp(1j * theta) - zeros
+
+        theta = np.linspace(0.0, math.pi, 9)
+        thetas, _, turn, resolved = stability._phase_resolved(f, theta, f(theta))
+        assert resolved.tolist() == [False, False, True]
+        assert round(turn[2] / math.pi) == 1
+        assert len(thetas) == stability.MAX_REFINE - 1
+        assert np.abs(thetas[-1] - 1.0).min() > 0.5
+        assert np.abs(np.concatenate(thetas) - 1.0).min() < 1e-12
+
+    def test_near_one_momentum_resolves_above_the_rounding_floor(self):
+        # With m this close to 1, |P| of a bracket end at the crossing angle,
+        # (k_hi - k_lo) |B| there, nears the rounding floor eps sum |c| of the
+        # expanded polynomial, and whether a count resolves is up to
+        # rounding.  Either way the search is certified or does not resolve;
+        # four times above the floor it must be certified, and a hundred
+        # times below it the samples near the crossing are rounding alone.
+        for m in (0.99999, 0.999999, 1 - 1e-7):
+            for tau in (1, 16, 100, 1000):
+                split = stability._Split("momentum", m, DelayModel.constant(tau))
+                k_star, theta = stability.boundary_crossing("momentum", m, tau)
+                k_lo, k_hi = stability._bisect_eta(lambda k: k <= k_star,
+                                                   stability.BRACKET_START, 1e-8)
+                floor = np.finfo(float).eps * np.abs(split.at(k_star).coefs).sum()
+                gap = (k_hi - k_lo) * abs(split.b(np.array([theta]))[0]) / floor
+                try:
+                    r = numeric_threshold("momentum", 1.0, tau, m=m)
+                except NoConvergence as e:
+                    assert "did not resolve" in str(e) and gap < 4.0
+                else:
+                    assert r.method == METHOD_BISECTION and gap > 0.01
 
 
 class TestThresholdCurve:
@@ -502,6 +599,11 @@ class TestBatchedSweep:
             for split, scan, lows in zip(splits, scans, together):
                 alone, = stability._bisect_brackets([split], [scan])
                 assert np.array_equal(lows, alone)
+
+    def test_a_sweep_block_picks_with_one_w_call_a_round(self, w_calls):
+        # each round's picks over the 65 searches are one call, not 65
+        threshold_curve("plain", 1.0, range(65))
+        assert len(w_calls) <= 12
 
     def test_one_batched_crossing_call_per_curve(self, monkeypatch):
         calls = []
