@@ -24,8 +24,9 @@ Every ``A`` here is ``(z - 1) C`` with ``|C| >= 1 - m`` on the unit circle,
 and ``|B| <= 1 - m`` there, so a crossing at angle theta has ``k >= 2
 sin(theta / 2)``.  The search bisects the lowest-angle sign change of ``Im
 (-A conj(B))`` first, drops every other one whose lower angle puts that
-bound above the best ``k`` so far, and bisects only those left; each
-evaluation covers up to six bisection levels of every bracket it carries.
+bound above the best ``k`` so far, and bisects only those left, each along
+the path a guess of its crossing predicts: an evaluation confirms as many
+levels as the guess gets right, and at least one.
 :func:`threshold_curve` runs a sweep's searches as one batch: the crossing
 brackets of all its delays are bisected together, in blocks of at most
 ``BRACKET_BLOCK`` brackets, so a bisection round costs one round of numpy
@@ -35,7 +36,6 @@ bit for bit.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -69,9 +69,6 @@ DENSE_TERMS = 8
 # one of its evaluations takes.  A block's exponential tables (terms x
 # angles, under 1 MB) stay in cache.
 BRACKET_BLOCK = 1 << 12
-# Bisection levels one evaluation covers: the 2^6 - 1 = 63 midpoints of a
-# bracket's next six levels.
-TREE_LEVELS = 6
 # Relative slack on the bound k >= 2 sin(theta / 2) when brackets are cut.
 CUT_SLACK = 1e-9
 
@@ -387,9 +384,9 @@ def _phase_resolved(f, theta: np.ndarray, vals: np.ndarray):
     return thetas, values, turn, ~failed
 
 
-def _scan(split: _Split) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scan(split: _Split) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The brackets of every sign change of ``Im w`` on the crossing grid,
-    as their lower and upper angles and the sign at the lower one.
+    as their lower and upper angles and ``Im w`` at each.
 
     The grid holds ``8 (deg + 1) + 64`` angles in ``(0, pi]``, refined
     wherever the phase of ``A`` turns fast.
@@ -407,76 +404,76 @@ def _scan(split: _Split) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     grid, a_val = np.concatenate([grid, *thetas]), np.concatenate([a_val, *values])
     order = np.argsort(grid)
     grid, a_val = grid[order], a_val[order]
-    pos = (-a_val * np.conj(split.b(grid))).imag > 0.0
+    im = (-a_val * np.conj(split.b(grid))).imag
+    pos = im > 0.0
     # a boolean test, not a product of signs: a zero that falls exactly on
     # a grid point must still open a bracket
     idx = np.flatnonzero(pos[:-1] != pos[1:])
-    return grid[idx], grid[idx + 1], pos[idx]
+    return grid[idx], grid[idx + 1], im[idx], im[idx + 1]
 
 
 def _bisect_brackets(splits: list[_Split], scans: list) -> list[np.ndarray]:
     """Bisect the brackets of several searches of one kind to float
     resolution, together; the lower ends, one array per search.
 
-    Each round takes the ``2^L - 1`` midpoints of the next ``L =
-    TREE_LEVELS`` levels of every active bracket's bisection tree (fewer
-    levels when that many angles would pass ``BRACKET_BLOCK``), evaluates
-    them in one :meth:`_Split.w` call, and walks each tree down to the leaf
-    a one-step bisection reaches.  A node's midpoint is ``0.5 * (lo + hi)``
-    of its own bracket, as the one-step loop forms it, so a round moves
-    every bracket exactly as ``L`` one-step bisections would, and as its
-    search alone would.  A bracket whose midpoint is one of its ends is
-    exhausted and leaves the active set.  It is a fixed point: the sign
-    test at that end comes out as it did when the end was set, so the
-    levels a walk takes after its bracket is exhausted move it no more.
+    Each round guesses every active bracket's crossing ``g`` (:func:`_guess`)
+    and takes the midpoints ``0.5 * (lo + hi)`` that a one-step bisection
+    visits if every angle below ``g`` keeps the lower end's sign, up to float
+    exhaustion and at most ``BRACKET_BLOCK`` angles a round (at least one a
+    bracket).  One :meth:`_Split.w` call evaluates every path, and each walk
+    applies the real decisions along its own, up to and including the first
+    that differs from the prediction: past it the path was formed from a
+    wrong end.  Every applied decision is the one-step bisection's at the
+    same midpoint, so each bracket moves as it would alone and one level at
+    a time, bit for bit, for any guess.  The guess only sets how many levels
+    a call confirms, and each call confirms at least one.  A bracket whose
+    midpoint is one of its ends is exhausted and leaves the active set.
     """
-    counts = [len(lo) for lo, _, _ in scans]
-    lo, hi, lo_pos = (np.concatenate(parts) for parts in zip(*scans))
-    split, owner = splits[0], None
+    counts = [len(scan[0]) for scan in scans]
+    lo, hi, f_lo, f_hi = (np.concatenate(parts).tolist() for parts in zip(*scans))
+    split, owners = splits[0], None
     if len(splits) > 1:
         split = _Split.stacked(splits)
-        owner = np.repeat(np.arange(len(splits)), counts)
-    active = np.arange(lo.size)
-    while active.size:
-        n = active.size
-        levels = max(1, min(TREE_LEVELS, (BRACKET_BLOCK // n + 1).bit_length() - 1))
-        width = 1 << levels
-        # a column per bracket: its ends, and between them the midpoints of
-        # its next levels in ascending order; a level's nodes span every
-        # ``step``-th point, and their midpoints fill the points halfway
-        fence = np.empty((width + 1, n))
-        fence[0], fence[-1] = lo[active], hi[active]
-        step = width
-        while step > 1:
-            fence[step // 2::step] = 0.5 * (fence[:-1:step] + fence[step::step])
-            step //= 2
-        w = split.w(fence[1:-1].ravel(),
-                    None if owner is None else np.tile(owner[active], width - 1))
-        # the walk goes up wherever Im w has the sign of the lower end
-        up = (w.imag > 0.0).reshape(width - 1, n) == lo_pos[active]
-        tests, ups = _walks(levels)
-        leaf = (up[tests] == ups[:, :, None]).all(axis=1).argmax(axis=0)
-        cols = np.arange(n)
-        a_lo, a_hi = fence[leaf, cols], fence[leaf + 1, cols]
-        lo[active], hi[active] = a_lo, a_hi
-        mid = 0.5 * (a_lo + a_hi)
-        active = active[(mid > a_lo) & (mid < a_hi)]
-    return np.split(lo, np.cumsum(counts)[:-1])
+        owners = np.repeat(np.arange(len(splits)), counts)
+    active = [i for i in range(len(lo)) if lo[i] < 0.5 * (lo[i] + hi[i]) < hi[i]]
+    while active:
+        room = max(1, BRACKET_BLOCK // len(active))
+        guesses = [_guess(lo[i], hi[i], f_lo[i], f_hi[i]) for i in active]
+        # in Python floats: after the cut a search carries about one
+        # bracket, and a numpy call per level would cost more than it saves
+        paths = []
+        for i, g in zip(active, guesses):
+            a, b, path = lo[i], hi[i], []
+            while len(path) < room and a < (mid := 0.5 * (a + b)) < b:
+                path.append(mid)
+                a, b = (mid, b) if mid < g else (a, mid)
+            paths.append(path)
+        sizes = [len(path) for path in paths]
+        owner = None if owners is None else np.repeat(owners[active], sizes)
+        f = split.w(np.array(list(itertools.chain(*paths))), owner).imag.tolist()
+        at, left = 0, []
+        for i, g, path in zip(active, guesses, paths):
+            for mid, f_mid in zip(path, f[at:at + len(path)]):
+                # up wherever Im w has the sign of the lower end
+                up = (f_mid > 0.0) == (f_lo[i] > 0.0)
+                if up:
+                    lo[i], f_lo[i] = mid, f_mid
+                else:
+                    hi[i], f_hi[i] = mid, f_mid
+                if up != (mid < g):
+                    break
+            at += len(path)
+            if lo[i] < 0.5 * (lo[i] + hi[i]) < hi[i]:
+                left.append(i)
+        active = left
+    return np.split(np.array(lo), np.cumsum(counts)[:-1])
 
 
-@functools.cache
-def _walks(levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """The walk to each leaf of a bisection tree ``levels`` deep, as one row
-    per leaf: the midpoint it tests at each level (an index into the tree's
-    ``2^levels - 1`` midpoints in ascending order) and whether it must go
-    up there.  Exactly one row's answers match any signs at the midpoints,
-    the leaf a one-step bisection reaches.
-    """
-    width = 1 << levels
-    leaf = np.arange(width)[:, None]
-    step = width >> np.arange(levels)
-    test = leaf // step * step + step // 2
-    return test - 1, test <= leaf
+def _guess(lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """Where ``Im w`` crosses zero in ``(lo, hi)``, by regula falsi on its
+    values ``f_lo`` and ``f_hi`` at the ends, which lie on either side of
+    zero, so their difference is never zero."""
+    return lo + (hi - lo) * f_lo / (f_lo - f_hi)
 
 
 def _picks(splits: list[_Split], lows: list[np.ndarray]) -> list[tuple[float, float] | NoThreshold]:
@@ -526,8 +523,11 @@ def _crossings(splits: list[_Split]) -> list[tuple[float, float] | NoThreshold]:
     Splits of one kind (sparse or dense ``A`` and ``B``) share both rounds
     of bisection and of picks, in blocks of whole searches holding at most
     ``BRACKET_BLOCK`` brackets in their scans; a search with more brackets
-    than that is bisected alone.  A block's picks take one stacked
-    evaluation of ``w`` and ``B`` a round (:func:`_picks`).
+    than that is bisected alone.  A bisection round evaluates every active
+    bracket's guessed path in one call of at most ``BRACKET_BLOCK`` angles,
+    or one per bracket of a search with more (:func:`_bisect_brackets`).  A
+    block's picks take one stacked evaluation of ``w`` and ``B`` a round
+    (:func:`_picks`).
     """
     found = [None] * len(splits)
     kinds: dict[tuple[bool, bool], list[int]] = {}

@@ -9,7 +9,8 @@ from hypothesis import strategies as hs
 from oracles import companion_max_magnitude, companion_roots, grid_threshold
 
 from staleness_lab import stability
-from staleness_lab.charpoly import DelayModel, OptimizerSpec, char_poly, pmf_discrete_gaussian, pmf_uniform
+from staleness_lab.charpoly import (DelayModel, OptimizerSpec, as_delay, char_poly, pmf_discrete_gaussian,
+                                   pmf_uniform)
 from staleness_lab.errors import NoConvergence, NoThreshold
 from staleness_lab.stability import (
     METHOD_BISECTION,
@@ -259,11 +260,12 @@ class TestBoundaryCrossing:
 
 
 def _one_step_crossing(variant, m, delay):
-    """The crossing with no cut and no tree: every bracket of the scan
+    """The crossing with no cut and no guess: every bracket of the scan
     bisected one level per evaluation of ``w`` until none can narrow, then
     the pick over all of them."""
     split = stability._Split(variant, m, delay)
-    lo, hi, lo_pos = stability._scan(split)
+    lo, hi, f_lo, _ = stability._scan(split)
+    lo_pos = f_lo > 0.0
     while True:
         mid = 0.5 * (lo + hi)
         if not ((mid > lo) & (mid < hi)).any():
@@ -293,7 +295,7 @@ def bisected(monkeypatch):
     bisect = stability._bisect_brackets
 
     def counting(splits, scans):
-        counts.append(sum(len(lo) for lo, _, _ in scans))
+        counts.append(sum(len(scan[0]) for scan in scans))
         return bisect(splits, scans)
 
     monkeypatch.setattr(stability, "_bisect_brackets", counting)
@@ -315,8 +317,8 @@ def w_calls(monkeypatch):
 
 
 class TestCrossingCut:
-    """Only the brackets that can hold the smallest ``k`` are bisected, six
-    levels per evaluation; the crossing is the one-step search's over every
+    """Only the brackets that can hold the smallest ``k`` are bisected, each
+    along its guessed path; the crossing is the one-step search's over every
     bracket, bit for bit."""
 
     @pytest.mark.parametrize("variant,m,delay", _REFERENCE_CASES)
@@ -344,16 +346,41 @@ class TestCrossingCut:
         ("shifted", 0.9, DelayModel.constant(64)),
         ("plain", 0.0, pmf_uniform(1, 64)),
     ])
-    def test_a_search_evaluates_w_a_dozen_times(self, bisected, w_calls, variant, m, delay):
-        # bisecting every bracket one level at a time takes 50 or more
+    def test_a_search_evaluates_w_nine_times(self, bisected, w_calls, variant, m, delay):
+        # bisecting every bracket one level at a time takes 50 or more; the
+        # guessed paths take 7, 8 and 4 calls, the pick's among them
         stability.boundary_crossing(variant, m, delay)
         assert bisected == [1]
-        assert len(w_calls) <= 12
+        assert len(w_calls) <= 9
 
     def test_a_search_with_no_bracket_evaluates_w_once(self, bisected, w_calls):
         # plain tau 0 crosses at z = -1 alone, where eta*a = 2
         assert stability.boundary_crossing("plain", 0.0, DelayModel.constant(0)) == (2.0, math.pi)
         assert bisected == [0] and w_calls == [1]
+
+    @pytest.mark.parametrize("guess", ["lower end", "upper end", "midpoint", "random"])
+    def test_the_guess_moves_no_bracket(self, monkeypatch, guess):
+        # every search of the reference cases alone, and a plain sweep of
+        # constant and pmf delays bisected one kind at a time, as it is batched
+        sweep = [stability._Split("plain", 0.0, as_delay(d))
+                 for d in [*range(0, 40, 3), pmf_uniform(1, 12), pmf_uniform(3, 20),
+                           pmf_discrete_gaussian(6)]]
+        groups = [[stability._Split(*case)] for case in _REFERENCE_CASES]
+        groups += [[s for s in sweep if s.kind == kind] for kind in {s.kind for s in sweep}]
+
+        def lows():
+            return [[lo.tobytes() for lo in stability._bisect_brackets(splits, [
+                stability._scan(s) for s in splits])] for splits in groups]
+
+        want = lows()
+        rng = np.random.default_rng(7)
+        monkeypatch.setattr(stability, "_guess", {
+            "lower end": lambda lo, hi, f_lo, f_hi: lo,
+            "upper end": lambda lo, hi, f_lo, f_hi: hi,
+            "midpoint": lambda lo, hi, f_lo, f_hi: 0.5 * (lo + hi),
+            "random": lambda lo, hi, f_lo, f_hi: rng.uniform(lo, hi),
+        }[guess])
+        assert lows() == want
 
 
 def _certified_ends(variant, m, delay, rel_tol=1e-8):
@@ -604,6 +631,12 @@ class TestBatchedSweep:
         # each round's picks over the 65 searches are one call, not 65
         threshold_curve("plain", 1.0, range(65))
         assert len(w_calls) <= 12
+
+    def test_a_bisection_call_takes_at_most_a_block_of_angles(self, w_calls):
+        # the first rounds of this sweep carry many searches, so their paths
+        # are cut short to fit the block (uncut, the largest would take 4,457)
+        threshold_curve("plain", 1.0, range(1001))
+        assert stability.BRACKET_BLOCK // 2 < max(w_calls) <= stability.BRACKET_BLOCK
 
     def test_one_batched_crossing_call_per_curve(self, monkeypatch):
         calls = []
