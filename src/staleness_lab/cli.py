@@ -641,9 +641,8 @@ COMMANDS = {
     "roots": Command(cmd_roots, "characteristic roots at one operating point", {
         **_MODEL, "eta": None,
     }, description="Every root of the characteristic polynomial at one operating point. "
-       "With --a 1 --eta 0.0005 the solve takes about 0.6 s at --tau 1000, 1.3 s "
-       "at --tau 2000 and 36 s at --tau 10000 (the limit) on a 2-core machine. "
-       "Memory stays bounded."),
+       "The solve takes time quadratic in the degree (about tau + 1), up to the limit "
+       "--tau 10000, and memory stays bounded."),
     "simulate": Command(cmd_simulate, "run the delayed dynamics once", {
         **_MODEL, "spectrum": None, "eta": None, "steps": None, **_VERDICT_LINES,
         "init": "top_eigvec", "seed": _env_seed, "record_every": 1, "out": None,

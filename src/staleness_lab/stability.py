@@ -30,8 +30,9 @@ levels as the guess gets right, and at least one.
 :func:`threshold_curve` runs a sweep's searches as one batch: the crossing
 brackets of all its delays are bisected together, in blocks of at most
 ``BRACKET_BLOCK`` brackets, so a bisection round costs one round of numpy
-calls for the whole sweep.  Each row equals the search of its delay alone,
-bit for bit.
+calls for the whole sweep.  A block stacks its delays' polynomials once,
+and each round of its picks is one evaluation of ``A`` and one of ``B``.
+Each row equals the search of its delay alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -250,8 +251,10 @@ class _CirclePoly:
 
     def __call__(self, theta: np.ndarray, owner: np.ndarray | None = None) -> np.ndarray:
         if self.dense is None:
-            table = _gather(self.column, owner) * np.exp(_gather(self.jexps, owner) * theta)
-            return _add_rows(table)
+            column, jexps = self.column, self.jexps
+            if owner is not None:  # a stack's (terms x polynomials) tables, a column an angle
+                column, jexps = column[:, owner], jexps[:, owner]
+            return _add_rows(column * np.exp(jexps * theta))
         z = np.exp(1j * theta)
         coefs = iter(self.dense[::-1])
         if owner is not None:
@@ -275,13 +278,11 @@ def _pad(columns, dtype) -> np.ndarray:
     return table
 
 
-def _gather(table: np.ndarray, owner: np.ndarray | None) -> np.ndarray:
-    """A stack's (terms x polynomials) ``table`` as one column per angle."""
-    return table if owner is None else table[:, owner]
-
-
 def _add_rows(table: np.ndarray) -> np.ndarray:
-    """The rows of ``table`` added up in order, starting from zero."""
+    """The rows of ``table`` added up in order, starting from zero.  Not
+    ``table.sum(axis=0)``: numpy sums a one-angle ``(k, 1)`` table pairwise
+    once ``k >= 4``, and the bits move; it adds in order for ``k <= 3`` and
+    for every ``(k, 2, n)`` table, as in :class:`_BracketEnds`."""
     out = np.zeros(table.shape[1:], complex)
     for row in table:
         out += row
@@ -295,41 +296,25 @@ class _Split:
         self.variant, self.m, self.delay = variant, m, delay
         self.terms = char_poly_terms(variant, m, delay)
         self.degree = max(e for e, _, _ in self.terms)
-        self._join(_CirclePoly((e, fixed) for e, fixed, _ in self.terms),
-                   _CirclePoly((e, per_k) for e, _, per_k in self.terms))
+        self.a = _CirclePoly((e, fixed) for e, fixed, _ in self.terms)
+        self.b = _CirclePoly((e, per_k) for e, _, per_k in self.terms)
+        self.kind = (self.a.dense is None, self.b.dense is None)
 
     @classmethod
     def stacked(cls, splits) -> "_Split":
         """Splits of one kind (:attr:`kind`) as one: :meth:`w` with
         ``owner`` evaluates angle ``i`` with ``splits[owner[i]]``."""
         stack = cls.__new__(cls)
-        stack._join(_CirclePoly.stacked([s.a for s in splits]),
-                    _CirclePoly.stacked([s.b for s in splits]))
+        stack.a = _CirclePoly.stacked([s.a for s in splits])
+        stack.b = _CirclePoly.stacked([s.b for s in splits])
         return stack
 
-    def _join(self, a: _CirclePoly, b: _CirclePoly) -> None:
-        self.a, self.b = a, b
-        self.kind = (a.dense is None, b.dense is None)
-        self.sparse = self.kind == (True, True)
-        if self.sparse:
-            # the rows of A, then those of B: one exponential table serves both
-            self.jexps = np.concatenate([a.jexps, b.jexps])
-            self.column = np.concatenate([a.column, b.column])
-
     def w(self, theta: np.ndarray, owner: np.ndarray | None = None) -> np.ndarray:
-        """``-A conj(B)`` at the angles ``theta``, real and positive where a
-        root of ``A + k B`` sits on the circle for ``k = Re w / |B|^2``;
-        ``owner`` names each angle's split in a stack.
-
-        Two sparse polynomials share one exponential table; each adds up its
-        own rows in order, so the values are those of ``self.a`` and
-        ``self.b`` called apart.
-        """
-        if not self.sparse:
-            return -self.a(theta, owner) * np.conj(self.b(theta, owner))
-        table = _gather(self.column, owner) * np.exp(_gather(self.jexps, owner) * theta)
-        n_a = len(self.a.jexps)
-        return -_add_rows(table[:n_a]) * np.conj(_add_rows(table[n_a:]))
+        """``-A conj(B)`` at the angles ``theta``, from one evaluation of
+        each, real and positive where a root of ``A + k B`` sits on the
+        circle for ``k = Re w / |B|^2``; ``owner`` names each angle's split
+        in a stack."""
+        return -self.a(theta, owner) * np.conj(self.b(theta, owner))
 
     def at(self, k: float) -> _CirclePoly:
         return _CirclePoly((e, fixed + k * per_k) for e, fixed, per_k in self.terms)
@@ -412,9 +397,11 @@ def _scan(split: _Split) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     return grid[idx], grid[idx + 1], im[idx], im[idx + 1]
 
 
-def _bisect_brackets(splits: list[_Split], scans: list) -> list[np.ndarray]:
+def _bisect_brackets(split: _Split, searches: list[int] | None, scans: list) -> list[np.ndarray]:
     """Bisect the brackets of several searches of one kind to float
-    resolution, together; the lower ends, one array per search.
+    resolution, together; the lower ends, one array per search.  ``split``
+    is a lone search's (``searches`` None) or a stack, with ``searches``
+    naming the split of the stack that each of ``scans`` belongs to.
 
     Each round guesses every active bracket's crossing ``g`` (:func:`_guess`)
     and takes the midpoints ``0.5 * (lo + hi)`` that a one-step bisection
@@ -431,10 +418,7 @@ def _bisect_brackets(splits: list[_Split], scans: list) -> list[np.ndarray]:
     """
     counts = [len(scan[0]) for scan in scans]
     lo, hi, f_lo, f_hi = (np.concatenate(parts).tolist() for parts in zip(*scans))
-    split, owners = splits[0], None
-    if len(splits) > 1:
-        split = _Split.stacked(splits)
-        owners = np.repeat(np.arange(len(splits)), counts)
+    owners = None if searches is None else np.repeat(searches, counts)
     active = [i for i in range(len(lo)) if lo[i] < 0.5 * (lo[i] + hi[i]) < hi[i]]
     while active:
         room = max(1, BRACKET_BLOCK // len(active))
@@ -476,18 +460,18 @@ def _guess(lo: float, hi: float, f_lo: float, f_hi: float) -> float:
     return lo + (hi - lo) * f_lo / (f_lo - f_hi)
 
 
-def _picks(splits: list[_Split], lows: list[np.ndarray]) -> list[tuple[float, float] | NoThreshold]:
-    """Each split's smallest positive ``k`` over its bisected angles ``lows``
-    and ``theta = pi`` (where ``A`` and ``B`` are real), and its angle, from
-    one evaluation of ``w`` and ``B`` over splits of one kind."""
+def _picks(split: _Split, searches: list[int] | None,
+           lows: list[np.ndarray]) -> list[tuple[float, float] | NoThreshold]:
+    """Each search's smallest positive ``k`` over its bisected angles
+    ``lows`` and ``theta = pi`` (where ``A`` and ``B`` are real), and its
+    angle, from one evaluation of ``A`` and one of ``B``; ``split`` and
+    ``searches`` are as in :func:`_bisect_brackets`."""
     thetas = [np.append(lo, np.pi) for lo in lows]
     sizes = [t.size for t in thetas]
-    split, owner = splits[0], None
-    if len(splits) > 1:
-        split = _Split.stacked(splits)
-        owner = np.repeat(np.arange(len(splits)), sizes)
+    owner = None if searches is None else np.repeat(searches, sizes)
     theta = np.concatenate(thetas)
-    w, b_val = split.w(theta, owner), split.b(theta, owner)
+    a_val, b_val = split.a(theta, owner), split.b(theta, owner)
+    w = -a_val * np.conj(b_val)
     ends = list(itertools.accumulate(sizes, initial=0))
     return [_least_k(t, w[i:j], b_val[i:j]) for t, i, j in zip(thetas, ends, ends[1:])]
 
@@ -518,7 +502,7 @@ def _crossings(splits: list[_Split]) -> list[tuple[float, float] | NoThreshold]:
     and is dropped.  Only the brackets left are bisected, and the pick is
     made again over them and the first, so it equals the pick over every
     bracket.  A search with at most one bracket, or none left after the
-    cut, evaluates ``w`` for its pick once.
+    cut, picks once.
 
     Splits of one kind (sparse or dense ``A`` and ``B``) share both rounds
     of bisection and of picks, in blocks of whole searches holding at most
@@ -526,8 +510,8 @@ def _crossings(splits: list[_Split]) -> list[tuple[float, float] | NoThreshold]:
     than that is bisected alone.  A bisection round evaluates every active
     bracket's guessed path in one call of at most ``BRACKET_BLOCK`` angles,
     or one per bracket of a search with more (:func:`_bisect_brackets`).  A
-    block's picks take one stacked evaluation of ``w`` and ``B`` a round
-    (:func:`_picks`).
+    block stacks its splits once for every call, and each round of its
+    picks is one evaluation of ``A`` and one of ``B`` (:func:`_picks`).
     """
     found = [None] * len(splits)
     kinds: dict[tuple[bool, bool], list[int]] = {}
@@ -535,23 +519,25 @@ def _crossings(splits: list[_Split]) -> list[tuple[float, float] | NoThreshold]:
         kinds.setdefault(split.kind, []).append(i)
 
     def flush(block):
-        members = [splits[i] for i, _ in block]
-        firsts = _bisect_brackets(members, [tuple(part[:1] for part in scan)
-                                            for _, scan in block])
+        # one stack serves the block's every call; a lone search needs none
+        stack, searches = splits[block[0][0]], None
+        if len(block) > 1:
+            stack = _Split.stacked([splits[i] for i, _ in block])
+            searches = list(range(len(block)))
+        firsts = _bisect_brackets(stack, searches, [tuple(part[:1] for part in scan) for _, scan in block])
         left = []
-        for (i, scan), first, pick in zip(block, firsts, _picks(members, firsts)):
+        for j, ((i, scan), pick) in enumerate(zip(block, _picks(stack, searches, firsts))):
             found[i] = pick
-            k_c = math.inf if isinstance(found[i], NoThreshold) else found[i][0]
+            k_c = math.inf if isinstance(pick, NoThreshold) else pick[0]
             keep = 2.0 * np.sin(0.5 * scan[0][1:]) <= k_c * (1.0 + CUT_SLACK)
             if keep.any():
-                left.append((i, first, tuple(part[1:][keep] for part in scan)))
+                left.append((j, tuple(part[1:][keep] for part in scan)))
         if left:
-            members = [splits[i] for i, _, _ in left]
-            lows = _bisect_brackets(members, [rest for _, _, rest in left])
-            picks = _picks(members, [np.concatenate([first, lo])
-                                     for (_, first, _), lo in zip(left, lows)])
-            for (i, _, _), pick in zip(left, picks):
-                found[i] = pick
+            serves = None if searches is None else [j for j, _ in left]
+            lows = _bisect_brackets(stack, serves, [rest for _, rest in left])
+            picks = _picks(stack, serves, [np.concatenate([firsts[j], lo]) for (j, _), lo in zip(left, lows)])
+            for (j, _), pick in zip(left, picks):
+                found[block[j][0]] = pick
 
     for indices in kinds.values():
         block, size = [], 0

@@ -272,8 +272,16 @@ def _one_step_crossing(variant, m, delay):
             break
         same = (split.w(mid).imag > 0.0) == lo_pos
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-    pick, = stability._picks([split], [lo])
+    pick, = stability._picks(split, None, [lo])
     return pick
+
+
+def _bisect_together(splits, scans):
+    """``_bisect_brackets`` over the searches of ``splits``, stacked as a
+    sweep's block stacks them."""
+    if len(splits) == 1:
+        return stability._bisect_brackets(splits[0], None, scans)
+    return stability._bisect_brackets(stability._Split.stacked(splits), list(range(len(splits))), scans)
 
 
 # (variant, m, delay): many brackets each, and one whose cut keeps some
@@ -294,9 +302,9 @@ def bisected(monkeypatch):
     counts = []
     bisect = stability._bisect_brackets
 
-    def counting(splits, scans):
+    def counting(split, searches, scans):
         counts.append(sum(len(scan[0]) for scan in scans))
-        return bisect(splits, scans)
+        return bisect(split, searches, scans)
 
     monkeypatch.setattr(stability, "_bisect_brackets", counting)
     return counts
@@ -313,6 +321,42 @@ def w_calls(monkeypatch):
         return w(self, theta, owner)
 
     monkeypatch.setattr(stability._Split, "w", counting)
+    return sizes
+
+
+@pytest.fixture
+def picked(monkeypatch):
+    """Each ``_picks`` call's split, and the polynomials it evaluated, in
+    order."""
+    calls, evaluated = [], []
+    picks, call = stability._picks, stability._CirclePoly.__call__
+
+    def counting_call(self, theta, owner=None):
+        evaluated.append(self)
+        return call(self, theta, owner)
+
+    def counting_picks(split, searches, lows):
+        evaluated.clear()
+        found = picks(split, searches, lows)
+        calls.append((split, list(evaluated)))
+        return found
+
+    monkeypatch.setattr(stability._CirclePoly, "__call__", counting_call)
+    monkeypatch.setattr(stability, "_picks", counting_picks)
+    return calls
+
+
+@pytest.fixture
+def stacks(monkeypatch):
+    """How many splits each ``_Split.stacked`` call stacks, in order."""
+    sizes = []
+    stacked = stability._Split.stacked.__func__
+
+    def counting(cls, splits):
+        sizes.append(len(splits))
+        return stacked(cls, splits)
+
+    monkeypatch.setattr(stability._Split, "stacked", classmethod(counting))
     return sizes
 
 
@@ -346,17 +390,19 @@ class TestCrossingCut:
         ("shifted", 0.9, DelayModel.constant(64)),
         ("plain", 0.0, pmf_uniform(1, 64)),
     ])
-    def test_a_search_evaluates_w_nine_times(self, bisected, w_calls, variant, m, delay):
+    def test_a_search_evaluates_w_eight_times(self, bisected, w_calls, variant, m, delay):
         # bisecting every bracket one level at a time takes 50 or more; the
-        # guessed paths take 7, 8 and 4 calls, the pick's among them
+        # guessed paths take 6, 7 and 3 calls, and the pick takes none
         stability.boundary_crossing(variant, m, delay)
         assert bisected == [1]
-        assert len(w_calls) <= 9
+        assert len(w_calls) <= 8
 
-    def test_a_search_with_no_bracket_evaluates_w_once(self, bisected, w_calls):
+    def test_a_search_with_no_bracket_picks_from_one_a_and_one_b(self, bisected, w_calls, picked):
         # plain tau 0 crosses at z = -1 alone, where eta*a = 2
         assert stability.boundary_crossing("plain", 0.0, DelayModel.constant(0)) == (2.0, math.pi)
-        assert bisected == [0] and w_calls == [1]
+        assert bisected == [0] and w_calls == []
+        (split, evaluated), = picked
+        assert evaluated == [split.a, split.b]
 
     @pytest.mark.parametrize("guess", ["lower end", "upper end", "midpoint", "random"])
     def test_the_guess_moves_no_bracket(self, monkeypatch, guess):
@@ -369,8 +415,8 @@ class TestCrossingCut:
         groups += [[s for s in sweep if s.kind == kind] for kind in {s.kind for s in sweep}]
 
         def lows():
-            return [[lo.tobytes() for lo in stability._bisect_brackets(splits, [
-                stability._scan(s) for s in splits])] for splits in groups]
+            return [[lo.tobytes() for lo in _bisect_together(splits, [stability._scan(s) for s in splits])]
+                    for splits in groups]
 
         want = lows()
         rng = np.random.default_rng(7)
@@ -621,16 +667,28 @@ class TestBatchedSweep:
             splits = [stability._Split(variant, m, DelayModel.constant(d) if isinstance(d, int)
                                        else d) for d in delays]
             scans = [stability._scan(split) for split in splits]
-            together = stability._bisect_brackets(splits, scans)
+            together = _bisect_together(splits, scans)
             assert sum(map(len, together)) > 10 * len(splits)
             for split, scan, lows in zip(splits, scans, together):
-                alone, = stability._bisect_brackets([split], [scan])
+                alone, = stability._bisect_brackets(split, None, [scan])
                 assert np.array_equal(lows, alone)
 
-    def test_a_sweep_block_picks_with_one_w_call_a_round(self, w_calls):
-        # each round's picks over the 65 searches are one call, not 65
+    def test_a_sweep_block_picks_with_one_evaluation_a_round(self, w_calls, picked):
+        # each round's picks over the 65 searches are one evaluation of A
+        # and one of B, not 65, and the picks call no w: the 9 w calls are
+        # the bisection's
         threshold_curve("plain", 1.0, range(65))
-        assert len(w_calls) <= 12
+        assert len(w_calls) <= 10
+        assert 1 <= len(picked) <= 2
+        for split, evaluated in picked:
+            assert evaluated == [split.a, split.b]
+
+    def test_a_sweep_block_builds_its_stack_once(self, stacks):
+        # one block for each kind, sparse and dense A and B, each stacked once
+        # for both rounds of bisection and of picks
+        threshold_curve("plain", 1.0, [*range(13), pmf_uniform(1, 12), pmf_uniform(2, 3),
+                                       pmf_uniform(3, 20), DelayModel((2, 39), (0.8, 0.2))])
+        assert stacks == [15, 2]
 
     def test_a_bisection_call_takes_at_most_a_block_of_angles(self, w_calls):
         # the first rounds of this sweep carry many searches, so their paths

@@ -116,7 +116,7 @@ def test_every_crossing_value_is_at_least_the_chord_to_one(case):
     """
     variant, m, delay = case
     split = stability._Split(variant, m, delay)
-    lows, = stability._bisect_brackets([split], [stability._scan(split)])
+    lows, = stability._bisect_brackets(split, None, [stability._scan(split)])
     theta = np.append(lows, np.pi)
     w, b = split.w(theta), split.b(theta)
     with np.errstate(divide="ignore", invalid="ignore"):
