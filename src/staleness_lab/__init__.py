@@ -47,8 +47,6 @@ from .stability import (
     ThresholdCurve,
     ThresholdResult,
     analytic_threshold_plain,
-    dampened_lr,
-    effective_lr,
     numeric_threshold,
     scale_lr,
     taylor_inverse_threshold,
@@ -89,9 +87,7 @@ __all__ = [
     "char_poly_plain",
     "char_poly_shifted",
     "char_poly_stochastic",
-    "dampened_lr",
     "delay_histogram",
-    "effective_lr",
     "empirical_threshold",
     "escape_time_curve",
     "numeric_threshold",

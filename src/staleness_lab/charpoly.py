@@ -69,12 +69,6 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, z: complex) -> complex:
-        result = 0.0 + 0.0j if isinstance(z, complex) else 0.0
-        for c in reversed(self.coeffs):
-            result = result * z + c
-        return result
-
 
 @dataclass(frozen=True)
 class DelayModel:

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .charpoly import (DelayModel, OptimizerSpec, _check_count, _check_delay, _check_momentum,
+from .charpoly import (VARIANTS, DelayModel, OptimizerSpec, _check_count, _check_delay, _check_momentum,
                        _check_positive, char_poly, pmf_discrete_gaussian, pmf_uniform)
 from .dynamics import (
     BLOWUP_FACTOR,
@@ -51,7 +51,6 @@ from .stability import threshold_curve
 from .svgchart import render_line_chart
 
 SEED_ENV = "STALENESS_LAB_SEED"
-VARIANTS = ("plain", "momentum", "shifted")
 
 
 def _seed_value(text: str) -> int:

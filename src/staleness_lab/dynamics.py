@@ -128,11 +128,6 @@ class QuadraticProblem:
     def components(self) -> np.ndarray | None:
         return self._components
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """All eigenvalues, ascending."""
-        return self._eigvals
-
     def sharpness(self) -> float:
         """Largest eigenvalue of the hessian; the ``a`` of the 1-D theory."""
         return float(self._eigvals[-1])

@@ -73,9 +73,6 @@ class RootSet:
     def max_magnitude(self) -> float:
         return abs(self.roots[0])
 
-    def magnitudes(self) -> tuple[float, ...]:
-        return tuple(abs(r) for r in self.roots)
-
 
 def _split_zero_roots(coeffs: tuple[float, ...]) -> tuple[int, tuple[float, ...]]:
     """Count exact roots at z = 0 (zero low-order coefficients) and strip them."""

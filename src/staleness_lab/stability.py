@@ -43,8 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charpoly import (DelayModel, _check_delay, _check_momentum, _check_positive,
-                       _sum_by_exponent, as_delay, char_poly_terms)
+from .charpoly import DelayModel, _check_delay, _check_positive, _sum_by_exponent, as_delay, char_poly_terms
 from .errors import NoConvergence, NoThreshold
 
 BRACKET_START = 1e-6
@@ -144,20 +143,6 @@ def scale_lr(eta0: float, tau: int) -> float:
     _check_positive("eta0", eta0)
     tau = _check_delay(tau)
     return eta0 * math.pi / (4.0 * (tau + 0.5))
-
-
-def effective_lr(eta: float, m: float) -> float:
-    """Long-run step size ``eta / (1 - m)`` of a momentum update."""
-    _check_positive("eta", eta)
-    _check_momentum(m)
-    return eta / (1.0 - m)
-
-
-def dampened_lr(eta_eff: float, m: float) -> float:
-    """Invert :func:`effective_lr`: the raw eta that yields ``eta_eff``."""
-    _check_positive("eta_eff", eta_eff)
-    _check_momentum(m)
-    return eta_eff * (1.0 - m)
 
 
 def _bisect_eta(stable, eta_start: float, rel_tol: float) -> tuple[float, float]:
@@ -463,16 +448,19 @@ def _guess(lo: float, hi: float, f_lo: float, f_hi: float) -> float:
 def _picks(split: _Split, searches: list[int] | None,
            lows: list[np.ndarray]) -> list[tuple[float, float] | NoThreshold]:
     """Each search's smallest positive ``k`` over its bisected angles
-    ``lows`` and ``theta = pi`` (where ``A`` and ``B`` are real), and its
-    angle, from one evaluation of ``A`` and one of ``B``; ``split`` and
-    ``searches`` are as in :func:`_bisect_brackets`."""
+    ``lows`` and ``theta = pi``, and its angle, from one evaluation of ``A``
+    and one of ``B``; ``split`` and ``searches`` are as in
+    :func:`_bisect_brackets`.  ``A`` and ``B`` are taken as real at pi, as
+    they are exactly, so a ``B`` that vanishes there offers no candidate."""
     thetas = [np.append(lo, np.pi) for lo in lows]
     sizes = [t.size for t in thetas]
     owner = None if searches is None else np.repeat(searches, sizes)
     theta = np.concatenate(thetas)
-    a_val, b_val = split.a(theta, owner), split.b(theta, owner)
-    w = -a_val * np.conj(b_val)
     ends = list(itertools.accumulate(sizes, initial=0))
+    a_val, b_val = split.a(theta, owner), split.b(theta, owner)
+    for j in ends[1:]:  # each search's last angle is pi
+        a_val.imag[j - 1] = b_val.imag[j - 1] = 0.0
+    w = -a_val * np.conj(b_val)
     return [_least_k(t, w[i:j], b_val[i:j]) for t, i, j in zip(thetas, ends, ends[1:])]
 
 
@@ -497,12 +485,12 @@ def _crossings(splits: list[_Split]) -> list[tuple[float, float] | NoThreshold]:
     momentum, or ``z - m`` at tau 0, ``z^(K+1) - m`` shifted), so a crossing
     at angle theta has ``k >= |e^(i theta) - 1| = 2 sin(theta / 2)``.  Each
     search first bisects only its lowest-angle bracket and picks ``k_c``
-    over it and ``theta = pi``; a bracket whose lower angle has ``2
-    sin(theta_lo / 2) > k_c (1 + CUT_SLACK)`` cannot hold a smaller ``k``
-    and is dropped.  Only the brackets left are bisected, and the pick is
-    made again over them and the first, so it equals the pick over every
-    bracket.  A search with at most one bracket, or none left after the
-    cut, picks once.
+    over it and ``theta = pi``, with ``A`` and ``B`` taken as real there
+    (none if ``B(-1) = 0``); a bracket whose lower angle has ``2 sin(theta_lo
+    / 2) > k_c (1 + CUT_SLACK)`` cannot hold a smaller ``k`` and is dropped.
+    Only the brackets left are bisected, and the pick is made again over
+    them and the first, so it equals the pick over every bracket.  A search
+    with at most one bracket, or none left after the cut, picks once.
 
     Splits of one kind (sparse or dense ``A`` and ``B``) share both rounds
     of bisection and of picks, in blocks of whole searches holding at most
@@ -559,14 +547,14 @@ def boundary_crossing(variant: str, m: float, delay: DelayModel) -> tuple[float,
     the crossings are the angles where ``w = -A conj(B)`` is real and
     positive: the sign changes of ``Im w`` on a grid over ``(0, pi]``
     (:func:`_scan`) are bisected to machine precision, and ``theta = pi``
-    (where ``A`` and ``B`` are real) is always a candidate.  Only the sign
-    changes that the bound ``k >= 2 sin(theta / 2)`` leaves able to hold the
-    smallest ``k`` are bisected, and the answer is the pick over all of
-    them, bit for bit.  Returns the smallest positive ``k`` and its angle;
-    whether that really is the stability boundary is left to the
-    winding-number certificate in :func:`numeric_threshold`.  This is the
-    one-delay case of the batched crossing (:func:`_crossings`) that a
-    :func:`threshold_curve` sweep makes.
+    (where ``A`` and ``B`` are real) is a candidate unless ``B`` vanishes
+    there.  Only the sign changes that the bound ``k >= 2 sin(theta / 2)``
+    leaves able to hold the smallest ``k`` are bisected, and the answer is
+    the pick over all of them, bit for bit.  Returns the smallest positive
+    ``k`` and its angle; whether that really is the stability boundary is
+    left to the winding-number certificate in :func:`numeric_threshold`.
+    This is the one-delay case of the batched crossing (:func:`_crossings`)
+    that a :func:`threshold_curve` sweep makes.
     """
     found, = _crossings([_Split(variant, m, as_delay(delay))])
     if isinstance(found, NoThreshold):

@@ -28,13 +28,6 @@ class TestPolynomial:
         with pytest.raises(ValueError):
             Polynomial((0.0, 0.0))
 
-    def test_horner_eval(self):
-        p = Polynomial((2.0, -3.0, 1.0))  # (z-1)(z-2)
-        assert p(1.0) == 0.0
-        assert p(2.0) == 0.0
-        assert p(0.0) == 2.0
-        assert p(1j) == (2.0 - 3.0 * 1j + 1j * 1j)
-
 
 class TestDelayModel:
     def test_constant_point_mass(self):

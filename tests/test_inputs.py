@@ -40,8 +40,6 @@ from staleness_lab.pssim import RoundRobin, SampledDelay, ps_empirical_threshold
 from staleness_lab.roots import all_roots, all_roots_many
 from staleness_lab.stability import (
     analytic_threshold_plain,
-    dampened_lr,
-    effective_lr,
     numeric_threshold,
     scale_lr,
     taylor_inverse_threshold,
@@ -67,8 +65,6 @@ POSITIVE = {
     "char_poly a": lambda x: char_poly(OPT, x, DelayModel.constant(3)),
     "analytic_threshold_plain a": lambda x: analytic_threshold_plain(x, 3),
     "scale_lr eta0": lambda x: scale_lr(x, 3),
-    "effective_lr eta": lambda x: effective_lr(x, 0.5),
-    "dampened_lr eta_eff": lambda x: dampened_lr(x, 0.5),
     "numeric_threshold a": lambda x: numeric_threshold("plain", x, 3),
     "numeric_threshold rel_tol": lambda x: numeric_threshold("plain", 1.0, 3, rel_tol=x),
     "threshold_curve a": lambda x: threshold_curve("plain", x, [3]),
@@ -81,8 +77,6 @@ MOMENTUM = {
     "OptimizerSpec m": lambda x: OptimizerSpec("momentum", 0.1, x),
     "char_poly_momentum m": lambda x: char_poly_momentum(0.1, 1.0, 3, x),
     "char_poly_shifted m": lambda x: char_poly_shifted(0.1, 1.0, 3, x),
-    "effective_lr m": lambda x: effective_lr(0.1, x),
-    "dampened_lr m": lambda x: dampened_lr(0.1, x),
     "numeric_threshold m": lambda x: numeric_threshold("momentum", 1.0, 3, m=x),
 }
 BAD_MOMENTUM = {"nan": math.nan, "inf": math.inf, "negative": -0.1, "1": 1.0}
@@ -277,7 +271,7 @@ def test_error_text_names_the_input():
     with pytest.raises(ValueError, match="a must be positive and finite"):
         analytic_threshold_plain(math.nan, 3)
     with pytest.raises(ValueError, match=r"m must lie in \[0, 1\)"):
-        effective_lr(0.1, 1.0)
+        OptimizerSpec("momentum", 0.1, 1.0)
     with pytest.raises(ValueError, match="tau must be an integer"):
         DelayModel.constant(2.5)
 

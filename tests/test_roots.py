@@ -95,7 +95,7 @@ class TestOrderingAndSymmetry:
         for _ in range(20):
             deg = int(rng.integers(2, 15))
             c = tuple(float(x) for x in rng.uniform(-2, 2, deg)) + (1.0,)
-            mags = all_roots(Polynomial(c)).magnitudes()
+            mags = [abs(z) for z in all_roots(Polynomial(c)).roots]
             assert all(a >= b - 1e-12 for a, b in zip(mags, mags[1:]))
 
     def test_conjugate_symmetry(self):

@@ -16,8 +16,6 @@ from staleness_lab.stability import (
     METHOD_BISECTION,
     ThresholdCurve,
     analytic_threshold_plain,
-    dampened_lr,
-    effective_lr,
     numeric_threshold,
     scale_lr,
     taylor_inverse_threshold,
@@ -73,13 +71,6 @@ class TestLrHelpers:
             x = math.pi / (4 * tau + 2)
             exact_ratio = analytic_threshold_plain(1.0, tau) / analytic_threshold_plain(1.0, 0)
             assert scale_lr(0.8, tau) / (0.8 * exact_ratio) == pytest.approx(x / math.sin(x), rel=1e-12)
-
-    def test_effective_dampened_inverse(self):
-        for m in (0.0, 0.5, 0.9):
-            assert dampened_lr(effective_lr(0.3, m), m) == pytest.approx(0.3, rel=1e-15)
-
-    def test_effective_lr_grows_with_m(self):
-        assert effective_lr(0.1, 0.9) == pytest.approx(1.0)
 
 
 def _search_corpus():

@@ -9,7 +9,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import companion_max_magnitude
@@ -101,8 +101,16 @@ crossing_cases = st.one_of(
 )
 
 
+@pytest.mark.parametrize("delay", [DelayModel((1, 12), (0.5, 0.5)), DelayModel((2, 17), (0.5, 0.5))])
+def test_stability_flips_once_where_b_vanishes_at_minus_one(delay):
+    # equal mass on odd and even delays: B(-1) = 0, so no root ever sits at
+    # z = -1, and the rounded imaginary parts of e^(i pi) must not pick one
+    _assert_flips_once("plain", 0.0, delay)
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(crossing_cases)
+@example(("plain", 0.0, _random_pmf({12: 1.0, 1: 1.0})))
 def test_every_crossing_value_is_at_least_the_chord_to_one(case):
     """``k >= |e^(i theta) - 1| = 2 sin(theta / 2)`` at every positive crossing.
 
@@ -118,7 +126,10 @@ def test_every_crossing_value_is_at_least_the_chord_to_one(case):
     split = stability._Split(variant, m, delay)
     lows, = stability._bisect_brackets(split, None, [stability._scan(split)])
     theta = np.append(lows, np.pi)
-    w, b = split.w(theta), split.b(theta)
+    a, b = split.a(theta), split.b(theta)
+    # real at pi, as in _picks: where B(-1) = 0 there is no crossing to bound
+    a.imag[-1] = b.imag[-1] = 0.0
+    w = -a * np.conj(b)
     with np.errstate(divide="ignore", invalid="ignore"):
         k = w.real / (b.real**2 + b.imag**2)
     crossing = np.isfinite(k) & (k > 0.0)
