@@ -68,7 +68,11 @@ POSITIVE = {
     "numeric_threshold a": lambda x: numeric_threshold("plain", x, 3),
     "numeric_threshold rel_tol": lambda x: numeric_threshold("plain", 1.0, 3, rel_tol=x),
     "threshold_curve a": lambda x: threshold_curve("plain", x, [3]),
+    "threshold_curve rel_tol": lambda x: threshold_curve("plain", 1.0, [3], rel_tol=x),
     "empirical_threshold rel_tol": lambda x: empirical_threshold(PROBLEM, "plain", 3, rel_tol=x),
+    "ps_empirical_threshold rel_tol": lambda x: ps_empirical_threshold(PROBLEM, RoundRobin(4),
+                                                                       "plain", rel_tol=x),
+    "escape_time_curve eta": lambda x: escape_time_curve(PROBLEM, "plain", 3, [x]),
     "power_iteration tol": lambda x: power_iteration(lambda v: v, 2, tol=x),
 }
 BAD_POSITIVE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "0": 0.0, "negative": -1.0}
@@ -78,6 +82,11 @@ MOMENTUM = {
     "char_poly_momentum m": lambda x: char_poly_momentum(0.1, 1.0, 3, x),
     "char_poly_shifted m": lambda x: char_poly_shifted(0.1, 1.0, 3, x),
     "numeric_threshold m": lambda x: numeric_threshold("momentum", 1.0, 3, m=x),
+    "threshold_curve m": lambda x: threshold_curve("momentum", 1.0, [3], m=x),
+    "empirical_threshold m": lambda x: empirical_threshold(PROBLEM, "momentum", 3, m=x),
+    "ps_empirical_threshold m": lambda x: ps_empirical_threshold(PROBLEM, RoundRobin(4),
+                                                                 "momentum", m=x),
+    "escape_time_curve m": lambda x: escape_time_curve(PROBLEM, "momentum", 3, [0.1], m=x),
 }
 BAD_MOMENTUM = {"nan": math.nan, "inf": math.inf, "negative": -0.1, "1": 1.0}
 
