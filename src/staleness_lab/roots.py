@@ -11,16 +11,19 @@ even at degree 10001.  The fixed phases keep runs deterministic and keep
 starting points off the real axis where conjugate pairs could trap them.
 Every sweep evaluates the polynomial and its derivative by Horner's rule.
 
-``all_roots_many`` solves a list of polynomials in batches: polynomials of the
-same degree (after stripping zero roots) share each sweep as rows of a
-``(k, deg)`` array, and a row leaves its batch as soon as it converges.
-Batching is invisible in the results: every elementwise step does the same
-float operations on a row as on a lone polynomial, and every row sum runs
-along a contiguous axis of its own row, so each ``RootSet`` (roots,
-residuals and iteration count) is bit-identical to solving that polynomial
-alone.  The pairwise repulsion is built in blocks of at most ``PAIR_BLOCK``
-complex elements, so memory stays bounded at any degree.  ``all_roots`` is
-the one-polynomial batch.
+``all_roots_many`` sorts its polynomials, zero roots stripped, by descending
+degree and cuts them into bands of at most ``SWEEP_BLOCK`` root estimates.
+A band is one padded ``(rows, width)`` array and runs one sweep loop: Horner's
+rule gives each row only its own coefficients, the update, restarts and
+convergence checks cover the whole band, and only the pairwise repulsion runs
+per degree.  A row leaves its band as soon as it converges.  Bands are
+invisible in the results: every elementwise step does the same float
+operations, in the same operand order, on a row as on a lone polynomial, and
+every row sum runs along a contiguous axis of its own estimates, so each
+``RootSet`` (roots, residuals and iteration count) is bit-identical to solving
+that polynomial alone.  The pairwise repulsion is built in blocks of at most
+``PAIR_BLOCK`` complex elements, so memory stays bounded at any degree.
+``all_roots`` is the one-polynomial batch.
 
 A companion-matrix eigensolve would do the same job; it is deliberately kept
 out of the library and used only as an independent cross-check in the tests.
@@ -54,6 +57,10 @@ RESIDUAL_FLOOR = 5e-14
 # dense deg x deg block would take 1.6 GB at degree 10001.
 PAIR_BLOCK = 1 << 17
 
+# Most root estimates, padding included, in one band of ``all_roots_many``;
+# a single polynomial of higher degree gets a band of its own.
+SWEEP_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class RootSet:
@@ -82,27 +89,60 @@ def _split_zero_roots(coeffs: tuple[float, ...]) -> tuple[int, tuple[float, ...]
     return k, coeffs[k:]
 
 
-def _horner(cols: np.ndarray, z: np.ndarray, p: np.ndarray, dp: np.ndarray | None = None):
+def _layout(degs: np.ndarray):
+    """Runs and padding of a band whose rows have the descending degrees ``degs``.
+
+    In run ``(a, n, lo, hi)`` rows ``a..n-1`` have degree ``hi - 1``, and
+    Horner's rule applies coefficients ``lo..hi-1`` to the leading ``n`` rows.
+    The padding mask is None when every row spans the band.
+    """
+    ends = np.append(np.flatnonzero(np.diff(degs)) + 1, len(degs))
+    ends, tops = ends.tolist(), (degs[ends - 1] + 1).tolist()
+    runs = list(zip([0] + ends[:-1], ends, tops[1:] + [0], tops))
+    return runs, (np.arange(degs[0]) >= degs[:, None] if len(runs) > 1 else None)
+
+
+def _horner(cols: np.ndarray, runs, z: np.ndarray, p: np.ndarray, dp: np.ndarray | None = None):
     """Evaluate row ``r``'s polynomial at ``z[r]`` into ``p`` (and ``dp``), in place.
 
-    ``cols[j]`` is coefficient ``j`` of every row as a ``(k, 1)`` column.
+    ``cols[j]`` is coefficient ``j`` of every row as a ``(k, 1)`` column; the
+    ``runs`` of ``_layout`` start each row at its own degree.
     """
     p.fill(0.0)
     if dp is not None:
         dp.fill(0.0)
-    for coef in cols[::-1]:
-        if dp is not None:
-            np.multiply(dp, z, out=dp)
-            np.add(dp, p, out=dp)
-        np.multiply(p, z, out=p)
-        np.add(p, coef, out=p)
+    for _, n, lo, hi in runs:
+        zn, pn = z[:n], p[:n]
+        dpn = None if dp is None else dp[:n]
+        for coef in cols[lo:hi, :n][::-1]:
+            if dpn is not None:
+                np.multiply(dpn, zn, out=dpn)
+                np.add(dpn, pn, out=dpn)
+            np.multiply(pn, zn, out=pn)
+            np.add(pn, coef, out=pn)
 
 
-def _scaled_residuals(cols: np.ndarray, z: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``|P(z)| / sum_k |c_k||z|^k`` per point, where ``p`` is ``P(z)``."""
-    scale = np.empty_like(z)
-    _horner(np.abs(cols), np.abs(z).astype(complex), scale)
-    return np.abs(p) / np.maximum(np.abs(scale), np.finfo(float).tiny)
+def _scaled_residuals(cols, runs, z, p, pad) -> np.ndarray:
+    """``|P(z)| / sum_k |c_k||z|^k`` per point, where ``p`` is ``P(z)``; 0 at padding."""
+    scale = np.empty(z.shape)
+    _horner(np.abs(cols), runs, np.abs(z), scale)
+    res = np.abs(p) / np.maximum(scale, np.finfo(float).tiny)
+    if pad is not None:
+        res[pad] = 0.0
+    return res
+
+
+def _aligned(shape) -> np.ndarray:
+    """An uninitialised complex array that starts on a 64-byte cache line.
+
+    numpy aligns to 16 bytes only, so whether an array sat on a line changed
+    with the heap from run to run; off it, the pairwise blocks took 10 %
+    longer at degree 2001.
+    """
+    size = math.prod(shape)
+    raw = np.empty(size + 3, complex)
+    skip = -raw.ctypes.data % 64 // 16
+    return raw[skip:skip + size].reshape(shape)
 
 
 def _repulsion(z: np.ndarray) -> np.ndarray:
@@ -110,16 +150,18 @@ def _repulsion(z: np.ndarray) -> np.ndarray:
     k, n = z.shape
     out = np.empty_like(z)
     rows = min(n, max(1, PAIR_BLOCK // n))
-    polys = max(1, PAIR_BLOCK // (n * n))
+    polys = min(k, max(1, PAIR_BLOCK // (n * n)))
+    buf = _aligned((polys * rows * n,))
     for a in range(0, k, polys):
         zr = z[a:a + polys]
         for i in range(0, n, rows):
-            diff = zr[:, i:i + rows, None] - zr[:, None, :]
-            d = np.arange(diff.shape[1])
+            shape = (len(zr), min(rows, n - i), n)
+            diff = np.subtract(zr[:, i:i + rows, None], zr[:, None, :],
+                               out=buf[:math.prod(shape)].reshape(shape))
+            d = np.arange(shape[1])
             diff[:, d, d + i] = np.inf
             np.divide(1.0, diff, out=diff)
             out[a:a + polys, i:i + rows] = diff.sum(axis=2)
-            del diff  # freed before the next block is built
     return out
 
 
@@ -135,7 +177,8 @@ def _start_points(c: np.ndarray, deg: int) -> tuple[np.ndarray, float]:
     evaluable.
     """
     ks = np.flatnonzero(c)
-    logs = np.log(np.abs(c[ks]))
+    logs = np.log(np.abs(c[ks])).tolist()
+    ks = ks.tolist()
     hull = [0]
     for t in range(1, len(ks)):
         while len(hull) > 1:
@@ -147,7 +190,7 @@ def _start_points(c: np.ndarray, deg: int) -> tuple[np.ndarray, float]:
         hull.append(t)
     z, radii = [], []
     for edge, (a, b) in enumerate(zip(hull, hull[1:])):
-        n = int(ks[b] - ks[a])
+        n = ks[b] - ks[a]
         radii.append(math.exp(min(max((logs[a] - logs[b]) / n, -576.0 / deg), 576.0 / deg)))
         angles = START_PHASE + GOLDEN_ANGLE * edge + 2.0 * math.pi * (np.arange(n) + 0.5) / n
         z.append(radii[-1] * np.exp(1j * angles))
@@ -160,31 +203,38 @@ def _assemble(z: np.ndarray, res: np.ndarray, n_zero: int, iterations: int) -> R
         res = np.concatenate([res, np.zeros(n_zero)])
     order = np.lexsort((z.imag, z.real, -np.abs(z)))
     return RootSet(
-        roots=tuple(complex(v) for v in z[order]),
-        residuals=tuple(float(v) for v in res[order]),
+        roots=tuple(z[order].tolist()),
+        residuals=tuple(res[order].tolist()),
         iterations=iterations,
     )
 
 
-def _aberth(deg, members, max_iter, outcomes) -> None:
-    """Solve same-degree polynomials together; ``members`` are ``(slot, n_zero, c)``.
+def _aberth(live, max_iter, outcomes) -> None:
+    """Solve a band of polynomials in one sweep loop; ``live`` holds ``(slot, n_zero, c)``.
 
-    ``c`` is monic with a nonzero constant term.  Each result, a RootSet or
-    the NoConvergence to raise, goes to ``outcomes[slot]``.
+    ``c`` is monic with a nonzero constant term, and the band is sorted by
+    descending degree.  Row ``r`` keeps its estimates in ``z[r, :deg]``; its
+    padding holds 1 and gets a zero update and residual, so it never restarts
+    and never sets a row maximum.  Each result, a RootSet or the
+    NoConvergence to raise, goes to ``outcomes[slot]``.
     """
-    live = list(members)
-    starts = [_start_points(c, deg) for _, _, c in live]
-    z = np.stack([points for points, _ in starts])
-    radii = np.asarray([radius for _, radius in starts])
-    cols = np.stack([c for _, _, c in live], axis=1)[:, :, None]
-    p = np.empty_like(z)
-    dp = np.empty_like(z)
+    degs = np.array([len(c) - 1 for _, _, c in live])
+    z = _aligned((len(live), degs[0]))
+    z.fill(1.0)
+    cols = np.zeros((degs[0] + 1, len(live), 1))
+    radii = np.empty(len(live))
+    for r, (_, _, c) in enumerate(live):
+        z[r, :len(c) - 1], radii[r] = _start_points(c, len(c) - 1)
+        cols[:len(c), r, 0] = c
+    p, dp = _aligned(z.shape), _aligned(z.shape)
+    runs, pad = _layout(degs)
 
     def settle(rows, res, iterations, converged):
-        nonlocal z, p, dp, cols, radii, live
-        for r, row_res in zip(rows, res):
+        nonlocal z, p, dp, cols, radii, degs, runs, pad, live
+        for r, row_res in zip(rows.tolist(), res):
             slot, n_zero, _ = live[r]
-            result = _assemble(z[r], row_res, n_zero, iterations)
+            row_res = row_res[:degs[r]]
+            result = _assemble(z[r, :degs[r]], row_res, n_zero, iterations)
             worst = float(np.max(row_res))
             if not converged:
                 result = NoConvergence(
@@ -201,30 +251,42 @@ def _aberth(deg, members, max_iter, outcomes) -> None:
             outcomes[slot] = result
         keep = np.ones(len(live), bool)
         keep[rows] = False
-        z, p, dp = z[keep], p[keep], dp[keep]
-        cols, radii = cols[:, keep], radii[keep]
         live = [m for m, k in zip(live, keep) if k]
+        if live:  # the band narrows once its widest rows leave
+            degs, radii = degs[keep], radii[keep]
+            z, p, dp = z[keep, :degs[0]], p[keep, :degs[0]], dp[keep, :degs[0]]
+            cols = cols[:degs[0] + 1, keep]
+            runs, pad = _layout(degs)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _horner(cols, z, p, dp)
+        _horner(cols, runs, z, p, dp)
         for it in range(1, max_iter + 1):
             newton = p / dp
-            w = newton / (1.0 - newton * _repulsion(z))
+            rep = np.zeros_like(z)
+            for a, b, _, top in runs:
+                rep[a:b, :top - 1] = _repulsion(z[a:b, :top - 1])
+            # numpy turns ``newton * tmp`` into ``tmp *= newton`` once ``tmp``
+            # passes 256 KiB, and its FMA complex product need not commute:
+            # a fixed operand order keeps every row's bits batch-independent.
+            np.multiply(newton, rep, out=rep)
+            w = newton / (1.0 - rep)
+            if pad is not None:
+                w[pad] = 0.0
             bad = ~np.isfinite(w)
             restart = bad.any(axis=1)
             w[bad] = 0.0
-            z = z - w
-            for r in np.flatnonzero(restart):
+            np.subtract(z, w, out=z)
+            if restart.any():
                 # Collided, critical or overflowed points: restart each at a
-                # fresh deterministic spot within the largest start radius.
-                idx = np.flatnonzero(bad[r])
+                # fresh deterministic spot within its row's largest start radius.
+                r, idx = np.nonzero(bad)
                 z[r, idx] = (
                     radii[r]
                     * (0.9 ** (it % 25))
                     * np.exp(1j * (START_PHASE + GOLDEN_ANGLE * (it + idx)))
                 )
             # The next sweep's values, and P(z) for the residuals below.
-            _horner(cols, z, p, dp)
+            _horner(cols, runs, z, p, dp)
             upd = np.max(np.abs(w) / np.abs(z), axis=1)
             small = ~restart & (upd < UPDATE_TOL)
             # Ill-conditioned clusters jitter forever at the conditioning
@@ -232,19 +294,19 @@ def _aberth(deg, members, max_iter, outcomes) -> None:
             # nothing left to converge.  Checked on a stride to stay cheap.
             check = ~restart & (small | (upd < 1e-4) | (it % 10 == 0))
             if check.any():
-                rows = np.flatnonzero(check)
-                res = _scaled_residuals(cols[:, rows], z[rows], p[rows])
-                done = small[rows] | (np.max(res, axis=1) < RESIDUAL_FLOOR)
+                res = _scaled_residuals(cols, runs, z, p, pad)
+                done = check & (small | (np.max(res, axis=1) < RESIDUAL_FLOOR))
                 if done.any():
-                    settle(rows[done], res[done], it, True)
+                    rows = np.flatnonzero(done)
+                    settle(rows, res[rows], it, True)
                     if not live:
                         return
-        res = _scaled_residuals(cols, z, p)
+        res = _scaled_residuals(cols, runs, z, p, pad)
     settle(np.arange(len(live)), res, max_iter, False)
 
 
 def all_roots_many(polys: Sequence[Polynomial], max_iter: int = 500) -> list[RootSet]:
-    """Find every root of each polynomial in ``polys``, batching same-shape ones.
+    """Find every root of each polynomial in ``polys``, in degree-sorted bands.
 
     Returns ``[all_roots(p, max_iter) for p in polys]``, bit for bit, and
     raises what that loop would raise first: the ValueError or NoConvergence
@@ -255,7 +317,7 @@ def all_roots_many(polys: Sequence[Polynomial], max_iter: int = 500) -> list[Roo
     """
     max_iter = _check_count("max_iter", max_iter)
     outcomes: list = [None] * len(polys)
-    groups: dict = {}
+    members = []
     for slot, p in enumerate(polys):
         if p.degree < 1:
             outcomes[slot] = ValueError("need degree >= 1 to have roots")
@@ -275,9 +337,12 @@ def all_roots_many(polys: Sequence[Polynomial], max_iter: int = 500) -> list[Roo
                 f"leading one; the root solver needs normal floats"
             )
             continue
-        groups.setdefault(deg, []).append((slot, n_zero, c))
-    for deg, members in groups.items():
-        _aberth(deg, members, max_iter, outcomes)
+        members.append((slot, n_zero, c))
+    members.sort(key=lambda m: -len(m[2]))
+    while members:
+        rows = max(1, SWEEP_BLOCK // (len(members[0][2]) - 1))
+        _aberth(members[:rows], max_iter, outcomes)
+        members = members[rows:]
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome

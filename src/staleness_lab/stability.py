@@ -319,7 +319,9 @@ def _phase_resolved(f, theta: np.ndarray, vals: np.ndarray):
     step below the bound (none can where the row vanishes on the circle).
     """
     rows = len(vals)
-    step = np.angle(vals[:, 1:] * np.conj(vals[:, :-1]))
+    # np.multiply, not ``*``: numpy may swap the operands of ``a * temp``, and
+    # its FMA complex product need not commute (see roots._aberth)
+    step = np.angle(np.multiply(vals[:, 1:], np.conj(vals[:, :-1])))
     wide = np.abs(step) > MAX_PHASE_STEP
     turn, failed = np.where(wide, 0.0, step).sum(axis=1), np.zeros(rows, bool)
     row, at = np.nonzero(wide)
@@ -346,7 +348,7 @@ def _phase_resolved(f, theta: np.ndarray, vals: np.ndarray):
         row = np.repeat(row, 8)
         lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
         f_lo, f_hi = f_edges[:, :-1].ravel(), f_edges[:, 1:].ravel()
-        step = np.angle(f_hi * np.conj(f_lo))
+        step = np.angle(np.multiply(f_hi, np.conj(f_lo)))
         wide = np.abs(step) > MAX_PHASE_STEP
         turn += np.bincount(row, np.where(wide, 0.0, step), minlength=rows)
         row, lo, hi, f_lo, f_hi = row[wide], lo[wide], hi[wide], f_lo[wide], f_hi[wide]

@@ -271,3 +271,22 @@ class TestBatched:
         monkeypatch.setattr(roots, "PAIR_BLOCK", 5)
         assert all_roots(big) == want_big
         assert all_roots_many(ps) == want
+
+    def test_sweep_bands_do_not_change_results(self, monkeypatch):
+        ps = _mixed()
+        family = [Polynomial(c) for c in _random_families(np.random.default_rng(11))[1]]
+        want, want_family = all_roots_many(ps), all_roots_many(family)
+        for block in (5, 10**9):
+            monkeypatch.setattr(roots, "SWEEP_BLOCK", block)
+            assert all_roots_many(ps) == want
+            assert all_roots_many(family) == want_family
+
+    def test_large_batch_matches_one_at_a_time(self, monkeypatch):
+        # 1,100 x 15 estimates pass numpy's 256 KiB threshold for reusing a
+        # temporary, past which ``newton * rep`` would run as
+        # ``rep *= newton``, and a complex product with FMA need not commute
+        ps = [_dense(seed, 15) for seed in range(1100)]
+        want = [all_roots(p) for p in ps]
+        assert all_roots_many(ps) == want
+        monkeypatch.setattr(roots, "SWEEP_BLOCK", 10**9)  # one band of 16,500
+        assert all_roots_many(ps) == want
