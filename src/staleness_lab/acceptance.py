@@ -40,6 +40,7 @@ from .dynamics import (
     DIVERGED,
     QuadraticProblem,
     SimConfig,
+    _simulate_many,
     empirical_threshold,
     power_iteration,
     simulate_expectation,
@@ -147,20 +148,17 @@ def _c_grid(ctx, out_dir):
                                    for m in (0.3, 0.6, 0.9)]
     taus = (1, 2, 4, 8, 16, 32, 64)
     fracs = (0.3, 0.5, 0.6, 0.8, 0.9, 0.95, 1.05, 1.2, 1.5, 2.0, 3.0)
-    polys, verdicts = [], []
+    points = []
     for variant, m in families:
         for tau, eta_star in zip(taus, _eta_stars(variant, 1.0, taus, m=m, rel_tol=1e-6)):
             dm = DelayModel.constant(tau)
-            for frac in fracs:
-                eta = frac * eta_star
-                polys.append(char_poly(OptimizerSpec(variant, eta, m), 1.0, dm))
-                cfg = SimConfig(OptimizerSpec(variant, eta, m), dm, max_steps=1_000_000)
-                verdicts.append(simulate_expectation(QuadraticProblem([[1.0]]), cfg).status)
-    disagreements = 0
-    for rs, status in zip(all_roots_many(polys), verdicts):
-        want = CONVERGED if rs.max_magnitude < 1.0 else DIVERGED
-        disagreements += status != want
-    return disagreements == 0, f"{len(polys)} grid points, {disagreements} disagreements"
+            points += [(OptimizerSpec(variant, frac * eta_star, m), dm) for frac in fracs]
+    want = [CONVERGED if rs.max_magnitude < 1.0 else DIVERGED
+            for rs in all_roots_many([char_poly(opt, 1.0, dm) for opt, dm in points])]
+    verdicts = _simulate_many(QuadraticProblem([[1.0]]),
+                              [SimConfig(opt, dm, max_steps=1_000_000) for opt, dm in points])
+    disagreements = sum(v.status != w for v, w in zip(verdicts, want))
+    return disagreements == 0, f"{len(points)} grid points, {disagreements} disagreements"
 
 
 def _c_modes(ctx, out_dir):

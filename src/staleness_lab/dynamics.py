@@ -8,7 +8,9 @@ expectation dynamics, their sampled-gradient counterpart, threshold search
 driven purely by simulation verdicts, escape-time tables, and a
 power-iteration sharpness estimate.  A ``SimConfig`` describes every run,
 simulator or parameter-server (``pssim``), and ``_run`` starts each one,
-every probe of the one trajectory search (``_simulated_threshold``) included.
+every probe of the one trajectory search (``_simulated_threshold``) included,
+but the 1-D runs that the batched ``_simulate_many`` steps together as the
+columns of one array: those start in ``_lockstep``.
 
 All randomness flows through seeded generators; identical inputs give
 bit-identical outputs.
@@ -43,6 +45,16 @@ PROBE_STEPS = 1_000_000
 # Simulations step in blocks that double up to this many steps.  The steps
 # a block runs past its verdict are thrown away, so the cap bounds that waste.
 BLOCK_CAP = 4096
+# Runs on one 1-D problem step together as the columns of one array
+# (``_simulate_many``) only at constant delays of at least this.  A group
+# pays for every numpy pass of tau + 1 steps, a few microseconds, until its
+# longest run ends; the float loop pays 43 (plain) or 79 (shifted) ns a
+# step.  Best of 3 on a 2-core Intel Xeon, the verify grid's groups of 11
+# plain runs went 1.4 -> 2.0, 2.0 -> 2.1, 3.1 -> 2.3 and 5.2 -> 2.9 ms at
+# tau 8, 16, 32 and 64, and its groups of 33 shifted runs 22 -> 26,
+# 40 -> 29, 70 -> 35 and 133 -> 47 ms.  Groups of 2 to 4 runs at tau 16
+# and 32 lose up to 3 ms; no caller makes them.
+LOCKSTEP_MIN_TAU = 16
 # Default verdict lines, as multiples of the initial distance from the minimum.
 BLOWUP_FACTOR = 1e6
 DECAY_FACTOR = 1e-6
@@ -248,17 +260,47 @@ def _norms(block) -> np.ndarray:
     return np.sqrt((Y[:, None, :] @ Y[:, :, None]).reshape(-1))
 
 
+def _verdict_ends(mags, lo, hi, window, carry):
+    """The verdict rule on one block of distances, for one run per column.
+
+    ``mags`` holds the block's distances, step along axis 0, and ``carry``
+    each run's steps below ``lo`` at the end of the last block.  A run ends
+    on its first step whose distance is not at most ``hi`` (a non-finite
+    one diverges) or on the step that completes ``window`` steps in a row
+    below ``lo``.  Returns each run's end as an index into the block (-1
+    where the run goes on) and its steps below ``lo`` at the block's end.
+    """
+    i = np.arange(len(mags)).reshape((-1,) + (1,) * (mags.ndim - 1))
+    last_not_below = np.maximum.accumulate(np.where(mags < lo, -1, i), axis=0)
+    run = np.where(last_not_below < 0, carry + 1 + i, i - last_not_below)
+    ends = ~(mags <= hi) | (run >= window)
+    return np.where(ends.any(axis=0), ends.argmax(axis=0), -1), run[-1]
+
+
+def _verdict(ended: bool, mag: float, n0: float, lo: float, steps: int, **fields) -> SimVerdict:
+    """The verdict of a run that stopped after ``steps`` steps at distance ``mag``.
+
+    A run the rule ended converged if it stopped below ``lo`` and diverged
+    at its last step otherwise; a run that did not end is undecided.
+    """
+    status, escape = UNDECIDED, None
+    if ended:
+        status, escape = (CONVERGED, None) if mag < lo else (DIVERGED, steps)
+    amplification = mag / n0 if math.isfinite(mag) else math.inf
+    return SimVerdict(status, escape, amplification, steps, **fields)
+
+
 def _track(advance, y0, n0, window, max_steps, blowup_factor, decay_factor,
            every=0, keep_states=False, draws=None):
     """Run a simulation to its verdict, one block of steps at a time.
 
     ``advance(n)`` runs the next ``n`` steps and returns their states.
     Blocks start at ``window`` steps and double up to ``BLOCK_CAP``.  The
-    verdict rule is the one ``simulate_expectation`` states, with ``n0`` the
-    initial distance; the steps a block ran past its verdict are dropped
-    from everything returned.  A block whose distances all lie in
-    ``[lo, hi]`` (one ``min`` and one ``max``; a NaN fails both) can reach
-    no verdict and ends with no step below ``lo``, so it skips the
+    verdict rule (``_verdict_ends``) is the one ``simulate_expectation``
+    states, with ``n0`` the initial distance; the steps a block ran past its
+    verdict are dropped from everything returned.  A block whose distances
+    all lie in ``[lo, hi]`` (one ``min`` and one ``max``; a NaN fails both)
+    can reach no verdict and ends with no step below ``lo``, so it skips the
     run-length scan.  ``keep_states`` keeps every state in the
     verdict.  ``draws`` lists the arrays of sampled delays, in step order, of
     a run that clips those longer than the elapsed steps; the list may grow
@@ -270,30 +312,23 @@ def _track(advance, y0, n0, window, max_steps, blowup_factor, decay_factor,
     lo = decay_factor * n0
     states = [np.reshape(y0, (1, -1))] if keep_states else None
     norms = [n0] if every else None
-    status, escape = UNDECIDED, None
+    end = -1
     carry = 0  # steps below lo at the end of the last block
     t = 0
     size = min(window, BLOCK_CAP)
     # past a divergence a block steps on until its states overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        while status == UNDECIDED and t < max_steps:
+        while end < 0 and t < max_steps:
             n = min(size, max_steps - t)
             block = advance(n)
             mags = _norms(block)
             if lo <= mags.min() and mags.max() <= hi:
                 carry = 0  # a quiet block: no verdict, and no step below lo
             else:
-                i = np.arange(n)
-                last_not_below = np.maximum.accumulate(np.where(mags < lo, -1, i))
-                run = np.where(last_not_below < 0, carry + 1 + i, i - last_not_below)
-                ends = np.flatnonzero(~(mags <= hi) | (run >= window))  # non-finite diverges
-                if ends.size:
-                    n = int(ends[0]) + 1
-                    if mags[n - 1] < lo:
-                        status = CONVERGED
-                    else:
-                        status, escape = DIVERGED, t + n
-                carry = int(run[n - 1])
+                end, carry = _verdict_ends(mags, lo, hi, window, carry)
+                end = int(end)
+                if end >= 0:
+                    n = end + 1
             if states is not None:
                 states.append(np.reshape(block[:n], (n, -1)))
             if norms is not None:
@@ -309,31 +344,80 @@ def _track(advance, y0, n0, window, max_steps, blowup_factor, decay_factor,
     clipped = 0
     if draws is not None:
         clipped = int(np.count_nonzero(np.concatenate(draws)[:t] > np.arange(t)))
-    verdict = SimVerdict(
-        status=status,
-        escape_step=escape,
-        amplification=mag / n0 if math.isfinite(mag) else math.inf,
-        steps=t,
-        states=states,
-        clipped_delays=clipped,
-    )
-    return verdict, norms
+    return _verdict(end >= 0, mag, n0, lo, t, states=states, clipped_delays=clipped), norms
+
+
+def _track_columns(advance, y0: float, width: int, window, max_steps, blowup_factor,
+                   decay_factor) -> list[SimVerdict]:
+    """Run ``width`` simulations stepped as the columns of one array to their verdicts.
+
+    Every column starts at ``y0``, a 1-D state.  ``advance(n, cols)`` keeps
+    only the columns ``cols`` names (indices into those of its last block;
+    ``None`` keeps all), runs them ``n`` more steps and returns their
+    states, one column a run.  Blocks are ``_track``'s, cut to at most
+    ``8 * BLOCK_CAP`` states in all (256 KB an array): full blocks for the
+    verify grid's 33-column groups raised the battery's peak RSS by about
+    2 MB.  A column whose distances in a block all lie in ``[lo, hi]``
+    skips the scan, as a quiet block does in ``_track``; every other one is
+    judged by ``_verdict_ends``, and leaves the array at the end of the
+    block where its verdict falls.  Returns the verdicts in column order,
+    each what ``_track`` gives the column alone.
+    """
+    n0 = abs(y0)
+    hi = blowup_factor * n0
+    lo = decay_factor * n0
+    verdicts = [None] * width
+    live = np.arange(width)  # the run of each column in the array
+    carry = np.zeros(width, dtype=int)
+    cols = None
+    t = 0
+    size = min(window, BLOCK_CAP)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live.size and t < max_steps:
+            n = min(size, max_steps - t, max(1, 8 * BLOCK_CAP // live.size))
+            mags = np.abs(advance(n, cols))
+            cols = None
+            quiet = ((lo <= mags) & (mags <= hi)).all(axis=0)
+            carry[quiet] = 0
+            if not quiet.all():
+                loud = np.flatnonzero(~quiet)
+                ends, carry[loud] = _verdict_ends(mags[:, loud], lo, hi, window, carry[loud])
+                done = ends >= 0
+                if done.any():
+                    for c, e in zip(loud[done].tolist(), ends[done].tolist()):
+                        verdicts[live[c]] = _verdict(True, float(mags[e, c]), n0, lo, t + e + 1)
+                    going = np.ones(live.size, dtype=bool)
+                    going[loud[done]] = False
+                    cols = np.flatnonzero(going)  # not np.setdiff1d: its first call costs 2 MB
+                    live, carry = live[cols], carry[cols]
+            t += n
+            size = min(2 * size, BLOCK_CAP)
+    last = mags[-1] if cols is None else mags[-1, cols]
+    for run, mag in zip(live.tolist(), last.tolist()):
+        verdicts[run] = _verdict(False, mag, n0, lo, t)
+    return verdicts
+
+
+def _start(problem: QuadraticProblem, config: SimConfig) -> np.ndarray:
+    """The state a run starts from: the top eigenvector, or a seeded random unit vector."""
+    if config.init == "random_unit":
+        y0 = np.random.default_rng(config.seed).standard_normal(problem.d)
+        return y0 / float(np.linalg.norm(y0))
+    return problem.top_eigvec()
 
 
 def _run(problem: QuadraticProblem, config: SimConfig, pick_seed=None, lag_seed=None, every=0):
     """Start the run ``config`` describes and track it to its verdict.
 
-    Every run, simulator or server, starts here, at ``config``'s ``init``.
-    With ``lag_seed`` each step reads the state a drawn lag back
+    Every run, simulator or server, starts here, at ``config``'s ``init``
+    (``_start``), except the runs ``_simulate_many`` steps together: those
+    start in ``_lockstep``, from the same ``_start``.  With ``lag_seed`` each step reads the state a drawn lag back
     (``_schedule``), without it a pmf delay reads the probability-weighted
     state; ``pick_seed`` is as ``_engine`` takes it.  Returns the verdict,
     the distances every ``every`` steps (``None`` when ``every`` is 0) and
     the sampled delays drawn (``None`` without ``lag_seed``).
     """
-    y0 = problem.top_eigvec()
-    if config.init == "random_unit":
-        y0 = np.random.default_rng(config.seed).standard_normal(problem.d)
-        y0 = y0 / float(np.linalg.norm(y0))
+    y0 = _start(problem, config)
     lags = draws = None
     if lag_seed is not None:
         lags, draws = _schedule(config.delay, lag_seed)
@@ -379,6 +463,52 @@ def simulate_expectation(problem: QuadraticProblem, config: SimConfig) -> SimVer
     return _simulate(problem, config)
 
 
+def _simulate_many(problem: QuadraticProblem, configs) -> list[SimVerdict]:
+    """``[simulate_expectation(problem, c) for c in configs]``, bit for bit.
+
+    On a 1-D problem, the configs of a plain or shifted update at a constant
+    delay of at least ``LOCKSTEP_MIN_TAU`` that record nothing fall into
+    groups that share the update, the delay, the step budget, the verdict
+    lines and the start; a group of two or more runs steps together in
+    ``_lockstep``.  Every other config runs through ``simulate_expectation``.
+    """
+    groups: dict[tuple, list[int]] = {}
+    if problem.d == 1:
+        for i, c in enumerate(configs):
+            if (c.optimizer.variant in ("plain", "shifted") and c.delay.is_constant
+                    and c.delay.tau >= LOCKSTEP_MIN_TAU and not (c.record_trace or c.record_states)):
+                key = (c.optimizer.variant, c.delay.tau, c.resolved_max_steps(), c.blowup_factor,
+                       c.decay_factor, float(_start(problem, c)[0]))
+                groups.setdefault(key, []).append(i)
+    verdicts = [None] * len(configs)
+    for members in groups.values():
+        if len(members) > 1:
+            for i, verdict in zip(members, _lockstep(problem, [configs[i] for i in members])):
+                verdicts[i] = verdict
+    return [simulate_expectation(problem, c) if v is None else v
+            for v, c in zip(verdicts, configs)]
+
+
+def _lockstep(problem: QuadraticProblem, configs) -> list[SimVerdict]:
+    """Step 1-D runs of one update, delay, step budget, verdict lines and
+    start as the columns of one array.
+
+    Each run starts from ``_start`` as ``_run`` starts it, steps on
+    ``_block_steps`` with its own ``eta`` and ``m`` and the problem's
+    curvature taken elementwise, so each state is the rounded result of the
+    float loop's update (``_scalar_steps``), and is judged by
+    ``_track_columns``.
+    """
+    first = configs[0]
+    y0 = float(_start(problem, first)[0])
+    eta = np.array([c.optimizer.eta for c in configs])
+    m = np.array([c.optimizer.m for c in configs])
+    advance = _block_steps(np.full(len(configs), y0), first.optimizer.variant, eta, m,
+                           first.delay, float(problem.hessian[0, 0]))
+    return _track_columns(advance, y0, len(configs), first.delay.max_delay + 2,
+                          first.resolved_max_steps(), first.blowup_factor, first.decay_factor)
+
+
 def _engine(problem: QuadraticProblem, y0: np.ndarray, opt: OptimizerSpec, delay: DelayModel,
             pick_seed=None, lags=None):
     """The step function of a run, its start and the start's distance.
@@ -401,7 +531,8 @@ def _engine(problem: QuadraticProblem, y0: np.ndarray, opt: OptimizerSpec, delay
         def picks(t, n):
             return rng.integers(0, M.shape[0], size=n)
 
-    return _block_steps(y0, opt, delay, M, picks, lags), y0, float(np.linalg.norm(y0))
+    return (_block_steps(y0, opt.variant, opt.eta, opt.m, delay, M, picks, lags), y0,
+            float(np.linalg.norm(y0)))
 
 
 def _schedule(pmf: DelayModel, seed):
@@ -503,8 +634,8 @@ def _scalar_steps(h: float, y0: float, opt: OptimizerSpec, delay: DelayModel, la
     return advance
 
 
-def _block_steps(y0: np.ndarray, opt: OptimizerSpec, delay: DelayModel, M: np.ndarray,
-                 picks=None, lags=None):
+def _block_steps(y0: np.ndarray, variant: str, eta, m, delay: DelayModel, M, picks=None,
+                 lags=None):
     """Block step function on arrays, for the expectation, sampled and server dynamics.
 
     A step's gradient is ``M @ s``, with ``M`` the hessian or the component
@@ -522,11 +653,17 @@ def _block_steps(y0: np.ndarray, opt: OptimizerSpec, delay: DelayModel, M: np.nd
     step takes one ``M @ s`` on its own row.  Each element is the rounded
     result of the per-step update, so the run is bit-identical to stepping
     with ``M @ s`` either way.
+
+    ``_lockstep`` steps several 1-D runs of one update and delay as the
+    columns of the state: ``M`` is then their shared curvature ``h``, a
+    float taken elementwise (``h * s``, the float loop's gradient), ``eta``
+    and ``m`` hold one value a column, and ``advance(n, cols)`` first keeps
+    only the columns ``cols`` names.  It takes a constant delay of at least
+    2 and no ``picks`` or ``lags``, so every span is stacked.
     """
-    eta, m = opt.eta, opt.m
     ce = eta * (1.0 - m)
-    variant = opt.variant
     keep = delay.max_delay + 1
+    elementwise = np.ndim(M) == 0
     tau = delay.delays[0]  # the constant delay, or the shortest of a pmf's
     span = tau + 1
     pairs = None if delay.is_constant or lags is not None else list(zip(delay.delays, delay.probs))
@@ -554,7 +691,10 @@ def _block_steps(y0: np.ndarray, opt: OptimizerSpec, delay: DelayModel, M: np.nd
                 else:
                     rows = np.arange(keep - 1 + s, keep - 1 + e) - back[s:e]
                 S = Y[rows]
-            G = np.matmul(M if P is None else M[P[s:e]], S[:, :, None])[:, :, 0]
+            if elementwise:
+                G = M * S
+            else:
+                G = np.matmul(M if P is None else M[P[s:e]], S[:, :, None])[:, :, 0]
             new = Y[keep - 1 + s:keep + e]  # the state before the span, then its states
             if variant == "plain":
                 np.multiply(eta, G, out=new[1:])
@@ -565,7 +705,9 @@ def _block_steps(y0: np.ndarray, opt: OptimizerSpec, delay: DelayModel, M: np.nd
                     v = m * v - cg
                     new[j] = v
             else:
-                new[1:] = V[keep + s:keep + e] = m * V[rows] - ce * G
+                u = V[keep + s:keep + e]  # m * (velocity read) - ce * G, in place
+                np.subtract(np.multiply(m, V[rows], out=u), np.multiply(ce, G, out=G), out=u)
+                new[1:] = u
             np.add.accumulate(new, axis=0, out=new)
         if V is not None:
             vel = V[n:]
@@ -594,8 +736,10 @@ def _block_steps(y0: np.ndarray, opt: OptimizerSpec, delay: DelayModel, M: np.nd
 
     step = row_by_row if span <= 2 and pairs is None else stacked
 
-    def advance(n):
-        nonlocal hist, t
+    def advance(n, cols=None):
+        nonlocal hist, vel, v, eta, m, ce, t
+        if cols is not None:
+            hist, vel, v, eta, m, ce = (x[..., cols] for x in (hist, vel, v, eta, m, ce))
         P = None if picks is None else picks(t, n)
         Y = step(n, P, tau if lags is None else lags(t, n))
         hist = Y[n:]

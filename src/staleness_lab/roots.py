@@ -311,8 +311,9 @@ def all_roots_many(polys: Sequence[Polynomial], max_iter: int = 500) -> list[Roo
     Returns ``[all_roots(p, max_iter) for p in polys]``, bit for bit, and
     raises what that loop would raise first: the ValueError or NoConvergence
     of the first failing polynomial in input order.  A polynomial of degree
-    0, or with a nonzero coefficient below ``np.finfo(float).tiny`` once
-    divided by the leading one, fails with a ValueError.  ``max_iter`` is a
+    0, or with a coefficient that is not finite, or nonzero and below
+    ``np.finfo(float).tiny``, once divided by the leading one, fails with a
+    ValueError before any sweep.  ``max_iter`` is a
     count (``charpoly._check_count``), checked before any polynomial.
     """
     max_iter = _check_count("max_iter", max_iter)
@@ -327,7 +328,16 @@ def all_roots_many(polys: Sequence[Polynomial], max_iter: int = 500) -> list[Roo
         if deg == 0:
             outcomes[slot] = _assemble(np.empty(0, complex), np.empty(0), n_zero, 0)
             continue
-        c = np.asarray(work, float) / work[-1]
+        with np.errstate(over="ignore"):
+            c = np.asarray(work, float) / work[-1]
+        big = np.flatnonzero(~np.isfinite(c))
+        if big.size:
+            k = int(big[0])
+            outcomes[slot] = ValueError(
+                f"coefficient {n_zero + k} overflows once divided by the leading one "
+                f"({float(work[k])!r} / {float(work[-1])!r}); the root solver needs finite floats"
+            )
+            continue
         sub = np.flatnonzero((c != 0.0) & (np.abs(c) < np.finfo(float).tiny))
         if sub.size:
             # subnormal arithmetic cannot see the error of a root estimate

@@ -70,6 +70,24 @@ class TestKnownRoots:
         with pytest.raises(ValueError, match="coefficient 1 is subnormal"):
             all_roots(Polynomial((1.0, 1e-300, 1e10)))
 
+    @pytest.mark.parametrize("coeffs, k", [
+        ((1e200, 0.0, 1e-200), 0),  # roots +-1e200j are floats, but 1e200 / 1e-200 is not
+        ((0.0, 2.0, 1e200, 1e-200), 2),  # named by its index in the input, zero roots included
+    ])
+    def test_coefficient_overflowing_once_monic_is_refused_before_any_sweep(
+            self, monkeypatch, coeffs, k):
+        monkeypatch.setattr(roots, "_aberth", None)  # a sweep would raise TypeError
+        with pytest.raises(ValueError, match=rf"coefficient {k} overflows once divided by the "
+                                             r"leading one \(1e\+200 / 1e-200\)"):
+            all_roots(Polynomial(coeffs))
+
+    def test_overflow_inside_the_sweep_ends_in_no_convergence(self):
+        # every coefficient is finite once monic, so the sweep runs; its
+        # estimates overflow there and the cap ends it cleanly, with no
+        # RuntimeWarning (which this suite turns into an error)
+        with pytest.raises(NoConvergence, match="within 500 sweeps"):
+            all_roots(Polynomial((1.0, 1e300, 0.0, 1.0)))
+
     def test_smallest_normal_coefficients_still_solve(self):
         rs = all_roots(Polynomial((3e-308, 0.0, 1.0)))
         assert all(abs(abs(z) - math.sqrt(3e-308)) <= 1e-12 * math.sqrt(3e-308)

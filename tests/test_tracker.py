@@ -5,7 +5,10 @@ scan on blocks whose distances all lie inside the verdict lines.  Here it is
 fed synthetic 1-D states whose block boundaries the test controls (through
 ``BLOCK_CAP``), and everything it returns is compared with a per-step
 reference: the verdict, the escape step, the step count, the amplification,
-the recorded distances and the kept states.
+the recorded distances and the kept states.  ``_track_columns``, which
+judges runs stepped as the columns of one array, is held to the same
+reference column by column, and each column must leave the array at the end
+of the block where its verdict falls.
 """
 
 import math
@@ -142,3 +145,94 @@ class TestRunsBelowLo:
             picks = rng.choice(len(levels), size=n, p=weights / weights.sum())
             states = [levels[i] for i in picks]
             _check(states, int(rng.integers(2, 8)), every=int(rng.integers(0, 4)))
+
+
+def _track_columns(columns, window, max_steps):
+    """``_track_columns`` over ``columns``, each padded with quiet steps.
+
+    Returns the verdicts and, per column, the step range of the last block
+    it was stepped in.  No block holds more than ``8 * BLOCK_CAP`` states
+    unless it is one step long.
+    """
+    live = list(range(len(columns)))
+    last_block = {}
+    pos = 0
+
+    def advance(n, cols):
+        nonlocal live, pos
+        if cols is not None:
+            live = [live[c] for c in cols]
+        assert n == 1 or n * len(live) <= 8 * dynamics.BLOCK_CAP
+        block = [(columns[r] + [MID] * (pos + n))[pos:pos + n] for r in live]
+        for r in live:
+            last_block[r] = (pos, pos + n)
+        pos += n
+        return np.array(block).T
+
+    verdicts = dynamics._track_columns(advance, 1.0, len(columns), window, max_steps, 1e6, 1e-6)
+    return verdicts, last_block
+
+
+def _check_columns(columns, window, max_steps=None):
+    if max_steps is None:
+        max_steps = max(map(len, columns))
+    verdicts, last_block = _track_columns(columns, window, max_steps)
+    assert len(verdicts) == len(columns)
+    for states, verdict in zip(columns, verdicts):
+        padded = states + [MID] * (max_steps - len(states))
+        status, escape, t, mag, _ = _reference(padded, window, max_steps, 0)
+        assert (verdict.status, verdict.escape_step, verdict.steps) == (status, escape, t)
+        assert verdict.amplification == (mag if math.isfinite(mag) else math.inf)
+        assert (verdict.trace, verdict.states, verdict.clipped_delays) == (None, None, 0)
+    for c, verdict in enumerate(verdicts):
+        # a column leaves the array at the end of the block where it ends
+        start, end = last_block[c]
+        assert start < verdict.steps <= end
+        if verdict.status == UNDECIDED:
+            assert end == max_steps
+
+
+class TestColumns:
+    """``_track_columns`` judges each column as ``_track`` judges one run."""
+
+    def test_columns_ending_in_the_first_block(self, cap):
+        columns = [[2 * HI], [MID, -2 * HI], _below_run(3), [MID] * 3 + _below_run(3),
+                   [MID] * 40]
+        _check_columns(columns, 3, max_steps=40)
+
+    def test_several_columns_ending_in_one_block(self, cap):
+        columns = [[MID] * 9 + [2 * HI], [MID] * 9 + [math.nan], [MID] * 6 + _below_run(4),
+                   [MID] * 8 + [-2 * HI], [MID] * 30]
+        _check_columns(columns, 4, max_steps=30)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_one_column_going_non_finite_mid_block(self, cap, bad):
+        columns = [[MID] * 13 + [bad] + [MID] * 20, _below_run(2) + [MID] * 31,
+                   [MID] * 20 + _below_run(9), [-MID] * 34]
+        _check_columns(columns, 6)
+
+    @pytest.mark.parametrize("max_steps", [7, 23, 61])
+    def test_undecided_at_a_budget_off_the_span_and_block(self, cap, max_steps):
+        # window 5 (a span of 4 steps); the budgets divide by no block size
+        columns = [[MID] * 70, [MID] * (max_steps - 2) + _below_run(4),
+                   [MID] * (max_steps - 1) + [2 * HI], _below_run(max_steps + 3)]
+        _check_columns(columns, 5, max_steps=max_steps)
+
+    def test_wide_arrays_take_shorter_blocks(self, cap):
+        # 40 columns: a block holds at most 8 * cap states, so it ends
+        # sooner than _track's, and widens as columns leave
+        columns = [[MID] * (3 * k) + _below_run(5) for k in range(20)]
+        columns += [[MID] * (5 * k) + [2 * HI] for k in range(20)]
+        _check_columns(columns, 5, max_steps=120)
+
+    def test_random_columns(self, cap):
+        rng = np.random.default_rng(12)
+        levels = [MID, -MID, BELOW, -BELOW, LO, HI, 2 * HI, math.nan, math.inf]
+        weights = np.array([30, 30, 30, 30, 3, 3, 1, 1, 1], dtype=float)
+        for _ in range(30):
+            columns = []
+            for _ in range(int(rng.integers(1, 9))):
+                picks = rng.choice(len(levels), size=int(rng.integers(1, 60)),
+                                   p=weights / weights.sum())
+                columns.append([levels[i] for i in picks])
+            _check_columns(columns, int(rng.integers(2, 8)), int(rng.integers(1, 70)))
