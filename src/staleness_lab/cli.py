@@ -414,7 +414,7 @@ def cmd_roots(cfg: dict, args: argparse.Namespace) -> int:
         }, indent=2, sort_keys=True))
     else:
         for z in rs.roots:
-            print(f"{z.real:+.12e} {z.imag:+.12e}j  |z|={abs(z):.12f}")
+            print(f"{z.real:+.12e} {z.imag:+.12e}j  |z|={abs(z):.12e}")
         print(f"max magnitude: {rs.max_magnitude!r}")
         print(f"stable: {'yes' if stable else 'no'}")
     return 0

@@ -8,9 +8,8 @@ expectation dynamics, their sampled-gradient counterpart, threshold search
 driven purely by simulation verdicts, escape-time tables, and a
 power-iteration sharpness estimate.  A ``SimConfig`` describes every run,
 simulator or parameter-server (``pssim``), and ``_run`` starts each one,
-every probe of the one trajectory search (``_simulated_threshold``) included,
-but the 1-D runs that the batched ``_simulate_many`` steps together as the
-columns of one array: those start in ``_lockstep``.
+every probe of the one trajectory search (``_simulated_threshold``) included;
+a group of 1-D runs (``_simulate_many``) steps as the columns of one array.
 
 All randomness flows through seeded generators; identical inputs give
 bit-identical outputs.
@@ -236,45 +235,43 @@ class SimVerdict:
 
 
 def _float_block(values: list) -> np.ndarray:
-    """A list of Python floats as a read-only float64 array, bit for bit.
+    """A list of Python floats as a read-only float64 column, bit for bit.
 
     ``struct`` copies each native double as it stands, about three times as
     fast as ``np.fromiter`` on a list of floats.
     """
-    return np.frombuffer(struct.pack(f"{len(values)}d", *values))
+    return np.ndarray((len(values), 1), float, struct.pack(f"{len(values)}d", *values))
 
 
-def _norms(block) -> np.ndarray:
-    """Distances from the minimum of a block of states.
+def _norms(block, rows: bool) -> np.ndarray:
+    """Distances from the minimum of a block of states, one column a run.
 
-    The block is stacked, and each distance is ``Y[:, None, :] @ Y[:, :, None]``,
-    which makes the same dot-product call as ``y @ y`` on one state.
-    One-element states use ``|y[0]|``, the 1-D expression, so sampled and
-    expectation runs cross the verdict lines on the same steps.
+    A 1-D run's distances are ``|y|``, so sampled and expectation runs cross
+    the verdict lines on the same steps.  A wider run's states are the
+    block's ``rows``, their distances from ``Y[:, None, :] @ Y[:, :, None]``,
+    the same dot-product call as ``y @ y`` on one state.
     """
-    Y = np.asarray(block)
-    if Y.ndim == 1:
-        return np.abs(Y)
-    if Y.shape[1] == 1:
-        return np.abs(Y[:, 0])
-    return np.sqrt((Y[:, None, :] @ Y[:, :, None]).reshape(-1))
+    if not rows:
+        return np.abs(block)
+    return np.sqrt((block[:, None, :] @ block[:, :, None]).reshape(-1, 1))
 
 
 def _verdict_ends(mags, lo, hi, window, carry):
     """The verdict rule on one block of distances, for one run per column.
 
-    ``mags`` holds the block's distances, step along axis 0, and ``carry``
-    each run's steps below ``lo`` at the end of the last block.  A run ends
-    on its first step whose distance is not at most ``hi`` (a non-finite
-    one diverges) or on the step that completes ``window`` steps in a row
-    below ``lo``.  Returns each run's end as an index into the block (-1
-    where the run goes on) and its steps below ``lo`` at the block's end.
+    ``mags`` holds the block's distances, one row a step and one column a
+    run, and ``carry`` each run's steps below ``lo`` at the end of the last
+    block.  A run ends on its first step whose distance is not at most
+    ``hi`` (a non-finite one diverges) or on the step that completes
+    ``window`` steps in a row below ``lo``.  Returns each run's end as an
+    index into the block (-1 where the run goes on) and its steps below
+    ``lo`` at the block's end.
     """
-    i = np.arange(len(mags)).reshape((-1,) + (1,) * (mags.ndim - 1))
-    last_not_below = np.maximum.accumulate(np.where(mags < lo, -1, i), axis=0)
-    run = np.where(last_not_below < 0, carry + 1 + i, i - last_not_below)
-    ends = ~(mags <= hi) | (run >= window)
-    return np.where(ends.any(axis=0), ends.argmax(axis=0), -1), run[-1]
+    i = np.arange(len(mags)).reshape(-1, 1)
+    # the last step not below lo, each run's carry putting it before the block
+    last = np.maximum.accumulate(np.where(mags < lo, -1 - carry, i), axis=0)
+    ends = ~(mags <= hi) | (last <= i - window)
+    return np.where(ends.any(axis=0), ends.argmax(axis=0), -1), i[-1] - last[-1]
 
 
 def _verdict(ended: bool, mag: float, n0: float, lo: float, steps: int, **fields) -> SimVerdict:
@@ -290,112 +287,79 @@ def _verdict(ended: bool, mag: float, n0: float, lo: float, steps: int, **fields
     return SimVerdict(status, escape, amplification, steps, **fields)
 
 
-def _track(advance, y0, n0, window, max_steps, blowup_factor, decay_factor,
-           every=0, keep_states=False, draws=None):
-    """Run a simulation to its verdict, one block of steps at a time.
+def _track(advance, y0, n0, width, window, max_steps, blowup_factor, decay_factor,
+           every=0, keep_states=False):
+    """Run ``width`` simulations from ``y0`` (at distance ``n0``) to their verdicts.
 
-    ``advance(n)`` runs the next ``n`` steps and returns their states.
-    Blocks start at ``window`` steps and double up to ``BLOCK_CAP``.  The
-    verdict rule (``_verdict_ends``) is the one ``simulate_expectation``
-    states, with ``n0`` the initial distance; the steps a block ran past its
-    verdict are dropped from everything returned.  A block whose distances
-    all lie in ``[lo, hi]`` (one ``min`` and one ``max``; a NaN fails both)
-    can reach no verdict and ends with no step below ``lo``, so it skips the
-    run-length scan.  ``keep_states`` keeps every state in the
-    verdict.  ``draws`` lists the arrays of sampled delays, in step order, of
-    a run that clips those longer than the elapsed steps; the list may grow
-    while the run goes.  Returns the verdict and the distances at steps 0,
-    ``every``, ``2 * every``, ... and at the last step (``None`` when
-    ``every`` is 0).
+    ``advance(n, cols)`` keeps only the columns ``cols`` names (indices into
+    its last block's; ``None`` keeps all), steps them ``n`` more and returns
+    the block of states, one column a 1-D run, or one row a step of one
+    wider run.  Blocks start at ``window`` steps and double up to
+    ``BLOCK_CAP``, at most ``8 * BLOCK_CAP`` states in all: full blocks of
+    the verify grid's 33 columns cost the battery about 2 MB of peak RSS.
+    The verdict rule (``_verdict_ends``) is ``simulate_expectation``'s.  A
+    block whose distances all lie in ``[lo, hi]`` (one ``min`` and one
+    ``max``; a NaN fails both) can reach no verdict and ends with no step
+    below ``lo``, so it skips the scan; the runs whose verdicts fall in a
+    block leave the array at its end.  A lone run also records its
+    distances at steps 0, ``every``, ``2 * every``, ... and its last, and
+    with ``keep_states`` every state, cut at its verdict.  Returns the
+    verdicts in column order and those distances (``None`` at ``every`` 0).
     """
     hi = blowup_factor * n0
     lo = decay_factor * n0
+    rows = isinstance(y0, np.ndarray) and y0.size > 1
     states = [np.reshape(y0, (1, -1))] if keep_states else None
     norms = [n0] if every else None
-    end = -1
-    carry = 0  # steps below lo at the end of the last block
+    stops = [None] * width  # each run's (ended, last distance, steps), once it stops
+    live = list(range(width))  # the run of each column in the array
+    carry = 0  # each column's steps below lo at the end of the last block
+    cols = None
+    cap = max(1, 8 * BLOCK_CAP // width)
     t = 0
     size = min(window, BLOCK_CAP)
     # past a divergence a block steps on until its states overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        while end < 0 and t < max_steps:
-            n = min(size, max_steps - t)
-            block = advance(n)
-            mags = _norms(block)
+        while live and t < max_steps:
+            n = min(size, max_steps - t, cap)
+            block = advance(n, cols)
+            mags = _norms(block, rows)
+            cols = None
             if lo <= mags.min() and mags.max() <= hi:
                 carry = 0  # a quiet block: no verdict, and no step below lo
             else:
-                end, carry = _verdict_ends(mags, lo, hi, window, carry)
-                end = int(end)
-                if end >= 0:
-                    n = end + 1
+                ends, carry = _verdict_ends(mags, lo, hi, window, carry)
+                going = []
+                for c, e in enumerate(ends.tolist()):
+                    if e < 0:
+                        going.append(c)
+                    else:
+                        stops[live[c]] = (True, float(mags[e, c]), t + e + 1)
+                if len(going) < len(live):
+                    live = [live[c] for c in going]
+                    if live:
+                        cols, carry = going, carry[going]
+                        cap = max(1, 8 * BLOCK_CAP // len(live))
             if states is not None:
-                states.append(np.reshape(block[:n], (n, -1)))
+                states.append(block)
             if norms is not None:
-                norms.extend(mags[(-1 - t) % every:n:every].tolist())
-            mag = float(mags[n - 1])
+                norms.extend(mags[(-1 - t) % every::every, 0].tolist())
             t += n
             size = min(2 * size, BLOCK_CAP)
-    if norms is not None and t % every:
-        norms.append(mag)
+    if live:
+        for run, mag in zip(live, (mags[-1] if cols is None else mags[-1, cols]).tolist()):
+            stops[run] = (False, mag, t)
+    if norms is None and states is None:
+        return [_verdict(ended, mag, n0, lo, steps) for ended, mag, steps in stops], None
+    [(ended, mag, steps)] = stops  # a lone run's records, cut at its verdict
+    if norms is not None:
+        del norms[steps // every + 1:]
+        if steps % every:
+            norms.append(mag)
     if states is not None:
-        states = np.concatenate(states)
+        states = np.concatenate(states)[:steps + 1]
         states.setflags(write=False)
-    clipped = 0
-    if draws is not None:
-        clipped = int(np.count_nonzero(np.concatenate(draws)[:t] > np.arange(t)))
-    return _verdict(end >= 0, mag, n0, lo, t, states=states, clipped_delays=clipped), norms
-
-
-def _track_columns(advance, y0: float, width: int, window, max_steps, blowup_factor,
-                   decay_factor) -> list[SimVerdict]:
-    """Run ``width`` simulations stepped as the columns of one array to their verdicts.
-
-    Every column starts at ``y0``, a 1-D state.  ``advance(n, cols)`` keeps
-    only the columns ``cols`` names (indices into those of its last block;
-    ``None`` keeps all), runs them ``n`` more steps and returns their
-    states, one column a run.  Blocks are ``_track``'s, cut to at most
-    ``8 * BLOCK_CAP`` states in all (256 KB an array): full blocks for the
-    verify grid's 33-column groups raised the battery's peak RSS by about
-    2 MB.  A column whose distances in a block all lie in ``[lo, hi]``
-    skips the scan, as a quiet block does in ``_track``; every other one is
-    judged by ``_verdict_ends``, and leaves the array at the end of the
-    block where its verdict falls.  Returns the verdicts in column order,
-    each what ``_track`` gives the column alone.
-    """
-    n0 = abs(y0)
-    hi = blowup_factor * n0
-    lo = decay_factor * n0
-    verdicts = [None] * width
-    live = np.arange(width)  # the run of each column in the array
-    carry = np.zeros(width, dtype=int)
-    cols = None
-    t = 0
-    size = min(window, BLOCK_CAP)
-    with np.errstate(over="ignore", invalid="ignore"):
-        while live.size and t < max_steps:
-            n = min(size, max_steps - t, max(1, 8 * BLOCK_CAP // live.size))
-            mags = np.abs(advance(n, cols))
-            cols = None
-            quiet = ((lo <= mags) & (mags <= hi)).all(axis=0)
-            carry[quiet] = 0
-            if not quiet.all():
-                loud = np.flatnonzero(~quiet)
-                ends, carry[loud] = _verdict_ends(mags[:, loud], lo, hi, window, carry[loud])
-                done = ends >= 0
-                if done.any():
-                    for c, e in zip(loud[done].tolist(), ends[done].tolist()):
-                        verdicts[live[c]] = _verdict(True, float(mags[e, c]), n0, lo, t + e + 1)
-                    going = np.ones(live.size, dtype=bool)
-                    going[loud[done]] = False
-                    cols = np.flatnonzero(going)  # not np.setdiff1d: its first call costs 2 MB
-                    live, carry = live[cols], carry[cols]
-            t += n
-            size = min(2 * size, BLOCK_CAP)
-    last = mags[-1] if cols is None else mags[-1, cols]
-    for run, mag in zip(live.tolist(), last.tolist()):
-        verdicts[run] = _verdict(False, mag, n0, lo, t)
-    return verdicts
+    return [_verdict(ended, mag, n0, lo, steps, states=states)], norms
 
 
 def _start(problem: QuadraticProblem, config: SimConfig) -> np.ndarray:
@@ -406,33 +370,39 @@ def _start(problem: QuadraticProblem, config: SimConfig) -> np.ndarray:
     return problem.top_eigvec()
 
 
-def _run(problem: QuadraticProblem, config: SimConfig, pick_seed=None, lag_seed=None, every=0):
-    """Start the run ``config`` describes and track it to its verdict.
+def _run(problem: QuadraticProblem, configs, pick_seed=None, lag_seed=None, every=0):
+    """Start the runs ``configs`` describe and track them to their verdicts.
 
-    Every run, simulator or server, starts here, at ``config``'s ``init``
-    (``_start``), except the runs ``_simulate_many`` steps together: those
-    start in ``_lockstep``, from the same ``_start``.  With ``lag_seed`` each step reads the state a drawn lag back
-    (``_schedule``), without it a pmf delay reads the probability-weighted
-    state; ``pick_seed`` is as ``_engine`` takes it.  Returns the verdict,
-    the distances every ``every`` steps (``None`` when ``every`` is 0) and
-    the sampled delays drawn (``None`` without ``lag_seed``).
+    Every run, simulator or server, starts here, at its config's ``init``
+    (``_start``).  Several configs are 1-D runs that share all but ``eta``
+    and ``m`` (``_simulate_many``), stepped as the columns of one array; a
+    lone run is a group of one.  With ``lag_seed`` each step reads the state
+    a drawn lag back (``_schedule``), without it a pmf delay reads the
+    probability-weighted state; ``pick_seed`` is as ``_engine`` takes it.
+    Returns the verdicts in config order, a lone run's distances every
+    ``every`` steps (``None`` when ``every`` is 0) and the sampled delays
+    drawn (``None`` without ``lag_seed``).
     """
-    y0 = _start(problem, config)
+    first = configs[0]
     lags = draws = None
     if lag_seed is not None:
-        lags, draws = _schedule(config.delay, lag_seed)
-    advance, y0, n0 = _engine(problem, y0, config.optimizer, config.delay, pick_seed, lags)
-    verdict, norms = _track(
-        advance, y0, n0, config.delay.max_delay + 2, config.resolved_max_steps(),
-        config.blowup_factor, config.decay_factor, every, config.record_states, draws,
+        lags, draws = _schedule(first.delay, lag_seed)
+    advance, y0, n0 = _engine(problem, configs, pick_seed, lags)
+    verdicts, norms = _track(
+        advance, y0, n0, len(configs), first.delay.max_delay + 2, first.resolved_max_steps(),
+        first.blowup_factor, first.decay_factor, every, first.record_states,
     )
-    return verdict, norms, draws
+    if draws is not None:
+        t = verdicts[0].steps
+        clipped = int(np.count_nonzero(np.concatenate(draws)[:t] > np.arange(t)))
+        verdicts = [replace(verdicts[0], clipped_delays=clipped)]
+    return verdicts, norms, draws
 
 
 def _simulate(problem, config: SimConfig, pick_seed=None, lag_seed=None) -> SimVerdict:
     """The simulators' shared path: the run and its trace."""
     every = config.record_every if config.record_trace else 0
-    verdict, norms, _ = _run(problem, config, pick_seed, lag_seed, every)
+    (verdict,), norms, _ = _run(problem, [config], pick_seed, lag_seed, every)
     if norms is None:
         return verdict
     return replace(verdict, trace=tuple(zip(_trace_steps(verdict.steps, every), norms)))
@@ -469,8 +439,9 @@ def _simulate_many(problem: QuadraticProblem, configs) -> list[SimVerdict]:
     On a 1-D problem, the configs of a plain or shifted update at a constant
     delay of at least ``LOCKSTEP_MIN_TAU`` that record nothing fall into
     groups that share the update, the delay, the step budget, the verdict
-    lines and the start; a group of two or more runs steps together in
-    ``_lockstep``.  Every other config runs through ``simulate_expectation``.
+    lines and the start; ``_run`` starts a group of two or more as one, its
+    runs stepped as the columns of one array.  Every other config runs
+    through ``simulate_expectation``.
     """
     groups: dict[tuple, list[int]] = {}
     if problem.d == 1:
@@ -480,52 +451,38 @@ def _simulate_many(problem: QuadraticProblem, configs) -> list[SimVerdict]:
                 key = (c.optimizer.variant, c.delay.tau, c.resolved_max_steps(), c.blowup_factor,
                        c.decay_factor, float(_start(problem, c)[0]))
                 groups.setdefault(key, []).append(i)
-    verdicts = [None] * len(configs)
+    grouped = {}
     for members in groups.values():
         if len(members) > 1:
-            for i, verdict in zip(members, _lockstep(problem, [configs[i] for i in members])):
-                verdicts[i] = verdict
-    return [simulate_expectation(problem, c) if v is None else v
-            for v, c in zip(verdicts, configs)]
+            grouped.update(zip(members, _run(problem, [configs[i] for i in members])[0]))
+    return [grouped.get(i) or simulate_expectation(problem, c) for i, c in enumerate(configs)]
 
 
-def _lockstep(problem: QuadraticProblem, configs) -> list[SimVerdict]:
-    """Step 1-D runs of one update, delay, step budget, verdict lines and
-    start as the columns of one array.
-
-    Each run starts from ``_start`` as ``_run`` starts it, steps on
-    ``_block_steps`` with its own ``eta`` and ``m`` and the problem's
-    curvature taken elementwise, so each state is the rounded result of the
-    float loop's update (``_scalar_steps``), and is judged by
-    ``_track_columns``.
-    """
-    first = configs[0]
-    y0 = float(_start(problem, first)[0])
-    eta = np.array([c.optimizer.eta for c in configs])
-    m = np.array([c.optimizer.m for c in configs])
-    advance = _block_steps(np.full(len(configs), y0), first.optimizer.variant, eta, m,
-                           first.delay, float(problem.hessian[0, 0]))
-    return _track_columns(advance, y0, len(configs), first.delay.max_delay + 2,
-                          first.resolved_max_steps(), first.blowup_factor, first.decay_factor)
-
-
-def _engine(problem: QuadraticProblem, y0: np.ndarray, opt: OptimizerSpec, delay: DelayModel,
-            pick_seed=None, lags=None):
-    """The step function of a run, its start and the start's distance.
+def _engine(problem: QuadraticProblem, configs, pick_seed=None, lags=None):
+    """The step function of the runs ``configs`` describe, their start and its distance.
 
     With ``pick_seed`` each step's gradient is that of a uniformly drawn
     component, the picks drawn block by block from
     ``np.random.default_rng(pick_seed)``; otherwise it is the hessian's.
-    ``lags`` is as ``_block_steps`` takes it.  A 1-D run on the hessian
-    steps on plain floats (``_scalar_steps``), every other run on
+    ``lags`` is as ``_block_steps`` takes it.  A lone 1-D run on the
+    hessian steps on plain floats (``_scalar_steps``); several 1-D runs
+    step on ``_block_steps`` as columns, each with its own ``eta`` and
+    ``m`` and the curvature taken elementwise, so each state is the rounded
+    result of the float loop's update; every other run steps on
     ``_block_steps``, bit-identical to stepping with ``M @ s``.
     """
-    if pick_seed is None:
-        if problem.d == 1:
-            y = float(y0[0])
-            return _scalar_steps(float(problem.hessian[0, 0]), y, opt, delay, lags), y, abs(y)
-        M, picks = problem.hessian, None
-    else:
+    first = configs[0]
+    opt, delay = first.optimizer, first.delay
+    y0 = _start(problem, first)
+    if pick_seed is None and problem.d == 1:
+        y, h = float(y0[0]), float(problem.hessian[0, 0])
+        if len(configs) == 1:
+            return _scalar_steps(h, y, opt, delay, lags), y, abs(y)
+        eta = np.array([c.optimizer.eta for c in configs])
+        m = np.array([c.optimizer.m for c in configs])
+        return _block_steps(np.full(len(configs), y), opt.variant, eta, m, delay, h), y, abs(y)
+    M, picks = problem.hessian, None
+    if pick_seed is not None:
         M, rng = problem.components, np.random.default_rng(pick_seed)
 
         def picks(t, n):
@@ -566,7 +523,7 @@ def _scalar_steps(h: float, y0: float, opt: OptimizerSpec, delay: DelayModel, la
     probability-weighted state (plain or momentum: shifted takes a constant
     delay only).  Threshold searches hammer these loops with million-step
     probes, so each update has its own flat loop.  A block's states go to
-    the tracker as one float64 array.
+    the tracker as one float64 column.
     """
     eta, m = opt.eta, opt.m
     ce = eta * (1.0 - m)
@@ -579,7 +536,7 @@ def _scalar_steps(h: float, y0: float, opt: OptimizerSpec, delay: DelayModel, la
     v = 0.0
     t = 0
 
-    def advance(n):
+    def advance(n, cols=None):  # a lone run: there are no columns to drop
         nonlocal v, t
         y = hist[-1]
         if lags is not None:
@@ -654,12 +611,12 @@ def _block_steps(y0: np.ndarray, variant: str, eta, m, delay: DelayModel, M, pic
     result of the per-step update, so the run is bit-identical to stepping
     with ``M @ s`` either way.
 
-    ``_lockstep`` steps several 1-D runs of one update and delay as the
-    columns of the state: ``M`` is then their shared curvature ``h``, a
-    float taken elementwise (``h * s``, the float loop's gradient), ``eta``
-    and ``m`` hold one value a column, and ``advance(n, cols)`` first keeps
-    only the columns ``cols`` names.  It takes a constant delay of at least
-    2 and no ``picks`` or ``lags``, so every span is stacked.
+    Several 1-D runs of one update and delay step as the columns of the
+    state when ``M`` is their shared curvature ``h``, a float taken
+    elementwise (``h * s``, the float loop's gradient), and ``eta`` and
+    ``m`` hold one value a column; that takes no ``picks`` and a shortest
+    delay of at least 2, so every span is stacked.  ``advance(n, cols)``
+    first keeps only the columns ``cols`` names.
     """
     ce = eta * (1.0 - m)
     keep = delay.max_delay + 1
@@ -792,7 +749,7 @@ def _simulated_threshold(problem, variant, delay, m, rel_tol, probe_steps, blowu
         for steps in (probe_steps, 2 * probe_steps):
             config = SimConfig(OptimizerSpec(variant, eta, m), delay, steps, blowup_factor,
                                decay_factor)
-            status = _run(problem, config, None, lag_seed)[0].status
+            status = _run(problem, [config], None, lag_seed)[0][0].status
             if status != UNDECIDED:
                 return status == CONVERGED
         raise UndecidedAtProbe(

@@ -145,7 +145,7 @@ def run_ps(
     if mode == "sgd" and problem.components is None:
         raise ValueError("sgd mode needs a problem with components")
     pick_seed = np.random.SeedSequence(seed) if mode == "sgd" else None
-    verdict, norms, draws = _run(problem, config, pick_seed, lag_seed, every=1)
+    (verdict,), norms, draws = _run(problem, [config], pick_seed, lag_seed, every=1)
     t = verdict.steps
     drawn = scheduler.max_delay if draws is None else np.concatenate(draws)[:t]
     applied = np.minimum(drawn, np.arange(t))

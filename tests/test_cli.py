@@ -133,6 +133,17 @@ class TestRoots:
         assert data["stable"] is True
         assert data["max_magnitude"] == pytest.approx(0.8127115748911866, abs=1e-12)
 
+    def test_huge_roots_print_short_lines(self, capsys):
+        # |z| is printed in the real and imaginary parts' format, not as a
+        # 151-digit fixed-point number: three numbers with three-digit
+        # exponents make the longest row any double can give
+        rc, out, _ = run_cli(capsys, "roots", "--a", "1e150", "--eta", "1e150", "--tau", "1")
+        assert rc == 0
+        rows = out.splitlines()[:-2]
+        assert len(rows) == 2
+        for row in rows:
+            assert len(row) <= 67 and row.endswith("|z|=1.000000000000e+150")
+
     def test_eta_required(self, capsys):
         rc, _, err = run_cli(capsys, "roots", "--a", "1.0", "--tau", "2")
         assert rc == 2

@@ -309,12 +309,13 @@ class TestPsThreshold:
         want = ps_empirical_threshold(problem, scheduler, variant, m, probe_steps=20_000)
         probes = []
 
-        def recorded(problem, config, pick_seed=None, lag_seed=None, every=0):
+        def recorded(problem, configs, pick_seed=None, lag_seed=None, every=0):
+            (config,) = configs
             full = run_ps(problem, scheduler, config.optimizer, config.max_steps,
                           record_states=True)
             assert len(full.norms) == len(full.verdict.states) == full.steps + 1
             probes.append(config.optimizer.eta)
-            return full.verdict, None, None
+            return [full.verdict], None, None
 
         monkeypatch.setattr(dynamics, "_run", recorded)  # run_ps keeps its own binding
         got = ps_empirical_threshold(problem, scheduler, variant, m, probe_steps=20_000)

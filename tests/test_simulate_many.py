@@ -2,10 +2,11 @@
 
 ``dynamics._simulate_many`` steps the 1-D plain and shifted runs that share
 an update, a constant delay of at least ``LOCKSTEP_MIN_TAU``, a step budget,
-verdict lines and a start as the columns of one array, and runs every other
-config through ``simulate_expectation``.  Either way each verdict must be
-the one ``simulate_expectation`` gives the config alone, every field and
-every bit of the amplification, in input order.  A run's start is the one
+verdict lines and a start as the columns of one array, started by ``_run``
+as one group, and runs every other config through ``simulate_expectation``.
+Either way each verdict must be the one ``simulate_expectation`` gives the
+config alone, every field and every bit of the amplification, in input
+order.  A run's start is the one
 ``_run`` gives it, so a 1-D ``random_unit`` run that starts at 1.0 steps in
 the group of the top-eigenvector runs.
 """
@@ -38,15 +39,16 @@ def _assert_same(got, configs, problem):
 
 @pytest.fixture
 def lockstep_calls(monkeypatch):
-    """The group sizes ``_simulate_many`` hands to ``_lockstep``."""
+    """The widths above 1 that ``_run`` is given: the groups stepped as columns."""
     sizes = []
-    lockstep = dynamics._lockstep
+    run = dynamics._run
 
-    def recorded(problem, configs):
-        sizes.append(len(configs))
-        return lockstep(problem, configs)
+    def recorded(problem, configs, *args, **kwargs):
+        if len(configs) > 1:
+            sizes.append(len(configs))
+        return run(problem, configs, *args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "_lockstep", recorded)
+    monkeypatch.setattr(dynamics, "_run", recorded)
     return sizes
 
 
@@ -116,3 +118,11 @@ def test_a_lone_run_steps_alone(lockstep_calls):
     configs = _grid("plain", 64, (0.0,))[:1]
     _assert_same(dynamics._simulate_many(problem, configs), configs, problem)
     assert lockstep_calls == []
+
+
+def test_a_group_starts_at_run(no_run):
+    # every run starts at _run, the runs stepped as columns too
+    problem = QuadraticProblem([[1.0]])
+    configs = [SimConfig(OptimizerSpec("plain", eta), 16, STEPS) for eta in (0.01, 0.02)]
+    with pytest.raises(TypeError):
+        dynamics._simulate_many(problem, configs)

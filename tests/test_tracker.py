@@ -5,10 +5,11 @@ scan on blocks whose distances all lie inside the verdict lines.  Here it is
 fed synthetic 1-D states whose block boundaries the test controls (through
 ``BLOCK_CAP``), and everything it returns is compared with a per-step
 reference: the verdict, the escape step, the step count, the amplification,
-the recorded distances and the kept states.  ``_track_columns``, which
-judges runs stepped as the columns of one array, is held to the same
-reference column by column, and each column must leave the array at the end
-of the block where its verdict falls.
+the recorded distances and the kept states.  The same tracker judges runs
+stepped as the columns of one array: there it is held to the same reference
+column by column, each column's verdict must be the one it gives that
+column alone, and each column must leave the array at the end of the block
+where its verdict falls.
 """
 
 import math
@@ -51,15 +52,17 @@ def _track(states, window, max_steps, every):
     """``_track`` over ``states``, padded with quiet steps past their end."""
     pos = 0
 
-    def advance(n):
+    def advance(n, cols):
         nonlocal pos
+        assert cols is None
         block = states[pos:pos + n]
         block = block + [MID] * (n - len(block))
         pos += n
-        return np.array(block)
+        return np.array(block).reshape(-1, 1)
 
-    return dynamics._track(advance, 1.0, 1.0, window, max_steps, 1e6, 1e-6,
-                           every=every, keep_states=True)
+    (verdict,), norms = dynamics._track(advance, 1.0, 1.0, 1, window, max_steps, 1e6, 1e-6,
+                                        every=every, keep_states=True)
+    return verdict, norms
 
 
 def _check(states, window, max_steps=None, every=3):
@@ -148,7 +151,7 @@ class TestRunsBelowLo:
 
 
 def _track_columns(columns, window, max_steps):
-    """``_track_columns`` over ``columns``, each padded with quiet steps.
+    """``_track`` over ``columns`` as one array, each padded with quiet steps.
 
     Returns the verdicts and, per column, the step range of the last block
     it was stepped in.  No block holds more than ``8 * BLOCK_CAP`` states
@@ -169,7 +172,9 @@ def _track_columns(columns, window, max_steps):
         pos += n
         return np.array(block).T
 
-    verdicts = dynamics._track_columns(advance, 1.0, len(columns), window, max_steps, 1e6, 1e-6)
+    verdicts, norms = dynamics._track(advance, 1.0, 1.0, len(columns), window, max_steps,
+                                      1e6, 1e-6)
+    assert norms is None
     return verdicts, last_block
 
 
@@ -184,6 +189,10 @@ def _check_columns(columns, window, max_steps=None):
         assert (verdict.status, verdict.escape_step, verdict.steps) == (status, escape, t)
         assert verdict.amplification == (mag if math.isfinite(mag) else math.inf)
         assert (verdict.trace, verdict.states, verdict.clipped_delays) == (None, None, 0)
+        # the same tracker at width 1, on this column alone
+        alone, _ = _track(states, window, max_steps, 0)
+        assert ((alone.status, alone.escape_step, alone.steps, alone.amplification)
+                == (verdict.status, verdict.escape_step, verdict.steps, verdict.amplification))
     for c, verdict in enumerate(verdicts):
         # a column leaves the array at the end of the block where it ends
         start, end = last_block[c]
@@ -193,7 +202,7 @@ def _check_columns(columns, window, max_steps=None):
 
 
 class TestColumns:
-    """``_track_columns`` judges each column as ``_track`` judges one run."""
+    """``_track`` judges each column of an array as it judges one run."""
 
     def test_columns_ending_in_the_first_block(self, cap):
         columns = [[2 * HI], [MID, -2 * HI], _below_run(3), [MID] * 3 + _below_run(3),

@@ -38,7 +38,8 @@ def test_round_robin_search_is_the_constant_delay_search(monkeypatch, workers, v
     start = dynamics._run
 
     def counted(*args, **kwargs):
-        starts.append(args[1].optimizer.eta)
+        (config,) = args[1]
+        starts.append(config.optimizer.eta)
         return start(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "_run", counted)
