@@ -154,6 +154,14 @@ def _check_positive(name: str, x: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {x!r}")
 
 
+def _check_rel_tol(name: str, x: float) -> None:
+    """Require ``2**-52 <= x < inf`` (a NaN fails).  Adjacent floats at eta
+    differ by at most ``2**-52 * eta``, so a bisection's bracket gets this
+    narrow before float resolution stops it."""
+    if not 2.0 ** -52 <= x < math.inf:
+        raise ValueError(f"{name} must be finite and at least 2**-52, got {x!r}")
+
+
 def _check_momentum(m: float, name: str = "m") -> None:
     if not 0.0 <= m < 1.0:
         raise ValueError(f"{name} must lie in [0, 1)")

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .charpoly import (VARIANTS, DelayModel, OptimizerSpec, _check_count, _check_delay, _check_momentum,
-                       _check_positive, char_poly, pmf_discrete_gaussian, pmf_uniform)
+                       _check_positive, _check_rel_tol, char_poly, pmf_discrete_gaussian, pmf_uniform)
 from .dynamics import (
     BLOWUP_FACTOR,
     DECAY_FACTOR,
@@ -40,6 +40,7 @@ from .dynamics import (
     QuadraticProblem,
     SimConfig,
     SimVerdict,
+    _engine,
     _trace_steps,
     escape_time_curve,
     simulate_expectation,
@@ -117,7 +118,7 @@ FLAGS = {
     "eta": dict(type=float, check=_check_step_size, help="step size"),
     "etas": dict(check=_step_sizes, help="comma-separated step sizes (ascending)"),
     "eta_range": dict(check=_step_size_range, help="LO:HI:COUNT"),
-    "rel_tol": dict(type=float, check=_check_positive,
+    "rel_tol": dict(type=float, check=_check_rel_tol,
                     help="bracket width relative to its midpoint"),
     "steps": dict(type=int, check=_check_count, help="step budget"),
     "blowup": dict(type=float, help="divergence threshold on the distance ratio"),
@@ -158,7 +159,7 @@ def _load_config(path: str | None, command: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh, parse_int=str, parse_float=str, parse_constant=str)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"config {path} is not valid JSON: {exc}") from None
@@ -429,8 +430,8 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
     t0 = time.time()
 
     # OptimizerSpec (rightly) demands eta > 0, so a zero step size is checked
-    # with every other setting under a stand-in eta; it moves nothing, and
-    # its run is reported directly.
+    # with every other setting under a stand-in eta; it moves nothing, so its
+    # run stays at the start, at the distance a run's engine starts from.
     sim_cfg = SimConfig(
         optimizer=OptimizerSpec(cfg["variant"], eta or 1.0, cfg["m"]),
         delay=delay,
@@ -443,10 +444,10 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
         record_trace=bool(cfg["out"]),
     )
     if eta == 0.0:
-        steps = sim_cfg.resolved_max_steps()
+        steps, n0 = sim_cfg.resolved_max_steps(), _engine(problem, [sim_cfg])[2]
         trace = None
         if sim_cfg.record_trace:
-            trace = tuple((s, 1.0) for s in _trace_steps(steps, sim_cfg.record_every))
+            trace = tuple((s, n0) for s in _trace_steps(steps, sim_cfg.record_every))
         verdict = SimVerdict(UNDECIDED, None, 1.0, steps, trace=trace)
     else:
         verdict = simulate_expectation(problem, sim_cfg)
@@ -515,11 +516,21 @@ def cmd_ps(cfg: dict, args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------------- plot
 
-def _read_plot_csv(path: str):
+def _cell(text: str) -> float | str | None:
+    """A CSV cell: a float, None when blank, or its text as it stands."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        return float(text) if text.strip() else None
+    except ValueError:
+        return text
+
+
+def _read_plot_csv(path: str):
+    """A CSV's header and rows to plot.  A column holding text is refused if it
+    is x or also holds numbers, and otherwise skipped with a note on stderr."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliFailure(f"cannot read {path}: {exc}") from None
     lines = raw.split("\n")
     while lines and lines[-1].strip() == "":
@@ -529,64 +540,28 @@ def _read_plot_csv(path: str):
     header = lines[0].split(",")
     if len(header) < 2:
         raise CliFailure("line 1: need at least two comma-separated columns")
-    ncol = len(header)
-    cells: list[list[str]] = []
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != ncol:
-            raise CliFailure(f"line {i}: expected {ncol} fields, got {len(parts)}")
-        cells.append(parts)
-    if not cells:
+    rows = [line.split(",") for line in lines[1:]]
+    for i, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise CliFailure(f"line {i}: expected {len(header)} fields, got {len(row)}")
+    if not rows:
         raise CliFailure("no data rows")
-
-    def parse(cell: str) -> float | None:
-        s = cell.strip()
-        if s == "":
-            return None
-        return float(s)  # ValueError handled by callers per column
-
-    # x column must be numeric everywhere
-    xs: list[float | None] = []
-    for i, row in enumerate(cells, start=2):
-        try:
-            xs.append(parse(row[0]))
-        except ValueError:
-            raise CliFailure(f"line {i}: x value {row[0]!r} is not numeric") from None
-
-    keep: list[int] = []
-    columns: dict[int, list[float | None]] = {}
-    for j in range(1, ncol):
-        vals: list[float | None] = []
-        bad_line = None
-        n_numeric = 0
-        for i, row in enumerate(cells, start=2):
-            try:
-                v = parse(row[j])
-            except ValueError:
-                if bad_line is None:
-                    bad_line = i
-                vals.append(None)
-                continue
-            if v is not None:
-                n_numeric += 1
-            vals.append(v)
-        if bad_line is not None and n_numeric > 0:
-            raise CliFailure(
-                f"line {bad_line}: column {header[j]!r} mixes numbers and text"
-            )
-        if bad_line is not None:
-            print(f"skipping non-numeric column {header[j]!r}", file=sys.stderr)
-            continue
-        keep.append(j)
-        columns[j] = vals
-    if not keep:
+    headers, columns = [], []
+    for j, (name, cells) in enumerate(zip(header, zip(*rows))):
+        column = [_cell(c) for c in cells]
+        text = [(i, v) for i, v in enumerate(column, start=2) if isinstance(v, str)]
+        if not text:
+            headers.append(name)
+            columns.append(column)
+        elif j == 0:
+            raise CliFailure(f"line {text[0][0]}: x value {text[0][1]!r} is not numeric")
+        elif any(isinstance(v, float) for v in column):
+            raise CliFailure(f"line {text[0][0]}: column {name!r} mixes numbers and text")
+        else:
+            print(f"skipping non-numeric column {name!r}", file=sys.stderr)
+    if len(columns) < 2:
         raise CliFailure("no numeric series column to plot")
-
-    out_headers = [header[0]] + [header[j] for j in keep]
-    out_rows = [
-        tuple([xs[r]] + [columns[j][r] for j in keep]) for r in range(len(cells))
-    ]
-    return out_headers, out_rows
+    return headers, list(zip(*columns))
 
 
 def cmd_plot(args: argparse.Namespace) -> int:

@@ -26,7 +26,7 @@ from itertools import islice, repeat
 import numpy as np
 
 from .charpoly import (DelayModel, OptimizerSpec, _check_count, _check_pairing, _check_positive,
-                       _check_seed, as_delay)
+                       _check_rel_tol, _check_seed, as_delay)
 from .errors import NoConvergence, UndecidedAtProbe
 from .stability import METHOD_SIMULATION, ThresholdResult, _bisect_eta
 
@@ -215,8 +215,8 @@ class SimVerdict:
     exceeded ``blowup_factor`` times the initial.  ``trace`` holds
     ``(step, norm)`` pairs when requested, ``states`` the full trajectory as
     a read-only ``(steps + 1, d)`` array.  ``clipped_delays`` counts sampled
-    delays that exceeded the elapsed steps and were shortened (always 0 for
-    expectation runs).
+    delays that reached back past the start, which the run reads there
+    (always 0 for expectation runs).
     """
 
     status: str
@@ -381,7 +381,7 @@ def _run(problem: QuadraticProblem, configs, pick_seed=None, lag_seed=None, ever
     probability-weighted state; ``pick_seed`` is as ``_engine`` takes it.
     Returns the verdicts in config order, a lone run's distances every
     ``every`` steps (``None`` when ``every`` is 0) and the sampled delays
-    drawn (``None`` without ``lag_seed``).
+    of the steps it took (``None`` without ``lag_seed``).
     """
     first = configs[0]
     lags = draws = None
@@ -393,8 +393,8 @@ def _run(problem: QuadraticProblem, configs, pick_seed=None, lag_seed=None, ever
         first.blowup_factor, first.decay_factor, every, first.record_states,
     )
     if draws is not None:
-        t = verdicts[0].steps
-        clipped = int(np.count_nonzero(np.concatenate(draws)[:t] > np.arange(t)))
+        draws = np.concatenate(draws)[:verdicts[0].steps]
+        clipped = int(np.count_nonzero(draws > np.arange(len(draws))))
         verdicts = [replace(verdicts[0], clipped_delays=clipped)]
     return verdicts, norms, draws
 
@@ -485,7 +485,7 @@ def _engine(problem: QuadraticProblem, configs, pick_seed=None, lags=None):
     if pick_seed is not None:
         M, rng = problem.components, np.random.default_rng(pick_seed)
 
-        def picks(t, n):
+        def picks(n):
             return rng.integers(0, M.shape[0], size=n)
 
     return (_block_steps(y0, opt.variant, opt.eta, opt.m, delay, M, picks, lags), y0,
@@ -495,20 +495,20 @@ def _engine(problem: QuadraticProblem, configs, pick_seed=None, lags=None):
 def _schedule(pmf: DelayModel, seed):
     """The lags of a sampled-delay run, drawn block by block, and the draws.
 
-    ``lags(t, n)`` draws the delays of steps ``t + 1 .. t + n`` from
+    ``lags(n)`` draws the delays of the next ``n`` steps from
     ``np.random.default_rng(seed)``, appends them to ``draws`` and returns
-    them clipped to the elapsed steps, so a step reads the state ``k`` steps
-    back or the start.  One generator continues across the blocks, so the
-    draws are those of a single draw for the whole run, and a run that ends
-    early draws only the blocks it stepped.
+    them.  A step reads the state ``k`` steps back; before the start, the
+    engines' pre-history holds the start.  One generator continues across
+    the blocks, so the draws are those of a single draw for the whole run,
+    and a run that ends early draws only the blocks it stepped.
     """
     rng = np.random.default_rng(seed)
     support, probs = np.array(pmf.delays), np.array(pmf.probs)
     draws = []
 
-    def lags(t, n):
+    def lags(n):
         draws.append(rng.choice(support, size=n, p=probs))
-        return np.minimum(draws[-1], np.arange(t, t + n))
+        return draws[-1]
 
     return lags, draws
 
@@ -534,13 +534,12 @@ def _scalar_steps(h: float, y0: float, opt: OptimizerSpec, delay: DelayModel, la
     pairs = None if delay.is_constant or lags is not None else [
         (-1 - k, p) for k, p in zip(delay.delays, delay.probs)]
     v = 0.0
-    t = 0
 
     def advance(n, cols=None):  # a lone run: there are no columns to drop
-        nonlocal v, t
+        nonlocal v
         y = hist[-1]
         if lags is not None:
-            reads = (np.arange(keep - 1, keep - 1 + n) - lags(t, n)).tolist()
+            reads = (np.arange(keep - 1, keep - 1 + n) - lags(n)).tolist()
             if variant == "plain":
                 for r in reads:
                     y = y - eta * (h * hist[r])
@@ -585,7 +584,6 @@ def _scalar_steps(h: float, y0: float, opt: OptimizerSpec, delay: DelayModel, la
                 hist.append(y)
         new = _float_block(hist[keep:])
         del hist[:-keep], vel[:-keep]
-        t += n
         return new
 
     return advance
@@ -598,9 +596,10 @@ def _block_steps(y0: np.ndarray, variant: str, eta, m, delay: DelayModel, M, pic
     A step's gradient is ``M @ s``, with ``M`` the hessian or the component
     of a stack that ``picks`` names, at the stale state ``s``: the one
     ``delay.tau`` steps back, the probability-weighted state over the pmf,
-    or the one ``lags`` steps back.  ``picks(t, n)`` and ``lags(t, n)`` give
-    the indices and (clipped) lags of steps ``t + 1 .. t + n``, called once
-    per block in step order, so a run draws only the blocks it steps.
+    or the one ``lags`` steps back.  ``picks(n)`` and ``lags(n)`` give the
+    indices and lags of the next ``n`` steps, called once per block in step
+    order, so a run draws only the blocks it steps.  A lag that reaches
+    back past the start reads the pre-history, which holds the start.
     Steps go in spans of ``min_delay + 1``, so every state a span reads
     exists before it starts, and a span's gradients are one stacked matvec,
     ``np.matmul(M, S[:, :, None])``.  Plain and shifted then take their
@@ -627,7 +626,6 @@ def _block_steps(y0: np.ndarray, variant: str, eta, m, delay: DelayModel, M, pic
     hist = np.tile(y0, (keep, 1))  # the last keep states, oldest first
     vel = np.zeros_like(hist)  # shifted: the velocity is read with the delay too
     v = vel[-1]
-    t = 0
 
     def stacked(n, P, back):
         nonlocal v, vel
@@ -694,13 +692,12 @@ def _block_steps(y0: np.ndarray, variant: str, eta, m, delay: DelayModel, M, pic
     step = row_by_row if span <= 2 and pairs is None else stacked
 
     def advance(n, cols=None):
-        nonlocal hist, vel, v, eta, m, ce, t
+        nonlocal hist, vel, v, eta, m, ce
         if cols is not None:
             hist, vel, v, eta, m, ce = (x[..., cols] for x in (hist, vel, v, eta, m, ce))
-        P = None if picks is None else picks(t, n)
-        Y = step(n, P, tau if lags is None else lags(t, n))
+        P = None if picks is None else picks(n)
+        Y = step(n, P, tau if lags is None else lags(n))
         hist = Y[n:]
-        t += n
         return Y[keep:]
 
     return advance
@@ -711,9 +708,9 @@ def simulate_sgd(problem: QuadraticProblem, config: SimConfig, seed: int | None 
 
     Each step applies the gradient of one uniformly drawn component at the
     stale state.  The delay is the configured constant, or drawn per step
-    from the pmf; a drawn delay longer than the elapsed steps is clipped to
-    the initial point and counted in ``clipped_delays``.  ``seed`` drives
-    the gradient and delay draws (``config.seed`` only the random init):
+    from the pmf; a drawn delay longer than the elapsed steps reads the
+    start and is counted in ``clipped_delays``.  ``seed`` drives the
+    gradient and delay draws (``config.seed`` only the random init):
     the picks come from ``np.random.SeedSequence(seed)``, the delays from a
     second generator spawned from it; a seed of ``None`` draws both from
     fresh entropy.  Both are drawn one block at a time, the same draws as
@@ -741,7 +738,7 @@ def _simulated_threshold(problem, variant, delay, m, rel_tol, probe_steps, blowu
     stable.  An undecided probe gets its step budget doubled once; if it
     stays undecided the search raises ``UndecidedAtProbe`` rather than guess.
     """
-    _check_positive("rel_tol", rel_tol)
+    _check_rel_tol("rel_tol", rel_tol)
     probe_steps = _check_count("probe_steps", probe_steps)
     _check_verdict_lines(blowup_factor, decay_factor)  # before the start is set from them
 

@@ -65,8 +65,8 @@ class RoundRobin:
 class SampledDelay:
     """Each step applies a gradient from ``k`` steps back, ``k`` drawn from a pmf.
 
-    Draws longer than the elapsed history are clipped to the initial point
-    and counted.  ``seed`` drives the delay draws only.
+    A draw longer than the elapsed history reads the start, and is counted.
+    ``seed`` drives the delay draws only.
     """
 
     pmf: DelayModel
@@ -147,8 +147,7 @@ def run_ps(
     pick_seed = np.random.SeedSequence(seed) if mode == "sgd" else None
     (verdict,), norms, draws = _run(problem, [config], pick_seed, lag_seed, every=1)
     t = verdict.steps
-    drawn = scheduler.max_delay if draws is None else np.concatenate(draws)[:t]
-    applied = np.minimum(drawn, np.arange(t))
+    applied = np.minimum(scheduler.max_delay if draws is None else draws, np.arange(t))
     return PSRun(
         scheduler=scheduler,
         steps=t,

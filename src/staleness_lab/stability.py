@@ -43,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charpoly import DelayModel, _check_delay, _check_positive, _sum_by_exponent, as_delay, char_poly_terms
+from .charpoly import (DelayModel, _check_delay, _check_positive, _check_rel_tol, _sum_by_exponent,
+                       as_delay, char_poly_terms)
 from .errors import NoConvergence, NoThreshold
 
 BRACKET_START = 1e-6
@@ -81,7 +82,9 @@ class ThresholdResult:
     """A located stability boundary in step size.
 
     ``bracket`` is the final (stable, unstable) eta pair; ``eta_star`` is its
-    midpoint and ``hi - lo <= tolerance * eta_star`` holds on return.  The
+    midpoint and ``hi - lo <= tolerance * eta_star`` holds on return, since
+    ``tolerance`` is at least float resolution, ``2**-52``; only a subnormal
+    ``eta_star`` (a curvature near the float maximum) can miss it.  The
     bracket is closed, and ``lo`` may lie on the boundary itself: at tau 0
     the crossing value is exact and ``lo`` can land on it, with a root at
     ``z = -1``.  From a polynomial, ``hi`` is certified unstable up to the
@@ -677,7 +680,7 @@ def _searches(variant: str, a: float, delays, m: float,
     ValueError before any search starts.
     """
     _check_positive("a", a)
-    _check_positive("rel_tol", rel_tol)
+    _check_rel_tol("rel_tol", rel_tol)
     splits = [_Split(variant, m, as_delay(d)) for d in delays]
     results = []
     for split, crossing in zip(splits, _crossings(splits)):

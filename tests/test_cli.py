@@ -195,6 +195,20 @@ class TestSimulate:
         assert (tmp_path / "0" / "trace.csv").read_text().splitlines()[1:] == [
             f"{s},1.0" for s in grids[0]]
 
+    @pytest.mark.parametrize("problem", [["--a", "1.0"],
+                                         ["--spectrum", "1,0.5", "--init", "random_unit"]])
+    def test_zero_eta_trace_is_that_of_a_step_too_small_to_move(self, capsys, tmp_path,
+                                                                problem):
+        # every row holds the start's own distance, 0.9999999999999999 for the random start
+        traces = []
+        for eta in ("0", "1e-300"):
+            out = tmp_path / eta
+            rc, _, _ = run_cli(capsys, "simulate", *problem, "--eta", eta, "--tau", "4",
+                               "--steps", "1000", "--record-every", "100", "--out", str(out))
+            assert rc == 0
+            traces.append((out / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]
+
     @pytest.mark.parametrize("extra", [
         ["--steps", "-5"],
         ["--steps", "0", "--out", "{tmp}/run"],
@@ -588,6 +602,17 @@ class TestPlot:
         assert rc == 1
         assert "line 3" in err
 
+    def test_byte_order_mark_is_not_part_of_the_x_label(self, capsys, tmp_path):
+        # as a spreadsheet saves "CSV UTF-8"
+        text = "x,y\n0,1.0\n1,0.5\n"
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text.encode())
+        svgs = []
+        for src in (tmp_path / "bom.csv", self._write(tmp_path, text)):
+            rc, _, err = run_cli(capsys, "plot", str(src), str(tmp_path / "o.svg"))
+            assert (rc, err) == (0, "")
+            svgs.append((tmp_path / "o.svg").read_bytes())
+        assert svgs[0] == svgs[1] and "\ufeff".encode() not in svgs[0]
+
     def test_empty_cells_break_segments(self, capsys, tmp_path):
         src = self._write(tmp_path, "eta,escape\n0.1,\n0.2,44\n0.3,20\n")
         dst = tmp_path / "o.svg"
@@ -651,9 +676,13 @@ class TestVersionFlag:
 
 
 # Each usage or input error the CLI reports itself: argv ("{tmp}" is a
-# directory holding FILES), exit code, and the whole stderr line.
-FILES = {"bad.json": "{not json", "list.json": "[1, 2]", "empty.csv": "\n\n",
-         "ragged.csv": "x,y\n0,1.0\n1\n", "svg.json": '{"svg": "o.svg"}'}
+# directory holding FILES), exit code, and the whole of stderr.
+FILES = {"bad.json": b"{not json", "list.json": b"[1, 2]", "empty.csv": b"\n\n",
+         "ragged.csv": b"x,y\n0,1.0\n1\n", "svg.json": b'{"svg": "o.svg"}',
+         "one.csv": b"x\n0\n1\n", "text_x.csv": b"x,y\n0,1\nabc,2\n",
+         "tags.csv": b"x,tag,name\n0,a,b\n1,c,d\n",
+         # Latin-1 text, as a spreadsheet may save it: not UTF-8
+         "latin1.csv": b"x,y\n0,1\n1,\xe9\n", "latin1.json": b'{"a": "\xe9"}'}
 SIM = ["simulate", "--a", "1", "--eta", "0.1", "--tau", "2"]
 ERRORS = {
     "steps-simulate": ([*SIM, "--steps", "0"], 2,
@@ -710,6 +739,9 @@ ERRORS = {
                 "usage error: --eta must be finite, got nan"),
     "etas-inf": (["escape-curve", "--a", "1", "--tau", "2", "--etas", "0.1,inf"], 2,
                  "usage error: --etas must be finite, got inf"),
+    "rel-tol-below-resolution": (["threshold", "--a", "1", "--tau", "3", "--rel-tol", "1e-300"], 2,
+                                 "usage error: --rel-tol must be finite and at least 2**-52, "
+                                 "got 1e-300"),
     "coefficient-overflow": (["roots", "--a", "1e200", "--eta", "1e200", "--tau", "1"], 2,
                              "usage error: coefficient 0 is not finite (inf)"),
     "plot-missing": (["plot", "{tmp}/missing.csv", "{tmp}/o.svg"], 1,
@@ -718,13 +750,26 @@ ERRORS = {
     "plot-empty": (["plot", "{tmp}/empty.csv", "{tmp}/o.svg"], 1, "error: line 1: file is empty"),
     "plot-ragged": (["plot", "{tmp}/ragged.csv", "{tmp}/o.svg"], 1,
                     "error: line 3: expected 2 fields, got 1"),
+    "plot-one-column": (["plot", "{tmp}/one.csv", "{tmp}/o.svg"], 1,
+                        "error: line 1: need at least two comma-separated columns"),
+    "plot-text-x": (["plot", "{tmp}/text_x.csv", "{tmp}/o.svg"], 1,
+                    "error: line 3: x value 'abc' is not numeric"),
+    "plot-no-series": (["plot", "{tmp}/tags.csv", "{tmp}/o.svg"], 1,
+                       "skipping non-numeric column 'tag'\nskipping non-numeric column 'name'\n"
+                       "error: no numeric series column to plot"),
+    "plot-not-utf8": (["plot", "{tmp}/latin1.csv", "{tmp}/o.svg"], 1,
+                      "error: cannot read {tmp}/latin1.csv: 'utf-8' codec can't decode "
+                      "byte 0xe9 in position 10: invalid continuation byte"),
+    "config-not-utf8": ([*SIM, "--config", "{tmp}/latin1.json"], 2,
+                        "usage error: cannot read config {tmp}/latin1.json: 'utf-8' codec "
+                        "can't decode byte 0xe9 in position 7: invalid continuation byte"),
 }
 
 
 @pytest.mark.parametrize("argv, code, message", ERRORS.values(), ids=ERRORS.keys())
 def test_error_exit_code_and_message(capsys, tmp_path, argv, code, message):
-    for name, text in FILES.items():
-        (tmp_path / name).write_text(text)
+    for name, data in FILES.items():
+        (tmp_path / name).write_bytes(data)
     rc, out, err = run_cli(capsys, *[arg.replace("{tmp}", str(tmp_path)) for arg in argv])
     assert (rc, out, err) == (code, "", message.replace("{tmp}", str(tmp_path)) + "\n")
     assert not (tmp_path / "o.svg").exists()

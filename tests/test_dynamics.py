@@ -323,7 +323,7 @@ class TestEmpiricalThreshold:
         with pytest.raises(UndecidedAtProbe):
             empirical_threshold(QuadraticProblem([[1.0]]), "plain", 0, probe_steps=1)
 
-    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1.0, 1e-17, 1e-300])
     def test_rejects_bad_rel_tol_before_any_probe(self, monkeypatch, rel_tol):
         monkeypatch.setattr(dynamics, "simulate_expectation", None)
         with pytest.raises(ValueError, match="rel_tol"):

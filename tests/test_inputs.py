@@ -1,6 +1,7 @@
 """One definition of a valid input, seen from every public entry point.
 
-Step sizes and curvatures are positive and finite, momenta lie in [0, 1),
+Step sizes and curvatures are positive and finite, relative tolerances are
+finite and at least float resolution (2**-52), momenta lie in [0, 1),
 every delay, constant or in a pmf's support, is an integer in [0, MAX_TAU],
 and every count (steps, workers, dimensions, root sweeps) is an integer
 >= 1; numpy integers count as integers, bools do not.  Each rejected input
@@ -66,16 +67,21 @@ POSITIVE = {
     "analytic_threshold_plain a": lambda x: analytic_threshold_plain(x, 3),
     "scale_lr eta0": lambda x: scale_lr(x, 3),
     "numeric_threshold a": lambda x: numeric_threshold("plain", x, 3),
-    "numeric_threshold rel_tol": lambda x: numeric_threshold("plain", 1.0, 3, rel_tol=x),
     "threshold_curve a": lambda x: threshold_curve("plain", x, [3]),
-    "threshold_curve rel_tol": lambda x: threshold_curve("plain", 1.0, [3], rel_tol=x),
-    "empirical_threshold rel_tol": lambda x: empirical_threshold(PROBLEM, "plain", 3, rel_tol=x),
-    "ps_empirical_threshold rel_tol": lambda x: ps_empirical_threshold(PROBLEM, RoundRobin(4),
-                                                                       "plain", rel_tol=x),
     "escape_time_curve eta": lambda x: escape_time_curve(PROBLEM, "plain", 3, [x]),
     "power_iteration tol": lambda x: power_iteration(lambda v: v, 2, tol=x),
 }
 BAD_POSITIVE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "0": 0.0, "negative": -1.0}
+
+# A relative tolerance is also no finer than float resolution, 2**-52.
+REL_TOL = {
+    "numeric_threshold rel_tol": lambda x: numeric_threshold("plain", 1.0, 3, rel_tol=x),
+    "threshold_curve rel_tol": lambda x: threshold_curve("plain", 1.0, [3], rel_tol=x),
+    "empirical_threshold rel_tol": lambda x: empirical_threshold(PROBLEM, "plain", 3, rel_tol=x),
+    "ps_empirical_threshold rel_tol": lambda x: ps_empirical_threshold(PROBLEM, RoundRobin(4),
+                                                                       "plain", rel_tol=x),
+}
+BAD_REL_TOL = {**BAD_POSITIVE, "1e-17": 1e-17, "1e-300": 1e-300}
 
 MOMENTUM = {
     "OptimizerSpec m": lambda x: OptimizerSpec("momentum", 0.1, x),
@@ -164,7 +170,7 @@ def _table(entries, values):
             for name, call in entries.items() for label, x in values.items()]
 
 
-@pytest.mark.parametrize("call, x", _table(POSITIVE, BAD_POSITIVE)
+@pytest.mark.parametrize("call, x", _table(POSITIVE, BAD_POSITIVE) + _table(REL_TOL, BAD_REL_TOL)
                          + _table(MOMENTUM, BAD_MOMENTUM) + _table(DELAY, BAD_DELAY))
 def test_rejected_input_raises_value_error(call, x):
     with pytest.raises(ValueError):

@@ -282,7 +282,7 @@ class TestPsThreshold:
         assert r.method == METHOD_SIMULATION
         assert r.delay.tau == 4
 
-    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1.0, 1e-17, 1e-300])
     def test_rejects_bad_rel_tol_before_any_probe(self, no_run, rel_tol):
         with pytest.raises(ValueError, match="rel_tol"):
             ps_empirical_threshold(_scalar(), RoundRobin(4), "plain", rel_tol=rel_tol)

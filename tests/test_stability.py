@@ -189,11 +189,22 @@ class TestNumericThreshold:
         with pytest.raises(ValueError, match="shifted momentum needs a constant delay"):
             numeric_threshold("shifted", 1.0, pmf_uniform(1, 4), m=0.5)
 
-    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1.0, 1e-17, 1e-300])
     def test_rejects_bad_rel_tol_before_the_crossing_scan(self, monkeypatch, rel_tol):
         monkeypatch.setattr(stability, "_crossings", None)
         with pytest.raises(ValueError, match="rel_tol"):
             numeric_threshold("plain", 1.0, DelayModel.constant(3), rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("variant, m, a, delay", [
+        *[(v, m, 1.0, tau) for v, m in (("plain", 0.0), ("momentum", 0.5), ("shifted", 0.5))
+          for tau in (0, 1, 16, 257)],
+        *[("plain", 0.0, a, pmf_uniform(1, 64)) for a in (1e-200, 1.0, 1e200)],
+    ])
+    def test_bracket_meets_the_finest_tolerance(self, variant, m, a, delay):
+        # at 2**-52 the bisection runs down to adjacent floats, whose gap still meets it
+        r = numeric_threshold(variant, a, delay, m=m, rel_tol=2.0 ** -52)
+        lo, hi = r.bracket
+        assert 0.0 < hi - lo <= r.tolerance * r.eta_star
 
     def test_frozen_digest_over_a_corpus(self):
         # every search's bracket, crossing and residual, bit for bit
