@@ -20,6 +20,8 @@ reproduces the outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -444,7 +446,7 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
         record_trace=bool(cfg["out"]),
     )
     if eta == 0.0:
-        steps, n0 = sim_cfg.resolved_max_steps(), _engine(problem, [sim_cfg])[2]
+        steps, n0 = sim_cfg.max_steps, _engine(problem, [sim_cfg])[2]
         trace = None
         if sim_cfg.record_trace:
             trace = tuple((s, n0) for s in _trace_steps(steps, sim_cfg.record_every))
@@ -528,28 +530,32 @@ def _read_plot_csv(path: str):
     """A CSV's header and rows to plot.  A column holding text is refused if it
     is x or also holds numbers, and otherwise skipped with a note on stderr."""
     try:
+        # read whole, so a decode error names its place in the file; a bare \r ends a line
         with open(path, encoding="utf-8-sig") as fh:
-            raw = fh.read()
+            reader = csv.reader(io.StringIO(fh.read()))
+        # a blank line is one empty field, as a line of no commas is
+        records = [(reader.line_num, row or [""]) for row in reader]
     except (OSError, UnicodeDecodeError) as exc:
         raise CliFailure(f"cannot read {path}: {exc}") from None
-    lines = raw.split("\n")
-    while lines and lines[-1].strip() == "":
-        lines.pop()
-    if not lines:
+    except csv.Error as exc:
+        raise CliFailure(f"line {reader.line_num}: {exc}") from None
+    while records and len(records[-1][1]) == 1 and records[-1][1][0].strip() == "":
+        records.pop()
+    if not records:
         raise CliFailure("line 1: file is empty")
-    header = lines[0].split(",")
+    header = records.pop(0)[1]
     if len(header) < 2:
         raise CliFailure("line 1: need at least two comma-separated columns")
-    rows = [line.split(",") for line in lines[1:]]
-    for i, row in enumerate(rows, start=2):
+    for i, row in records:
         if len(row) != len(header):
             raise CliFailure(f"line {i}: expected {len(header)} fields, got {len(row)}")
-    if not rows:
+    if not records:
         raise CliFailure("no data rows")
+    lines, rows = zip(*records)
     headers, columns = [], []
     for j, (name, cells) in enumerate(zip(header, zip(*rows))):
         column = [_cell(c) for c in cells]
-        text = [(i, v) for i, v in enumerate(column, start=2) if isinstance(v, str)]
+        text = [(i, v) for i, v in zip(lines, column) if isinstance(v, str)]
         if not text:
             headers.append(name)
             columns.append(column)

@@ -7,9 +7,10 @@ independent check on the algebra.  Provided here: the deterministic
 expectation dynamics, their sampled-gradient counterpart, threshold search
 driven purely by simulation verdicts, escape-time tables, and a
 power-iteration sharpness estimate.  A ``SimConfig`` describes every run,
-simulator or parameter-server (``pssim``), and ``_run`` starts each one,
-every probe of the one trajectory search (``_simulated_threshold``) included;
-a group of 1-D runs (``_simulate_many``) steps as the columns of one array.
+simulator or parameter-server (``pssim``); ``_run`` starts each one and
+builds its verdict and trace, every probe of the one trajectory search
+(``_simulated_threshold``) included, and steps a group of 1-D runs
+(``_simulate_many``) as the columns of one array.
 
 All randomness flows through seeded generators; identical inputs give
 bit-identical outputs.
@@ -156,7 +157,9 @@ class QuadraticProblem:
 class SimConfig:
     """Knobs for one run, of a simulator or of the parameter server.
 
-    ``max_steps=None`` resolves to ``default_max_steps(tau_max)``.
+    ``max_steps=None`` becomes ``max(100 * (max_delay + 1), MAX_STEPS_FLOOR)``
+    when the config is made, so ``dataclasses.replace`` with a new delay
+    keeps the old budget unless it passes ``max_steps=None``.
     ``init`` picks the starting offset: the top eigenvector of the hessian
     (excites the mode that loses stability first) or a seeded random unit
     vector.  Trace and state recording are off by default; ``record_every``
@@ -181,28 +184,18 @@ class SimConfig:
         if not isinstance(self.optimizer, OptimizerSpec):
             raise TypeError("optimizer must be an OptimizerSpec")
         _check_pairing(self.optimizer.variant, self.delay)
-        if self.max_steps is not None:
-            object.__setattr__(self, "max_steps", _check_count("max_steps", self.max_steps))
+        object.__setattr__(self, "max_steps", max(100 * (self.delay.max_delay + 1), MAX_STEPS_FLOOR)
+                           if self.max_steps is None else _check_count("max_steps", self.max_steps))
         _check_verdict_lines(self.blowup_factor, self.decay_factor)
         if self.init not in ("top_eigvec", "random_unit"):
             raise ValueError("init must be 'top_eigvec' or 'random_unit'")
         object.__setattr__(self, "record_every", _check_count("record_every", self.record_every))
         object.__setattr__(self, "seed", _check_seed("seed", self.seed))
 
-    def resolved_max_steps(self) -> int:
-        if self.max_steps is not None:
-            return self.max_steps
-        return default_max_steps(self.delay.max_delay)
-
 
 def _check_verdict_lines(blowup_factor: float, decay_factor: float) -> None:
     if not blowup_factor > 1.0 > decay_factor > 0.0:
         raise ValueError("need blowup_factor > 1 > decay_factor > 0")
-
-
-def default_max_steps(max_delay: int) -> int:
-    """Step budget of a run that names none: ``max(100 * (max_delay + 1), 100_000)``."""
-    return max(100 * (max_delay + 1), MAX_STEPS_FLOOR)
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,33 +372,30 @@ def _run(problem: QuadraticProblem, configs, pick_seed=None, lag_seed=None, ever
     lone run is a group of one.  With ``lag_seed`` each step reads the state
     a drawn lag back (``_schedule``), without it a pmf delay reads the
     probability-weighted state; ``pick_seed`` is as ``_engine`` takes it.
-    Returns the verdicts in config order, a lone run's distances every
-    ``every`` steps (``None`` when ``every`` is 0) and the sampled delays
-    of the steps it took (``None`` without ``lag_seed``).
+    Returns the verdicts in config order, a lone run's with its trace if it
+    records one, that run's distances every ``every`` steps (its
+    ``record_every`` if it records a trace; ``None`` at 0) and the sampled
+    delays of the steps it took (``None`` without ``lag_seed``).
     """
     first = configs[0]
+    if first.record_trace:
+        every = first.record_every
     lags = draws = None
     if lag_seed is not None:
         lags, draws = _schedule(first.delay, lag_seed)
     advance, y0, n0 = _engine(problem, configs, pick_seed, lags)
     verdicts, norms = _track(
-        advance, y0, n0, len(configs), first.delay.max_delay + 2, first.resolved_max_steps(),
+        advance, y0, n0, len(configs), first.delay.max_delay + 2, first.max_steps,
         first.blowup_factor, first.decay_factor, every, first.record_states,
     )
     if draws is not None:
         draws = np.concatenate(draws)[:verdicts[0].steps]
         clipped = int(np.count_nonzero(draws > np.arange(len(draws))))
         verdicts = [replace(verdicts[0], clipped_delays=clipped)]
+    if first.record_trace:
+        trace = tuple(zip(_trace_steps(verdicts[0].steps, every), norms))
+        verdicts = [replace(verdicts[0], trace=trace)]
     return verdicts, norms, draws
-
-
-def _simulate(problem, config: SimConfig, pick_seed=None, lag_seed=None) -> SimVerdict:
-    """The simulators' shared path: the run and its trace."""
-    every = config.record_every if config.record_trace else 0
-    (verdict,), norms, _ = _run(problem, [config], pick_seed, lag_seed, every)
-    if norms is None:
-        return verdict
-    return replace(verdict, trace=tuple(zip(_trace_steps(verdict.steps, every), norms)))
 
 
 def _trace_steps(steps: int, every: int) -> list[int]:
@@ -430,7 +420,7 @@ def simulate_expectation(problem: QuadraticProblem, config: SimConfig) -> SimVer
     steps; nothing past the verdict step is reported.  The run starts
     through ``_run``.
     """
-    return _simulate(problem, config)
+    return _run(problem, [config])[0][0]
 
 
 def _simulate_many(problem: QuadraticProblem, configs) -> list[SimVerdict]:
@@ -448,7 +438,7 @@ def _simulate_many(problem: QuadraticProblem, configs) -> list[SimVerdict]:
         for i, c in enumerate(configs):
             if (c.optimizer.variant in ("plain", "shifted") and c.delay.is_constant
                     and c.delay.tau >= LOCKSTEP_MIN_TAU and not (c.record_trace or c.record_states)):
-                key = (c.optimizer.variant, c.delay.tau, c.resolved_max_steps(), c.blowup_factor,
+                key = (c.optimizer.variant, c.delay.tau, c.max_steps, c.blowup_factor,
                        c.decay_factor, float(_start(problem, c)[0]))
                 groups.setdefault(key, []).append(i)
     grouped = {}
@@ -724,7 +714,7 @@ def simulate_sgd(problem: QuadraticProblem, config: SimConfig, seed: int | None 
         raise ValueError("simulate_sgd needs a problem with components")
     pick_seed = np.random.SeedSequence(_check_seed("seed", seed))
     lag_seed = None if config.delay.is_constant else pick_seed.spawn(1)[0]
-    return _simulate(problem, config, pick_seed, lag_seed)
+    return _run(problem, [config], pick_seed, lag_seed)[0][0]
 
 
 def _simulated_threshold(problem, variant, delay, m, rel_tol, probe_steps, blowup_factor,

@@ -13,10 +13,11 @@ Every sweep evaluates the polynomial and its derivative by Horner's rule.
 
 ``all_roots_many`` sorts its polynomials, zero roots stripped, by descending
 degree and cuts them into bands of at most ``SWEEP_BLOCK`` root estimates.
-A band is one padded ``(rows, width)`` array and runs one sweep loop: Horner's
-rule gives each row only its own coefficients, the update, restarts and
-convergence checks cover the whole band, and only the pairwise repulsion runs
-per degree.  A row leaves its band as soon as it converges.  Bands are
+A band is one padded ``(rows, width)`` array and runs one sweep loop:
+Horner's rule, the update, restarts and convergence checks cover the whole
+band, and only the pairwise repulsion runs per degree.  Horner's rule carries
+a short row's zero top coefficients as an exact zero (``0 z + 0``) up to its
+own top one.  A row leaves its band as soon as it converges.  Bands are
 invisible in the results: every elementwise step does the same float
 operations, in the same operand order, on a row as on a lone polynomial, and
 every row sum runs along a contiguous axis of its own estimates, so each
@@ -92,40 +93,34 @@ def _split_zero_roots(coeffs: tuple[float, ...]) -> tuple[int, tuple[float, ...]
 def _layout(degs: np.ndarray):
     """Runs and padding of a band whose rows have the descending degrees ``degs``.
 
-    In run ``(a, n, lo, hi)`` rows ``a..n-1`` have degree ``hi - 1``, and
-    Horner's rule applies coefficients ``lo..hi-1`` to the leading ``n`` rows.
-    The padding mask is None when every row spans the band.
+    In run ``(a, b, deg)`` rows ``a..b-1`` have degree ``deg``.  The padding
+    mask is None when every row spans the band.
     """
     ends = np.append(np.flatnonzero(np.diff(degs)) + 1, len(degs))
-    ends, tops = ends.tolist(), (degs[ends - 1] + 1).tolist()
-    runs = list(zip([0] + ends[:-1], ends, tops[1:] + [0], tops))
+    runs = list(zip([0] + ends[:-1].tolist(), ends.tolist(), degs[ends - 1].tolist()))
     return runs, (np.arange(degs[0]) >= degs[:, None] if len(runs) > 1 else None)
 
 
-def _horner(cols: np.ndarray, runs, z: np.ndarray, p: np.ndarray, dp: np.ndarray | None = None):
+def _horner(cols: np.ndarray, z: np.ndarray, p: np.ndarray, dp: np.ndarray | None = None):
     """Evaluate row ``r``'s polynomial at ``z[r]`` into ``p`` (and ``dp``), in place.
 
-    ``cols[j]`` is coefficient ``j`` of every row as a ``(k, 1)`` column; the
-    ``runs`` of ``_layout`` start each row at its own degree.
+    ``cols[j]`` is coefficient ``j`` of every row as a ``(k, 1)`` column.
     """
     p.fill(0.0)
     if dp is not None:
         dp.fill(0.0)
-    for _, n, lo, hi in runs:
-        zn, pn = z[:n], p[:n]
-        dpn = None if dp is None else dp[:n]
-        for coef in cols[lo:hi, :n][::-1]:
-            if dpn is not None:
-                np.multiply(dpn, zn, out=dpn)
-                np.add(dpn, pn, out=dpn)
-            np.multiply(pn, zn, out=pn)
-            np.add(pn, coef, out=pn)
+    for coef in cols[::-1]:
+        if dp is not None:
+            np.multiply(dp, z, out=dp)
+            np.add(dp, p, out=dp)
+        np.multiply(p, z, out=p)
+        np.add(p, coef, out=p)
 
 
-def _scaled_residuals(cols, runs, z, p, pad) -> np.ndarray:
+def _scaled_residuals(cols, z, p, pad) -> np.ndarray:
     """``|P(z)| / sum_k |c_k||z|^k`` per point, where ``p`` is ``P(z)``; 0 at padding."""
     scale = np.empty(z.shape)
-    _horner(np.abs(cols), runs, np.abs(z), scale)
+    _horner(np.abs(cols), np.abs(z), scale)
     res = np.abs(p) / np.maximum(scale, np.finfo(float).tiny)
     if pad is not None:
         res[pad] = 0.0
@@ -259,12 +254,12 @@ def _aberth(live, max_iter, outcomes) -> None:
             runs, pad = _layout(degs)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _horner(cols, runs, z, p, dp)
+        _horner(cols, z, p, dp)
         for it in range(1, max_iter + 1):
             newton = p / dp
             rep = np.zeros_like(z)
-            for a, b, _, top in runs:
-                rep[a:b, :top - 1] = _repulsion(z[a:b, :top - 1])
+            for a, b, deg in runs:
+                rep[a:b, :deg] = _repulsion(z[a:b, :deg])
             # numpy turns ``newton * tmp`` into ``tmp *= newton`` once ``tmp``
             # passes 256 KiB, and its FMA complex product need not commute:
             # a fixed operand order keeps every row's bits batch-independent.
@@ -286,7 +281,7 @@ def _aberth(live, max_iter, outcomes) -> None:
                     * np.exp(1j * (START_PHASE + GOLDEN_ANGLE * (it + idx)))
                 )
             # The next sweep's values, and P(z) for the residuals below.
-            _horner(cols, runs, z, p, dp)
+            _horner(cols, z, p, dp)
             upd = np.max(np.abs(w) / np.abs(z), axis=1)
             small = ~restart & (upd < UPDATE_TOL)
             # Ill-conditioned clusters jitter forever at the conditioning
@@ -294,14 +289,14 @@ def _aberth(live, max_iter, outcomes) -> None:
             # nothing left to converge.  Checked on a stride to stay cheap.
             check = ~restart & (small | (upd < 1e-4) | (it % 10 == 0))
             if check.any():
-                res = _scaled_residuals(cols, runs, z, p, pad)
+                res = _scaled_residuals(cols, z, p, pad)
                 done = check & (small | (np.max(res, axis=1) < RESIDUAL_FLOOR))
                 if done.any():
                     rows = np.flatnonzero(done)
                     settle(rows, res[rows], it, True)
                     if not live:
                         return
-        res = _scaled_residuals(cols, runs, z, p, pad)
+        res = _scaled_residuals(cols, z, p, pad)
     settle(np.arange(len(live)), res, max_iter, False)
 
 

@@ -482,8 +482,9 @@ def _least_k(theta: np.ndarray, w: np.ndarray,
 
 
 def _crossings(splits: list[_Split]) -> list[tuple[float, float] | NoThreshold]:
-    """:func:`boundary_crossing` for several splits, in order; a split with
-    no crossing gives its NoThreshold in place.
+    """Each split's smallest positive ``k = -A/B`` on the unit circle, where
+    ``w = -A conj(B)`` is real, and its angle, in order, or its NoThreshold
+    in place; the certificate (:func:`_certified`) shows it is the boundary.
 
     Every ``A`` here is ``(z - 1) C`` with ``|C| >= 1 - m`` on the unit
     circle, and ``|B| <= 1 - m`` there (``C = z^K`` plain, ``z^(K-1) (z - m)``
@@ -542,28 +543,6 @@ def _crossings(splits: list[_Split]) -> list[tuple[float, float] | NoThreshold]:
             block.append((i, scan))
             size += len(scan[0])
         flush(block)
-    return found
-
-
-def boundary_crossing(variant: str, m: float, delay: DelayModel) -> tuple[float, float]:
-    """Where a root of ``A + k B`` first reaches the unit circle as ``k`` grows.
-
-    A root sits at ``z = e^(i theta)`` exactly when ``k = -A/B`` there, so
-    the crossings are the angles where ``w = -A conj(B)`` is real and
-    positive: the sign changes of ``Im w`` on a grid over ``(0, pi]``
-    (:func:`_scan`) are bisected to machine precision, and ``theta = pi``
-    (where ``A`` and ``B`` are real) is a candidate unless ``B`` vanishes
-    there.  Only the sign changes that the bound ``k >= 2 sin(theta / 2)``
-    leaves able to hold the smallest ``k`` are bisected, and the answer is
-    the pick over all of them, bit for bit.  Returns the smallest positive
-    ``k`` and its angle; whether that really is the stability boundary is
-    left to the winding-number certificate in :func:`numeric_threshold`.
-    This is the one-delay case of the batched crossing (:func:`_crossings`)
-    that a :func:`threshold_curve` sweep makes.
-    """
-    found, = _crossings([_Split(variant, m, as_delay(delay))])
-    if isinstance(found, NoThreshold):
-        raise found
     return found
 
 
@@ -703,7 +682,7 @@ def numeric_threshold(
 ) -> ThresholdResult:
     """Locate the step-size boundary from the unit-circle crossing.
 
-    :func:`boundary_crossing` gives the crossing value ``k* = eta* a``.  The
+    The crossing search (:func:`_crossings`) gives ``k* = eta* a``.  The
     returned bracket is the one bisection reaches with the predicate ``eta*a
     <= k*``: doubling eta from ``1e-6 / a`` until it passes ``k*``, then
     halving until the bracket is narrower than ``rel_tol`` times its

@@ -613,6 +613,24 @@ class TestPlot:
             svgs.append((tmp_path / "o.svg").read_bytes())
         assert svgs[0] == svgs[1] and "\ufeff".encode() not in svgs[0]
 
+    def test_quoted_field_may_hold_a_comma(self, capsys, tmp_path):
+        # as a spreadsheet quotes a header holding the separator
+        src = self._write(tmp_path, 'eta,"escape, steps"\n0.1,\n0.2,44\n0.3,20\n')
+        dst = tmp_path / "o.svg"
+        rc, _, err = run_cli(capsys, "plot", str(src), str(dst))
+        assert (rc, err) == (0, "")
+        assert 'rotate(-90 18 212.00)">escape, steps</text>' in dst.read_text()
+
+    def test_a_bare_carriage_return_ends_a_line(self, capsys, tmp_path):
+        svgs = []
+        for end in ("\n", "\r\n", "\r"):
+            src = tmp_path / "data.csv"
+            src.write_bytes(end.join(["x,y", "0,1.0", "1,0.5", ""]).encode())
+            rc, _, err = run_cli(capsys, "plot", str(src), str(tmp_path / "o.svg"))
+            assert (rc, err) == (0, "")
+            svgs.append((tmp_path / "o.svg").read_bytes())
+        assert svgs[0] == svgs[1] == svgs[2]
+
     def test_empty_cells_break_segments(self, capsys, tmp_path):
         src = self._write(tmp_path, "eta,escape\n0.1,\n0.2,44\n0.3,20\n")
         dst = tmp_path / "o.svg"
@@ -682,7 +700,8 @@ FILES = {"bad.json": b"{not json", "list.json": b"[1, 2]", "empty.csv": b"\n\n",
          "one.csv": b"x\n0\n1\n", "text_x.csv": b"x,y\n0,1\nabc,2\n",
          "tags.csv": b"x,tag,name\n0,a,b\n1,c,d\n",
          # Latin-1 text, as a spreadsheet may save it: not UTF-8
-         "latin1.csv": b"x,y\n0,1\n1,\xe9\n", "latin1.json": b'{"a": "\xe9"}'}
+         "latin1.csv": b"x,y\n0,1\n1,\xe9\n", "latin1.json": b'{"a": "\xe9"}',
+         "huge_cell.csv": b"x,y\n0,1\n1," + b"2" * 200_000 + b"\n"}
 SIM = ["simulate", "--a", "1", "--eta", "0.1", "--tau", "2"]
 ERRORS = {
     "steps-simulate": ([*SIM, "--steps", "0"], 2,
@@ -760,6 +779,8 @@ ERRORS = {
     "plot-not-utf8": (["plot", "{tmp}/latin1.csv", "{tmp}/o.svg"], 1,
                       "error: cannot read {tmp}/latin1.csv: 'utf-8' codec can't decode "
                       "byte 0xe9 in position 10: invalid continuation byte"),
+    "plot-cell-too-large": (["plot", "{tmp}/huge_cell.csv", "{tmp}/o.svg"], 1,
+                            "error: line 3: field larger than field limit (131072)"),
     "config-not-utf8": ([*SIM, "--config", "{tmp}/latin1.json"], 2,
                         "usage error: cannot read config {tmp}/latin1.json: 'utf-8' codec "
                         "can't decode byte 0xe9 in position 7: invalid continuation byte"),

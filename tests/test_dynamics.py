@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ from oracles import constant_delay_trajectory, dominant_power_eig
 
 from staleness_lab import dynamics
 from staleness_lab.charpoly import DelayModel, OptimizerSpec, pmf_uniform
+from staleness_lab.cli import main
 from staleness_lab.dynamics import (
     CONVERGED,
     DIVERGED,
@@ -86,10 +88,16 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="shifted momentum needs a constant delay"):
             SimConfig(OptimizerSpec("shifted", 0.1, 0.5), pmf_uniform(1, 3))
 
-    def test_resolved_max_steps_floor(self):
-        assert SimConfig(OptimizerSpec("plain", 0.1), 4).resolved_max_steps() == 100_000
-        assert SimConfig(OptimizerSpec("plain", 0.1), 4, max_steps=77).resolved_max_steps() == 77
-        assert SimConfig(OptimizerSpec("plain", 0.1), 2000).resolved_max_steps() == 200_100
+    def test_max_steps_holds_the_budget(self, capsys, tmp_path):
+        assert SimConfig(OptimizerSpec("plain", 0.1), 4).max_steps == 100_000
+        assert SimConfig(OptimizerSpec("plain", 0.1), 4, max_steps=77).max_steps == 77
+        assert SimConfig(OptimizerSpec("plain", 0.1), 2000).max_steps == 200_100
+        assert SimConfig(OptimizerSpec("plain", 0.1), pmf_uniform(1, 2000)).max_steps == 200_100
+        # the manifest records the flags as given, not the budget they resolve to
+        assert main(["simulate", "--a", "1", "--tau", "2", "--eta", "0.1",
+                     "--out", str(tmp_path / "d")]) == 0
+        capsys.readouterr()
+        assert json.loads((tmp_path / "d" / "manifest.json").read_text())["config"]["steps"] is None
 
     def test_blowup_decay_ordering(self):
         with pytest.raises(ValueError):

@@ -23,6 +23,11 @@ from staleness_lab.stability import (
 )
 
 
+def _crossing(variant, m, delay):
+    """The ``(k, theta)`` crossing the search of one delay picks."""
+    return stability._crossings([stability._Split(variant, m, as_delay(delay))])[0]
+
+
 class TestClosedForm:
     def test_tau_zero_is_two_over_a(self):
         assert analytic_threshold_plain(1.0, 0) == 2.0
@@ -237,10 +242,10 @@ class TestBoundaryCrossing:
         with pytest.raises(NoConvergence, match="certificate"):
             numeric_threshold("plain", 1.0, DelayModel.constant(8))
 
-    def test_boundary_crossing_is_the_searchs_crossing(self):
+    def test_crossing_lies_in_the_bracket_at_the_results_angle(self):
         for variant, m, delay in (("plain", 0.0, 8), ("shifted", 0.9, 5),
                                   ("plain", 0.0, pmf_uniform(1, 12))):
-            k, theta = stability.boundary_crossing(variant, m, delay)
+            k, theta = _crossing(variant, m, delay)
             r = numeric_threshold(variant, 1.0, delay, m=m)
             assert theta == r.crossing_angle
             assert r.bracket[0] <= k <= r.bracket[1]
@@ -370,7 +375,7 @@ class TestCrossingCut:
     @pytest.mark.parametrize("variant,m,delay", _REFERENCE_CASES)
     def test_crossing_equals_bisecting_every_bracket_one_step_at_a_time(self, variant, m, delay):
         want = _one_step_crossing(variant, m, delay)
-        assert stability.boundary_crossing(variant, m, delay) == want
+        assert _crossing(variant, m, delay) == want
 
     @pytest.mark.parametrize("variant,m,delay", _REFERENCE_CASES)
     def test_brackets_left_after_the_cut_are_bisected_and_picked_again(
@@ -380,11 +385,11 @@ class TestCrossingCut:
         monkeypatch.setattr(stability, "CUT_SLACK", math.inf)
         n = len(stability._scan(stability._Split(variant, m, delay))[0])
         want = _one_step_crossing(variant, m, delay)
-        assert stability.boundary_crossing(variant, m, delay) == want
+        assert _crossing(variant, m, delay) == want
         assert bisected == [1, n - 1]
 
     def test_the_cut_keeps_a_bracket_that_can_hold_the_edge(self, bisected):
-        stability.boundary_crossing("plain", 0.0, DelayModel((2, 39), (0.8, 0.2)))
+        _crossing("plain", 0.0, DelayModel((2, 39), (0.8, 0.2)))
         assert len(bisected) == 2 and bisected[0] == 1 and bisected[1] >= 1
 
     @pytest.mark.parametrize("variant,m,delay", [
@@ -395,13 +400,13 @@ class TestCrossingCut:
     def test_a_search_evaluates_w_eight_times(self, bisected, w_calls, variant, m, delay):
         # bisecting every bracket one level at a time takes 50 or more; the
         # guessed paths take 6, 7 and 3 calls, and the pick takes none
-        stability.boundary_crossing(variant, m, delay)
+        _crossing(variant, m, delay)
         assert bisected == [1]
         assert len(w_calls) <= 8
 
     def test_a_search_with_no_bracket_picks_from_one_a_and_one_b(self, bisected, w_calls, picked):
         # plain tau 0 crosses at z = -1 alone, where eta*a = 2
-        assert stability.boundary_crossing("plain", 0.0, DelayModel.constant(0)) == (2.0, math.pi)
+        assert _crossing("plain", 0.0, DelayModel.constant(0)) == (2.0, math.pi)
         assert bisected == [0] and w_calls == []
         (split, evaluated), = picked
         assert evaluated == [split.a, split.b]
@@ -548,7 +553,7 @@ class TestCertificate:
         for m in (0.99999, 0.999999, 1 - 1e-7):
             for tau in (1, 16, 100, 1000):
                 split = stability._Split("momentum", m, DelayModel.constant(tau))
-                k_star, theta = stability.boundary_crossing("momentum", m, tau)
+                k_star, theta = _crossing("momentum", m, tau)
                 k_lo, k_hi = stability._bisect_eta(lambda k: k <= k_star,
                                                    stability.BRACKET_START, 1e-8)
                 floor = np.finfo(float).eps * np.abs(split.at(k_star).coefs).sum()
