@@ -39,8 +39,9 @@ MAX_STEPS_FLOOR = 100_000
 # Step budget for threshold probes.  Bisection midpoints can land close
 # enough to the boundary that the dominant mode needs several hundred
 # thousand steps to gain (or shed) a factor of 1e6; this budget covers the
-# worst probe the doubling-then-halving schedule can produce at tau <= 64
-# with room to spare, and the search doubles it once more before giving up.
+# worst probe the schedule (first probe, doubling, then halving;
+# ``stability._bisect_eta``) can produce at tau <= 64 with room to spare,
+# and the search doubles it once more before giving up.
 PROBE_STEPS = 1_000_000
 # Simulations step in blocks that double up to this many steps.  The steps
 # a block runs past its verdict are thrown away, so the cap bounds that waste.
@@ -747,7 +748,8 @@ def _simulated_threshold(problem, variant, delay, m, rel_tol, probe_steps, blowu
 
     # A probe can only be classified if its slowest mode moves within the
     # budget; near eta = 0 the decay rate is about eta * a per step, so the
-    # doubling phase starts where classification costs a tenth of the budget.
+    # grid starts where classification costs a tenth of the budget, and its
+    # first probe, ``FIRST_PROBE`` times higher, costs about 1/80 of it.
     a = problem.sharpness()
     start_eta_a = 10.0 * math.log(1.0 / decay_factor) / probe_steps
     eta_lo, eta_hi = _bisect_eta(stable, start_eta_a / a, rel_tol)

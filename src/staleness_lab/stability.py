@@ -48,6 +48,10 @@ from .charpoly import (DelayModel, _check_delay, _check_positive, _check_rel_tol
 from .errors import NoConvergence, NoThreshold
 
 BRACKET_START = 1e-6
+# A search's first probe, as a multiple of its start: the grid point three
+# doublings reach.  In a trajectory search each probe below costs twice the
+# one above it, and under the single flip those below are stable anyway.
+FIRST_PROBE = 8.0
 
 # The certificate counts roots on circles just off the unit circle, so a
 # bracket end whose root sits exactly on it still counts on the right side.
@@ -152,12 +156,15 @@ def _bisect_eta(stable, eta_start: float, rel_tol: float) -> tuple[float, float]
     """Bracket and bisect a stability boundary along eta.
 
     ``stable(eta)`` must flip from True to False exactly once as eta grows.
-    Doubles from ``eta_start`` until the first unstable probe, then bisects
-    until the bracket is narrower than ``rel_tol`` times its midpoint.
-    Returns the final (stable, unstable) pair.  Shared by the crossing
-    search here and the trajectory-verdict searches built on simulators,
-    which start higher, since classifying a nearly-motionless run takes
-    forever.
+    The first probe is ``FIRST_PROBE * eta_start`` on the grid ``eta_start *
+    2^j``.  If stable, the search doubles on until a probe is unstable; if
+    not, it scans up from ``eta_start`` and stops short of the first probe.
+    Then it bisects until the bracket is narrower than ``rel_tol`` times its
+    midpoint, and returns the final (stable, unstable) pair: the full
+    scan's, unless a grid point below the first probe is unstable or
+    undecided while the first probe is stable.  Shared by the crossing
+    search here and the trajectory searches built on simulators, which start
+    higher, since classifying a nearly-motionless run takes forever.
 
     The doubling needs no cap.  The crossing search's predicate fails once
     ``eta*a`` passes its finite ``k*``.  Every trajectory probe starts from
@@ -167,9 +174,10 @@ def _bisect_eta(stable, eta_start: float, rel_tol: float) -> tuple[float, float]
     round-robin servers alike.  A probe with ``eta*a*(1-m) > blowup_factor
     + 1`` therefore diverges on step 1, and the doubling ends by then.
     """
-    eta = eta_start
-    eta_lo = None
-    while stable(eta):
+    # a product, so that it overflows to inf exactly as the doubling does
+    first = FIRST_PROBE * eta_start
+    eta_lo, eta = (first, 2.0 * first) if stable(first) else (None, eta_start)
+    while eta != first and stable(eta):
         eta_lo = eta
         eta *= 2.0
     eta_hi = eta
@@ -684,9 +692,11 @@ def numeric_threshold(
 
     The crossing search (:func:`_crossings`) gives ``k* = eta* a``.  The
     returned bracket is the one bisection reaches with the predicate ``eta*a
-    <= k*``: doubling eta from ``1e-6 / a`` until it passes ``k*``, then
-    halving until the bracket is narrower than ``rel_tol`` times its
-    midpoint.  Before returning, the argument principle certifies it: every
+    <= k*`` on the grid ``1e-6 * 2^j / a``: doubling eta from ``8e-6 / a``
+    (scanning up from ``1e-6 / a`` if that probe is past ``k*``) until it
+    passes ``k*``, then halving until the bracket is narrower than ``rel_tol``
+    times its midpoint.  Before returning, the argument principle certifies
+    it: every
     root lies inside ``|z| = 1 + 1e-12`` at the stable end, and at least one
     lies outside ``|z| = 1 - 1e-12`` at the unstable end.  (The margins let
     a bracket end sit exactly on the boundary.)  Both counts are made in one

@@ -321,13 +321,15 @@ class TestEmpiricalThreshold:
         assert abs(got.eta_star - want) <= 0.005 * want
 
     def test_first_probe_already_unstable_raises(self):
-        # with 2-step probes the search starts at eta*a = 69, past the
-        # tau-0 boundary at 2, and that probe diverges within 4 steps
+        # with 2-step probes the first probe, at eta*a = 552, diverges; the
+        # scan then starts at eta*a = 69, past the tau-0 boundary at 2, and
+        # that probe diverges within 4 steps
         with pytest.raises(NoThreshold, match="unstable already at the smallest probe"):
             empirical_threshold(QuadraticProblem([[1.0]]), "plain", 0, probe_steps=2)
 
     def test_one_step_probes_cannot_classify(self):
-        # the first probe, at eta*a = 138, is still undecided after 2 steps
+        # the first probe, at eta*a = 1104, diverges; the scan then starts
+        # at eta*a = 138, still undecided after 2 steps
         with pytest.raises(UndecidedAtProbe):
             empirical_threshold(QuadraticProblem([[1.0]]), "plain", 0, probe_steps=1)
 

@@ -304,8 +304,16 @@ class TestPsThreshold:
     ])
     def test_status_only_probes_match_recorded_runs(self, monkeypatch, scheduler, variant, m):
         # the search's probes record nothing; the same bisection with every
-        # probe made a run_ps run that records everything must bracket the same
+        # probe made a run_ps run that records everything must probe the same
+        # etas in the same order and bracket the same
         problem = _scalar()
+        run, unrecorded = dynamics._run, []
+
+        def counted(problem, configs, *args):
+            unrecorded.extend(config.optimizer.eta for config in configs)
+            return run(problem, configs, *args)
+
+        monkeypatch.setattr(dynamics, "_run", counted)
         want = ps_empirical_threshold(problem, scheduler, variant, m, probe_steps=20_000)
         probes = []
 
@@ -320,7 +328,7 @@ class TestPsThreshold:
         monkeypatch.setattr(dynamics, "_run", recorded)  # run_ps keeps its own binding
         got = ps_empirical_threshold(problem, scheduler, variant, m, probe_steps=20_000)
         assert got.bracket == want.bracket
-        assert len(probes) > 10
+        assert probes == unrecorded
 
     @pytest.mark.parametrize("variant", ["momentum", "shifted"])
     @pytest.mark.parametrize("m", [0.9, 0.99])
