@@ -20,16 +20,15 @@ from __future__ import annotations
 
 import math
 import struct
-from collections import deque
 from dataclasses import dataclass, replace
-from itertools import islice, repeat
+from itertools import islice
 
 import numpy as np
 
 from .charpoly import (DelayModel, OptimizerSpec, _check_count, _check_pairing, _check_positive,
                        _check_rel_tol, _check_seed, as_delay)
 from .errors import NoConvergence, UndecidedAtProbe
-from .stability import METHOD_SIMULATION, ThresholdResult, _bisect_eta
+from .stability import METHOD_SIMULATION, ThresholdResult, _bisect_eta, _check_finite_eta
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
@@ -595,18 +594,16 @@ def _block_steps(y0: np.ndarray, variant: str, eta, m, delay: DelayModel, M, pic
     exists before it starts, and a span's gradients are one stacked matvec,
     ``np.matmul(M, S[:, :, None])``.  Plain and shifted then take their
     states from one ``np.subtract.accumulate`` or ``np.add.accumulate``;
-    momentum keeps its per-step velocity recurrence.  Spans of one or two
-    steps cost more to stack than to step, so at ``min_delay`` 0 and 1 each
-    step takes one ``M @ s`` on its own row.  Each element is the rounded
+    momentum keeps its per-step velocity recurrence.  Every span is
+    stacked, one step long at ``min_delay`` 0.  Each element is the rounded
     result of the per-step update, so the run is bit-identical to stepping
-    with ``M @ s`` either way.
+    with ``M @ s``.
 
     Several 1-D runs of one update and delay step as the columns of the
     state when ``M`` is their shared curvature ``h``, a float taken
     elementwise (``h * s``, the float loop's gradient), and ``eta`` and
-    ``m`` hold one value a column; that takes no ``picks`` and a shortest
-    delay of at least 2, so every span is stacked.  ``advance(n, cols)``
-    first keeps only the columns ``cols`` names.
+    ``m`` hold one value a column; that takes no ``picks``.
+    ``advance(n, cols)`` first keeps only the columns ``cols`` names.
     """
     ce = eta * (1.0 - m)
     keep = delay.max_delay + 1
@@ -618,8 +615,12 @@ def _block_steps(y0: np.ndarray, variant: str, eta, m, delay: DelayModel, M, pic
     vel = np.zeros_like(hist)  # shifted: the velocity is read with the delay too
     v = vel[-1]
 
-    def stacked(n, P, back):
-        nonlocal v, vel
+    def advance(n, cols=None):
+        nonlocal hist, vel, v, eta, m, ce
+        if cols is not None:
+            hist, vel, v, eta, m, ce = (x[..., cols] for x in (hist, vel, v, eta, m, ce))
+        P = None if picks is None else picks(n)
+        back = tau if lags is None else lags(n)
         # row keep + j holds the state after step t + j + 1, which reads
         # row keep - 1 + j - lag
         Y = np.concatenate((hist, np.empty((n, hist.shape[1]))))
@@ -632,10 +633,8 @@ def _block_steps(y0: np.ndarray, variant: str, eta, m, delay: DelayModel, M, pic
                     term = p * Y[keep - 1 - k + s:keep - 1 - k + e]
                     S = term if S is None else S + term
             else:
-                if lags is None:
-                    rows = slice(keep - 1 - back + s, keep - 1 - back + e)
-                else:
-                    rows = np.arange(keep - 1 + s, keep - 1 + e) - back[s:e]
+                rows = (slice(keep - 1 - back + s, keep - 1 - back + e) if lags is None
+                        else np.arange(keep - 1 + s, keep - 1 + e) - back[s:e])
                 S = Y[rows]
             if elementwise:
                 G = M * S
@@ -657,37 +656,6 @@ def _block_steps(y0: np.ndarray, variant: str, eta, m, delay: DelayModel, M, pic
             np.add.accumulate(new, axis=0, out=new)
         if V is not None:
             vel = V[n:]
-        return Y
-
-    def row_by_row(n, P, back):
-        nonlocal v, vel
-        # the states go to a list, stacked once at the end; a shifted run has
-        # a constant delay, so each step reads the oldest kept velocity
-        ys, vq = list(hist), deque(vel)
-        y = ys[-1]
-        reads = (np.arange(keep - 1, keep - 1 + n) - back).tolist()
-        for r, Mr in zip(reads, repeat(M, n) if P is None else map(M.__getitem__, P.tolist())):
-            g = Mr @ ys[r]
-            if variant == "plain":
-                y = y - eta * g
-            elif variant == "momentum":
-                v = m * v - ce * g
-                y = y + v
-            else:
-                vq.append(m * vq.popleft() - ce * g)
-                y = y + vq[-1]
-            ys.append(y)
-        vel = vq
-        return np.array(ys)
-
-    step = row_by_row if span <= 2 and pairs is None else stacked
-
-    def advance(n, cols=None):
-        nonlocal hist, vel, v, eta, m, ce
-        if cols is not None:
-            hist, vel, v, eta, m, ce = (x[..., cols] for x in (hist, vel, v, eta, m, ce))
-        P = None if picks is None else picks(n)
-        Y = step(n, P, tau if lags is None else lags(n))
         hist = Y[n:]
         return Y[keep:]
 
@@ -734,6 +702,7 @@ def _simulated_threshold(problem, variant, delay, m, rel_tol, probe_steps, blowu
     _check_verdict_lines(blowup_factor, decay_factor)  # before the start is set from them
 
     def stable(eta: float) -> bool:
+        _check_finite_eta(a, eta)
         for steps in (probe_steps, 2 * probe_steps):
             config = SimConfig(OptimizerSpec(variant, eta, m), delay, steps, blowup_factor,
                                decay_factor)
@@ -784,6 +753,8 @@ def empirical_threshold(
     ``simulate_expectation`` makes of its ``SimConfig`` (``_simulated_threshold``,
     with no lags).  An undecided probe gets its step budget doubled once; if
     it stays undecided the search raises ``UndecidedAtProbe`` rather than guess.
+    A curvature so small that a probe's step size overflows to inf raises
+    ValueError naming it.
     """
     return _simulated_threshold(problem, variant, as_delay(delay), m, rel_tol, probe_steps,
                                 blowup_factor, decay_factor)

@@ -79,10 +79,6 @@ class SampledDelay:
             )
         object.__setattr__(self, "seed", _check_seed("seed", self.seed))
 
-    @property
-    def max_delay(self) -> int:
-        return self.pmf.max_delay
-
 
 @dataclass(frozen=True, eq=False)
 class PSRun:
@@ -188,9 +184,9 @@ def ps_empirical_threshold(
     delay and lags the scheduler realizes: round robin over W workers is
     the constant-delay search at ``W - 1``, sampled delays probe with the
     scheduler's drawn lags.  An undecided probe doubles its step budget
-    once, then raises ``UndecidedAtProbe``.  Expectation-mode gradients keep
-    the predicate deterministic, and a probe records nothing but its
-    verdict.
+    once, then raises ``UndecidedAtProbe``; a curvature whose step sizes
+    overflow raises ValueError.  Expectation-mode gradients keep the
+    predicate deterministic, and a probe records nothing but its verdict.
     """
     delay, lag_seed = _realized(scheduler, _check_count("probe_steps", probe_steps))
     return _simulated_threshold(problem, variant, delay, m, rel_tol, probe_steps, blowup_factor,

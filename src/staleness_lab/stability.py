@@ -195,6 +195,11 @@ def _bisect_eta(stable, eta_start: float, rel_tol: float) -> tuple[float, float]
     return eta_lo, eta_hi
 
 
+def _check_finite_eta(a: float, eta: float) -> None:
+    if eta == math.inf:
+        raise ValueError(f"a = {a!r} is too small: its step sizes overflow to inf")
+
+
 def _grid_size(degree: int) -> int:
     return 8 * (degree + 1) + 64
 
@@ -627,6 +632,7 @@ def _certified(split: _Split, a: float, rel_tol: float, k_star: float,
                theta_star: float) -> ThresholdResult:
     """The eta bracket around the crossing ``k_star``, certified, as a result."""
     eta_lo, eta_hi = _bisect_eta(lambda eta: eta * a <= k_star, BRACKET_START / a, rel_tol)
+    _check_finite_eta(a, eta_hi)
     k_lo, k_hi = eta_lo * a, eta_hi * a
     ends = _BracketEnds(split, k_lo, k_hi)
     _, _, turns, resolved = _phase_resolved(ends, *ends.grid(theta_star))
@@ -664,7 +670,7 @@ def _searches(variant: str, a: float, delays, m: float,
     """:func:`numeric_threshold` at each delay, in order, with the crossings
     of all of them bisected together (:func:`_crossings`); a failed search
     gives its NoThreshold or NoConvergence in place.  Bad arguments raise
-    ValueError before any search starts.
+    ValueError before any search starts; an overflowing ``a`` raises it too.
     """
     _check_positive("a", a)
     _check_rel_tol("rel_tol", rel_tol)
@@ -715,6 +721,8 @@ def numeric_threshold(
         If no root of the polynomial ever reaches the unit circle.
     NoConvergence
         If the certificate fails: the crossing is not the boundary.
+    ValueError
+        If ``a`` is so small that the bracket's step sizes overflow to inf.
     """
     found, = _searches(variant, a, [delay], m, rel_tol)
     if isinstance(found, Exception):

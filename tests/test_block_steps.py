@@ -2,11 +2,11 @@
 
 ``_step_loop`` is the update written one step at a time, with each gradient
 taken as ``M @ s`` on one stale state.  The simulators step in blocks: they
-take a span's gradients as one stacked matvec, or, at delays 0 and 1, step
-each row of the block on its own.  Every state they report must equal the
-loop's, to the last bit, at delays and dimensions well past the frozen
-digests'.  The parameter server's sampled-delay runs step on the same
-engine and are held to the same loop.
+take each span's gradients as one stacked matvec, a span of one step at
+delay 0.  Every state they report must equal the loop's, to the last bit,
+at delays and dimensions well past the frozen digests'.  The parameter
+server's sampled-delay runs step on the same engine and are held to the
+same loop.
 """
 
 import numpy as np

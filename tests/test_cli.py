@@ -732,6 +732,14 @@ ERRORS = {
                  "usage error: cannot parse tau list '1,x'"),
     "tau-range": (["threshold", "--a", "1", "--tau", "1..x"], 2,
                   "usage error: cannot parse tau list '1..x'"),
+    "tau-range-empty": (["threshold", "--a", "1", "--tau", "5..2"], 2,
+                        "usage error: empty tau range '5..2'"),
+    "tau-several": (["simulate", "--a", "1", "--eta", "0.1", "--tau", "1,2"], 2,
+                    "usage error: this command takes a single --tau value"),
+    "curvature-missing": (["simulate", "--eta", "0.1", "--tau", "2"], 2,
+                          "usage error: provide exactly one of --a / --spectrum"),
+    "curvature-overflow": (["threshold", "--a", "5e-311", "--tau", "0"], 2,
+                           "usage error: a = 5e-311 is too small: its step sizes overflow to inf"),
     "pmf-kind": (["threshold", "--a", "1", "--pmf", "poisson:3"], 2,
                  "usage error: pmf must look like uniform:LO,HI or gauss:MU, got 'poisson:3'"),
     "pmf-arity": (["threshold", "--a", "1", "--pmf", "uniform:1"], 2,
@@ -758,6 +766,8 @@ ERRORS = {
                 "usage error: --eta must be finite, got nan"),
     "etas-inf": (["escape-curve", "--a", "1", "--tau", "2", "--etas", "0.1,inf"], 2,
                  "usage error: --etas must be finite, got inf"),
+    "etas-number": (["escape-curve", "--a", "1", "--tau", "2", "--etas", "0.1,x"], 2,
+                    "usage error: cannot parse --etas '0.1,x'"),
     "rel-tol-below-resolution": (["threshold", "--a", "1", "--tau", "3", "--rel-tol", "1e-300"], 2,
                                  "usage error: --rel-tol must be finite and at least 2**-52, "
                                  "got 1e-300"),

@@ -40,12 +40,14 @@ from staleness_lab.dynamics import (
 from staleness_lab.pssim import RoundRobin, SampledDelay, ps_empirical_threshold, run_ps
 from staleness_lab.roots import all_roots, all_roots_many
 from staleness_lab.stability import (
+    CurveRow,
     analytic_threshold_plain,
     numeric_threshold,
     scale_lr,
     taylor_inverse_threshold,
     threshold_curve,
 )
+from staleness_lab.svgchart import render_line_chart
 
 PROBLEM = QuadraticProblem([[1.0]])
 PMF = pmf_uniform(1, 3)
@@ -250,6 +252,28 @@ REFUSED = {
                                        "components must be a non-empty stack"),
     "DelayModel zero in a pmf": (lambda: DelayModel((0, 1), (0.5, 0.5)),
                                  "pmf delays must be positive integers"),
+    "DelayModel lengths": (lambda: DelayModel((1, 2), (1.0,)),
+                           "delays and probs must be equal-length, non-empty"),
+    "DelayModel order": (lambda: DelayModel((2, 1), (0.5, 0.5)),
+                         "delays must be strictly increasing"),
+    "DelayModel negative prob": (lambda: DelayModel((1, 2), (1.5, -0.5)),
+                                 r"probabilities must lie in \(0, 1\]"),
+    "QuadraticProblem component inf": (lambda: QuadraticProblem([[1.0]], components=[[[math.inf]]]),
+                                       "component entries must be finite"),
+    "QuadraticProblem component asymmetric": (
+        lambda: QuadraticProblem(np.eye(2), components=[[[1.0, 2.0], [0.0, 1.0]]]),
+        "every component must be symmetric"),
+    "OptimizerSpec variant": (lambda: OptimizerSpec("adam", 0.1),
+                              r"variant must be one of \('plain', 'momentum', 'shifted'\)"),
+    "pmf_discrete_gaussian 0": (lambda: pmf_discrete_gaussian(0), "mu must be a positive integer"),
+    "run_ps mode": (lambda: run_ps(PROBLEM, RoundRobin(2), OPT, 10, mode="bogus"),
+                    "mode must be 'expectation' or 'sgd'"),
+    "CurveRow failed": (lambda: CurveRow(x=1.0, result=None, error="e").inv_a_eta,
+                        "failed row has no threshold"),
+    "render_line_chart ragged": (lambda: render_line_chart(["x", "y"], [(1.0,)]),
+                                 "row width must match header width"),
+    "render_line_chart no data": (lambda: render_line_chart(["x", "y"], [(None, 1.0)]),
+                                  "no numeric data to plot"),
 }
 
 
@@ -257,6 +281,35 @@ REFUSED = {
 def test_refused_value_raises_value_error_saying_why(call, words):
     with pytest.raises(ValueError, match=words):
         call()
+
+
+# Curvatures so small that a search's step sizes overflow to inf, and every
+# threshold search: each refuses the curvature by name before it steps or
+# certifies at eta = inf.
+OVERFLOWING_A = [5e-311, 1e-309]
+SEARCHES = {
+    "numeric_threshold": lambda a: numeric_threshold("plain", a, 0),
+    "threshold_curve": lambda a: threshold_curve("plain", a, [0, 1, 2]),
+    "empirical_threshold": lambda a: empirical_threshold(QuadraticProblem([[a]]), "plain", 0),
+    "ps_empirical_threshold round robin": lambda a: ps_empirical_threshold(
+        QuadraticProblem([[a]]), RoundRobin(1), "plain"),
+    "ps_empirical_threshold sampled": lambda a: ps_empirical_threshold(
+        QuadraticProblem([[a]]), SampledDelay(PMF), "plain"),
+}
+
+
+@pytest.mark.parametrize("search", SEARCHES.values(), ids=SEARCHES.keys())
+@pytest.mark.parametrize("a", OVERFLOWING_A)
+def test_a_curvature_whose_step_sizes_overflow_is_refused_by_name(search, a):
+    with pytest.raises(ValueError) as caught:
+        search(a)
+    assert str(caught.value) == f"a = {a!r} is too small: its step sizes overflow to inf"
+
+
+def test_a_tiny_curvature_whose_step_sizes_stay_finite_still_answers():
+    assert numeric_threshold("plain", 1e-300, 0).bracket == (2e+300, 2.000000015625e+300)
+    found = empirical_threshold(QuadraticProblem([[1e-300]]), "plain", 0, probe_steps=10_000)
+    assert found.bracket == (1.9894335203468552e+300, 2.0170645414627836e+300)
 
 
 def test_a_zero_delay_is_only_the_constant_model():

@@ -211,6 +211,16 @@ class TestNumericThreshold:
         lo, hi = r.bracket
         assert 0.0 < hi - lo <= r.tolerance * r.eta_star
 
+    def test_a_subnormal_threshold_stops_at_adjacent_floats(self):
+        # near the float maximum eta* is subnormal: bisection stops at
+        # adjacent floats, 4.2e-16 of eta* apart, the one miss of the tolerance
+        r = numeric_threshold("plain", 1.7e308, 0, rel_tol=2.0 ** -52)
+        lo, hi = r.bracket
+        assert (lo, hi) == (1.176470588235294e-308, 1.1764705882352945e-308)
+        assert hi == np.nextafter(lo, math.inf)
+        gap = (hi - lo) / r.eta_star
+        assert gap == pytest.approx(4.2e-16, rel=0.01) and gap > r.tolerance
+
     def test_frozen_digest_over_a_corpus(self):
         # every search's bracket, crossing and residual, bit for bit
         cases = _search_corpus()
