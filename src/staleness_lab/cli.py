@@ -478,13 +478,13 @@ def cmd_escape_curve(cfg: dict, args: argparse.Namespace) -> int:
         problem, cfg["variant"], delay, etas, m=cfg["m"], max_steps=cfg["steps"],
         blowup_factor=cfg["blowup"], decay_factor=cfg["decay"],
     )
-    for eta, step in curve.rows:
-        print(f"eta={eta!r}  escape_step={'-' if step is None else step}")
-    if cfg["out"]:
+    if cfg["out"]:  # written first, as in _report
         out = Path(cfg["out"])
         curve.write_csv(out)
         _write_manifest(out.with_name(out.name + ".manifest.json"),
                         "escape-curve", cfg, {}, [out.name], t0)
+    for eta, step in curve.rows:
+        print(f"eta={eta!r}  escape_step={'-' if step is None else step}")
     return 0
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .charpoly import (DelayModel, OptimizerSpec, _check_count, _check_pairing, _check_positive,
                        _check_rel_tol, _check_seed, as_delay)
 from .errors import NoConvergence, UndecidedAtProbe
-from .stability import METHOD_SIMULATION, ThresholdResult, _bisect_eta, _check_finite_eta
+from .stability import METHOD_SIMULATION, ThresholdResult, _bisect_eta
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
@@ -702,7 +702,6 @@ def _simulated_threshold(problem, variant, delay, m, rel_tol, probe_steps, blowu
     _check_verdict_lines(blowup_factor, decay_factor)  # before the start is set from them
 
     def stable(eta: float) -> bool:
-        _check_finite_eta(a, eta)
         for steps in (probe_steps, 2 * probe_steps):
             config = SimConfig(OptimizerSpec(variant, eta, m), delay, steps, blowup_factor,
                                decay_factor)
@@ -721,18 +720,8 @@ def _simulated_threshold(problem, variant, delay, m, rel_tol, probe_steps, blowu
     # first probe, ``FIRST_PROBE`` times higher, costs about 1/80 of it.
     a = problem.sharpness()
     start_eta_a = 10.0 * math.log(1.0 / decay_factor) / probe_steps
-    eta_lo, eta_hi = _bisect_eta(stable, start_eta_a / a, rel_tol)
-    return ThresholdResult(
-        eta_star=0.5 * (eta_lo + eta_hi),
-        method=METHOD_SIMULATION,
-        bracket=(eta_lo, eta_hi),
-        tolerance=rel_tol,
-        variant=variant,
-        m=m,
-        a=a,
-        delay=delay,
-        max_root_residual=math.nan,
-    )
+    return _bisect_eta(stable, a, start_eta_a, rel_tol, method=METHOD_SIMULATION,
+                       variant=variant, m=m, delay=delay)
 
 
 def empirical_threshold(
@@ -753,8 +742,9 @@ def empirical_threshold(
     ``simulate_expectation`` makes of its ``SimConfig`` (``_simulated_threshold``,
     with no lags).  An undecided probe gets its step budget doubled once; if
     it stays undecided the search raises ``UndecidedAtProbe`` rather than guess.
-    A curvature so small that a probe's step size overflows to inf raises
-    ValueError naming it.
+    A curvature so small that a probe's step size overflows to inf, a
+    subnormal one included, raises ValueError naming it before any probe
+    runs at inf.
     """
     return _simulated_threshold(problem, variant, as_delay(delay), m, rel_tol, probe_steps,
                                 blowup_factor, decay_factor)

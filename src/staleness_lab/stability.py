@@ -85,10 +85,12 @@ METHOD_SIMULATION = "simulation"
 class ThresholdResult:
     """A located stability boundary in step size.
 
-    ``bracket`` is the final (stable, unstable) eta pair; ``eta_star`` is its
-    midpoint and ``hi - lo <= tolerance * eta_star`` holds on return, since
-    ``tolerance`` is at least float resolution, ``2**-52``; only a subnormal
-    ``eta_star`` (a curvature near the float maximum) can miss it.  The
+    ``bracket`` is the final (stable, unstable) eta pair and ``lo <= eta_star
+    < hi``: ``eta_star`` is its midpoint, or ``lo`` where the ends are
+    adjacent floats and the midpoint rounds onto ``hi``, the end certified
+    unstable.  ``hi - lo <= tolerance * eta_star`` holds on return, since
+    ``tolerance`` is at least float resolution, ``2**-52``; a subnormal
+    ``eta_star`` (a curvature near the float maximum) is the only miss.  The
     bracket is closed, and ``lo`` may lie on the boundary itself: at tau 0
     the crossing value is exact and ``lo`` can land on it, with a root at
     ``z = -1``.  From a polynomial, ``hi`` is certified unstable up to the
@@ -109,7 +111,7 @@ class ThresholdResult:
     m: float
     a: float
     delay: DelayModel
-    max_root_residual: float
+    max_root_residual: float = math.nan
     crossing_angle: float = math.nan
 
 
@@ -152,19 +154,26 @@ def scale_lr(eta0: float, tau: int) -> float:
     return eta0 * math.pi / (4.0 * (tau + 0.5))
 
 
-def _bisect_eta(stable, eta_start: float, rel_tol: float) -> tuple[float, float]:
-    """Bracket and bisect a stability boundary along eta.
+def _bisect_eta(stable, a: float, start: float, rel_tol: float, **fields) -> ThresholdResult:
+    """Bracket and bisect a stability boundary along eta: the one tail of
+    every threshold search, and the one place a :class:`ThresholdResult`
+    (its other ``fields`` given) is built.
 
     ``stable(eta)`` must flip from True to False exactly once as eta grows.
-    The first probe is ``FIRST_PROBE * eta_start`` on the grid ``eta_start *
+    The first probe is ``FIRST_PROBE * start / a`` on the grid ``start / a *
     2^j``.  If stable, the search doubles on until a probe is unstable; if
-    not, it scans up from ``eta_start`` and stops short of the first probe.
-    Then it bisects until the bracket is narrower than ``rel_tol`` times its
-    midpoint, and returns the final (stable, unstable) pair: the full
-    scan's, unless a grid point below the first probe is unstable or
-    undecided while the first probe is stable.  Shared by the crossing
-    search here and the trajectory searches built on simulators, which start
-    higher, since classifying a nearly-motionless run takes forever.
+    not, it scans up from ``start / a`` and stops short of the first probe.
+    A first probe or doubling that overflows to inf refuses the curvature by
+    name (a subnormal ``a`` included) before ``stable`` sees it.  Then it
+    bisects until the bracket is narrower than ``rel_tol`` times its
+    midpoint, ``0.5 * (lo + hi)`` or, where that sum overflows, ``0.5 * lo
+    + 0.5 * hi``.  The bracket is the final (stable, unstable) pair: the
+    full scan's, unless a grid point below the first probe is unstable or
+    undecided while the first probe is stable.  ``eta_star`` is the last
+    midpoint, or ``lo`` where the ends are adjacent floats and it rounds
+    onto ``hi``.  Shared by the crossing search here and the trajectory
+    searches built on simulators, which start higher, since classifying a
+    nearly-motionless run takes forever.
 
     The doubling needs no cap.  The crossing search's predicate fails once
     ``eta*a`` passes its finite ``k*``.  Every trajectory probe starts from
@@ -175,29 +184,27 @@ def _bisect_eta(stable, eta_start: float, rel_tol: float) -> tuple[float, float]
     + 1`` therefore diverges on step 1, and the doubling ends by then.
     """
     # a product, so that it overflows to inf exactly as the doubling does
-    first = FIRST_PROBE * eta_start
-    eta_lo, eta = (first, 2.0 * first) if stable(first) else (None, eta_start)
-    while eta != first and stable(eta):
-        eta_lo = eta
-        eta *= 2.0
-    eta_hi = eta
+    first = FIRST_PROBE * (start / a)
+    eta_lo, eta = (first, 2.0 * first) if first < math.inf and stable(first) else (None, start / a)
+    # the doubling above the first probe or the scan below it, neither at inf
+    while eta != first and max(eta, first) < math.inf and stable(eta):
+        eta_lo, eta = eta, 2.0 * eta
+    if max(eta, first) == math.inf:
+        raise ValueError(f"a = {a!r} is too small: its step sizes overflow to inf")
     if eta_lo is None:
         raise NoThreshold("unstable already at the smallest probe; nothing to bracket")
+    eta_hi = eta
 
-    while eta_hi - eta_lo > rel_tol * 0.5 * (eta_lo + eta_hi):
+    # midpoints of finite ends are finite
+    while True:
         mid = 0.5 * (eta_lo + eta_hi)
-        if mid <= eta_lo or mid >= eta_hi:
-            break  # float resolution exhausted
-        if stable(mid):
-            eta_lo = mid
-        else:
-            eta_hi = mid
-    return eta_lo, eta_hi
-
-
-def _check_finite_eta(a: float, eta: float) -> None:
-    if eta == math.inf:
-        raise ValueError(f"a = {a!r} is too small: its step sizes overflow to inf")
+        if mid == math.inf:
+            mid = 0.5 * eta_lo + 0.5 * eta_hi
+        if eta_hi - eta_lo <= rel_tol * mid or not eta_lo < mid < eta_hi:
+            break  # within the tolerance, or float resolution exhausted
+        eta_lo, eta_hi = (mid, eta_hi) if stable(mid) else (eta_lo, mid)
+    return ThresholdResult(eta_star=mid if mid < eta_hi else eta_lo, bracket=(eta_lo, eta_hi),
+                           tolerance=rel_tol, a=a, **fields)
 
 
 def _grid_size(degree: int) -> int:
@@ -631,9 +638,13 @@ class _BracketEnds:
 def _certified(split: _Split, a: float, rel_tol: float, k_star: float,
                theta_star: float) -> ThresholdResult:
     """The eta bracket around the crossing ``k_star``, certified, as a result."""
-    eta_lo, eta_hi = _bisect_eta(lambda eta: eta * a <= k_star, BRACKET_START / a, rel_tol)
-    _check_finite_eta(a, eta_hi)
-    k_lo, k_hi = eta_lo * a, eta_hi * a
+    p = split.at(k_star)
+    residual = abs(p(np.array([theta_star]))[0]) / math.fsum(abs(p.coefs))
+    found = _bisect_eta(lambda eta: eta * a <= k_star, a, BRACKET_START, rel_tol,
+                        method=METHOD_BISECTION, variant=split.variant, m=split.m,
+                        delay=split.delay, max_root_residual=float(residual),
+                        crossing_angle=theta_star)
+    k_lo, k_hi = (eta * a for eta in found.bracket)
     ends = _BracketEnds(split, k_lo, k_hi)
     _, _, turns, resolved = _phase_resolved(ends, *ends.grid(theta_star))
     for k, ok in zip((k_lo, k_hi), resolved):
@@ -649,28 +660,17 @@ def _certified(split: _Split, a: float, rel_tol: float, k_star: float,
             f"{inside_lo} of {split.degree} roots inside at the stable end, "
             f"{inside_hi} at the unstable end"
         )
-    p = split.at(k_star)
-    residual = abs(p(np.array([theta_star]))[0]) / math.fsum(abs(p.coefs))
-    return ThresholdResult(
-        eta_star=0.5 * (eta_lo + eta_hi),
-        method=METHOD_BISECTION,
-        bracket=(eta_lo, eta_hi),
-        tolerance=rel_tol,
-        variant=split.variant,
-        m=split.m,
-        a=a,
-        delay=split.delay,
-        max_root_residual=float(residual),
-        crossing_angle=theta_star,
-    )
+    return found
 
 
 def _searches(variant: str, a: float, delays, m: float,
               rel_tol: float) -> list[ThresholdResult | NoThreshold | NoConvergence]:
     """:func:`numeric_threshold` at each delay, in order, with the crossings
     of all of them bisected together (:func:`_crossings`); a failed search
-    gives its NoThreshold or NoConvergence in place.  Bad arguments raise
-    ValueError before any search starts; an overflowing ``a`` raises it too.
+    gives its NoThreshold or NoConvergence in place, and so does a delay
+    whose step sizes overflow at this ``a``, subnormal ``a`` included: its
+    ValueError refuses the curvature.  Bad arguments raise ValueError before
+    any search starts.
     """
     _check_positive("a", a)
     _check_rel_tol("rel_tol", rel_tol)
@@ -682,7 +682,7 @@ def _searches(variant: str, a: float, delays, m: float,
             continue
         try:
             results.append(_certified(split, a, rel_tol, *crossing))
-        except (NoThreshold, NoConvergence) as exc:
+        except (NoThreshold, NoConvergence, ValueError) as exc:
             results.append(exc)
     return results
 
@@ -722,7 +722,9 @@ def numeric_threshold(
     NoConvergence
         If the certificate fails: the crossing is not the boundary.
     ValueError
-        If ``a`` is so small that the bracket's step sizes overflow to inf.
+        If ``a`` is so small that the bracket's step sizes overflow to inf,
+        subnormal ``a`` included.  In :func:`threshold_curve` such a delay's
+        row fails in place.
     """
     found, = _searches(variant, a, [delay], m, rel_tol)
     if isinstance(found, Exception):
@@ -804,7 +806,8 @@ def threshold_curve(
     searches run as one batch: the crossing brackets of every delay are
     bisected together, in blocks of at most ``BRACKET_BLOCK`` brackets, and
     each row equals the search of its delay alone.  A failed search marks
-    its row and the sweep continues; failed rows are excluded from the fit.
+    its row and the sweep continues, a delay whose step sizes overflow at
+    this ``a`` included; failed rows are excluded from the fit.
     """
     models = [as_delay(d) for d in delays]
     rows = []

@@ -95,6 +95,12 @@ class TestThreshold:
         assert rc == 2
         assert out == "" and "--rel-tol" in err
 
+    @pytest.mark.parametrize("a, tau", [("5e-311", "0"), ("1e-320", "4")])
+    def test_a_row_whose_step_sizes_overflow_fails_in_place(self, capsys, a, tau):
+        rc, out, err = run_cli(capsys, "threshold", "--a", a, "--tau", tau)
+        assert (rc, out) == (1, f"x={tau}  failed\n")
+        assert err == f"row x={tau} failed: a = {a} is too small: its step sizes overflow to inf\n"
+
     def test_unwritable_out_path_is_a_one_line_error(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "threshold", "--a", "1", "--tau", "0..2",
                              "--out", str(tmp_path / "missing" / "x.csv"))
@@ -458,6 +464,12 @@ class TestNegativeSeed:
 
 
 class TestEscapeCurveCmd:
+    def test_unwritable_out_path_prints_no_row(self, capsys, tmp_path):
+        rc, out, err = run_cli(capsys, "escape-curve", "--a", "1", "--tau", "4",
+                               "--etas", "0.3,0.4", "--out", str(tmp_path / "missing" / "e.csv"))
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_explicit_etas(self, capsys, tmp_path):
         out = tmp_path / "esc.csv"
         rc, stdout, _ = run_cli(capsys, "escape-curve", "--a", "1.0", "--tau", "4",
@@ -738,8 +750,6 @@ ERRORS = {
                     "usage error: this command takes a single --tau value"),
     "curvature-missing": (["simulate", "--eta", "0.1", "--tau", "2"], 2,
                           "usage error: provide exactly one of --a / --spectrum"),
-    "curvature-overflow": (["threshold", "--a", "5e-311", "--tau", "0"], 2,
-                           "usage error: a = 5e-311 is too small: its step sizes overflow to inf"),
     "pmf-kind": (["threshold", "--a", "1", "--pmf", "poisson:3"], 2,
                  "usage error: pmf must look like uniform:LO,HI or gauss:MU, got 'poisson:3'"),
     "pmf-arity": (["threshold", "--a", "1", "--pmf", "uniform:1"], 2,

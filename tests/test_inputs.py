@@ -284,12 +284,11 @@ def test_refused_value_raises_value_error_saying_why(call, words):
 
 
 # Curvatures so small that a search's step sizes overflow to inf, and every
-# threshold search: each refuses the curvature by name before it steps or
-# certifies at eta = inf.
-OVERFLOWING_A = [5e-311, 1e-309]
+# threshold search of one delay: each refuses the curvature by name before it
+# steps or certifies at eta = inf.
+OVERFLOWING_A = [5e-311, 1e-309, 1e-320, 5e-324]
 SEARCHES = {
     "numeric_threshold": lambda a: numeric_threshold("plain", a, 0),
-    "threshold_curve": lambda a: threshold_curve("plain", a, [0, 1, 2]),
     "empirical_threshold": lambda a: empirical_threshold(QuadraticProblem([[a]]), "plain", 0),
     "ps_empirical_threshold round robin": lambda a: ps_empirical_threshold(
         QuadraticProblem([[a]]), RoundRobin(1), "plain"),
@@ -304,6 +303,13 @@ def test_a_curvature_whose_step_sizes_overflow_is_refused_by_name(search, a):
     with pytest.raises(ValueError) as caught:
         search(a)
     assert str(caught.value) == f"a = {a!r} is too small: its step sizes overflow to inf"
+
+
+@pytest.mark.parametrize("a", OVERFLOWING_A)
+def test_a_sweep_marks_each_overflowing_row_failed_by_name(a):
+    curve = threshold_curve("plain", a, [0, 1, 2])
+    assert [row.error for row in curve.rows] == \
+        [f"a = {a!r} is too small: its step sizes overflow to inf"] * 3
 
 
 def test_a_tiny_curvature_whose_step_sizes_stay_finite_still_answers():

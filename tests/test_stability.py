@@ -210,6 +210,21 @@ class TestNumericThreshold:
         r = numeric_threshold(variant, a, delay, m=m, rel_tol=2.0 ** -52)
         lo, hi = r.bracket
         assert 0.0 < hi - lo <= r.tolerance * r.eta_star
+        assert lo <= r.eta_star < hi
+
+    def test_adjacent_ends_report_the_stable_one(self):
+        # the midpoint of adjacent floats rounds onto one of them; eta* is
+        # then lo, below the exact edge 2 sin(pi / 10) = 0.6180339887498948482...
+        r = numeric_threshold("plain", 1.0, 2, rel_tol=2.0 ** -52)
+        assert r.bracket == (0.6180339887498948, 0.6180339887498949)
+        assert r.eta_star == 0.6180339887498948
+
+    def test_bisection_continues_where_the_ends_sum_overflows(self):
+        # lo + hi overflows near the float maximum; the midpoint 0.5 lo + 0.5 hi
+        # still halves the bracket down to the tolerance
+        r = numeric_threshold("plain", 5.84678727693734e-309, 1)
+        assert r.bracket == (1.7103409869758758e+308, 1.7103410003379149e+308)
+        assert r.bracket[0] <= r.eta_star < r.bracket[1]
 
     def test_a_subnormal_threshold_stops_at_adjacent_floats(self):
         # near the float maximum eta* is subnormal: bisection stops at
@@ -564,8 +579,9 @@ class TestCertificate:
             for tau in (1, 16, 100, 1000):
                 split = stability._Split("momentum", m, DelayModel.constant(tau))
                 k_star, theta = _crossing("momentum", m, tau)
-                k_lo, k_hi = stability._bisect_eta(lambda k: k <= k_star,
-                                                   stability.BRACKET_START, 1e-8)
+                k_lo, k_hi = stability._bisect_eta(
+                    lambda k: k <= k_star, 1.0, stability.BRACKET_START, 1e-8,
+                    method=METHOD_BISECTION, variant="momentum", m=m, delay=split.delay).bracket
                 floor = np.finfo(float).eps * np.abs(split.at(k_star).coefs).sum()
                 gap = (k_hi - k_lo) * abs(split.b(np.array([theta]))[0]) / floor
                 try:
@@ -614,6 +630,13 @@ class TestThresholdCurve:
         line = curve.to_csv().strip().split("\n")[1]
         assert line.startswith("0.0,")
         assert ",failed," in line
+
+    def test_rows_near_the_float_maximum_stay_finite(self):
+        # at a = 1e-309 the thresholds lie near the float maximum, where the
+        # bracket ends' sum overflows; the fit is the one a = 1 gives
+        curve = threshold_curve("plain", 1e-309, range(12, 65))
+        assert all(math.isfinite(row.result.eta_star) for row in curve.rows)
+        assert curve.r_squared >= 0.999999
 
     def test_single_row_has_nan_fit(self):
         curve = threshold_curve("plain", 1.0, [4])

@@ -134,3 +134,27 @@ def test_every_crossing_value_is_at_least_the_chord_to_one(case):
         k = w.real / (b.real**2 + b.imag**2)
     crossing = np.isfinite(k) & (k > 0.0)
     assert (k[crossing] >= 2.0 * np.sin(0.5 * theta[crossing]) * (1.0 - 1e-12)).all()
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from((("plain", 0.0), ("momentum", 0.5), ("shifted", 0.9))),
+       st.sampled_from((0, 1, 2, 4, 8, 16, 64)), st.floats(-320.0, 308.0).map(lambda e: 10.0**e),
+       st.sampled_from((1e-8, 1e-12, 2.0**-52)))
+@example(("plain", 0.0), 2, 1.0, 2.0**-52)  # adjacent ends: eta* is lo
+@example(("plain", 0.0), 1, 5.84678727693734e-309, 1e-8)  # lo + hi overflows
+@example(("plain", 0.0), 4, 1e-320, 1e-8)  # subnormal a: refused
+def test_every_search_answers_within_its_bracket_or_refuses_the_curvature(vm, tau, a, rel_tol):
+    """From a subnormal curvature to the float maximum, a search returns a
+    finite ``eta*`` with ``lo <= eta* < hi`` and a bracket within ``rel_tol``
+    (or at adjacent floats, or around a subnormal ``eta*``), or refuses a
+    curvature whose step sizes overflow to inf by name."""
+    variant, m = vm
+    try:
+        r = numeric_threshold(variant, a, tau, m=m, rel_tol=rel_tol)
+    except ValueError as exc:
+        assert str(exc) == f"a = {a!r} is too small: its step sizes overflow to inf"
+        return
+    lo, hi = r.bracket
+    assert math.isfinite(r.eta_star) and lo <= r.eta_star < hi
+    assert (hi - lo <= rel_tol * r.eta_star or hi == np.nextafter(lo, math.inf)
+            or r.eta_star < np.finfo(float).tiny)
