@@ -98,7 +98,7 @@ def _c_taylor(ctx, out_dir):
     rows = []
     worst = 0.0
     for tau in range(1, 65):
-        exact_inv = 1.0 / (2.0 * math.sin(math.pi / (4 * tau + 2)))
+        exact_inv = 1.0 / analytic_threshold_plain(1.0, tau)
         taylor = taylor_inverse_threshold(tau)
         err = abs(exact_inv - taylor)
         worst = max(worst, err)
@@ -281,7 +281,7 @@ def _random_families(rng):
         m = 0.0 if variant == "plain" else float(rng.uniform(0.1, 0.95))
         tau = int(rng.integers(0, 39))
         frac = float(rng.uniform(0.2, 3.0))
-        eta = frac * 2.0 * math.sin(math.pi / (4 * tau + 2))
+        eta = frac * analytic_threshold_plain(1.0, tau)
         poly = char_poly(OptimizerSpec(variant, eta, m), 1.0, DelayModel.constant(tau))
         characteristic.append(tuple(poly.coeffs))
     sparse = []

@@ -141,30 +141,33 @@ class OptimizerSpec:
     m: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_positive("eta", self.eta)
-        _check_variant(self.variant, self.m)
+        object.__setattr__(self, "eta", _check_positive("eta", self.eta))
+        object.__setattr__(self, "m", _check_variant(self.variant, self.m))
 
 
 # What counts as a valid input, said once: every module checks its step
 # sizes, curvatures, momenta, delays, counts and seeds with these.
 
-def _check_positive(name: str, x: float) -> None:
-    """Require ``0 < x < inf`` (a NaN fails)."""
+def _check_positive(name: str, x: float) -> float:
+    """``x`` as a ``float``: ``0 < x < inf`` (a NaN fails)."""
     if not (x > 0.0 and math.isfinite(x)):
         raise ValueError(f"{name} must be positive and finite, got {x!r}")
+    return float(x)
 
 
-def _check_rel_tol(name: str, x: float) -> None:
-    """Require ``2**-52 <= x < inf`` (a NaN fails).  Adjacent floats at eta
-    differ by at most ``2**-52 * eta``, so a bisection's bracket gets this
-    narrow before float resolution stops it."""
+def _check_rel_tol(name: str, x: float) -> float:
+    """``x`` as a ``float``: ``2**-52 <= x < inf`` (a NaN fails).  Adjacent
+    floats at eta differ by at most ``2**-52 * eta``, so a bisection's
+    bracket gets this narrow before float resolution stops it."""
     if not 2.0 ** -52 <= x < math.inf:
         raise ValueError(f"{name} must be finite and at least 2**-52, got {x!r}")
+    return float(x)
 
 
-def _check_momentum(m: float, name: str = "m") -> None:
+def _check_momentum(m: float, name: str = "m") -> float:
     if not 0.0 <= m < 1.0:
         raise ValueError(f"{name} must lie in [0, 1)")
+    return float(m)
 
 
 def _check_integer(name: str, x) -> int:
@@ -205,12 +208,12 @@ def as_delay(delay) -> DelayModel:
     return delay if isinstance(delay, DelayModel) else DelayModel.constant(delay)
 
 
-def _check_variant(variant: str, m: float) -> None:
+def _check_variant(variant: str, m: float) -> float:
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    _check_momentum(m)
-    if variant == PLAIN and m != 0.0:
+    if _check_momentum(m) != 0.0 and variant == PLAIN:
         raise ValueError("plain variant has no momentum; m must be 0")
+    return float(m)
 
 
 def _check_pairing(variant: str, delay: DelayModel) -> None:
@@ -302,7 +305,7 @@ def char_poly(optimizer: OptimizerSpec, a: float, delay: DelayModel | int) -> Po
     ``delay`` is a ``DelayModel`` or an int, the constant delay it names.
     Shifted momentum with a random delay raises (``_check_pairing``).
     """
-    _check_positive("a", a)
+    a = _check_positive("a", a)
     eta = optimizer.eta
     acc = _sum_by_exponent((exp, fixed + eta * per_k * a) for exp, fixed, per_k
                            in char_poly_terms(optimizer.variant, optimizer.m, delay))

@@ -26,7 +26,7 @@ from itertools import islice
 import numpy as np
 
 from .charpoly import (DelayModel, OptimizerSpec, _check_count, _check_pairing, _check_positive,
-                       _check_rel_tol, _check_seed, as_delay)
+                       _check_rel_tol, _check_seed, _check_variant, as_delay)
 from .errors import NoConvergence, UndecidedAtProbe
 from .stability import METHOD_SIMULATION, ThresholdResult, _bisect_eta
 
@@ -52,8 +52,9 @@ BLOCK_CAP = 4096
 # step.  Best of 3 on a 2-core Intel Xeon, the verify grid's groups of 11
 # plain runs went 1.4 -> 2.0, 2.0 -> 2.1, 3.1 -> 2.3 and 5.2 -> 2.9 ms at
 # tau 8, 16, 32 and 64, and its groups of 33 shifted runs 22 -> 26,
-# 40 -> 29, 70 -> 35 and 133 -> 47 ms.  Groups of 2 to 4 runs at tau 16
-# and 32 lose up to 3 ms; no caller makes them.
+# 40 -> 29, 70 -> 35 and 133 -> 47 ms.  Escape curves make groups too: 20
+# rows from 0.5 to 1.5 eta* gain (tau 32: plain 9.0-9.7 -> 5.4-5.5, shifted m 0.5
+# 31-32 -> 15-17 ms), but 2 to 4 rows that all converge lose up to 3 ms.
 LOCKSTEP_MIN_TAU = 16
 # Default verdict lines, as multiples of the initial distance from the minimum.
 BLOWUP_FACTOR = 1e6
@@ -697,9 +698,10 @@ def _simulated_threshold(problem, variant, delay, m, rel_tol, probe_steps, blowu
     stable.  An undecided probe gets its step budget doubled once; if it
     stays undecided the search raises ``UndecidedAtProbe`` rather than guess.
     """
-    _check_rel_tol("rel_tol", rel_tol)
+    rel_tol = _check_rel_tol("rel_tol", rel_tol)
     probe_steps = _check_count("probe_steps", probe_steps)
     _check_verdict_lines(blowup_factor, decay_factor)  # before the start is set from them
+    m = _check_variant(variant, m)
 
     def stable(eta: float) -> bool:
         for steps in (probe_steps, 2 * probe_steps):
@@ -779,19 +781,16 @@ def escape_time_curve(
 ) -> EscapeCurve:
     """How fast instability bites: escape step for each step size.
 
-    ``etas`` must be strictly ascending.  Rows below the threshold report
-    ``None`` (converged or undecided runs never cross the blowup line).
+    ``etas`` must be strictly ascending, and the rows' runs step through
+    ``_simulate_many``.  A row whose run converges or is undecided reports ``None``.
     """
     etas = [float(e) for e in etas]
     if any(b <= a for a, b in zip(etas, etas[1:])):
         raise ValueError("etas must be strictly ascending")
-    rows = []
-    for eta in etas:
-        cfg = SimConfig(OptimizerSpec(variant, eta, m), delay, max_steps, blowup_factor,
-                        decay_factor)
-        verdict = simulate_expectation(problem, cfg)
-        rows.append((eta, verdict.escape_step if verdict.status == DIVERGED else None))
-    return EscapeCurve(rows=tuple(rows))
+    configs = [SimConfig(OptimizerSpec(variant, eta, m), delay, max_steps, blowup_factor,
+                         decay_factor) for eta in etas]
+    verdicts = _simulate_many(problem, configs)
+    return EscapeCurve(rows=tuple((eta, v.escape_step) for eta, v in zip(etas, verdicts)))
 
 
 def power_iteration(
@@ -815,7 +814,7 @@ def power_iteration(
         After ``max_iter`` steps; carries the last estimate in ``best``.
     """
     d = _check_count("d", d)
-    _check_positive("tol", tol)
+    tol = _check_positive("tol", tol)
     max_iter = _check_count("max_iter", max_iter)
     rng = np.random.default_rng(_check_seed("seed", seed))
     v = rng.standard_normal(d)

@@ -96,10 +96,6 @@ class PSRun:
     norms: tuple[float, ...]
     verdict: SimVerdict
 
-    @property
-    def clipped_delays(self) -> int:
-        return self.verdict.clipped_delays
-
 
 def run_ps(
     problem: QuadraticProblem,

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charpoly import (DelayModel, _check_delay, _check_positive, _check_rel_tol, _sum_by_exponent,
-                       as_delay, char_poly_terms)
+from .charpoly import (DelayModel, _check_delay, _check_positive, _check_rel_tol, _check_variant,
+                       _sum_by_exponent, as_delay, char_poly_terms)
 from .errors import NoConvergence, NoThreshold
 
 BRACKET_START = 1e-6
@@ -121,7 +121,7 @@ def analytic_threshold_plain(a: float, tau: int) -> float:
     At ``tau = 0`` this is the familiar ``2 / a``; the delay shrinks the
     usable step size roughly in proportion to ``1 / (2 tau + 1)``.
     """
-    _check_positive("a", a)
+    a = _check_positive("a", a)
     tau = _check_delay(tau)
     return (2.0 / a) * math.sin(math.pi / (4 * tau + 2))
 
@@ -149,7 +149,7 @@ def scale_lr(eta0: float, tau: int) -> float:
     delay-free edge, rescaled to tau 0 or 1, is unstable; eta0 must sit at
     least that far inside its own edge for the rescaled step to be stable.
     """
-    _check_positive("eta0", eta0)
+    eta0 = _check_positive("eta0", eta0)
     tau = _check_delay(tau)
     return eta0 * math.pi / (4.0 * (tau + 0.5))
 
@@ -672,8 +672,9 @@ def _searches(variant: str, a: float, delays, m: float,
     ValueError refuses the curvature.  Bad arguments raise ValueError before
     any search starts.
     """
-    _check_positive("a", a)
-    _check_rel_tol("rel_tol", rel_tol)
+    a = _check_positive("a", a)
+    rel_tol = _check_rel_tol("rel_tol", rel_tol)
+    m = _check_variant(variant, m)
     splits = [_Split(variant, m, as_delay(d)) for d in delays]
     results = []
     for split, crossing in zip(splits, _crossings(splits)):

@@ -407,3 +407,44 @@ def test_numpy_integer_counts_are_stored_as_int():
     cfg = SimConfig(OPT, 3, max_steps=np.int64(7), record_every=np.uint16(2))
     assert type(cfg.max_steps) is int and type(cfg.record_every) is int
     assert type(RoundRobin(np.int32(4)).n_workers) is int
+
+
+# A checked float comes back as a Python float, so a numpy number reaches no
+# arithmetic, field or CSV cell.
+NP_ONE, NP_HALF = np.float64(1.0), np.float64(0.5)
+FLOAT_RESULT_FIELDS = ("eta_star", "tolerance", "m", "a", "max_root_residual", "crossing_angle")
+
+
+def test_numpy_curvature_writes_the_same_threshold_csv():
+    want = threshold_curve("plain", 1.0, [1, 2]).to_csv()
+    assert threshold_curve("plain", NP_ONE, [1, 2]).to_csv() == want
+
+
+def test_numpy_subnormal_curvature_brackets_as_a_float_does():
+    # numpy scalar arithmetic warns where the float bracket overflows its sum
+    a = 5.84678727693734e-309
+    want = (1.7103409869758758e+308, 1.7103410003379149e+308)
+    assert numeric_threshold("plain", a, 1).bracket == want
+    assert numeric_threshold("plain", np.float64(a), 1).bracket == want
+
+
+def test_numpy_step_size_and_momentum_are_stored_as_float():
+    spec = OptimizerSpec("momentum", np.float64(0.1), np.float32(0.5))
+    assert type(spec.eta) is float and type(spec.m) is float
+    assert spec == OptimizerSpec("momentum", 0.1, 0.5)
+
+
+@pytest.mark.parametrize("search", [
+    lambda: numeric_threshold("momentum", NP_ONE, 3, m=NP_HALF, rel_tol=np.float64(1e-6)),
+    lambda: threshold_curve("momentum", NP_ONE, [3], m=NP_HALF, rel_tol=np.float64(1e-6)),
+    lambda: empirical_threshold(PROBLEM, "momentum", 3, m=NP_HALF, rel_tol=np.float64(0.05)),
+    lambda: ps_empirical_threshold(PROBLEM, RoundRobin(4), "momentum", m=NP_HALF,
+                                   rel_tol=np.float64(0.05)),
+], ids=["numeric_threshold", "threshold_curve", "empirical_threshold", "ps_empirical_threshold"])
+def test_numpy_inputs_give_float_result_fields(search):
+    found = search()
+    if hasattr(found, "rows"):
+        [row] = found.rows
+        found = row.result
+    assert [type(getattr(found, f)) for f in FLOAT_RESULT_FIELDS] == [float] * 6
+    assert [type(x) for x in found.bracket] == [float, float]

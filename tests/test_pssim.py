@@ -190,7 +190,7 @@ class TestSampledDelayMechanics:
     def test_early_draws_clipped_and_counted(self):
         sched = SampledDelay(pmf_uniform(5, 8), seed=0)
         run = run_ps(_scalar(), sched, OptimizerSpec("plain", 0.01), 1000)
-        assert run.clipped_delays > 0
+        assert run.verdict.clipped_delays > 0
         # entry i belongs to global step i+1, whose history depth is i
         assert all(k <= i for i, k in enumerate(run.applied_delays))
 

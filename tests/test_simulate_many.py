@@ -17,7 +17,8 @@ import pytest
 
 from staleness_lab import dynamics
 from staleness_lab.charpoly import DelayModel, OptimizerSpec, pmf_uniform
-from staleness_lab.dynamics import QuadraticProblem, SimConfig, simulate_expectation
+from staleness_lab.dynamics import (QuadraticProblem, SimConfig, escape_time_curve,
+                                   simulate_expectation)
 from staleness_lab.stability import numeric_threshold
 
 FRACS = (0.3, 0.5, 0.8, 0.95, 0.99, 1.01, 1.05, 1.5, 3.0)
@@ -126,3 +127,45 @@ def test_a_group_starts_at_run(no_run):
     configs = [SimConfig(OptimizerSpec("plain", eta), 16, STEPS) for eta in (0.01, 0.02)]
     with pytest.raises(TypeError):
         dynamics._simulate_many(problem, configs)
+
+
+def _loop_rows(problem, variant, delay, etas, m=0.0, max_steps=None):
+    """An escape curve's rows from one ``simulate_expectation`` run a step size."""
+    rows = []
+    for eta in etas:
+        v = simulate_expectation(problem, SimConfig(OptimizerSpec(variant, eta, m), delay,
+                                                    max_steps))
+        rows.append((eta, v.escape_step if v.status == dynamics.DIVERGED else None))
+    return tuple(rows)
+
+
+def _curve_etas(variant, delay, m, n, a=1.0):
+    """``n`` step sizes from half to one and a half times the edge."""
+    edge = numeric_threshold(variant, a, delay, m=m).eta_star
+    return [edge * (0.5 + i / (n - 1)) for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [2, 5, 20])
+@pytest.mark.parametrize("tau", [16, 32, 64])
+@pytest.mark.parametrize("variant, m", [("plain", 0.0), ("shifted", 0.5), ("shifted", 0.9)])
+def test_an_escape_curve_steps_as_one_group(lockstep_calls, variant, m, tau, n):
+    problem = QuadraticProblem([[1.0]])
+    etas = _curve_etas(variant, tau, m, n)
+    rows = escape_time_curve(problem, variant, tau, etas, m=m).rows
+    assert lockstep_calls == [n]
+    assert rows == _loop_rows(problem, variant, tau, etas, m)
+    assert rows[0][1] is None and rows[-1][1] is not None
+
+
+@pytest.mark.parametrize("variant, m, delay, spectrum, max_steps", [
+    ("momentum", 0.5, 32, [1.0], None),
+    ("plain", 0.0, pmf_uniform(16, 24), [1.0], None),
+    ("shifted", 0.5, 16, [1.0, 0.5], None),
+    ("shifted", 0.5, 32, [1.0], STEPS),
+], ids=["momentum", "pmf", "2-D", "max_steps"])
+def test_an_escape_curve_equals_the_loop(lockstep_calls, variant, m, delay, spectrum, max_steps):
+    problem = QuadraticProblem.diagonal(spectrum)
+    etas = _curve_etas(variant, delay, m, 5, a=max(spectrum))
+    rows = escape_time_curve(problem, variant, delay, etas, m=m, max_steps=max_steps).rows
+    assert lockstep_calls == ([5] if max_steps else [])
+    assert rows == _loop_rows(problem, variant, delay, etas, m, max_steps)
