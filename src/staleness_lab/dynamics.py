@@ -125,9 +125,9 @@ class QuadraticProblem:
         self._top = top
 
     @classmethod
-    def diagonal(cls, spectrum, components=None) -> "QuadraticProblem":
+    def diagonal(cls, spectrum) -> "QuadraticProblem":
         """Problem with the given eigenvalues on the diagonal."""
-        return cls(np.diag(np.asarray(spectrum, dtype=float)), components)
+        return cls(np.diag(np.asarray(spectrum, dtype=float)))
 
     @property
     def d(self) -> int:
@@ -187,16 +187,12 @@ class SimConfig:
         _check_pairing(self.optimizer.variant, self.delay)
         object.__setattr__(self, "max_steps", max(100 * (self.delay.max_delay + 1), MAX_STEPS_FLOOR)
                            if self.max_steps is None else _check_count("max_steps", self.max_steps))
-        _check_verdict_lines(self.blowup_factor, self.decay_factor)
+        if not self.blowup_factor > 1.0 > self.decay_factor > 0.0:
+            raise ValueError("need blowup_factor > 1 > decay_factor > 0")
         if self.init not in ("top_eigvec", "random_unit"):
             raise ValueError("init must be 'top_eigvec' or 'random_unit'")
         object.__setattr__(self, "record_every", _check_count("record_every", self.record_every))
         object.__setattr__(self, "seed", _check_seed("seed", self.seed))
-
-
-def _check_verdict_lines(blowup_factor: float, decay_factor: float) -> None:
-    if not blowup_factor > 1.0 > decay_factor > 0.0:
-        raise ValueError("need blowup_factor > 1 > decay_factor > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -687,26 +683,24 @@ def simulate_sgd(problem: QuadraticProblem, config: SimConfig, seed: int | None 
     return _run(problem, [config], pick_seed, lag_seed)[0][0]
 
 
-def _simulated_threshold(problem, variant, delay, m, rel_tol, probe_steps, blowup_factor,
-                         decay_factor, lag_seed=None) -> ThresholdResult:
+def _simulated_threshold(problem, variant, delay, m, rel_tol, probe_steps,
+                         lag_seed=None) -> ThresholdResult:
     """Bisect eta on the verdicts of trajectories: the one trajectory search.
 
-    Each probe is a ``SimConfig`` at ``delay``, started by ``_run`` from the
-    top eigenvector with expectation gradients; with ``lag_seed`` every
-    probe reads the same drawn lags (a server's sampled delays), without it
-    a pmf delay reads the probability-weighted state.  Converged counts as
-    stable.  An undecided probe gets its step budget doubled once; if it
-    stays undecided the search raises ``UndecidedAtProbe`` rather than guess.
+    Each probe is a ``SimConfig`` at ``delay`` and the library's verdict lines,
+    started by ``_run`` from the top eigenvector with expectation gradients; with
+    ``lag_seed`` every probe reads the same drawn lags (a server's sampled delays),
+    without it a pmf delay reads the probability-weighted state.  Converged counts
+    as stable.  An undecided probe gets its step budget doubled once; if it stays
+    undecided the search raises ``UndecidedAtProbe`` rather than guess.
     """
     rel_tol = _check_rel_tol("rel_tol", rel_tol)
     probe_steps = _check_count("probe_steps", probe_steps)
-    _check_verdict_lines(blowup_factor, decay_factor)  # before the start is set from them
     m = _check_variant(variant, m)
 
     def stable(eta: float) -> bool:
         for steps in (probe_steps, 2 * probe_steps):
-            config = SimConfig(OptimizerSpec(variant, eta, m), delay, steps, blowup_factor,
-                               decay_factor)
+            config = SimConfig(OptimizerSpec(variant, eta, m), delay, steps)
             status = _run(problem, [config], None, lag_seed)[0][0].status
             if status != UNDECIDED:
                 return status == CONVERGED
@@ -721,7 +715,7 @@ def _simulated_threshold(problem, variant, delay, m, rel_tol, probe_steps, blowu
     # grid starts where classification costs a tenth of the budget, and its
     # first probe, ``FIRST_PROBE`` times higher, costs about 1/80 of it.
     a = problem.sharpness()
-    start_eta_a = 10.0 * math.log(1.0 / decay_factor) / probe_steps
+    start_eta_a = 10.0 * math.log(1.0 / DECAY_FACTOR) / probe_steps
     return _bisect_eta(stable, a, start_eta_a, rel_tol, method=METHOD_SIMULATION,
                        variant=variant, m=m, delay=delay)
 
@@ -733,23 +727,20 @@ def empirical_threshold(
     m: float = 0.0,
     rel_tol: float = 0.02,
     probe_steps: int = PROBE_STEPS,
-    blowup_factor: float = BLOWUP_FACTOR,
-    decay_factor: float = DECAY_FACTOR,
 ) -> ThresholdResult:
     """Stability boundary measured from trajectories alone.
 
     Bisects eta on run verdicts (converged = stable), never consulting the
     characteristic polynomial, which makes it a genuinely independent
     cross-check of the root-based thresholds.  Each probe is the run
-    ``simulate_expectation`` makes of its ``SimConfig`` (``_simulated_threshold``,
-    with no lags).  An undecided probe gets its step budget doubled once; if
-    it stays undecided the search raises ``UndecidedAtProbe`` rather than guess.
-    A curvature so small that a probe's step size overflows to inf, a
-    subnormal one included, raises ValueError naming it before any probe
-    runs at inf.
+    ``simulate_expectation`` makes of its ``SimConfig`` at the library's
+    verdict lines (``_simulated_threshold``, with no lags).  An undecided
+    probe gets its step budget doubled once; if it stays undecided the
+    search raises ``UndecidedAtProbe`` rather than guess.  A curvature so
+    small that a probe's step size overflows to inf, a subnormal one
+    included, raises ValueError naming it before any probe runs at inf.
     """
-    return _simulated_threshold(problem, variant, as_delay(delay), m, rel_tol, probe_steps,
-                                blowup_factor, decay_factor)
+    return _simulated_threshold(problem, variant, as_delay(delay), m, rel_tol, probe_steps)
 
 
 @dataclass(frozen=True)
@@ -781,10 +772,12 @@ def escape_time_curve(
 ) -> EscapeCurve:
     """How fast instability bites: escape step for each step size.
 
-    ``etas`` must be strictly ascending, and the rows' runs step through
+    ``etas`` must be non-empty and strictly ascending, and the rows' runs step through
     ``_simulate_many``.  A row whose run converges or is undecided reports ``None``.
     """
     etas = [float(e) for e in etas]
+    if not etas:
+        raise ValueError("etas must name at least one step size")
     if any(b <= a for a, b in zip(etas, etas[1:])):
         raise ValueError("etas must be strictly ascending")
     configs = [SimConfig(OptimizerSpec(variant, eta, m), delay, max_steps, blowup_factor,

@@ -171,22 +171,19 @@ def ps_empirical_threshold(
     m: float = 0.0,
     rel_tol: float = 0.02,
     probe_steps: int = PROBE_STEPS,
-    blowup_factor: float = BLOWUP_FACTOR,
-    decay_factor: float = DECAY_FACTOR,
 ) -> ThresholdResult:
     """Stability boundary of the emulated server, by bisection on verdicts.
 
-    The simulators' search (``dynamics._simulated_threshold``) run on the
-    delay and lags the scheduler realizes: round robin over W workers is
-    the constant-delay search at ``W - 1``, sampled delays probe with the
-    scheduler's drawn lags.  An undecided probe doubles its step budget
-    once, then raises ``UndecidedAtProbe``; a curvature whose step sizes
-    overflow raises ValueError.  Expectation-mode gradients keep the
-    predicate deterministic, and a probe records nothing but its verdict.
+    The simulators' search (``dynamics._simulated_threshold``, at the library's
+    verdict lines) run on the delay and lags the scheduler realizes: round robin
+    over W workers is the constant-delay search at ``W - 1``, sampled delays
+    probe with the scheduler's drawn lags.  An undecided probe doubles its step
+    budget once, then raises ``UndecidedAtProbe``; a curvature whose step sizes
+    overflow raises ValueError.  Expectation-mode gradients keep the predicate
+    deterministic, and a probe records nothing but its verdict.
     """
     delay, lag_seed = _realized(scheduler, _check_count("probe_steps", probe_steps))
-    return _simulated_threshold(problem, variant, delay, m, rel_tol, probe_steps, blowup_factor,
-                                decay_factor, lag_seed)
+    return _simulated_threshold(problem, variant, delay, m, rel_tol, probe_steps, lag_seed)
 
 
 def delay_histogram(run: PSRun) -> tuple[tuple[int, float], ...]:

@@ -180,7 +180,7 @@ def _bisect_eta(stable, a: float, start: float, rel_tol: float, **fields) -> Thr
     the top eigenvector with a constant pre-history and zero velocity, so
     its first step maps ``x0`` to ``(1 - eta*a*(1-m)) x0``, for plain,
     momentum and shifted updates, pmf-weighted and sampled delays and
-    round-robin servers alike.  A probe with ``eta*a*(1-m) > blowup_factor
+    round-robin servers alike.  A probe with ``eta*a*(1-m) > BLOWUP_FACTOR
     + 1`` therefore diverges on step 1, and the doubling ends by then.
     """
     # a product, so that it overflows to inf exactly as the doubling does

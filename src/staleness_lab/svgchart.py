@@ -20,8 +20,8 @@ MARGIN_BOTTOM = 56
 PALETTE = ("#1f6fb4", "#d1495b", "#2e8b57", "#b8860b", "#6a5acd", "#444444")
 
 
-def _nice_step(span: float, target: int = 5) -> float:
-    raw = span / max(target, 1)
+def _nice_step(span: float) -> float:
+    raw = span / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if mult * mag >= raw:

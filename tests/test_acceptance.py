@@ -8,10 +8,11 @@ per-criterion detail lines even when everything passes.
 
 import hashlib
 from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 
-from staleness_lab import acceptance
+from staleness_lab import acceptance, cli
 from staleness_lab.acceptance import CRITERIA, run_criteria
 
 NAMES = [name for name, _, _ in CRITERIA]
@@ -95,6 +96,33 @@ def test_unknown_name_raises_before_any_criterion_runs(monkeypatch, names):
     # the counter is wired: a known name alone runs its criterion
     assert run_criteria(["taylor-accuracy"]) == [("taylor-accuracy", True, "")]
     assert calls == [1]
+
+
+def _one_timed_criterion(monkeypatch, budget, elapsed):
+    """Make ``CRITERIA`` one passing criterion with ``budget``, run on a clock
+    that reads ``elapsed`` seconds across it."""
+    monkeypatch.setattr(acceptance, "CRITERIA", [("timed", lambda ctx, out_dir: (True, "ok"),
+                                                  budget)])
+    readings = iter([100.0, 100.0 + elapsed])
+    monkeypatch.setattr(acceptance, "time", SimpleNamespace(monotonic=readings.__next__))
+
+
+def test_a_passing_criterion_past_its_budget_fails(monkeypatch):
+    _one_timed_criterion(monkeypatch, 1.0, 2.0)
+    assert run_criteria() == [("timed", False, "ok; exceeded 1s budget")]
+
+
+@pytest.mark.parametrize("elapsed", [0.0, 2.0, 1e9])
+def test_a_criterion_with_no_budget_passes_at_any_elapsed_time(monkeypatch, elapsed):
+    _one_timed_criterion(monkeypatch, None, elapsed)
+    assert run_criteria() == [("timed", True, "ok")]
+
+
+def test_verify_prints_an_overrun_criterion_as_failed(monkeypatch, capsys):
+    _one_timed_criterion(monkeypatch, 1.0, 2.0)
+    assert cli.main(["verify", "--only", "timed"]) == 1
+    assert capsys.readouterr().out == ("timed  FAIL  ok; exceeded 1s budget\n"
+                                       "0/1 criteria passed\n")
 
 
 # sha256 of the CSV artifacts that verify --out writes from these criteria

@@ -217,12 +217,6 @@ VERDICT_LINES = {
                                               blowup_factor=b, decay_factor=d),
     "run_ps sampled": lambda b, d: run_ps(PROBLEM, SampledDelay(PMF), OPT, 100,
                                           blowup_factor=b, decay_factor=d),
-    "empirical_threshold": lambda b, d: empirical_threshold(
-        PROBLEM, "plain", 3, blowup_factor=b, decay_factor=d),
-    "ps_empirical_threshold round robin": lambda b, d: ps_empirical_threshold(
-        PROBLEM, RoundRobin(4), "plain", blowup_factor=b, decay_factor=d),
-    "ps_empirical_threshold sampled": lambda b, d: ps_empirical_threshold(
-        PROBLEM, SampledDelay(PMF), "plain", blowup_factor=b, decay_factor=d),
     "escape_time_curve": lambda b, d: escape_time_curve(
         PROBLEM, "plain", 3, [0.1], blowup_factor=b, decay_factor=d),
 }
@@ -274,6 +268,21 @@ REFUSED = {
                                  "row width must match header width"),
     "render_line_chart no data": (lambda: render_line_chart(["x", "y"], [(None, 1.0)]),
                                   "no numeric data to plot"),
+    # a curve with no step size builds no SimConfig to check its other settings
+    "escape_time_curve no etas": (lambda: escape_time_curve(PROBLEM, "plain", 3, []),
+                                  "etas must name at least one step size"),
+    "escape_time_curve no etas, bad variant and m": (
+        lambda: escape_time_curve(PROBLEM, "bogus", 3, [], m=5.0),
+        "etas must name at least one step size"),
+    "escape_time_curve no etas, bad delay and max_steps": (
+        lambda: escape_time_curve(PROBLEM, "plain", -4, [], max_steps=0),
+        "etas must name at least one step size"),
+    "escape_time_curve etas descending": (
+        lambda: escape_time_curve(PROBLEM, "plain", 3, [0.2, 0.1]),
+        "etas must be strictly ascending"),
+    "escape_time_curve etas repeated": (
+        lambda: escape_time_curve(PROBLEM, "plain", 3, [0.1, 0.1]),
+        "etas must be strictly ascending"),
 }
 
 

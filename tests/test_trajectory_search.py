@@ -6,7 +6,12 @@ import pytest
 
 from staleness_lab import dynamics, stability
 from staleness_lab.charpoly import OptimizerSpec, pmf_uniform
-from staleness_lab.dynamics import QuadraticProblem, empirical_threshold
+from staleness_lab.dynamics import (
+    BLOWUP_FACTOR,
+    DECAY_FACTOR,
+    QuadraticProblem,
+    empirical_threshold,
+)
 from staleness_lab.errors import NoConvergence, NoThreshold, UndecidedAtProbe
 from staleness_lab.pssim import RoundRobin, SampledDelay, ps_empirical_threshold, run_ps
 from staleness_lab.stability import numeric_threshold
@@ -58,11 +63,14 @@ def test_round_robin_search_is_the_constant_delay_search(monkeypatch, workers, v
 def _probed(search, first_probe=stability.FIRST_PROBE):
     """The etas ``search()`` probes, in order, and its outcome: the bracket
     and ``eta_star``, or the exception's type and message.  A
-    ``first_probe`` of 1.0 gives the full scan up from the grid's start."""
+    ``first_probe`` of 1.0 gives the full scan up from the grid's start.
+    Every probe must run at the library's verdict lines."""
     etas, start = [], dynamics._run
 
     def counted(problem, configs, *args):
-        etas.extend(config.optimizer.eta for config in configs)
+        for config in configs:
+            assert (config.blowup_factor, config.decay_factor) == (BLOWUP_FACTOR, DECAY_FACTOR)
+            etas.append(config.optimizer.eta)
         return start(problem, configs, *args)
 
     with pytest.MonkeyPatch.context() as patch:
