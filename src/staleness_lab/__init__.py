@@ -8,98 +8,39 @@ stability  closed-form and certified crossing thresholds, curve fits
 dynamics   delay-recurrence simulators, escape times, power iteration
 pssim      parameter-server emulator: schedulers, runs, delay histograms
 cli        staleness-lab command line
+
+Importing the package loads none of them: each public name below loads its
+home module on first use (PEP 562), so a caller pays only for what it uses.
 """
 
-from .charpoly import (
-    MOMENTUM,
-    PLAIN,
-    SHIFTED_MOMENTUM,
-    DelayModel,
-    OptimizerSpec,
-    Polynomial,
-    char_poly,
-    char_poly_momentum,
-    char_poly_plain,
-    char_poly_shifted,
-    char_poly_stochastic,
-    pmf_discrete_gaussian,
-    pmf_uniform,
-)
-from .dynamics import (
-    CONVERGED,
-    DIVERGED,
-    UNDECIDED,
-    EscapeCurve,
-    QuadraticProblem,
-    SimConfig,
-    SimVerdict,
-    empirical_threshold,
-    escape_time_curve,
-    power_iteration,
-    simulate_expectation,
-    simulate_sgd,
-)
-from .errors import NoConvergence, NoThreshold, UndecidedAtProbe
-from .pssim import PSRun, RoundRobin, SampledDelay, delay_histogram, ps_empirical_threshold, run_ps
-from .roots import RootSet, all_roots, all_roots_many
-from .stability import (
-    CurveRow,
-    ThresholdCurve,
-    ThresholdResult,
-    analytic_threshold_plain,
-    numeric_threshold,
-    scale_lr,
-    taylor_inverse_threshold,
-    threshold_curve,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CONVERGED",
-    "DIVERGED",
-    "UNDECIDED",
-    "CurveRow",
-    "DelayModel",
-    "EscapeCurve",
-    "MOMENTUM",
-    "NoConvergence",
-    "NoThreshold",
-    "OptimizerSpec",
-    "PLAIN",
-    "PSRun",
-    "Polynomial",
-    "QuadraticProblem",
-    "RootSet",
-    "RoundRobin",
-    "SHIFTED_MOMENTUM",
-    "SampledDelay",
-    "SimConfig",
-    "SimVerdict",
-    "ThresholdCurve",
-    "ThresholdResult",
-    "UndecidedAtProbe",
-    "all_roots",
-    "all_roots_many",
-    "analytic_threshold_plain",
-    "char_poly",
-    "char_poly_momentum",
-    "char_poly_plain",
-    "char_poly_shifted",
-    "char_poly_stochastic",
-    "delay_histogram",
-    "empirical_threshold",
-    "escape_time_curve",
-    "numeric_threshold",
-    "pmf_discrete_gaussian",
-    "pmf_uniform",
-    "power_iteration",
-    "ps_empirical_threshold",
-    "run_ps",
-    "scale_lr",
-    "simulate_expectation",
-    "simulate_sgd",
-    "taylor_inverse_threshold",
-    "threshold_curve",
-    "__version__",
-]
+_EXPORTS = {
+    "charpoly": ("MOMENTUM", "PLAIN", "SHIFTED_MOMENTUM", "DelayModel", "OptimizerSpec", "Polynomial",
+                 "char_poly", "char_poly_momentum", "char_poly_plain", "char_poly_shifted",
+                 "char_poly_stochastic", "pmf_discrete_gaussian", "pmf_uniform"),
+    "dynamics": ("CONVERGED", "DIVERGED", "UNDECIDED", "EscapeCurve", "QuadraticProblem", "SimConfig",
+                 "SimVerdict", "empirical_threshold", "escape_time_curve", "power_iteration",
+                 "simulate_expectation", "simulate_sgd"),
+    "errors": ("NoConvergence", "NoThreshold", "UndecidedAtProbe"),
+    "pssim": ("PSRun", "RoundRobin", "SampledDelay", "delay_histogram", "ps_empirical_threshold",
+              "run_ps"),
+    "roots": ("RootSet", "all_roots", "all_roots_many"),
+    "stability": ("CurveRow", "ThresholdCurve", "ThresholdResult", "analytic_threshold_plain",
+                  "numeric_threshold", "scale_lr", "taylor_inverse_threshold", "threshold_curve"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_HOME[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return [*globals(), *_HOME]

@@ -5,7 +5,7 @@ advertised capability: closed-form thresholds, the inverse-linear step-size
 law, the momentum direction results, stochastic delays, simulation/root
 agreement, mode reduction, parameter-server equivalence, trajectory-only
 thresholds, power iteration, root-finder invariants, and byte-level
-determinism.
+determinism.  Each criterion imports only the layers it runs.
 
 Every criterion uses hard-coded seeds, and detail strings never contain
 wall times, so two runs on one machine print the same table byte for byte.
@@ -27,34 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .charpoly import (
-    DelayModel,
-    OptimizerSpec,
-    Polynomial,
-    char_poly,
-    pmf_discrete_gaussian,
-    pmf_uniform,
-)
-from .dynamics import (
-    CONVERGED,
-    DIVERGED,
-    QuadraticProblem,
-    SimConfig,
-    _simulate_many,
-    empirical_threshold,
-    power_iteration,
-    simulate_expectation,
-)
+from .charpoly import DelayModel, OptimizerSpec, Polynomial, char_poly, pmf_discrete_gaussian, pmf_uniform
 from .errors import NoConvergence
-from .pssim import RoundRobin, ps_empirical_threshold, run_ps
-from .roots import all_roots_many
-from .stability import (
-    _fit_line,
-    analytic_threshold_plain,
-    numeric_threshold,
-    taylor_inverse_threshold,
-    threshold_curve,
-)
+from .stability import (_fit_line, analytic_threshold_plain, numeric_threshold, taylor_inverse_threshold,
+                        threshold_curve)
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -144,6 +120,9 @@ def _c_stochastic(ctx, out_dir):
 
 
 def _c_grid(ctx, out_dir):
+    from .dynamics import CONVERGED, DIVERGED, QuadraticProblem, SimConfig, _simulate_many
+    from .roots import all_roots_many
+
     families = [("plain", 0.0)] + [(v, m) for v in ("momentum", "shifted")
                                    for m in (0.3, 0.6, 0.9)]
     taus = (1, 2, 4, 8, 16, 32, 64)
@@ -162,6 +141,8 @@ def _c_grid(ctx, out_dir):
 
 
 def _c_modes(ctx, out_dir):
+    from .dynamics import CONVERGED, DIVERGED, QuadraticProblem, SimConfig, simulate_expectation
+
     rng = np.random.default_rng(20260823)
     mismatches = 0
     for trial in range(50):
@@ -204,6 +185,9 @@ def _c_modes(ctx, out_dir):
 
 
 def _c_ps(ctx, out_dir):
+    from .dynamics import QuadraticProblem, SimConfig, simulate_expectation
+    from .pssim import RoundRobin, ps_empirical_threshold, run_ps
+
     worst = 0.0
     combos = 0
     worker_counts = (2, 5, 9, 17, 33)
@@ -239,6 +223,8 @@ def _c_ps(ctx, out_dir):
 
 
 def _c_empirical(ctx, out_dir):
+    from .dynamics import QuadraticProblem, empirical_threshold
+
     prob = QuadraticProblem([[1.0]])
     errs = []
     for tau in (1, 4, 16):
@@ -255,6 +241,8 @@ def _c_empirical(ctx, out_dir):
 
 
 def _c_power(ctx, out_dir):
+    from .dynamics import power_iteration
+
     rng = np.random.default_rng(7)
     worst = 0.0
     for trial in range(50):
@@ -304,6 +292,8 @@ def _random_families(rng):
 
 
 def _c_root_finder(ctx, out_dir):
+    from .roots import all_roots_many
+
     failures = 0
     checked = 0
     worst_resid = worst_conj = worst_prod = worst_mag = 0.0

@@ -3,7 +3,10 @@
 Subcommands: ``threshold`` (delay sweeps of the stability boundary),
 ``roots`` (characteristic roots at one operating point), ``simulate`` and
 ``escape-curve`` (delay-recurrence trajectories), ``ps`` (parameter-server
-emulation), ``plot`` (CSV to SVG), ``verify`` (self-check suite).
+emulation), ``plot`` (CSV to SVG), ``verify`` (self-check suite).  Each
+command imports its own layers when it runs: parsing and checking flags
+loads only ``charpoly`` and ``errors``, and ``--version``, ``--help`` and
+``plot`` never load numpy.
 
 Exit codes: 0 success, 1 numeric or verification failure, 2 usage error.
 Configuration precedence is flags over ``--config`` JSON over defaults; the
@@ -29,29 +32,15 @@ import sys
 import time
 from collections.abc import Callable
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from .charpoly import (VARIANTS, DelayModel, OptimizerSpec, _check_count, _check_delay, _check_momentum,
                        _check_positive, _check_rel_tol, char_poly, pmf_discrete_gaussian, pmf_uniform)
-from .dynamics import (
-    BLOWUP_FACTOR,
-    DECAY_FACTOR,
-    DIVERGED,
-    UNDECIDED,
-    QuadraticProblem,
-    SimConfig,
-    SimVerdict,
-    _engine,
-    _trace_steps,
-    escape_time_curve,
-    simulate_expectation,
-)
 from .errors import NoConvergence, NoThreshold, UndecidedAtProbe
-from .pssim import RoundRobin, SampledDelay, delay_histogram, run_ps
-from .roots import all_roots
-from .stability import threshold_curve
-from .svgchart import render_line_chart
+
+if TYPE_CHECKING:
+    from .dynamics import QuadraticProblem, SimVerdict
 
 SEED_ENV = "STALENESS_LAB_SEED"
 
@@ -277,6 +266,8 @@ def _single_delay(cfg: dict) -> DelayModel:
 
 
 def _build_problem(cfg: dict) -> QuadraticProblem:
+    from .dynamics import QuadraticProblem
+
     if (cfg["a"] is None) == (cfg["spectrum"] is None):
         raise ValueError("provide exactly one of --a / --spectrum")
     if cfg["a"] is not None:
@@ -331,6 +322,8 @@ def _report(verdict: SimVerdict, command: str, cfg: dict, seeds: dict,
     Writing first keeps a run whose artifacts cannot be written from also
     reporting a result.
     """
+    from .dynamics import DIVERGED, UNDECIDED
+
     if cfg["out"]:
         out = Path(cfg["out"])
         out.mkdir(parents=True, exist_ok=True)
@@ -360,6 +353,9 @@ def _report(verdict: SimVerdict, command: str, cfg: dict, seeds: dict,
 # ---------------------------------------------------------------- threshold
 
 def cmd_threshold(cfg: dict, args: argparse.Namespace) -> int:
+    from .stability import threshold_curve
+    from .svgchart import render_line_chart
+
     if cfg["svg"] and not cfg["out"]:
         raise ValueError("--svg needs --out")
     variant = cfg["variant"]
@@ -402,6 +398,8 @@ def cmd_threshold(cfg: dict, args: argparse.Namespace) -> int:
 # -------------------------------------------------------------------- roots
 
 def cmd_roots(cfg: dict, args: argparse.Namespace) -> int:
+    from .roots import all_roots
+
     a = _require(cfg, "a")
     eta = _require(cfg, "eta")
     delay = _single_delay(cfg)
@@ -426,6 +424,8 @@ def cmd_roots(cfg: dict, args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- simulate
 
 def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
+    from .dynamics import UNDECIDED, SimConfig, SimVerdict, _engine, _trace_steps, simulate_expectation
+
     problem = _build_problem(cfg)
     delay = _single_delay(cfg)
     eta = _require(cfg, "eta")
@@ -464,6 +464,8 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
 # ------------------------------------------------------------- escape-curve
 
 def cmd_escape_curve(cfg: dict, args: argparse.Namespace) -> int:
+    from .dynamics import escape_time_curve
+
     problem = _build_problem(cfg)
     delay = _single_delay(cfg)
     if (cfg["etas"] is None) == (cfg["eta_range"] is None):
@@ -491,6 +493,8 @@ def cmd_escape_curve(cfg: dict, args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------- ps
 
 def cmd_ps(cfg: dict, args: argparse.Namespace) -> int:
+    from .pssim import RoundRobin, SampledDelay, delay_histogram, run_ps
+
     problem = _build_problem(cfg)
     eta = _require(cfg, "eta")
     if (cfg["workers"] is None) == (cfg["pmf"] is None):
@@ -571,6 +575,8 @@ def _read_plot_csv(path: str):
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    from .svgchart import render_line_chart
+
     headers, rows = _read_plot_csv(args.csv)
     try:
         svg = render_line_chart(headers, rows, title=args.title)
@@ -612,7 +618,20 @@ class Command(NamedTuple):
 
 
 _MODEL = {"variant": "plain", "m": 0.0, "tau": None, "pmf": None, "a": None}
-_VERDICT_LINES = {"blowup": BLOWUP_FACTOR, "decay": DECAY_FACTOR}
+
+
+def _blowup_factor() -> float:
+    from .dynamics import BLOWUP_FACTOR
+    return BLOWUP_FACTOR
+
+
+def _decay_factor() -> float:
+    from .dynamics import DECAY_FACTOR
+    return DECAY_FACTOR
+
+
+# the simulators' own verdict lines, read when a command runs, not when cli loads
+_VERDICT_LINES = {"blowup": _blowup_factor, "decay": _decay_factor}
 
 COMMANDS = {
     "threshold": Command(cmd_threshold, "stability threshold across delays", {

@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from staleness_lab import dynamics, stability
+from staleness_lab import dynamics, pssim, stability  # noqa: F401 (pssim: for no_run)
 from staleness_lab.errors import NoThreshold
 
 

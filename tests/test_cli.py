@@ -1,10 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import staleness_lab
 from staleness_lab.acceptance import run_criteria
 from staleness_lab.cli import COMMANDS, FLAGS, main
 from staleness_lab.stability import analytic_threshold_plain
@@ -703,6 +708,78 @@ class TestVersionFlag:
             main(["--version"])
         assert ei.value.code == 0
         assert "staleness-lab" in capsys.readouterr().out
+
+
+def _loaded_after(tmp_path, code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code`` in ``tmp_path``."""
+    env = {k: v for k, v in os.environ.items() if k != "STALENESS_LAB_SEED"}
+    env["PYTHONPATH"] = str(Path(staleness_lab.__file__).resolve().parents[1])
+    script = f"{code}\nimport sys\nprint('MODULES', *sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.splitlines()[-1].split()
+    assert last[0] == "MODULES"
+    return set(last[1:])
+
+
+def _cli_run(argv: list[str], want: int = 0) -> str:
+    """Code that runs one command in process and checks that it exits ``want``."""
+    return ("from staleness_lab import cli\n"
+            f"try:\n    code = cli.main({argv!r})\nexcept SystemExit as exc:\n    code = exc.code\n"
+            f"assert code == {want!r}, code")
+
+
+def _layers(modules: set[str]) -> set[str]:
+    return {m.split(".", 1)[1] for m in modules if m.startswith("staleness_lab.")}
+
+
+class TestImportGraph:
+    """Each entry point imports only the layers it runs."""
+
+    def test_importing_the_package_loads_no_submodule(self, tmp_path):
+        assert _layers(_loaded_after(tmp_path, "import staleness_lab")) == set()
+
+    def test_a_name_loads_its_home_module_and_what_that_imports(self, tmp_path):
+        loaded = _loaded_after(tmp_path, "from staleness_lab import numeric_threshold")
+        assert _layers(loaded) == {"charpoly", "errors", "stability"}
+
+    def test_threshold_loads_no_simulator_root_solver_or_battery(self, tmp_path):
+        code = _cli_run(["threshold", "--a", "1", "--tau", "0..4"])
+        assert _layers(_loaded_after(tmp_path, code)) == {
+            "charpoly", "cli", "errors", "stability", "svgchart"}
+
+    @pytest.mark.parametrize("argv, want", [
+        (["--version"], 0),
+        (["--help"], 0),
+        (["threshold", "--help"], 0),
+        (["plot", "data.csv", "out.svg"], 0),
+        (["threshold", "--a", "-1", "--tau", "1"], 2),
+    ], ids=["version", "help", "threshold-help", "plot", "usage-error"])
+    def test_starts_without_numpy(self, tmp_path, argv, want):
+        (tmp_path / "data.csv").write_text("x,y\n0,1.0\n1,0.5\n")
+        loaded = _loaded_after(tmp_path, _cli_run(argv, want))
+        assert "numpy" not in loaded
+        assert _layers(loaded) <= {"charpoly", "cli", "errors", "svgchart"}
+
+    def test_the_determinism_children_load_only_their_criteria_layers(self, tmp_path):
+        code = _cli_run(["verify", "--only", "taylor-accuracy,momentum-direction"])
+        assert _layers(_loaded_after(tmp_path, code)) == {
+            "acceptance", "charpoly", "cli", "errors", "stability"}
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--a", "1", "--eta", "0.1", "--tau", "2", "--steps", "50"],
+        ["ps", "--workers", "3", "--a", "1", "--eta", "0.1", "--steps", "50"],
+    ], ids=["simulate", "ps"])
+    def test_manifests_record_the_simulators_verdict_lines(self, capsys, tmp_path, argv):
+        from staleness_lab.dynamics import BLOWUP_FACTOR, DECAY_FACTOR
+
+        rc, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "run"))
+        assert rc == 0
+        text = (tmp_path / "run" / "manifest.json").read_text()
+        config = json.loads(text)["config"]
+        assert (config["blowup"], config["decay"]) == (BLOWUP_FACTOR, DECAY_FACTOR)
+        assert '"blowup": 1000000.0' in text and '"decay": 1e-06' in text
 
 
 # Each usage or input error the CLI reports itself: argv ("{tmp}" is a

@@ -5,10 +5,12 @@
 Run from anywhere in the repository.  Two fresh trees go into one temporary
 directory: ``base/`` from ``git archive REV`` (default HEAD) and ``change/``
 from the files ``git ls-files -co --exclude-standard`` names in the working
-tree.  Both are byte-compiled first, so that neither side pays for its
-bytecode caches inside a run.  The tool refuses to start when ``perfbench/``
-or ``BENCHMARK.json`` differ between the trees, since the comparison would
-then measure two benchmarks.
+tree.  Neither is byte-compiled, and every run gets
+``PYTHONDONTWRITEBYTECODE=1``: each process compiles what it imports, as a
+run from a fresh checkout without bytecode caches does, and neither tree
+gains caches between runs.  The tool refuses to start when ``perfbench/`` or
+``BENCHMARK.json`` differ between the trees, since the comparison would then
+measure two benchmarks.
 
 For seeds 1..N it runs ``perfbench/run.py --workload W --seed N --seconds S
 --trace 0`` in each tree, and flips which side runs first on every seed, so
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -84,7 +87,7 @@ def _git(*args: str) -> bytes:
 
 
 def build(tmp: Path, rev: str) -> dict[str, Path]:
-    """The base and change trees under ``tmp``, byte-compiled.
+    """The base and change trees under ``tmp``, as source only.
 
     Raises SystemExit when their benchmarks differ."""
     trees = {side: tmp / side for side in SIDES}
@@ -98,9 +101,6 @@ def build(tmp: Path, rev: str) -> dict[str, Path]:
             shutil.copy2(src, dst)
     if _benchmark_files(trees["base"]) != _benchmark_files(trees["change"]):
         raise SystemExit("perfbench/ or BENCHMARK.json differ between the trees")
-    for tree in trees.values():
-        subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree)], check=True,
-                       stdout=subprocess.DEVNULL)
     return trees
 
 
@@ -114,7 +114,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     proc = subprocess.run([sys.executable, str(tree / "perfbench" / "run.py"),
                            "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds), "--trace", "0"],
-                          cwd=tree, capture_output=True, text=True)
+                          cwd=tree, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
