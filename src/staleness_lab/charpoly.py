@@ -23,6 +23,7 @@ instead of writing to fixed slots.
 Every one of these is linear in ``k = eta*a``: ``P(z) = A(z) + k B(z)``.
 ``char_poly_terms`` gives that split as sparse terms, the one description
 of each polynomial that the builders and the threshold search share.
+It also holds the run defaults ``BLOWUP_FACTOR`` and ``DECAY_FACTOR``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from dataclasses import dataclass
 
 PROB_SUM_TOL = 1e-12
 MAX_TAU = 10_000
+# Default verdict lines, as multiples of the initial distance from the minimum.
+BLOWUP_FACTOR = 1e6
+DECAY_FACTOR = 1e-6
 
 PLAIN = "plain"
 MOMENTUM = "momentum"

@@ -4,13 +4,14 @@ Subcommands: ``threshold`` (delay sweeps of the stability boundary),
 ``roots`` (characteristic roots at one operating point), ``simulate`` and
 ``escape-curve`` (delay-recurrence trajectories), ``ps`` (parameter-server
 emulation), ``plot`` (CSV to SVG), ``verify`` (self-check suite).  Each
-command imports its own layers when it runs: parsing and checking flags
-loads only ``charpoly`` and ``errors``, and ``--version``, ``--help`` and
-``plot`` never load numpy.
+command checks its flags before it imports its own layers: parsing and
+checking flags loads only ``charpoly`` and ``errors``, so a usage error,
+``--version``, ``--help`` and ``plot`` never load numpy.
 
 Exit codes: 0 success, 1 numeric or verification failure, 2 usage error.
 Configuration precedence is flags over ``--config`` JSON over defaults; the
-environment variable ``STALENESS_LAB_SEED`` replaces the default seed only.
+environment variable ``STALENESS_LAB_SEED`` is read only when neither a flag
+nor the config gives the seed.
 Each flag is declared once, in ``FLAGS``, with the rule its value must meet,
 and a config value goes through its flag's type, choices and rule: it is
 accepted exactly when the same text would be accepted as the flag, and a bad
@@ -35,12 +36,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
-from .charpoly import (VARIANTS, DelayModel, OptimizerSpec, _check_count, _check_delay, _check_momentum,
-                       _check_positive, _check_rel_tol, char_poly, pmf_discrete_gaussian, pmf_uniform)
+from .charpoly import (BLOWUP_FACTOR, DECAY_FACTOR, VARIANTS, DelayModel, OptimizerSpec, _check_count,
+                       _check_delay, _check_momentum, _check_positive, _check_rel_tol, char_poly,
+                       pmf_discrete_gaussian, pmf_uniform)
 from .errors import NoConvergence, NoThreshold, UndecidedAtProbe
 
 if TYPE_CHECKING:
-    from .dynamics import QuadraticProblem, SimVerdict
+    from .dynamics import SimVerdict
 
 SEED_ENV = "STALENESS_LAB_SEED"
 
@@ -187,7 +189,7 @@ def _configure(command: str, args: argparse.Namespace) -> dict:
     could have given: anything but a number or a string, or a null where the
     default is not null.
     """
-    cfg = {key: val() if callable(val) else val for key, val in COMMANDS[command].defaults.items()}
+    cfg = dict(COMMANDS[command].defaults)
     config = _load_config(args.config, command)
     unknown = sorted(set(config) - set(cfg))
     if unknown:
@@ -204,6 +206,8 @@ def _configure(command: str, args: argparse.Namespace) -> dict:
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val
+        elif callable(cfg[key]):
+            cfg[key] = cfg[key]()
         check = FLAGS[key].get("check")
         if check is not None and cfg[key] is not None:
             check(_flag(key), cfg[key])
@@ -265,13 +269,12 @@ def _single_delay(cfg: dict) -> DelayModel:
     return delays[0]
 
 
-def _build_problem(cfg: dict) -> QuadraticProblem:
-    from .dynamics import QuadraticProblem
-
+def _spectrum(cfg: dict) -> list[float]:
+    """The problem's eigenvalues, ``--a`` alone or the ``--spectrum`` list."""
     if (cfg["a"] is None) == (cfg["spectrum"] is None):
         raise ValueError("provide exactly one of --a / --spectrum")
     if cfg["a"] is not None:
-        return QuadraticProblem([[cfg["a"]]])
+        return [cfg["a"]]
     spectrum = cfg["spectrum"]
     try:
         vals = [float(p) for p in spectrum.split(",") if p.strip() != ""]
@@ -279,7 +282,7 @@ def _build_problem(cfg: dict) -> QuadraticProblem:
         raise ValueError(f"cannot parse spectrum {spectrum!r}") from None
     if not vals:
         raise ValueError("spectrum must list at least one eigenvalue")
-    return QuadraticProblem.diagonal(vals)
+    return vals
 
 
 def _jsonable(x):
@@ -353,14 +356,13 @@ def _report(verdict: SimVerdict, command: str, cfg: dict, seeds: dict,
 # ---------------------------------------------------------------- threshold
 
 def cmd_threshold(cfg: dict, args: argparse.Namespace) -> int:
-    from .stability import threshold_curve
-    from .svgchart import render_line_chart
-
     if cfg["svg"] and not cfg["out"]:
         raise ValueError("--svg needs --out")
     variant = cfg["variant"]
     a = _require(cfg, "a")
     delays = _delays(cfg)
+    from .stability import threshold_curve
+    from .svgchart import render_line_chart
 
     t0 = time.time()
     curve = threshold_curve(variant, a, delays, m=cfg["m"], rel_tol=cfg["rel_tol"])
@@ -398,11 +400,10 @@ def cmd_threshold(cfg: dict, args: argparse.Namespace) -> int:
 # -------------------------------------------------------------------- roots
 
 def cmd_roots(cfg: dict, args: argparse.Namespace) -> int:
-    from .roots import all_roots
-
     a = _require(cfg, "a")
     eta = _require(cfg, "eta")
     delay = _single_delay(cfg)
+    from .roots import all_roots
     poly = char_poly(OptimizerSpec(cfg["variant"], eta, cfg["m"]), a, delay)
     rs = all_roots(poly)
     stable = rs.max_magnitude < 1.0
@@ -424,11 +425,13 @@ def cmd_roots(cfg: dict, args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- simulate
 
 def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
-    from .dynamics import UNDECIDED, SimConfig, SimVerdict, _engine, _trace_steps, simulate_expectation
-
-    problem = _build_problem(cfg)
+    spectrum = _spectrum(cfg)
     delay = _single_delay(cfg)
     eta = _require(cfg, "eta")
+    from .dynamics import (UNDECIDED, QuadraticProblem, SimConfig, SimVerdict, _engine,
+                           _trace_steps, simulate_expectation)
+
+    problem = QuadraticProblem.diagonal(spectrum)
     t0 = time.time()
 
     # OptimizerSpec (rightly) demands eta > 0, so a zero step size is checked
@@ -464,9 +467,7 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
 # ------------------------------------------------------------- escape-curve
 
 def cmd_escape_curve(cfg: dict, args: argparse.Namespace) -> int:
-    from .dynamics import escape_time_curve
-
-    problem = _build_problem(cfg)
+    spectrum = _spectrum(cfg)
     delay = _single_delay(cfg)
     if (cfg["etas"] is None) == (cfg["eta_range"] is None):
         raise ValueError("provide exactly one of --etas / --eta-range")
@@ -474,11 +475,12 @@ def cmd_escape_curve(cfg: dict, args: argparse.Namespace) -> int:
         etas = _step_sizes("--etas", cfg["etas"])
     else:
         etas = _step_size_range("--eta-range", cfg["eta_range"])
+    from .dynamics import QuadraticProblem, escape_time_curve
 
     t0 = time.time()
     curve = escape_time_curve(
-        problem, cfg["variant"], delay, etas, m=cfg["m"], max_steps=cfg["steps"],
-        blowup_factor=cfg["blowup"], decay_factor=cfg["decay"],
+        QuadraticProblem.diagonal(spectrum), cfg["variant"], delay, etas, m=cfg["m"],
+        max_steps=cfg["steps"], blowup_factor=cfg["blowup"], decay_factor=cfg["decay"],
     )
     if cfg["out"]:  # written first, as in _report
         out = Path(cfg["out"])
@@ -493,17 +495,17 @@ def cmd_escape_curve(cfg: dict, args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------- ps
 
 def cmd_ps(cfg: dict, args: argparse.Namespace) -> int:
-    from .pssim import RoundRobin, SampledDelay, delay_histogram, run_ps
-
-    problem = _build_problem(cfg)
+    spectrum = _spectrum(cfg)
     eta = _require(cfg, "eta")
     if (cfg["workers"] is None) == (cfg["pmf"] is None):
         raise ValueError("provide exactly one of --workers / --pmf")
+    pmf = None if cfg["pmf"] is None else _parse_pmf(cfg["pmf"])
+    from .dynamics import QuadraticProblem
+    from .pssim import RoundRobin, SampledDelay, delay_histogram, run_ps
+
+    problem = QuadraticProblem.diagonal(spectrum)
     seed = cfg["seed"]
-    if cfg["workers"] is not None:
-        scheduler = RoundRobin(cfg["workers"])
-    else:
-        scheduler = SampledDelay(_parse_pmf(cfg["pmf"]), seed=seed)
+    scheduler = RoundRobin(cfg["workers"]) if pmf is None else SampledDelay(pmf, seed=seed)
 
     t0 = time.time()
     run = run_ps(
@@ -590,13 +592,12 @@ def cmd_plot(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- verify
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .acceptance import run_criteria
-
     names = None  # every criterion
     if args.only is not None:
         names = [n.strip() for n in args.only.split(",") if n.strip()]
         if not names:
             raise ValueError(f"--only {args.only!r} names no criterion")
+    from .acceptance import run_criteria
     results = run_criteria(names=names, out_dir=args.out)
     width = max(len(n) for n, _, _ in results)
     for name, ok, detail in results:
@@ -611,8 +612,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 class Command(NamedTuple):
     handler: Callable[[dict, argparse.Namespace], int]
     help: str
-    # One entry per flag, in --help order; a callable default is resolved
-    # when the command runs.
+    # One entry per flag, in --help order; a callable default is read only
+    # when no flag or config gives its key.
     defaults: dict
     description: str | None = None
 
@@ -620,18 +621,7 @@ class Command(NamedTuple):
 _MODEL = {"variant": "plain", "m": 0.0, "tau": None, "pmf": None, "a": None}
 
 
-def _blowup_factor() -> float:
-    from .dynamics import BLOWUP_FACTOR
-    return BLOWUP_FACTOR
-
-
-def _decay_factor() -> float:
-    from .dynamics import DECAY_FACTOR
-    return DECAY_FACTOR
-
-
-# the simulators' own verdict lines, read when a command runs, not when cli loads
-_VERDICT_LINES = {"blowup": _blowup_factor, "decay": _decay_factor}
+_VERDICT_LINES = {"blowup": BLOWUP_FACTOR, "decay": DECAY_FACTOR}
 
 COMMANDS = {
     "threshold": Command(cmd_threshold, "stability threshold across delays", {

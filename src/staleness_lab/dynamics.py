@@ -25,8 +25,9 @@ from itertools import islice
 
 import numpy as np
 
-from .charpoly import (DelayModel, OptimizerSpec, _check_count, _check_pairing, _check_positive,
-                       _check_rel_tol, _check_seed, _check_variant, as_delay)
+from .charpoly import (BLOWUP_FACTOR, DECAY_FACTOR, DelayModel, OptimizerSpec, _check_count,
+                       _check_pairing, _check_positive, _check_rel_tol, _check_seed, _check_variant,
+                       as_delay)
 from .errors import NoConvergence, UndecidedAtProbe
 from .stability import METHOD_SIMULATION, ThresholdResult, _bisect_eta
 
@@ -56,9 +57,6 @@ BLOCK_CAP = 4096
 # rows from 0.5 to 1.5 eta* gain (tau 32: plain 9.0-9.7 -> 5.4-5.5, shifted m 0.5
 # 31-32 -> 15-17 ms), but 2 to 4 rows that all converge lose up to 3 ms.
 LOCKSTEP_MIN_TAU = 16
-# Default verdict lines, as multiples of the initial distance from the minimum.
-BLOWUP_FACTOR = 1e6
-DECAY_FACTOR = 1e-6
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -187,8 +185,8 @@ class SimConfig:
         _check_pairing(self.optimizer.variant, self.delay)
         object.__setattr__(self, "max_steps", max(100 * (self.delay.max_delay + 1), MAX_STEPS_FLOOR)
                            if self.max_steps is None else _check_count("max_steps", self.max_steps))
-        if not self.blowup_factor > 1.0 > self.decay_factor > 0.0:
-            raise ValueError("need blowup_factor > 1 > decay_factor > 0")
+        if not math.inf > self.blowup_factor > 1.0 > self.decay_factor > 0.0:
+            raise ValueError("need blowup_factor > 1 > decay_factor > 0 and a finite blowup_factor")
         if self.init not in ("top_eigvec", "random_unit"):
             raise ValueError("init must be 'top_eigvec' or 'random_unit'")
         object.__setattr__(self, "record_every", _check_count("record_every", self.record_every))

@@ -424,6 +424,18 @@ class TestSeedEnv:
                              "--tau", "1", "--steps", "50")
         assert rc == 2
 
+    @pytest.mark.parametrize("via, seed", [("flag", 5), ("config", 7)])
+    def test_env_seed_is_not_read_when_the_seed_is_given(self, capsys, tmp_path, monkeypatch,
+                                                         via, seed):
+        monkeypatch.setenv("STALENESS_LAB_SEED", "not-a-number")
+        (tmp_path / "cfg.json").write_text(json.dumps({"seed": str(seed)}))
+        given = ["--seed", str(seed)] if via == "flag" else ["--config", str(tmp_path / "cfg.json")]
+        out = tmp_path / "r"
+        rc, _, err = run_cli(capsys, "simulate", "--a", "1.0", "--eta", "0.1", "--tau", "1",
+                             "--steps", "50", *given, "--out", str(out))
+        assert (rc, err) == (0, "")
+        assert json.loads((out / "manifest.json").read_text())["seeds"] == {"seed": seed}
+
 
 NEGATIVE_SEED_RUNS = [
     ("simulate", "--a", "1", "--eta", "0.1", "--tau", "2"),
@@ -755,12 +767,24 @@ class TestImportGraph:
         (["threshold", "--help"], 0),
         (["plot", "data.csv", "out.svg"], 0),
         (["threshold", "--a", "-1", "--tau", "1"], 2),
-    ], ids=["version", "help", "threshold-help", "plot", "usage-error"])
+        (["threshold", "--a", "1"], 2),
+        (["threshold", "--a", "1", "--tau", "1", "--svg", "x.svg"], 2),
+        (["roots", "--a", "1", "--tau", "1"], 2),
+        (["simulate", "--a", "-1", "--tau", "1", "--eta", "0.1"], 2),
+        (["simulate", "--a", "1", "--spectrum", "1,2", "--tau", "1", "--eta", "0.1"], 2),
+        (["escape-curve", "--a", "1", "--tau", "2"], 2),
+        (["ps", "--a", "1", "--eta", "0.1"], 2),
+        (["verify", "--only", ","], 2),
+    ], ids=["version", "help", "threshold-help", "plot", "usage-error", "threshold-no-delay",
+            "threshold-svg-without-out", "roots-no-eta", "simulate-bad-a",
+            "simulate-a-and-spectrum", "escape-curve-no-etas", "ps-no-scheduler",
+            "verify-empty-only"])
     def test_starts_without_numpy(self, tmp_path, argv, want):
         (tmp_path / "data.csv").write_text("x,y\n0,1.0\n1,0.5\n")
         loaded = _loaded_after(tmp_path, _cli_run(argv, want))
         assert "numpy" not in loaded
-        assert _layers(loaded) <= {"charpoly", "cli", "errors", "svgchart"}
+        plotting = {"svgchart"} if argv[0] == "plot" else set()
+        assert _layers(loaded) <= {"charpoly", "cli", "errors", *plotting}
 
     def test_the_determinism_children_load_only_their_criteria_layers(self, tmp_path):
         code = _cli_run(["verify", "--only", "taylor-accuracy,momentum-direction"])
@@ -878,6 +902,9 @@ ERRORS = {
                       "byte 0xe9 in position 10: invalid continuation byte"),
     "plot-cell-too-large": (["plot", "{tmp}/huge_cell.csv", "{tmp}/o.svg"], 1,
                             "error: line 3: field larger than field limit (131072)"),
+    "blowup-inf": ([*SIM, "--blowup", "1e400"], 2,
+                   "usage error: need blowup_factor > 1 > decay_factor > 0 "
+                   "and a finite blowup_factor"),
     "config-not-utf8": ([*SIM, "--config", "{tmp}/latin1.json"], 2,
                         "usage error: cannot read config {tmp}/latin1.json: 'utf-8' codec "
                         "can't decode byte 0xe9 in position 7: invalid continuation byte"),

@@ -221,7 +221,8 @@ VERDICT_LINES = {
         PROBLEM, "plain", 3, [0.1], blowup_factor=b, decay_factor=d),
 }
 BAD_VERDICT_LINES = {"blowup 1": (1.0, 1e-6), "blowup 0.5": (0.5, 1e-6),
-                     "blowup nan": (math.nan, 1e-6), "decay 1": (1e6, 1.0),
+                     "blowup nan": (math.nan, 1e-6), "blowup inf": (math.inf, 1e-6),
+                     "decay 1": (1e6, 1.0),
                      "decay 2": (1e6, 2.0), "decay 0": (1e6, 0.0), "decay negative": (1e6, -1.0),
                      "decay nan": (1e6, math.nan)}
 

@@ -14,7 +14,8 @@ drives, all in one process:
 - the six demos;
 - one ``cli.main`` call per command: ``threshold --svg``, ``roots --json``,
   ``simulate --seed ... --out``, ``escape-curve``, ``ps --workers``,
-  ``ps --pmf``, ``plot`` and ``verify --only``.
+  ``ps --pmf``, ``plot`` and ``verify --only``, and one more ``simulate``
+  that replays the first one's manifest through ``--config``.
 
 Demos and commands write into a temporary directory.  Then it prints, by
 module, every statement inside a function that never ran: a compound
@@ -52,6 +53,7 @@ def _commands(out: Path) -> list[list[str]]:
         ["roots", "--a", "1", "--eta", "0.1", "--tau", "8", "--json"],
         ["simulate", "--a", "1", "--tau", "8", "--eta", "0.1", "--seed", "3",
          "--out", str(out / "sim")],
+        ["simulate", "--config", str(out / "sim" / "manifest.json"), "--out", str(out / "replay")],
         ["escape-curve", "--a", "1", "--tau", "32", "--eta-range", "0.02:0.08:25",
          "--out", str(out / "escape.csv")],
         ["ps", "--workers", "4", "--a", "1", "--eta", "0.1", "--out", str(out / "ps_rr")],
